@@ -58,7 +58,7 @@ def _best_of(lib, reps, **session_kwargs):
 
     best, result, stats = float("inf"), None, None
     for _ in range(reps):
-        session = Session(library=lib, cache=False, **session_kwargs)
+        session = Session(library=lib, store=None, **session_kwargs)
         start = time.perf_counter()
         out = _pipeline(session)
         elapsed = time.perf_counter() - start
@@ -72,15 +72,15 @@ def _best_of(lib, reps, **session_kwargs):
 def test_artifact_cache_speedup(lib, tmp_path):
     from repro.session import Session
 
-    art_dir = str(tmp_path / "artifacts")
+    art_store = str(tmp_path / "artifacts.sqlite")
     # Populate the store once, untimed -- the warm runs then model a
     # sweep campaign (or a re-run after a crash) over a known circuit.
-    prime = Session(library=lib, cache=False, artifacts=art_dir)
+    prime = Session(library=lib, store=None, artifacts=art_store)
     prime.design(DESIGN).power_model()
     prime.close()
 
     cold_s, cold_out, _ = _best_of(lib, REPS, artifacts=False)
-    warm_s, warm_out, warm_stats = _best_of(lib, REPS, artifacts=art_dir)
+    warm_s, warm_out, warm_stats = _best_of(lib, REPS, artifacts=art_store)
 
     # Bit-identical results, not merely close ones.
     cold_curves, cold_rows = cold_out

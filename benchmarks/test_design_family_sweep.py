@@ -61,8 +61,7 @@ def _sweep_family(session):
 def test_design_family_sweep(lib):
     from repro.session import Session
 
-    session = Session(library=lib, cache=False, workers=WORKERS,
-                      pool="shared")
+    session = Session(library=lib, store=None, workers=WORKERS)
     try:
         # Cold pass: every design elaborates + builds its bundle once.
         cold_start = time.perf_counter()

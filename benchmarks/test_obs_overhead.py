@@ -65,7 +65,7 @@ def _best_of(lib, reps, **session_kwargs):
 
     best, result, points = float("inf"), None, 0
     for _ in range(reps):
-        session = Session(library=lib, cache=False, **session_kwargs)
+        session = Session(library=lib, store=None, **session_kwargs)
         start = time.perf_counter()
         out = _pipeline(session)
         elapsed = time.perf_counter() - start

@@ -2,15 +2,16 @@
 
 The pipeline under test is the paper's multiplier flow (the Fig. 6
 65-point log-frequency sweep plus the Table I rows), run twice at the
-same worker count:
+same worker count, each through its session's warm
+:class:`~repro.runner.WorkerPool` (workers forked once per session):
 
-* **per-point parallel** -- the pre-PR 5 strategy: the batch kernel is
-  disabled, every point is one task through the process pool (one IPC
-  round-trip per point), a fresh ephemeral pool per grid;
-* **parallel batch** -- the PR 5 strategy: pending points are sharded
-  into contiguous chunks, the vectorised kernel runs *inside* warm
-  :class:`~repro.runner.WorkerPool` workers (one IPC round-trip per
-  chunk, workers forked once per session).
+* **per-point parallel** -- the batch kernel is disabled, so the grid
+  is fn-only and every point is a chunk of one through the pool (one
+  IPC round-trip per point, each point under the full per-point
+  retry/timeout policy);
+* **parallel batch** -- pending points are sharded into contiguous
+  chunks and the vectorised kernel runs *inside* the workers (one IPC
+  round-trip per chunk).
 
 Both time only the sweep/table regeneration (the model build is primed
 untimed), best-of-3, and must produce float-identical grids.
@@ -80,9 +81,9 @@ def test_parallel_batch_speedup(lib):
     sweep_mod = importlib.import_module("repro.analysis.sweep")
     kernel = sweep_mod._batch_kernel
 
-    # Per-point parallel: kernel disabled, ephemeral pool per grid.
-    per_point = Session(library=lib, cache=False, workers=WORKERS,
-                        pool="fresh")
+    # Per-point parallel: kernel disabled, chunks of one point on the
+    # session's warm pool.
+    per_point = Session(library=lib, store=None, workers=WORKERS)
     sweep_mod._batch_kernel = lambda m: None
     try:
         per_point_s, per_point_out = _best_of(per_point, REPS)
@@ -92,8 +93,8 @@ def test_parallel_batch_speedup(lib):
 
     # Parallel batch: chunked kernel dispatch on the session's warm pool.
     journal = os.environ.get(_ENV_JOURNAL, "").strip() or None
-    chunked = Session(library=lib, cache=False, workers=WORKERS,
-                      pool="shared", journal=journal)
+    chunked = Session(library=lib, store=None, workers=WORKERS,
+                      journal=journal)
     try:
         chunked_s, chunked_out = _best_of(chunked, REPS)
         assert chunked.pool is not None and chunked.pool.alive

@@ -20,7 +20,7 @@ import pytest
 from repro.errors import ScpgError
 from repro.power.leakage import leakage_power
 from repro.runner import INFEASIBLE_MARKER  # noqa: F401  (re-export check)
-from repro.runner import ResultCache, RunStats, evaluate_grid, stable_hash
+from repro.runner import RunStats, SqliteStore, evaluate_grid, stable_hash
 from repro.scpg.power_model import Mode, ScpgPowerModel
 from repro.sta.analysis import TimingAnalysis
 
@@ -79,7 +79,7 @@ def _operating_point(study, point):
 @needs_fork
 def test_runner_throughput_mult16(mult_study, tmp_path):
     points = _grid()
-    cache = ResultCache(tmp_path / "bench-cache")
+    cache = SqliteStore(tmp_path / "bench.sqlite")
     key = stable_hash("throughput-bench", mult_study.model)
 
     def timed(**kwargs):

@@ -128,7 +128,7 @@ def test_serve_load_dedupe_and_fairness(tmp_path):
             assert start >= prev_finish  # strictly serial execution
 
         # -- bit-exactness under load -----------------------------------
-        offline = Session(cache=False)
+        offline = Session(store=None)
         expected = json.loads(json.dumps(
             sweep_to_dict(offline.design(DESIGN).sweep(union))))
         offline.close()

@@ -48,9 +48,9 @@ from .circuits.registry import available_designs, register_design
 from .errors import ReproError
 from .netlist.core import Design, Module
 from .paper import CaseStudy, cortex_m0_study, multiplier_study
-from .runner import ResultCache, RunJournal, Runner, RunStats, \
+from .runner import RunJournal, Runner, RunStats, SqliteStore, \
     evaluate_grid
-from .scpg import Mode, ScpgPowerModel, apply_scpg
+from .scpg import Mode, ScpgPowerModel
 from .session import DesignHandle, Session
 from .tech import build_scl90
 from .techniques import available_techniques, register_technique, technique
@@ -62,7 +62,6 @@ __all__ = [
     "Design",
     "Module",
     "build_scl90",
-    "apply_scpg",
     "Mode",
     "ScpgPowerModel",
     "CaseStudy",
@@ -75,7 +74,7 @@ __all__ = [
     "Runner",
     "RunStats",
     "RunJournal",
-    "ResultCache",
+    "SqliteStore",
     "evaluate_grid",
     "register_design",
     "available_designs",

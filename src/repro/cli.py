@@ -25,11 +25,9 @@ Designs are referenced by a registered name (``mult16``, ``m0lite``,
 produced by this tool (or any tool emitting the supported subset).
 
 Every command runs through one :class:`repro.Session`, so the global
-options compose with all of them: ``--workers N`` fans sweeps over worker
-processes (``--pool {shared,fresh}`` keeps one warm pool across every
-grid or forks per grid; ``--chunk-size N`` overrides the adaptive
-points-per-chunk of the parallel batch path), ``--cache DIR`` reuses the
-content-addressed result cache
+options compose with all of them: ``--workers N`` fans sweeps over one
+warm pool of worker processes, ``--cache PATH`` reuses the
+content-addressed result store in the SQLite file PATH
 (``--no-cache`` disables it, default honours ``REPRO_CACHE_DIR``),
 ``--no-artifact-cache`` disables the per-circuit precompute cache
 (every analysis walks the netlist again, as before the artifact layer),
@@ -56,23 +54,26 @@ def _session(args):
     if getattr(args, "_session_obj", None) is None:
         from .session import Session
 
-        if getattr(args, "no_cache", False):
-            cache = None
-        elif getattr(args, "cache", None):
-            cache = args.cache
-        else:
-            cache = "auto"
         args._session_obj = Session(
             liberty=getattr(args, "liberty", None) or None,
             workers=getattr(args, "workers", None),
-            cache=cache,
+            store=_store_spec(args),
             journal=getattr(args, "journal", None) or None,
             artifacts=not getattr(args, "no_artifact_cache", False),
             trace=getattr(args, "trace", None) or None,
-            metrics=bool(getattr(args, "metrics", None)),
-            pool=getattr(args, "pool", "shared") or "shared",
-            chunk_size=getattr(args, "chunk_size", None))
+            metrics=bool(getattr(args, "metrics", None)))
     return args._session_obj
+
+
+def _store_spec(args, store=None):
+    """``Session(store=)`` for the global flags: an explicit ``store``
+    (``serve --store``) wins, then ``--no-cache``, then ``--cache PATH``,
+    else ``"auto"`` (``REPRO_CACHE_DIR``)."""
+    if store:
+        return store
+    if getattr(args, "no_cache", False):
+        return None
+    return getattr(args, "cache", None) or "auto"
 
 
 def _load_library(args):
@@ -358,20 +359,11 @@ def cmd_serve(args):
     from .serve import SweepService, serve_forever
     from .session import Session
 
-    if getattr(args, "no_cache", False) and not args.store:
-        cache, store = None, None
-    elif args.store:
-        cache, store = "auto", args.store
-    elif getattr(args, "cache", None):
-        cache, store = args.cache, None
-    else:
-        cache, store = "auto", None
     session = Session(
         liberty=getattr(args, "liberty", None) or None,
-        workers=args.workers, cache=cache, store=store,
+        workers=args.workers, store=_store_spec(args, args.store),
         artifacts=not getattr(args, "no_artifact_cache", False),
-        metrics=True, pool=getattr(args, "pool", "shared") or "shared",
-        chunk_size=getattr(args, "chunk_size", None))
+        metrics=True)
     args._session_obj = session
     service = SweepService(session=session, spool=args.spool)
     try:
@@ -411,19 +403,11 @@ def build_parser():
                         "file instead of the built-in scl90")
     parser.add_argument("--workers", type=int, help="worker processes "
                         "for sweeps (0 = one per core; default serial)")
-    parser.add_argument("--pool", choices=("shared", "fresh"),
-                        default="shared",
-                        help="worker-pool policy with --workers: "
-                        "'shared' keeps one warm pool across every grid "
-                        "(default), 'fresh' forks a new pool per grid")
-    parser.add_argument("--chunk-size", type=int, metavar="N",
-                        help="points per chunk on the parallel batch "
-                        "path (default: adaptive, about pending / "
-                        "(4 * workers))")
-    parser.add_argument("--cache", help="result-cache directory "
-                        "(default: $REPRO_CACHE_DIR when set)")
+    parser.add_argument("--cache", metavar="PATH",
+                        help="result-store SQLite file (default: "
+                        "results.sqlite in $REPRO_CACHE_DIR when set)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache")
+                        help="disable the result store")
     parser.add_argument("--no-artifact-cache", action="store_true",
                         help="disable the per-circuit artifact cache "
                         "(precomputed STA/leakage/switching tables)")
@@ -538,7 +522,7 @@ def build_parser():
     p.add_argument("--store", metavar="PATH",
                    help="SQLite result store shared by every job (and "
                    "any other process pointed at the same file); "
-                   "default: the --cache directory store")
+                   "default: the --cache store")
     p.add_argument("--spool", metavar="DIR",
                    help="directory for per-job JSONL journals "
                    "(default: a temp directory)")

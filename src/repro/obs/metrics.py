@@ -253,8 +253,8 @@ class MetricsRegistry:
 
     def fill_from_stats(self, stats, cache=None):
         """Snapshot a :class:`~repro.runner.instrument.RunStats` (and
-        optionally its :class:`~repro.runner.cache.ResultCache`) into
-        this registry, replacing any previous snapshot.
+        optionally its result store) into this registry, replacing any
+        previous snapshot.
 
         Duck-typed: anything with a ``to_dict()`` in the RunStats shape
         works, so replayed journal stats can be exported the same way.

@@ -86,7 +86,7 @@ class GridRecord:
     failed: list = field(default_factory=list)
     batches: int = 0
     chunks: int = 0
-    chunk_size: int = None      # None: not a chunked run (or old journal)
+    per_chunk: int = None       # None: not a pool run (or old journal)
     chunk_elapsed: list = field(default_factory=list)
     bisects: int = 0
     poisoned: int = 0
@@ -196,7 +196,7 @@ class JournalReport:
                 current.batches += 1
             elif name == "chunks_planned":
                 current.chunks += ev.get("chunks", 0)
-                current.chunk_size = ev.get("chunk_size")
+                current.per_chunk = ev.get("per_chunk")
             elif name == "chunk_finished":
                 current.chunk_elapsed.append(ev.get("elapsed", 0.0))
             elif name == "chunk_bisected":
@@ -349,8 +349,8 @@ class JournalReport:
             lines.append("-" * 66)
             for label, runs in chunked:
                 elapsed = [t for g in runs for t in g.chunk_elapsed]
-                sizes = {g.chunk_size for g in runs
-                         if g.chunk_size is not None}
+                sizes = {g.per_chunk for g in runs
+                         if g.per_chunk is not None}
                 lines.append(
                     "{:<24} {:>7} {:>7} {:>8} {:>9.3f} {:>7.3f}".format(
                         label[:24],

@@ -4,17 +4,17 @@ Every sweep, scaling study, corner run and figure regeneration executes
 through this package.  The public surface:
 
 * :func:`evaluate_grid` / :class:`Runner` -- fan a function over a grid of
-  points with deterministic ordering, optional ``multiprocessing``
-  workers (serial fallback), an optional content-addressed cache with
-  incremental writeback, bounded retries with backoff, per-point
-  timeouts, and worker-crash recovery;
+  points with deterministic ordering, in-process or as chunks on a
+  worker pool, an optional content-addressed store with incremental
+  writeback, bounded retries with backoff, per-point timeouts, and
+  worker-crash recovery;
 * :class:`WorkerPool` -- the reusable warm worker pool: one executor
-  surviving across grids, serving the chunked parallel batch path;
-* :class:`ResultCache` -- the on-disk store, keyed by stable fingerprints
-  of (design netlist, library parameters, operating point, mode);
-* :class:`SqliteStore` -- the same interface over one WAL-mode SQLite
-  file: many processes share it safely, which is what the
-  :mod:`repro.serve` job service (and any ``Session(store=...)``) rides;
+  surviving across grids;
+* :class:`SqliteStore` -- the content-addressed result store, keyed by
+  stable fingerprints of (design netlist, library parameters, operating
+  point, mode) in one WAL-mode SQLite file that many processes share
+  safely -- what ``Session(store=...)`` and the :mod:`repro.serve` job
+  service ride;
 * :class:`CachedEvaluator` -- point-at-a-time caching for search loops;
 * :class:`RunStats` -- per-run counters and stage wall-clocks;
 * :class:`RunJournal` / :func:`read_journal` -- append-only JSONL event
@@ -27,7 +27,6 @@ through this package.  The public surface:
 """
 
 from .artifacts import ARTIFACT_SCHEMA, ArtifactStore, CircuitArtifacts
-from .cache import CACHE_ENV, CACHE_SCHEMA, ResultCache, default_cache
 from .core import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
@@ -53,7 +52,15 @@ from .kernel import (
     register_kernel,
 )
 from .pool import WorkerPool
-from .sqlite_store import SQLITE_SCHEMA, SqliteStore, open_store
+from .sqlite_store import (
+    CACHE_ENV,
+    CACHE_SCHEMA,
+    SQLITE_SCHEMA,
+    STORE_FILE,
+    SqliteStore,
+    default_cache,
+    open_store,
+)
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -68,9 +75,9 @@ __all__ = [
     "INFEASIBLE_MARKER",
     "Kernel",
     "NULL_JOURNAL",
-    "ResultCache",
     "RunJournal",
     "SQLITE_SCHEMA",
+    "STORE_FILE",
     "SqliteStore",
     "RunStats",
     "Runner",

@@ -25,8 +25,8 @@ Bundles are keyed by the owning handle's content fingerprint (netlist +
 library), so editing the circuit or the library *changes the key* and
 stale bundles are simply never read again.  An :class:`ArtifactStore`
 memoises bundles in-process and shares them across processes through the
-same :class:`~repro.runner.cache.ResultCache` on-disk layer the result
-cache uses.
+same :class:`~repro.runner.sqlite_store.SqliteStore` the point results
+use.
 """
 
 from __future__ import annotations
@@ -650,9 +650,9 @@ class ArtifactStore:
     Parameters
     ----------
     cache:
-        Optional :class:`~repro.runner.cache.ResultCache`; bundles are
-        shared across processes through it (same atomic-write /
-        best-effort semantics as sweep results).
+        Optional :class:`~repro.runner.sqlite_store.SqliteStore`;
+        bundles are shared across processes through it (same
+        transactional, best-effort semantics as sweep results).
     stats:
         Optional :class:`~repro.runner.instrument.RunStats`; ``get``
         increments ``artifact_hits`` / ``artifact_misses``.

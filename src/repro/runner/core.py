@@ -1,49 +1,55 @@
-"""Grid evaluation: fan sweep points over workers, through the cache.
+"""Grid evaluation: fan sweep points over workers, through the store.
 
 :func:`evaluate_grid` is the one primitive every analysis rides on.  It
-takes a plain function and a list of points and returns one result per
-point, in point order, regardless of how the work was scheduled:
+takes a plain function (and optionally a batch kernel) and a list of
+points and returns one result per point, in point order, regardless of
+how the work was scheduled:
 
-* **parallelism** -- with ``workers > 1`` points fan out over a process
-  pool, ``fork`` context preferred (heavy context is inherited
-  copy-on-write through a module global captured before the fork, so
-  closures and unpicklable studies work), ``spawn`` as the fallback
-  where fork is unavailable (state then travels as one pickled blob per
-  grid; unpicklable state degrades to the serial path with identical
-  results).  Submission is bounded: at most
-  :data:`MAX_INFLIGHT_PER_WORKER` ``* workers`` futures are in flight,
-  so a 10k-point grid never enqueues everything up front;
-* **chunked batch dispatch** -- when a grid has both ``workers > 1``
-  *and* a ``batch_fn`` kernel, pending points are sharded into
-  contiguous chunks (adaptive size ``pending / (4 * workers)``, clamped
-  to ``[CHUNK_FLOOR, CHUNK_CAP]``) and the *kernel* runs inside the
-  workers -- one IPC round-trip per chunk instead of per point.  A
-  reusable :class:`~repro.runner.pool.WorkerPool` may be supplied so
-  the workers survive across grids.  A chunk whose kernel raises is
-  bisected and retried until the poison point is isolated, journaled,
-  and re-run in the parent under the full per-point policy -- its
-  siblings lose nothing;
-* **caching** -- with a :class:`~repro.runner.cache.ResultCache` and a
-  ``cache_key`` describing the heavy context, each point is looked up
-  before evaluation and **flushed back incrementally** as its result
+* **two executors** -- a grid runs either in-process (one kernel batch
+  call, or the per-point loop) or as chunks on a
+  :class:`~repro.runner.pool.WorkerPool`.  With ``workers > 1`` every
+  pending point travels in a chunk: a kernel grid ships contiguous
+  chunks (adaptive size ``pending / (4 * workers)``, clamped to
+  ``[CHUNK_FLOOR, CHUNK_CAP]``) and runs the *kernel* inside the
+  worker; a fn-only grid ships chunks of one point that run under the
+  full per-point retry/timeout/``on_error`` policy inside the worker.
+  A session's warm pool serves the grid when one is given; otherwise
+  the grid starts an ephemeral pool that it owns and closes.
+  Submission is bounded: at most :data:`MAX_INFLIGHT_PER_WORKER`
+  ``* workers`` chunks are in flight, so a 10k-point grid never
+  enqueues everything up front;
+* **two state transports** -- an ephemeral pool started with ``fork``
+  inherits the grid state copy-on-write (closures and unpicklable case
+  studies work); a warm pool and ``spawn`` platforms receive it as one
+  pickled blob per grid, unpickled once per worker per grid epoch.
+  State that can neither be inherited nor pickled runs in-process with
+  identical results;
+* **poison isolation** -- a chunk that raises is bisected and
+  resubmitted until the poison point is isolated, journaled, and re-run
+  in the parent under the per-point policy after every healthy chunk
+  has landed; an in-process kernel call that raises falls back to the
+  per-point loop.  Either way the poison's siblings lose nothing;
+* **caching** -- with a :class:`~repro.runner.sqlite_store.SqliteStore`
+  and a ``cache_key`` describing the heavy context, each point is looked
+  up before evaluation and **flushed back incrementally** as its result
   arrives, so an abort, a hard error or a dead worker never loses paid
-  work.  Soft-error (infeasible) points are cached too, as an explicit
+  work.  Soft-error (infeasible) points are stored too, as an explicit
   marker;
 * **soft errors** -- exception types in ``on_error`` map to ``None``
   results (the convention the sweep code has always used for infeasible
   operating points); anything else propagates;
 * **fault tolerance** -- exception types in ``retry_on`` (and per-point
-  timeouts) are retried with exponential backoff before counting;
-  a worker killed under the pool (OOM, SIGKILL) is detected instead of
-  hanging the run: completed results are salvaged and the remainder is
-  re-queued on the serial path, so the sweep still returns results
-  bit-identical to an all-serial run;
+  timeouts) are retried with exponential backoff before counting; a
+  worker killed under the pool (OOM, SIGKILL) is detected instead of
+  hanging the run: completed chunks are salvaged, the pool restarts and
+  the remainder is re-run in-process, so the sweep still returns
+  results bit-identical to an all-serial run;
 * **observability** -- a :class:`~repro.runner.journal.RunJournal`
-  records every point submitted/finished/retried, every chunk
+  records every point finished/retried, every chunk
   submitted/finished/bisected, crashes and stage totals as append-only
   JSONL; traces nest ``chunk`` spans between ``stage`` and ``point``.
 
-:class:`Runner` bundles a worker count, a cache, a retry policy, a
+:class:`Runner` bundles a worker count, a store, a retry policy, a
 journal, an optional warm pool and a
 :class:`~repro.runner.instrument.RunStats` into one reusable policy
 object; :class:`CachedEvaluator` is its point-at-a-time sibling for
@@ -53,97 +59,50 @@ search loops (bisection, golden section) that cannot batch.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import pickle
 import signal
 import threading
 import time
-import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 
 from ..errors import PointTimeoutError, RunnerError
 from ..obs.trace import NULL_TRACER
-from .cache import ResultCache
 from .fingerprint import fingerprint
 from .instrument import RunStats
 from .journal import NULL_JOURNAL, RunJournal
+from .pool import WorkerPool, _start_method, resolve_workers
+from .sqlite_store import open_store
 
 
 class _NoContext:
     """Sentinel type: "no shared context" (``fn(point)``, not
     ``fn(context, point)``).  The sentinel is the *class itself*, not an
     instance: classes pickle by reference, so the ``context is
-    _NO_CONTEXT`` identity test still holds inside spawn workers that
-    received the grid state as a pickled blob."""
+    _NO_CONTEXT`` identity test still holds inside workers that received
+    the grid state as a pickled blob."""
 
 
 _NO_CONTEXT = _NoContext
 
-#: Stored in the cache for points whose evaluation raised a soft error, so
-#: deterministic infeasibility is a warm-cache no-op like any other result.
+#: Stored for points whose evaluation raised a soft error, so
+#: deterministic infeasibility is a warm-store no-op like any other result.
 INFEASIBLE_MARKER = "__repro:infeasible__"
-
-
-class _KernelBatch:
-    """Adapter presenting a compiled kernel under the internal batch
-    arity (``batch(points)`` / ``batch(context, points)``).  A compiled
-    kernel closes over its own context, so the grid context -- still
-    shipped for ``fn`` -- is ignored here.  Module-level and slotted so
-    the chunked parallel path can pickle it into worker state."""
-
-    __slots__ = ("kernel",)
-
-    def __init__(self, kernel):
-        self.kernel = kernel
-
-    def __call__(self, context, points=None):
-        if points is None:
-            points = context
-        return self.kernel(points)
-
-    def __getstate__(self):
-        return self.kernel
-
-    def __setstate__(self, state):
-        self.kernel = state
-
-
-class _LegacyBatch:
-    """A deprecated ``batch_fn`` re-shaped as ``kernel(points)``.  Bakes
-    in the grid context so the legacy context-dependent arity keeps
-    working through the uniform kernel path."""
-
-    __slots__ = ("batch_fn", "context")
-
-    def __init__(self, batch_fn, context):
-        self.batch_fn = batch_fn
-        self.context = context
-
-    def __call__(self, points):
-        if self.context is _NO_CONTEXT:
-            return self.batch_fn(points)
-        return self.batch_fn(self.context, points)
-
-    def __getstate__(self):
-        return (self.batch_fn, self.context)
-
-    def __setstate__(self, state):
-        self.batch_fn, self.context = state
 
 #: Default retry policy: up to 2 extra attempts, 50 ms base backoff.
 DEFAULT_RETRIES = 2
 DEFAULT_BACKOFF = 0.05
 
-#: Bounded submission: at most this many futures in flight per worker
-#: (the "k" in "k * workers"), on both parallel paths.
+#: Bounded submission: at most this many chunks in flight per worker
+#: (the "k" in "k * workers").
 MAX_INFLIGHT_PER_WORKER = 4
 
-#: Adaptive chunk sizing: aim for this many chunks per worker (so a
-#: straggling chunk rebalances instead of serialising the tail) ...
+#: Adaptive chunk sizing for kernel grids: aim for this many chunks per
+#: worker (so a straggling chunk rebalances instead of serialising the
+#: tail) ...
 CHUNK_SHARDS_PER_WORKER = 4
 #: ... clamped to this many points per chunk.  The floor keeps the
 #: per-chunk IPC amortised over several points even on tiny grids; the
@@ -151,31 +110,18 @@ CHUNK_SHARDS_PER_WORKER = 4
 CHUNK_FLOOR = 4
 CHUNK_CAP = 2048
 
-#: ``(fn, batch_fn, context, on_error, retry_on, retries, backoff,
-#: timeout)`` captured immediately before an ephemeral pool forks;
-#: workers read it instead of unpickling task payloads.  Spawn workers
-#: get the same tuple installed by the :func:`_install_state`
-#: initializer.  Guarded by :data:`_FORK_LOCK` so threaded callers get a
-#: clean error instead of silently racing on the slot.
-_FORK_STATE = None
+#: ``(epoch, (fn, kernel, context, policy))`` of one grid.  The parent
+#: sets it immediately before an ephemeral ``fork`` pool starts, so the
+#: workers inherit it; a worker sets its own copy when it unpickles a
+#: grid's blob, so a warm pool reused across many grids unpickles each
+#: grid's state once per worker, not once per chunk.  Guarded by
+#: :data:`_FORK_LOCK` in the parent so threaded callers get a clean
+#: error instead of silently racing on the slot.
+_GRID_STATE = None
 _FORK_LOCK = threading.Lock()
 
-#: Monotonic id per shipped grid state: warm-pool workers cache the
-#: unpickled blob under this id (:data:`_WORKER_STATE`), so a pool
-#: reused across many grids unpickles each grid's state once per worker,
-#: not once per chunk.
+#: Monotonic id per dispatched grid state (the key of :data:`_GRID_STATE`).
 _STATE_EPOCHS = itertools.count(1)
-
-#: Worker-side ``(epoch, state)`` slot for blob-carrying chunk tasks
-#: (single slot: a worker serves one grid at a time).
-_WORKER_STATE = None
-
-
-def _install_state(blob):
-    """Spawn-pool initializer: install the pickled grid state where fork
-    workers would have inherited it."""
-    global _FORK_STATE
-    _FORK_STATE = pickle.loads(blob)
 
 
 def _state_blob(state):
@@ -199,7 +145,7 @@ def _point_alarm(timeout):
     Uses ``SIGALRM``/``ITIMER_REAL``, so it only engages on Unix, in the
     main thread, and when no other real-time timer is pending (e.g. a
     ``pytest-timeout`` signal guard); anywhere else it is a no-op rather
-    than a wrong answer.  Fork-pool workers always qualify: POSIX clears
+    than a wrong answer.  Pool workers always qualify: POSIX clears
     interval timers across ``fork`` and the task runs in the worker's
     main thread.
     """
@@ -226,15 +172,16 @@ def _eval_point(fn, context, point, on_error, retry_on, retries, backoff,
                 timeout, tracer=NULL_TRACER):
     """One point through the retry/timeout policy.
 
-    Returns ``(value, status, attempts, timeouts)`` where ``status`` is
-    ``"ok"``, ``"soft"`` (infeasible) or ``"hard"`` (``value`` is the
-    exception, re-raised by :func:`_record_point` after the counters and
-    journal have seen it), ``attempts`` is the number of *extra* attempts
-    paid and ``timeouts`` how many attempts the alarm cut short.
-    Exceptions outside ``retry_on``/``on_error`` -- and retryable ones
-    once retries are exhausted, unless they also appear in ``on_error``
-    -- are the hard ones.  ``tracer`` (serial path only; workers always
-    pass the no-op default) gets one ``attempt`` span per try.
+    Returns the outcome ``(value, status, attempts, timeouts)`` where
+    ``status`` is ``"ok"``, ``"soft"`` (infeasible) or ``"hard"``
+    (``value`` is the exception, re-raised by :func:`_record_point` after
+    the counters and journal have seen it), ``attempts`` is the number of
+    *extra* attempts paid and ``timeouts`` how many attempts the alarm
+    cut short.  Exceptions outside ``retry_on``/``on_error`` -- and
+    retryable ones once retries are exhausted, unless they also appear in
+    ``on_error`` -- are the hard ones.  ``tracer`` (in-process only;
+    workers always pass the no-op default) gets one ``attempt`` span per
+    try.
     """
     caught = None
     attempts = 0
@@ -262,101 +209,56 @@ def _eval_point(fn, context, point, on_error, retry_on, retries, backoff,
     return caught, "hard", attempts, ntimeouts
 
 
-def _worker_eval(task):
-    index, point = task
-    fn, _, context, on_error, retry_on, retries, backoff, timeout = \
-        _FORK_STATE
-    start = time.perf_counter()
-    value, status, attempts, ntimeouts = _eval_point(
-        fn, context, point, on_error, retry_on, retries, backoff, timeout)
-    return index, value, status, attempts, ntimeouts, \
-        time.perf_counter() - start
+def _kernel_outcomes(kernel, points):
+    """One kernel call over ``points`` as per-point outcomes (``None``
+    marks an infeasible point; kernels pay no retries)."""
+    values = list(kernel(points))
+    if len(values) != len(points):
+        raise RunnerError(
+            "batch kernel returned {} results for {} points".format(
+                len(values), len(points)))
+    return [(value, "ok" if value is not None else "soft", 0, 0)
+            for value in values]
 
 
-def _chunk_state(epoch, blob):
-    """The grid state a chunk task should evaluate against.
-
-    ``blob is None`` means the worker already holds the state (fork
-    inheritance or the spawn initializer); otherwise unpickle once and
-    memoise under the grid's epoch.
-    """
-    global _WORKER_STATE
+def _grid_state(epoch, blob):
+    """The grid state a chunk task evaluates against: the inherited or
+    memoised slot when it belongs to this grid, else ``blob`` unpickled
+    once and memoised under the grid's epoch."""
+    global _GRID_STATE
+    slot = _GRID_STATE
+    if slot is not None and slot[0] == epoch:
+        return slot[1]
     if blob is None:
-        return _FORK_STATE
-    cached = _WORKER_STATE
-    if cached is not None and cached[0] == epoch:
-        return cached[1]
+        raise RunnerError("grid state was neither inherited nor shipped")
     state = pickle.loads(blob)
-    _WORKER_STATE = (epoch, state)
+    _GRID_STATE = (epoch, state)
     return state
 
 
 def _chunk_eval(task):
-    """One contiguous chunk of points through the batch kernel, inside a
-    pool worker.  Returns ``(chunk_id, values, elapsed)``; any kernel
-    exception propagates to the parent, which bisects the chunk."""
-    chunk_id, items, epoch, blob = task
-    _, batch_fn, context = _chunk_state(epoch, blob)[:3]
-    pts = [point for _, point in items]
+    """One contiguous chunk of points inside a pool worker.
+
+    Returns ``(outcomes, elapsed)`` with one outcome per point.  A
+    kernel grid runs the kernel once and lets any exception propagate to
+    the parent, which bisects the chunk; a fn grid runs each point
+    through :func:`_eval_point`, so retries, timeouts and ``on_error``
+    apply inside the worker exactly as in-process.
+    """
+    items, epoch, blob = task
+    fn, kernel, context, policy = _grid_state(epoch, blob)
     start = time.perf_counter()
-    if context is _NO_CONTEXT:
-        values = list(batch_fn(pts))
+    if kernel is not None:
+        outcomes = _kernel_outcomes(kernel, [point for _, point in items])
     else:
-        values = list(batch_fn(context, pts))
-    elapsed = time.perf_counter() - start
-    if len(values) != len(pts):
-        raise RunnerError(
-            "batch kernel returned {} results for {} points".format(
-                len(values), len(pts)))
-    return chunk_id, values, elapsed
+        outcomes = [_eval_point(fn, context, point, *policy)
+                    for _, point in items]
+    return outcomes, time.perf_counter() - start
 
 
-def resolve_workers(workers):
-    """Effective worker count: ``None`` -> serial, ``0`` -> all cores."""
-    if workers is None:
-        return 1
-    workers = int(workers)
-    if workers < 0:
-        raise RunnerError("workers must be >= 0")
-    return workers or (os.cpu_count() or 1)
-
-
-def _start_method():
-    """The usable pool start method: ``"fork"`` preferred (state is
-    inherited copy-on-write, nothing pickled), ``"spawn"`` where fork is
-    unavailable (macOS / free-threaded builds), ``None`` when pools may
-    not be created at all -- child processes (pool workers included) and
-    daemons may not start pools of their own, so nested grids run serial
-    with identical results."""
-    if multiprocessing.parent_process() is not None \
-            or multiprocessing.current_process().daemon:
-        return None
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return "fork"
-    if "spawn" in methods:
-        return "spawn"
-    return None
-
-
-def _pool_executor(nworkers, method, blob):
-    """An ephemeral executor for one grid: fork workers inherit
-    :data:`_FORK_STATE`; spawn workers get ``blob`` installed by the
-    :func:`_install_state` initializer instead."""
-    ctx = multiprocessing.get_context(method)
-    if method == "fork":
-        return ProcessPoolExecutor(max_workers=nworkers, mp_context=ctx)
-    return ProcessPoolExecutor(max_workers=nworkers, mp_context=ctx,
-                               initializer=_install_state,
-                               initargs=(blob,))
-
-
-def _chunk_points(npending, nworkers, chunk_size):
-    """Points per chunk: an explicit ``chunk_size`` wins; otherwise aim
-    for :data:`CHUNK_SHARDS_PER_WORKER` chunks per worker, clamped to
-    ``[CHUNK_FLOOR, CHUNK_CAP]``."""
-    if chunk_size:
-        return max(1, int(chunk_size))
+def _chunk_points(npending, nworkers):
+    """Points per kernel chunk: :data:`CHUNK_SHARDS_PER_WORKER` chunks
+    per worker, clamped to ``[CHUNK_FLOOR, CHUNK_CAP]``."""
     target = -(-npending // (CHUNK_SHARDS_PER_WORKER * max(nworkers, 1)))
     return max(CHUNK_FLOOR, min(CHUNK_CAP, target))
 
@@ -365,8 +267,8 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
                   cache=None, cache_key=None, on_error=(), stats=None,
                   retry_on=(), retries=DEFAULT_RETRIES,
                   backoff=DEFAULT_BACKOFF, timeout=None, journal=None,
-                  label=None, kernel=None, batch_fn=None, tracer=None,
-                  metrics=None, pool=None, chunk_size=None):
+                  label=None, kernel=None, tracer=None, metrics=None,
+                  pool=None):
     """Evaluate ``fn`` over ``points``; returns results in point order.
 
     Parameters
@@ -378,20 +280,22 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
         The grid.  Points must be fingerprintable when caching and
         picklable when running parallel.
     workers:
-        ``None`` -> serial; ``0`` -> one per core; ``N`` -> at most N
-        processes.  ``fork`` pools are preferred; platforms without
+        ``None`` -> in-process; ``0`` -> one per core; ``N`` -> at most N
+        pool workers.  ``fork`` pools are preferred; platforms without
         ``fork`` use ``spawn`` pools (grid state pickled once), and
         where neither works -- or the state is unpicklable under spawn
-        -- the run falls back to serial with identical results.
+        -- the grid runs in-process with identical results.
     context:
         Heavy shared state -- models, libraries and case studies go
-        here.  Inherited by fork workers copy-on-write (never pickled);
-        shipped as one pickled blob per grid to spawn/warm-pool workers.
+        here.  Inherited copy-on-write by the workers of an ephemeral
+        fork pool (never pickled); shipped as one pickled blob per grid
+        to a warm pool or spawn workers.
     cache / cache_key:
-        A :class:`ResultCache` plus a digest of everything that defines
-        the evaluation besides the point itself.  Caching is skipped
-        unless both are given.  Each result is written back as it
-        arrives, so an aborted run keeps everything it paid for.
+        A :class:`~repro.runner.sqlite_store.SqliteStore` plus a digest
+        of everything that defines the evaluation besides the point
+        itself.  Caching is skipped unless both are given.  Each result
+        is written back as it arrives, so an aborted run keeps
+        everything it paid for.
     on_error:
         Exception types that mean "this point is infeasible"; they yield
         ``None`` results instead of propagating.
@@ -420,58 +324,37 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
         :func:`~repro.runner.kernel.compile_kernel`, but any callable
         of that shape works -- that evaluates a list of points in one
         pass, returning one value per point with ``None`` marking
-        infeasible points.  Serial runs feed it every cache-missed
-        point at once; parallel runs shard the missed points into
-        contiguous chunks and run the kernel *inside* the workers (see
-        ``chunk_size``), so it must be picklable.  It must produce
-        results bit-identical to ``fn`` per point, with ``on_error``
-        exceptions already mapped to ``None``.  The retry/timeout
-        policy does not apply inside a kernel call (kernels are pure
-        arithmetic) -- but a kernel that raises on the parallel path is
-        bisected until the poison point is isolated and re-run in the
-        parent under the full per-point policy.  Per-point cache
+        infeasible points.  In-process runs feed it every missed point
+        at once; pool runs shard the missed points into contiguous
+        chunks and run the kernel inside the workers, so it must be
+        picklable.  It must produce results bit-identical to ``fn`` per
+        point, with ``on_error`` exceptions already mapped to ``None``.
+        The retry/timeout policy does not apply inside a kernel call
+        (kernels are pure arithmetic) -- but a kernel that raises is
+        routed around: the poison point is isolated and re-run through
+        ``fn`` under the full per-point policy.  Per-point store
         writeback and journal events are preserved on every path.
-    batch_fn:
-        Deprecated spelling of ``kernel`` (emits
-        :class:`DeprecationWarning`): a callable
-        ``batch_fn(pending_points)`` -- or
-        ``batch_fn(context, pending_points)`` when ``context`` is given
-        -- with the same contract.  Mutually exclusive with ``kernel``.
     tracer:
         A :class:`~repro.obs.trace.Tracer` producing nested spans
-        (``grid`` -> ``stage`` -> [``chunk`` ->] ``point`` ->
-        ``attempt``).  Defaults to the no-op
+        (``grid`` -> ``stage`` -> [``chunk`` | ``batch`` ->] ``point``
+        -> ``attempt``).  Defaults to the no-op
         :data:`~repro.obs.trace.NULL_TRACER`, whose cost is held under
         2 % of a sweep point by ``benchmarks/test_obs_overhead.py``.
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry`; the run observes
-        per-point latency (``repro_point_seconds``), queue wait on the
-        parallel paths (``repro_queue_wait_seconds``) and, on the
-        chunked path, per-chunk latency (``repro_chunk_seconds``) and
-        the chosen chunk size (``repro_chunk_size``) into it.  Counters
-        are *not* incremented live -- export them by snapshotting
-        ``stats`` via ``fill_from_stats`` so the two ledgers cannot
-        drift.
+        per-point latency (``repro_point_seconds``) and, on the pool,
+        queue wait (``repro_queue_wait_seconds``), per-chunk latency
+        (``repro_chunk_seconds``) and the chosen chunk size
+        (``repro_points_per_chunk``) into it.  Counters are *not* incremented
+        live -- export them by snapshotting ``stats`` via
+        ``fill_from_stats`` so the two ledgers cannot drift.
     pool:
-        A :class:`~repro.runner.pool.WorkerPool` to dispatch chunked
-        batches on instead of forking an ephemeral pool per grid --
-        workers stay warm across grids.  Ignored on the per-point
-        parallel path and when the pool is closed (the run degrades to
-        an ephemeral pool, results identical).
-    chunk_size:
-        Points per chunk on the chunked parallel path.  Default
-        ``None`` sizes adaptively: ``pending / (4 * workers)`` clamped
-        to ``[CHUNK_FLOOR, CHUNK_CAP]``.
+        A warm :class:`~repro.runner.pool.WorkerPool` to dispatch chunks
+        on instead of starting an ephemeral pool for this grid --
+        workers stay warm across grids.  A closed pool, or grid state
+        that will not pickle, makes the grid use an ephemeral pool
+        instead (results identical).
     """
-    if batch_fn is not None:
-        warnings.warn(
-            "evaluate_grid(batch_fn=...) is deprecated; pass kernel= "
-            "(see repro.runner.kernel)", DeprecationWarning,
-            stacklevel=2)
-        if kernel is not None:
-            raise RunnerError("pass kernel= or batch_fn=, not both")
-    elif kernel is not None:
-        batch_fn = _KernelBatch(kernel)
     points = list(points)
     stats = RunStats() if stats is None else stats
     stats.points += len(points)
@@ -479,15 +362,11 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
     retry_on = tuple(retry_on)
     use_cache = cache is not None and cache_key is not None
     tracer = NULL_TRACER if tracer is None else tracer
-    point_hist = wait_hist = None
+    point_hist = None
     if metrics is not None:
         point_hist = metrics.histogram(
             "repro_point_seconds",
             "wall-clock per evaluated grid point")
-        wait_hist = metrics.histogram(
-            "repro_queue_wait_seconds",
-            "submit-to-result latency minus evaluation time "
-            "(parallel path)")
 
     owns_journal = isinstance(journal, (str, os.PathLike))
     if owns_journal:
@@ -544,49 +423,16 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
             if pending:
                 with stats.stage("evaluate"), \
                         tracer.span("stage", stage="evaluate"):
-                    policy = (on_error, retry_on, retries, backoff,
-                              timeout)
-                    method = _start_method() if nworkers > 1 else None
-                    live_pool = pool
-                    if live_pool is not None \
-                            and getattr(live_pool, "closed", False):
-                        live_pool = None
-                    leftover = None
-                    if method is not None and batch_fn is not None:
-                        leftover = _run_chunked(
-                            fn, batch_fn, context, policy, pending,
-                            nworkers, method, live_pool, chunk_size,
-                            results, errored, stats, journal, flush,
-                            tracer, point_hist, wait_hist, metrics,
-                            label)
-                        if leftover:
-                            journal.record("requeue_serial",
-                                           points=len(leftover))
-                            _run_batch(batch_fn, context, leftover,
-                                       results, errored, stats, journal,
-                                       flush, label, tracer, point_hist)
-                    elif method is not None:
-                        leftover = _run_forked(
-                            fn, context, policy, pending, nworkers,
-                            method, results, errored, stats, journal,
-                            flush, tracer, point_hist, wait_hist)
-                        if leftover:
-                            journal.record("requeue_serial",
-                                           points=len(leftover))
-                            _run_serial(fn, context, policy, leftover,
-                                        results, errored, stats,
-                                        journal, flush, tracer,
-                                        point_hist)
-                    if leftover is None:
-                        if batch_fn is not None:
-                            _run_batch(batch_fn, context, pending,
-                                       results, errored, stats, journal,
-                                       flush, label, tracer, point_hist)
-                        else:
-                            _run_serial(fn, context, policy, pending,
-                                        results, errored, stats,
-                                        journal, flush, tracer,
-                                        point_hist)
+                    run = _GridRun(fn, kernel, context,
+                                   (on_error, retry_on, retries, backoff,
+                                    timeout),
+                                   results, errored, stats, journal, flush,
+                                   tracer, metrics, point_hist, label)
+                    leftover = pending
+                    if nworkers > 1:
+                        leftover = run.on_pool(pending, nworkers, pool)
+                    if leftover:
+                        run.in_process(leftover)
                 stats.evaluated += len(pending)
                 stats.infeasible += len(errored)
             journal.record("run_finish", label=label,
@@ -597,272 +443,218 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
     return results
 
 
-def _record_point(payload, results, errored, stats, journal, flush):
-    """Fold one completed point (from either path) into the run state.
-
-    Hard failures are re-raised here -- *after* the retry/timeout
-    counters and the journal have recorded them, so an aborted run's
-    stats and black box still tell the truth.
-    """
-    index, value, status, attempts, ntimeouts, elapsed = payload
-    if status == "hard":
-        stats.retries += attempts
-        stats.timeouts += ntimeouts
-        journal.record("point_failed", index=index, attempts=attempts,
-                       timeouts=ntimeouts, error=repr(value))
-        raise value
-    results[index] = value
-    soft = status == "soft"
-    if soft:
-        errored.add(index)
-    stats.retries += attempts
-    stats.timeouts += ntimeouts
-    if attempts:
-        journal.record("point_retried", index=index, attempts=attempts)
-    journal.record("point_finished", index=index,
-                   status="infeasible" if soft else "ok",
-                   attempts=attempts, timeouts=ntimeouts,
-                   elapsed=round(elapsed, 6))
-    flush(index, soft)
-
-
 _SPAN_STATUS = {"ok": "ok", "soft": "infeasible", "hard": "failed"}
 
 
-def _run_serial(fn, context, policy, pending, results, errored, stats,
-                journal, flush, tracer=NULL_TRACER, point_hist=None):
-    on_error, retry_on, retries, backoff, timeout = policy
-    for index, point in pending:
-        journal.record("point_started", index=index)
-        start = time.perf_counter()
-        with tracer.span("point", index=index) as span:
-            value, status, attempts, ntimeouts = _eval_point(
-                fn, context, point, on_error, retry_on, retries,
-                backoff, timeout, tracer)
-            span.set(status=_SPAN_STATUS[status], attempts=attempts)
-        elapsed = time.perf_counter() - start
-        if point_hist is not None:
-            point_hist.observe(elapsed)
-        _record_point(
-            (index, value, status, attempts, ntimeouts, elapsed),
-            results, errored, stats, journal, flush)
+class _GridRun:
+    """The state of one grid's evaluation and its two executors:
+    :meth:`in_process` and :meth:`on_pool`.  Both fold every finished
+    point through :meth:`_record_point`, so results, store writeback,
+    counters and journal lines do not depend on where a point ran."""
 
+    def __init__(self, fn, kernel, context, policy, results, errored,
+                 stats, journal, flush, tracer, metrics, point_hist,
+                 label):
+        self.fn = fn
+        self.kernel = kernel
+        self.context = context
+        self.policy = policy
+        self.results = results
+        self.errored = errored
+        self.stats = stats
+        self.journal = journal
+        self.flush = flush
+        self.tracer = tracer
+        self.metrics = metrics
+        self.point_hist = point_hist
+        self.label = label
+        #: Hard failures that came back from pool workers, recorded --
+        #: and raised -- only after every other chunk has landed.
+        self.failed = []
 
-def _run_batch(batch_fn, context, pending, results, errored, stats,
-               journal, flush, label=None, tracer=NULL_TRACER,
-               point_hist=None):
-    """Evaluate all of ``pending`` through one batch-kernel call.
+    # -- recording -------------------------------------------------------------
 
-    The kernel owns the inner loop (hoisted model state, no per-point
-    dispatch); this wrapper keeps the per-point contract around it --
-    results recorded in point order, ``None`` counted infeasible, every
-    result flushed to the cache, one ``point_finished`` journal line per
-    point (their ``elapsed`` is the batch wall-clock split evenly, since
-    points are not timed individually inside a kernel).  The trace gets
-    one ``batch`` span for the kernel call; the latency histogram
-    observes the same even split the journal reports.
-    """
-    pts = [point for _, point in pending]
-    journal.record("batch_started", label=label, points=len(pts))
-    start = time.perf_counter()
-    with tracer.span("batch", label=label, points=len(pts)):
-        if context is _NO_CONTEXT:
-            values = list(batch_fn(pts))
-        else:
-            values = list(batch_fn(context, pts))
-    elapsed = time.perf_counter() - start
-    if len(values) != len(pending):
-        raise RunnerError(
-            "batch kernel returned {} results for {} points".format(
-                len(values), len(pending)))
-    share = round(elapsed / len(pending), 6) if pending else 0.0
-    nsoft = 0
-    for (index, _), value in zip(pending, values):
-        results[index] = value
-        soft = value is None
+    def _record_point(self, index, outcome, elapsed):
+        """Fold one finished point into the run state.
+
+        Hard failures are re-raised here -- *after* the retry/timeout
+        counters and the journal have recorded them, so an aborted run's
+        stats and black box still tell the truth.
+        """
+        value, status, attempts, ntimeouts = outcome
+        stats, journal = self.stats, self.journal
+        stats.retries += attempts
+        stats.timeouts += ntimeouts
+        if status == "hard":
+            journal.record("point_failed", index=index, attempts=attempts,
+                           timeouts=ntimeouts, error=repr(value))
+            raise value
+        self.results[index] = value
+        soft = status == "soft"
         if soft:
-            errored.add(index)
-            nsoft += 1
-        if point_hist is not None:
-            point_hist.observe(share)
+            self.errored.add(index)
+        if attempts:
+            journal.record("point_retried", index=index, attempts=attempts)
         journal.record("point_finished", index=index,
                        status="infeasible" if soft else "ok",
-                       attempts=0, timeouts=0, elapsed=share)
-        flush(index, soft)
-    journal.record("batch_finished", label=label, points=len(pts),
-                   ok=len(pts) - nsoft, infeasible=nsoft,
-                   elapsed=round(elapsed, 6))
+                       attempts=attempts, timeouts=ntimeouts,
+                       elapsed=round(elapsed, 6))
+        self.flush(index, soft)
 
+    def _record_shared(self, items, outcomes, elapsed, chunk_span=None):
+        """Record the points of one kernel call or chunk; their
+        ``elapsed`` is the call's wall-clock split evenly, since points
+        are not timed individually inside it.  A chunk's points also get
+        spans under ``chunk_span``, and its hard failures are deferred
+        to :attr:`failed`.  Returns the infeasible count."""
+        share = round(elapsed / len(items), 6) if items else 0.0
+        parent = getattr(chunk_span, "span_id", None)
+        nsoft = 0
+        for (index, _), outcome in zip(items, outcomes):
+            status = outcome[1]
+            nsoft += status == "soft"
+            if chunk_span is not None:
+                self.tracer.record("point", share, parent_id=parent,
+                                   index=index,
+                                   status=_SPAN_STATUS[status],
+                                   attempts=outcome[2])
+            if self.point_hist is not None:
+                self.point_hist.observe(share)
+            if status == "hard" and chunk_span is not None:
+                self.failed.append((index, outcome, share))
+                continue
+            self._record_point(index, outcome, share)
+        return nsoft
 
-def _note_parallel_point(payload, submitted, tracer, point_hist,
-                         wait_hist):
-    """Trace/measure one worker-evaluated point in the parent.
+    # -- in-process executor ---------------------------------------------------
 
-    The worker timed the evaluation itself (``elapsed`` in the result
-    tuple); the parent knows when it submitted the task, so queue wait
-    is arrival minus submission minus evaluation, floored at zero
-    (clock jitter must not produce negative waits).
-    """
-    index, value, status, attempts, ntimeouts, elapsed = payload
-    wait_s = None
-    submit_t = submitted.get(index)
-    if submit_t is not None:
-        wait_s = max(time.perf_counter() - submit_t - elapsed, 0.0)
-    tracer.record("point", elapsed, index=index,
-                  status=_SPAN_STATUS[status], attempts=attempts,
-                  wait=None if wait_s is None else round(wait_s, 6))
-    if point_hist is not None:
-        point_hist.observe(elapsed)
-    if wait_hist is not None and wait_s is not None:
-        wait_hist.observe(wait_s)
-
-
-def _acquire_parallel_slot():
-    if not _FORK_LOCK.acquire(blocking=False):
-        raise RunnerError(
-            "another thread is already running a parallel evaluate_grid; "
-            "concurrent callers must use workers=None")
-
-
-def _run_forked(fn, context, policy, pending, nworkers, method, results,
-                errored, stats, journal, flush, tracer=NULL_TRACER,
-                point_hist=None, wait_hist=None):
-    """Fan ``pending`` point-at-a-time over a process pool with bounded
-    submission (at most ``MAX_INFLIGHT_PER_WORKER * nworkers`` futures
-    in flight; the observed peak is journaled as ``pool_finished``).
-
-    Returns ``[]`` when the grid completed, the unfinished points when a
-    worker died hard (SIGKILL, OOM -- the executor raises
-    ``BrokenProcessPool`` instead of hanging; every result that made it
-    back is salvaged, and was already flushed to the cache
-    incrementally), or ``None`` when the workers cannot be reached at
-    all (spawn platform, unpicklable state) so the caller runs serial
-    instead.  Workers never trace: each point's span is recorded by the
-    parent from the worker-reported wall-clock.
-    """
-    global _FORK_STATE
-    state = (fn, None, context) + policy
-    blob = None
-    if method != "fork":
-        blob = _state_blob(state)
-        if blob is None:
-            return None
-    _acquire_parallel_slot()
-    executor = None
-    try:
-        if blob is None:
-            _FORK_STATE = state
-        executor = _pool_executor(nworkers, method, blob)
-        limit = MAX_INFLIGHT_PER_WORKER * nworkers
-        backlog = deque(pending)
-        inflight = {}
-        submitted = {}
-        peak = 0
+    def in_process(self, pending):
+        """One kernel batch call when a kernel was given, else the
+        per-point loop.  A kernel that raises (other than breaking its
+        own length contract) hands the batch to the per-point loop, which
+        isolates the poison under the full policy."""
+        if self.kernel is None:
+            self._run_serial(pending)
+            return
         try:
-            while backlog or inflight:
-                while backlog and len(inflight) < limit:
-                    index, point = backlog.popleft()
-                    fut = executor.submit(_worker_eval, (index, point))
-                    inflight[fut] = (index, point)
-                    submitted[index] = time.perf_counter()
-                    journal.record("point_submitted", index=index)
-                peak = max(peak, len(inflight))
-                ready, _ = wait(list(inflight),
-                                return_when=FIRST_COMPLETED)
-                for fut in ready:
-                    payload = fut.result()
-                    del inflight[fut]
-                    _note_parallel_point(payload, submitted, tracer,
-                                         point_hist, wait_hist)
-                    _record_point(payload, results, errored, stats,
-                                  journal, flush)
-        except BrokenProcessPool:
-            leftover = _salvage(inflight, set(), results, errored,
-                                stats, journal, flush, submitted,
-                                tracer, point_hist, wait_hist)
-            leftover.extend(backlog)
-            stats.crashes += 1
-            journal.record("pool_crashed", workers=nworkers,
-                           completed=len(pending) - len(leftover),
-                           remaining=len(leftover))
-            return leftover
-        journal.record("pool_finished", workers=nworkers, method=method,
-                       points=len(pending), inflight_peak=peak,
-                       inflight_limit=limit)
-        return []
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-        _FORK_STATE = None
-        _FORK_LOCK.release()
+            self._run_batch(pending)
+        except RunnerError:
+            raise
+        except Exception as exc:
+            self.journal.record("batch_failed", label=self.label,
+                                points=len(pending), error=repr(exc))
+            self._run_serial(pending)
 
+    def _run_serial(self, pending):
+        tracer = self.tracer
+        for index, point in pending:
+            self.journal.record("point_started", index=index)
+            start = time.perf_counter()
+            with tracer.span("point", index=index) as span:
+                outcome = _eval_point(self.fn, self.context, point,
+                                      *self.policy, tracer)
+                span.set(status=_SPAN_STATUS[outcome[1]],
+                         attempts=outcome[2])
+            elapsed = time.perf_counter() - start
+            if self.point_hist is not None:
+                self.point_hist.observe(elapsed)
+            self._record_point(index, outcome, elapsed)
 
-def _run_chunked(fn, batch_fn, context, policy, pending, nworkers,
-                 method, pool, chunk_size, results, errored, stats,
-                 journal, flush, tracer=NULL_TRACER, point_hist=None,
-                 wait_hist=None, metrics=None, label=None):
-    """Shard ``pending`` into contiguous chunks and run the batch kernel
-    *inside* pool workers -- one IPC round-trip per chunk.
+    def _run_batch(self, pending):
+        """All of ``pending`` through one kernel call.  The trace gets
+        one ``batch`` span for the call; the journal one
+        ``point_finished`` line per point."""
+        pts = [point for _, point in pending]
+        self.journal.record("batch_started", label=self.label,
+                            points=len(pts))
+        start = time.perf_counter()
+        with self.tracer.span("batch", label=self.label, points=len(pts)):
+            outcomes = _kernel_outcomes(self.kernel, pts)
+        elapsed = time.perf_counter() - start
+        nsoft = self._record_shared(pending, outcomes, elapsed)
+        self.journal.record("batch_finished", label=self.label,
+                            points=len(pts), ok=len(pts) - nsoft,
+                            infeasible=nsoft, elapsed=round(elapsed, 6))
 
-    With a warm ``pool`` the grid state travels as one pickled blob
-    (memoised per worker per grid epoch); without one an ephemeral pool
-    is used -- fork workers inherit the state copy-on-write, spawn
-    workers get the blob through the pool initializer.  Submission is
-    bounded like the per-point path.  A chunk whose kernel raises is
-    bisected and resubmitted until the poison point is isolated at size
-    1; isolated points are re-run in the parent under the full per-point
-    retry/timeout/on_error policy *after* every healthy chunk has
-    landed, so a poison point never costs its siblings.
+    # -- pool executor ---------------------------------------------------------
 
-    Returns ``[]`` on completion, the unfinished points after a pool
-    crash (for the serial *batch* requeue), or ``None`` when workers
-    cannot be reached (spawn platform, unpicklable state) so the caller
-    runs the serial batch path instead.
-    """
-    global _FORK_STATE
-    state = (fn, batch_fn, context) + policy
-    blob = None
-    if pool is not None:
-        blob = _state_blob(state)
-        if blob is None:
-            pool = None    # unpicklable state cannot ride a warm pool
-    if pool is None and method != "fork":
-        blob = _state_blob(state)
-        if blob is None:
-            return None
-    _acquire_parallel_slot()
-    own = None
-    try:
-        if pool is not None:
-            executor = pool.executor()
-            nworkers = pool.workers or nworkers
-        else:
-            if blob is None:
-                _FORK_STATE = state
-            own = executor = _pool_executor(nworkers, method, blob)
-        # Warm-pool tasks carry the blob (the pool outlives this grid's
-        # state); ephemeral workers already hold the state.
-        task_blob = blob if pool is not None else None
-        epoch = next(_STATE_EPOCHS) if task_blob is not None else 0
-        size = _chunk_points(len(pending), nworkers, chunk_size)
-        chunk_hist = None
-        if metrics is not None:
-            chunk_hist = metrics.histogram(
+    def on_pool(self, pending, nworkers, pool):
+        """Shard ``pending`` into chunks and run them on a pool.
+
+        A warm ``pool`` receives the grid state as a blob; without one
+        (or when the state will not pickle) an ephemeral pool is started
+        for this grid -- fork workers inherit the state, spawn workers
+        get the blob.  A chunk that raises is bisected and resubmitted
+        until the poison point is isolated at size 1; isolated points
+        re-run in the parent under the per-point policy *after* every
+        healthy chunk has landed.
+
+        A point that failed hard inside a worker is raised only after
+        the other chunks have landed (and the isolated points re-run), so
+        its siblings are kept.
+
+        Returns the points left for the in-process executor: none on
+        completion, the unfinished ones after a pool crash, or all of
+        them when no worker can be reached (nested caller, unpicklable
+        state under spawn).
+        """
+        global _GRID_STATE
+        method = _start_method()
+        if method is None:
+            return pending
+        state = (self.fn, self.kernel, self.context, self.policy)
+        blob = None
+        warm = pool is not None and not pool.closed
+        if warm:
+            blob = _state_blob(state)
+            warm = blob is not None
+        if not warm:
+            blob = None if method == "fork" else _state_blob(state)
+            if method != "fork" and blob is None:
+                return pending
+        if not _FORK_LOCK.acquire(blocking=False):
+            raise RunnerError(
+                "another thread is already running a parallel "
+                "evaluate_grid; concurrent callers must use workers=None")
+        epoch = next(_STATE_EPOCHS)
+        try:
+            if not warm:
+                pool = WorkerPool(workers=nworkers, method=method)
+                if blob is None:
+                    _GRID_STATE = (epoch, state)
+            return self._dispatch(pending, pool, warm, epoch, blob)
+        finally:
+            if not warm:
+                pool.close()
+            _GRID_STATE = None
+            _FORK_LOCK.release()
+
+    def _dispatch(self, pending, pool, warm, epoch, blob):
+        journal = self.journal
+        executor = pool.executor()
+        nworkers = pool.workers
+        size = 1 if self.kernel is None \
+            else _chunk_points(len(pending), nworkers)
+        chunk_hist = wait_hist = None
+        if self.metrics is not None:
+            chunk_hist = self.metrics.histogram(
                 "repro_chunk_seconds",
-                "batch-kernel wall-clock per dispatched chunk")
-            metrics.gauge(
-                "repro_chunk_size",
-                "points per chunk in the most recent chunked grid"
+                "wall-clock per dispatched chunk")
+            wait_hist = self.metrics.histogram(
+                "repro_queue_wait_seconds",
+                "submit-to-result latency minus evaluation time "
+                "(pool executor)")
+            self.metrics.gauge(
+                "repro_points_per_chunk",
+                "points per chunk in the most recent pool grid"
             ).set(size)
         ids = itertools.count(1)
-        backlog = deque()
-        for lo in range(0, len(pending), size):
-            backlog.append((next(ids), pending[lo:lo + size]))
+        backlog = deque((next(ids), pending[lo:lo + size])
+                        for lo in range(0, len(pending), size))
         nchunks = len(backlog)
-        journal.record("chunks_planned", label=label,
+        journal.record("chunks_planned", label=self.label,
                        points=len(pending), chunks=nchunks,
-                       chunk_size=size, workers=nworkers,
-                       warm=pool is not None)
+                       per_chunk=size, workers=nworkers, warm=warm)
         limit = MAX_INFLIGHT_PER_WORKER * nworkers
         inflight = {}
         poisoned = []
@@ -870,11 +662,14 @@ def _run_chunked(fn, batch_fn, context, policy, pending, nworkers,
         try:
             while backlog or inflight:
                 while backlog and len(inflight) < limit:
-                    chunk_id, items = backlog.popleft()
-                    fut = executor.submit(
-                        _chunk_eval, (chunk_id, items, epoch, task_blob))
-                    inflight[fut] = (chunk_id, items,
-                                     time.perf_counter())
+                    # Peek, submit, then pop: a submit refused by a pool
+                    # that just broke must leave the chunk in the backlog
+                    # for the salvage.
+                    chunk_id, items = backlog[0]
+                    fut = executor.submit(_chunk_eval,
+                                          (items, epoch, blob))
+                    backlog.popleft()
+                    inflight[fut] = (chunk_id, items, time.perf_counter())
                     journal.record("chunk_submitted", chunk=chunk_id,
                                    points=len(items), first=items[0][0],
                                    last=items[-1][0])
@@ -882,170 +677,113 @@ def _run_chunked(fn, batch_fn, context, policy, pending, nworkers,
                 ready, _ = wait(list(inflight),
                                 return_when=FIRST_COMPLETED)
                 for fut in ready:
-                    chunk_id, items, submit_t = inflight[fut]
+                    chunk_id, items, submit_t = inflight.pop(fut)
                     try:
-                        _, values, elapsed = fut.result()
+                        outcomes, elapsed = fut.result()
                     except BrokenProcessPool:
+                        inflight[fut] = (chunk_id, items, submit_t)
                         raise
                     except Exception as exc:
-                        del inflight[fut]
-                        if len(items) == 1:
-                            journal.record("chunk_failed",
-                                           chunk=chunk_id,
-                                           index=items[0][0],
-                                           error=repr(exc))
-                            poisoned.append(items[0])
-                        else:
-                            mid = len(items) // 2
-                            left, right = next(ids), next(ids)
-                            journal.record("chunk_bisected",
-                                           chunk=chunk_id,
-                                           points=len(items),
-                                           into=[left, right],
-                                           error=repr(exc))
-                            backlog.appendleft((right, items[mid:]))
-                            backlog.appendleft((left, items[:mid]))
+                        self._split(chunk_id, items, exc, ids, backlog,
+                                    poisoned)
                         continue
-                    del inflight[fut]
-                    wait_s = max(
-                        time.perf_counter() - submit_t - elapsed, 0.0)
-                    _record_chunk(chunk_id, items, values, elapsed,
-                                  wait_s, results, errored, stats,
-                                  journal, flush, tracer, point_hist,
-                                  wait_hist, chunk_hist)
+                    self._record_chunk(chunk_id, items, outcomes, elapsed,
+                                       submit_t, wait_hist, chunk_hist)
         except BrokenProcessPool:
-            leftover = _salvage_chunks(inflight, backlog, results,
-                                       errored, stats, journal, flush,
-                                       tracer, point_hist, wait_hist,
-                                       chunk_hist)
-            stats.crashes += 1
+            leftover = self._salvage(inflight, backlog, wait_hist,
+                                     chunk_hist)
+            self.stats.crashes += 1
             journal.record("pool_crashed", workers=nworkers,
                            completed=len(pending) - len(leftover)
                            - len(poisoned),
                            remaining=len(leftover) + len(poisoned))
-            if pool is not None:
-                pool.restart()
-            if poisoned:
-                _run_serial(fn, context, policy, sorted(poisoned),
-                            results, errored, stats, journal, flush,
-                            tracer, point_hist)
+            pool.restart()
+            self._finish(poisoned)
+            if leftover:
+                journal.record("requeue_serial", points=len(leftover))
             return leftover
-        journal.record("pool_finished", workers=nworkers, method=method,
-                       points=len(pending), chunks=nchunks,
-                       inflight_peak=peak, inflight_limit=limit)
+        journal.record("pool_finished", workers=nworkers,
+                       method=pool.method, points=len(pending),
+                       chunks=nchunks, inflight_peak=peak,
+                       inflight_limit=limit)
         if poisoned:
             journal.record("requeue_serial", points=len(poisoned))
-            _run_serial(fn, context, policy, sorted(poisoned), results,
-                        errored, stats, journal, flush, tracer,
-                        point_hist)
+        self._finish(poisoned)
         return []
-    finally:
-        if own is not None:
-            own.shutdown(wait=False, cancel_futures=True)
-        _FORK_STATE = None
-        _FORK_LOCK.release()
 
+    def _finish(self, poisoned):
+        """Re-run the isolated points in-process, then raise the first
+        deferred worker failure (after the journal has seen it)."""
+        if poisoned:
+            self._run_serial(sorted(poisoned))
+        for index, outcome, elapsed in sorted(self.failed,
+                                              key=lambda f: f[0]):
+            self._record_point(index, outcome, elapsed)
 
-def _record_chunk(chunk_id, items, values, elapsed, wait_s, results,
-                  errored, stats, journal, flush, tracer=NULL_TRACER,
-                  point_hist=None, wait_hist=None, chunk_hist=None):
-    """Fold one completed chunk into the run state.
+    def _split(self, chunk_id, items, exc, ids, backlog, poisoned):
+        """A chunk raised: isolate a single point as poison, or bisect
+        and put both halves at the front of the backlog."""
+        if len(items) == 1:
+            self.journal.record("chunk_failed", chunk=chunk_id,
+                                index=items[0][0], error=repr(exc))
+            poisoned.append(items[0])
+            return
+        mid = len(items) // 2
+        left, right = next(ids), next(ids)
+        self.journal.record("chunk_bisected", chunk=chunk_id,
+                            points=len(items), into=[left, right],
+                            error=repr(exc))
+        backlog.appendleft((right, items[mid:]))
+        backlog.appendleft((left, items[:mid]))
 
-    Keeps :func:`_run_batch`'s per-point contract -- results in point
-    order, ``None`` counted infeasible, incremental flush, one
-    ``point_finished`` line per point at the even elapsed split -- plus
-    the parallel path's queue-wait accounting and a ``chunk`` span
-    parenting the point spans (the worker never traces; both are
-    recorded here from the worker-reported wall-clock).
-    """
-    share = round(elapsed / len(items), 6) if items else 0.0
-    span = tracer.record("chunk", elapsed, chunk=chunk_id,
-                         points=len(items), wait=round(wait_s, 6))
-    parent = getattr(span, "span_id", None)
-    nsoft = 0
-    for (index, _), value in zip(items, values):
-        results[index] = value
-        soft = value is None
-        if soft:
-            errored.add(index)
-            nsoft += 1
-        if point_hist is not None:
-            point_hist.observe(share)
-        tracer.record("point", share, parent_id=parent, index=index,
-                      status="infeasible" if soft else "ok")
-        journal.record("point_finished", index=index,
-                       status="infeasible" if soft else "ok",
-                       attempts=0, timeouts=0, elapsed=share)
-        flush(index, soft)
-    if chunk_hist is not None:
-        chunk_hist.observe(elapsed)
-    if wait_hist is not None:
-        wait_hist.observe(wait_s)
-    journal.record("chunk_finished", chunk=chunk_id, points=len(items),
-                   ok=len(items) - nsoft, infeasible=nsoft,
-                   elapsed=round(elapsed, 6), wait=round(wait_s, 6))
+    def _record_chunk(self, chunk_id, items, outcomes, elapsed, submit_t,
+                      wait_hist=None, chunk_hist=None):
+        """Fold one finished chunk into the run state: a ``chunk`` span
+        parenting its point spans (the worker never traces; both are
+        recorded here from the worker-reported wall-clock), queue-wait
+        accounting and the per-point contract of :meth:`_record_shared`.
+        Queue wait is arrival minus submission minus evaluation, floored
+        at zero (clock jitter must not produce negative waits)."""
+        wait_s = max(time.perf_counter() - submit_t - elapsed, 0.0)
+        span = self.tracer.record("chunk", elapsed, chunk=chunk_id,
+                                  points=len(items), wait=round(wait_s, 6))
+        if chunk_hist is not None:
+            chunk_hist.observe(elapsed)
+        if wait_hist is not None:
+            wait_hist.observe(wait_s)
+        nsoft = self._record_shared(items, outcomes, elapsed,
+                                    chunk_span=span)
+        self.journal.record("chunk_finished", chunk=chunk_id,
+                            points=len(items),
+                            ok=sum(o[1] == "ok" for o in outcomes),
+                            infeasible=nsoft, elapsed=round(elapsed, 6),
+                            wait=round(wait_s, 6))
 
-
-def _salvage_chunks(inflight, backlog, results, errored, stats, journal,
-                    flush, tracer=NULL_TRACER, point_hist=None,
-                    wait_hist=None, chunk_hist=None):
-    """After a pool crash on the chunked path: record every chunk whose
-    result arrived, return the points of the rest (plus the never-
-    submitted backlog) for the serial batch requeue, in point order."""
-    leftover = []
-    for fut, (chunk_id, items, submit_t) in inflight.items():
-        payload = None
-        if fut.done() and not fut.cancelled():
-            try:
-                payload = fut.result(timeout=0)
-            except BaseException:
-                payload = None
-        if payload is None:
+    def _salvage(self, inflight, backlog, wait_hist, chunk_hist):
+        """After a pool crash: record every chunk whose result arrived,
+        return the points of the rest (plus the never-submitted backlog)
+        for the in-process requeue, in point order."""
+        leftover = []
+        for fut, (chunk_id, items, submit_t) in inflight.items():
+            payload = None
+            if fut.done() and not fut.cancelled():
+                try:
+                    payload = fut.result(timeout=0)
+                except BaseException:
+                    payload = None
+            if payload is None:
+                leftover.extend(items)
+            else:
+                self._record_chunk(chunk_id, items, *payload, submit_t,
+                                   wait_hist, chunk_hist)
+        for _, items in backlog:
             leftover.extend(items)
-        else:
-            _, values, elapsed = payload
-            wait_s = max(time.perf_counter() - submit_t - elapsed, 0.0)
-            _record_chunk(chunk_id, items, values, elapsed, wait_s,
-                          results, errored, stats, journal, flush,
-                          tracer, point_hist, wait_hist, chunk_hist)
-    for _, items in backlog:
-        leftover.extend(items)
-    leftover.sort(key=lambda item: item[0])
-    return leftover
-
-
-def _salvage(futures, done, results, errored, stats, journal, flush,
-             submitted=None, tracer=NULL_TRACER, point_hist=None,
-             wait_hist=None):
-    """After a pool crash: keep every result that arrived, list the rest.
-
-    Once the executor is broken every outstanding future is done (the
-    crash exception is set on the ones that never ran); anything holding
-    a real result is recorded, anything else is returned for requeue, in
-    submission (= point) order.
-    """
-    leftover = []
-    for fut, (index, point) in futures.items():
-        if fut in done:
-            continue
-        payload = None
-        if fut.done() and not fut.cancelled():
-            try:
-                payload = fut.result(timeout=0)
-            except BaseException:
-                payload = None
-        if payload is None:
-            leftover.append((index, point))
-        else:
-            _note_parallel_point(payload, submitted or {}, tracer,
-                                 point_hist, wait_hist)
-            _record_point(payload, results, errored, stats, journal,
-                          flush)
-    return leftover
+        leftover.sort(key=lambda item: item[0])
+        return leftover
 
 
 class CachedEvaluator:
-    """Point-at-a-time evaluation with memoisation and the shared cache.
+    """Point-at-a-time evaluation with memoisation and the shared store.
 
     For search loops that cannot batch their points up front.  Results are
     memoised in process and, when the owning :class:`Runner` has a cache
@@ -1101,15 +839,15 @@ class Runner:
     """One execution policy -- workers, cache, retries, journal, stats --
     reused across runs.
 
-    ``cache`` may be a :class:`ResultCache`, a directory path, or ``None``
-    (no caching); ``journal`` a :class:`~repro.runner.journal.RunJournal`
-    or a path (opened once, shared by every run).  ``retry_on`` /
-    ``retries`` / ``backoff`` / ``timeout`` set the fault-tolerance
-    policy every grid run under this runner inherits.  ``pool`` may be a
-    :class:`~repro.runner.pool.WorkerPool` whose warm workers serve the
-    chunked parallel path of every grid (the runner does not own it --
-    whoever built the pool closes it); ``chunk_size`` overrides the
-    adaptive chunk sizing.  All grids and evaluators created through one
+    ``cache`` may be a :class:`~repro.runner.sqlite_store.SqliteStore`,
+    the path of its database file, or ``None`` (no caching); ``journal``
+    a :class:`~repro.runner.journal.RunJournal` or a path (opened once,
+    shared by every run).  ``retry_on`` / ``retries`` / ``backoff`` /
+    ``timeout`` set the fault-tolerance policy every grid run under this
+    runner inherits.  ``pool`` may be a
+    :class:`~repro.runner.pool.WorkerPool` whose warm workers serve
+    every parallel grid (the runner does not own it -- whoever built the
+    pool closes it).  All grids and evaluators created through one
     runner accumulate into the same :class:`RunStats`, so a report can
     summarise a whole figure regeneration in one line.
     """
@@ -1117,10 +855,10 @@ class Runner:
     def __init__(self, workers=None, cache=None, stats=None, retry_on=(),
                  retries=DEFAULT_RETRIES, backoff=DEFAULT_BACKOFF,
                  timeout=None, journal=None, tracer=None, metrics=None,
-                 pool=None, chunk_size=None):
+                 pool=None):
         self.workers = workers
         if isinstance(cache, (str, os.PathLike)):
-            cache = ResultCache(cache)
+            cache = open_store(cache)
         self.cache = cache
         self.stats = RunStats() if stats is None else stats
         self.retry_on = tuple(retry_on)
@@ -1133,19 +871,10 @@ class Runner:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.metrics = metrics
         self.pool = pool
-        self.chunk_size = chunk_size
 
     def run(self, fn, points, context=_NO_CONTEXT, cache_key=None,
-            on_error=(), label=None, kernel=None, batch_fn=None):
+            on_error=(), label=None, kernel=None):
         """:func:`evaluate_grid` under this runner's policy."""
-        if batch_fn is not None:
-            warnings.warn(
-                "Runner.run(batch_fn=...) is deprecated; pass kernel= "
-                "(see repro.runner.kernel)", DeprecationWarning,
-                stacklevel=2)
-            if kernel is not None:
-                raise RunnerError("pass kernel= or batch_fn=, not both")
-            kernel = _LegacyBatch(batch_fn, context)
         return evaluate_grid(
             fn, points, workers=self.workers, context=context,
             cache=self.cache, cache_key=cache_key, on_error=on_error,
@@ -1153,7 +882,7 @@ class Runner:
             retries=self.retries, backoff=self.backoff,
             timeout=self.timeout, journal=self.journal, label=label,
             kernel=kernel, tracer=self.tracer, metrics=self.metrics,
-            pool=self.pool, chunk_size=self.chunk_size)
+            pool=self.pool)
 
     def evaluator(self, fn, cache_key=None):
         """A :class:`CachedEvaluator` sharing this runner's cache/stats."""

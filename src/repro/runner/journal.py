@@ -33,26 +33,27 @@ import time
 #: Event names a journal may contain (documentation, not enforcement).
 EVENTS = (
     "run_start",        # label, points, cached, pending, workers
-    "point_started",    # index (serial path only; parallel submits instead)
-    "point_submitted",  # index (parallel path)
+    "point_started",    # index (in-process per-point loop only)
     "point_finished",   # index, status (ok|infeasible), attempts, timeouts,
                         # elapsed (seconds inside the evaluation)
     "point_retried",    # index, attempts (total extra attempts paid)
     "point_failed",     # index, attempts, timeouts, error (hard failure,
                         # recorded just before the exception propagates)
     "pool_crashed",     # workers, completed, remaining
-    "pool_finished",    # workers, method, points, inflight_peak,
-                        # inflight_limit (+ chunks on the chunked path)
-    "requeue_serial",   # points (remainder re-run on the serial path)
+    "pool_finished",    # workers, method, points, chunks, inflight_peak,
+                        # inflight_limit
+    "requeue_serial",   # points (remainder re-run in-process)
     "run_finish",       # label, stats (RunStats.to_dict())
-    "batch_started",    # label, points (serial batch-kernel path)
+    "batch_started",    # label, points (in-process kernel call)
     "batch_finished",   # label, points, ok, infeasible, elapsed
-    "chunks_planned",   # label, points, chunks, chunk_size, workers,
-                        # warm (chunked parallel path)
+    "batch_failed",     # label, points, error (kernel raised; the points
+                        # re-run through the per-point loop)
+    "chunks_planned",   # label, points, chunks, per_chunk, workers,
+                        # warm (pool executor)
     "chunk_submitted",  # chunk, points, first, last (point indices)
     "chunk_finished",   # chunk, points, ok, infeasible, elapsed, wait
     "chunk_bisected",   # chunk, points, into ([left, right] chunk ids),
-                        # error (kernel raise; halves resubmitted)
+                        # error (chunk raised; halves resubmitted)
     "chunk_failed",     # chunk, index, error (poison point isolated at
                         # size 1; re-run in the parent per-point)
     "artifact_hit",     # fingerprint (truncated), source (memory|disk)

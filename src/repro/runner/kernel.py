@@ -1,10 +1,8 @@
 """The unified batch-kernel protocol.
 
-Historically every vectorised evaluator in the repo had its own shape:
-``ScpgPowerModel.power_axis`` / ``power_points`` took frequency axes,
-``SubvtModel.points_axis`` took supply axes, and the runner accepted an
-ad-hoc ``batch_fn`` whose arity depended on whether a context was given.
-This module replaces all of them with one protocol:
+Every vectorised evaluator in the repo -- the SCPG power model's
+frequency axis, the sub-threshold model's supply axis, the leakage
+table's VDD axis -- reaches the runner through one protocol:
 
 * :class:`Kernel` -- a stateless strategy registered per *context type*
   (model class, netlist module, ...).  ``applies(context)`` guards
@@ -14,7 +12,7 @@ This module replaces all of them with one protocol:
 * :class:`CompiledKernel` -- the uniform callable the runner dispatches:
   ``compiled(points) -> list`` with one result per point and ``None``
   marking infeasible points.  Instances are picklable (the chunked
-  parallel path ships them to worker processes), so kernels must hold no
+  pool executor ships them to worker processes), so kernels must hold no
   closures -- all state lives in the compiled context.
 * :func:`register_kernel` / :func:`kernel_for` / :func:`compile_kernel`
   -- the exact-type registry.  Model modules register their kernel at
@@ -22,8 +20,7 @@ This module replaces all of them with one protocol:
   the point-at-a-time path on ``None``.
 
 ``evaluate_grid(..., kernel=...)`` and ``Runner.run(..., kernel=...)``
-accept a compiled kernel directly; the legacy ``batch_fn=`` keyword and
-the per-model axis methods survive as :class:`DeprecationWarning` shims.
+accept a compiled kernel directly.
 
 Registered kernels: each model module self-registers at import time --
 e.g. :class:`repro.runner.artifacts.LeakageAxisKernel` binds to

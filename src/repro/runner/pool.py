@@ -10,27 +10,55 @@ copy-on-write.  That is the ``CircuitArtifacts`` preload: a
 :class:`~repro.session.Session` builds a design's power model (and its
 artifact bundle) *before* its first parallel sweep, so every forked
 worker is born with the tables already in memory.  On platforms without
-``fork`` the pool falls back to ``spawn``; grid state then travels as a
-pickled blob per chunk, memoised worker-side per grid epoch, and
-callers may pass an ``initializer`` to warm spawn workers by hand.
+``fork`` the pool falls back to ``spawn``.  Grid state reaches a warm
+pool's workers as a pickled blob per chunk, memoised worker-side per
+grid epoch.
 
 The pool is deliberately dumb about scheduling: chunking, bounded
 submission, bisect-and-retry and crash salvage live in
 :mod:`repro.runner.core`.  The pool only manages executor lifetime --
 lazy start, :meth:`restart` after a ``BrokenProcessPool``, idempotent
 :meth:`close`.  A closed pool is not an error at the call sites:
-``evaluate_grid`` degrades to an ephemeral per-grid pool with identical
-results.
+``evaluate_grid`` degrades to an ephemeral per-grid pool (a
+``WorkerPool`` it owns and closes) with identical results.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
 import threading
+from concurrent.futures import ProcessPoolExecutor
 
 from ..errors import RunnerError
-from .core import _start_method, resolve_workers
+
+
+def resolve_workers(workers):
+    """Effective worker count: ``None`` -> serial, ``0`` -> all cores."""
+    if workers is None:
+        return 1
+    workers = int(workers)
+    if workers < 0:
+        raise RunnerError("workers must be >= 0")
+    return workers or (os.cpu_count() or 1)
+
+
+def _start_method():
+    """The usable pool start method: ``"fork"`` preferred (state is
+    inherited copy-on-write, nothing pickled), ``"spawn"`` where fork is
+    unavailable (macOS / free-threaded builds), ``None`` when pools may
+    not be created at all -- child processes (pool workers included) and
+    daemons may not start pools of their own, so nested grids run
+    in-process with identical results."""
+    if multiprocessing.parent_process() is not None \
+            or multiprocessing.current_process().daemon:
+        return None
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" in methods:
+        return "fork"
+    if "spawn" in methods:
+        return "spawn"
+    return None
 
 
 class WorkerPool:
@@ -45,21 +73,15 @@ class WorkerPool:
         Start-method override (``"fork"`` / ``"spawn"``).  Default
         ``None`` resolves on first use: fork where available, spawn
         otherwise.
-    initializer / initargs:
-        Optional worker warm-up forwarded to the executor -- the
-        spawn-platform substitute for fork inheritance.
 
     ``generation`` counts executor (re)starts -- a pool that served ten
     grids without a crash still reports ``generation == 1``, which the
     warm-pool tests assert.
     """
 
-    def __init__(self, workers=0, method=None, initializer=None,
-                 initargs=()):
+    def __init__(self, workers=0, method=None):
         self.workers = resolve_workers(workers)
         self._method = method
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
         self._executor = None
         self._lock = threading.Lock()
         self.generation = 0
@@ -92,9 +114,7 @@ class WorkerPool:
                         "(nested or daemonized caller)")
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.workers,
-                    mp_context=multiprocessing.get_context(method),
-                    initializer=self._initializer,
-                    initargs=self._initargs)
+                    mp_context=multiprocessing.get_context(method))
                 self.generation += 1
             return self._executor
 

@@ -22,7 +22,7 @@ window up to the evaluation-time limit.
 
 from .clocking import ScpgTimingParams, scpg_max_frequency, scpg_feasible
 from .domains import PowerDomainSpec
-from .transform import apply_scpg, ScpgDesign
+from .transform import ScpgDesign
 from .power_model import Mode, PowerBreakdown, ScpgPowerModel
 from .duty import optimise_duty, DUTY_CYCLE_CAP
 from .budget import (
@@ -51,7 +51,6 @@ __all__ = [
     "scpg_max_frequency",
     "scpg_feasible",
     "PowerDomainSpec",
-    "apply_scpg",
     "ScpgDesign",
     "Mode",
     "PowerBreakdown",

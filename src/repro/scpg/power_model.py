@@ -253,22 +253,7 @@ class ScpgPowerModel:
 
     # -- batch kernels ----------------------------------------------------------
 
-    def power_axis(self, freqs, mode, duty=None):
-        """Deprecated spelling of the frequency-axis batch kernel.
-
-        Use the :class:`~repro.runner.kernel.Kernel` API instead:
-        ``compile_kernel(model)`` returns the uniform
-        ``callable(points)`` the runner dispatches.
-        """
-        import warnings
-
-        warnings.warn(
-            "ScpgPowerModel.power_axis is deprecated; use "
-            "repro.runner.compile_kernel(model) and the (freq, mode) "
-            "point shape", DeprecationWarning, stacklevel=2)
-        return self._power_axis(freqs, mode, duty)
-
-    def _power_axis(self, freqs, mode, duty=None):
+    def _freq_batch(self, freqs, mode, duty=None):
         """Evaluate one mode across a whole frequency axis in one pass.
 
         Returns one :class:`PowerBreakdown` per frequency, with ``None``
@@ -348,26 +333,11 @@ class ScpgPowerModel:
                 p_leak_header=header_eff))
         return out
 
-    def power_points(self, points):
-        """Deprecated spelling of the sweep-point batch kernel.
-
-        Use ``repro.runner.compile_kernel(model)`` -- the compiled
-        kernel takes the same ``(freq_hz, mode)`` points and returns
-        the same breakdowns.
-        """
-        import warnings
-
-        warnings.warn(
-            "ScpgPowerModel.power_points is deprecated; use "
-            "repro.runner.compile_kernel(model)", DeprecationWarning,
-            stacklevel=2)
-        return self._power_points(points)
-
     def _power_points(self, points):
         """Batch-evaluate ``(freq_hz, mode)`` sweep points.
 
         Groups the points by mode, runs each group through
-        :meth:`_power_axis`, and reassembles results in point order --
+        :meth:`_freq_batch`, and reassembles results in point order --
         what :class:`ScpgPowerKernel` dispatches for
         :func:`repro.analysis.sweep.sweep`.
         """
@@ -376,7 +346,7 @@ class ScpgPowerModel:
         for i, (freq_hz, mode) in enumerate(points):
             by_mode.setdefault(mode, []).append((i, freq_hz))
         for mode, items in by_mode.items():
-            values = self._power_axis([f for _, f in items], mode)
+            values = self._freq_batch([f for _, f in items], mode)
             for (i, _), value in zip(items, values):
                 out[i] = value
         return out

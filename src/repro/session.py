@@ -2,13 +2,13 @@
 
 A :class:`Session` owns the three things every analysis needs -- a cell
 library, an execution :class:`~repro.runner.Runner` (workers + result
-cache + stats), and the design registry -- and hands out
+store + stats), and the design registry -- and hands out
 :class:`DesignHandle` objects that lazily build netlists, apply SCPG,
 derive power models and run sweeps through the shared runner::
 
     from repro import Session
 
-    session = Session(workers=4, cache="~/.cache/repro")
+    session = Session(workers=4, store="~/.cache/repro/results.sqlite")
     handle = session.design("mult16")
     sweep = handle.sweep([1e4, 1e5, 1e6, 5e6])
     print(handle.minimum_energy_point().vdd)
@@ -21,9 +21,9 @@ facade; the lower-level modules (``repro.analysis``, ``repro.subvt``,
 
 from __future__ import annotations
 
-from .runner import DEFAULT_BACKOFF, DEFAULT_RETRIES, ResultCache, Runner, \
-    WorkerPool, default_cache, module_fingerprint, open_store, \
-    resolve_workers, stable_hash
+from .runner import DEFAULT_BACKOFF, DEFAULT_RETRIES, Runner, WorkerPool, \
+    default_cache, module_fingerprint, open_store, resolve_workers, \
+    stable_hash
 
 
 class Session:
@@ -39,21 +39,21 @@ class Session:
         ``library``).
     workers:
         Worker processes for grid evaluation: ``None`` serial, ``0`` one
-        per core, ``N`` at most N.
-    cache:
-        Result cache: a :class:`~repro.runner.ResultCache`, a directory
-        path, ``None``/``False`` for no caching, or ``"auto"`` (default)
-        to honour the ``REPRO_CACHE_DIR`` environment variable.
+        per core, ``N`` at most N.  A parallel session owns one
+        :class:`~repro.runner.WorkerPool`, started lazily and reused by
+        every grid it runs, so workers fork once -- after the first power
+        model (and its artifact bundle) is built, which the forked
+        workers then inherit copy-on-write.  :meth:`close` shuts it down.
     store:
-        Concurrency-safe persistent store used *instead of* ``cache``: a
-        :class:`~repro.runner.SqliteStore` (or any ``ResultCache``-
-        shaped object), or the path of an SQLite database file.  One
-        WAL-mode file safely shared by many processes and sessions --
+        Persistent result store: a :class:`~repro.runner.SqliteStore`,
+        the path of its SQLite database file, ``None``/``False`` for no
+        store, or ``"auto"`` (default) for the store inside the
+        ``REPRO_CACHE_DIR`` directory when that variable is set.  One
+        WAL-mode file is safely shared by many processes and sessions --
         the backend :mod:`repro.serve` runs on, and the way several
         tenants sweeping overlapping grids dedupe each other's work.
         Because ``artifacts=True`` (the default) stores artifact bundles
-        through the session's result cache, the store serves both roles.
-        Mutually exclusive with an explicit ``cache`` argument.
+        through the session's store, the store serves both roles.
     journal:
         A :class:`~repro.runner.RunJournal` or a path; every grid the
         session runs appends its JSONL events there (default: none).
@@ -65,13 +65,13 @@ class Session:
         Per-circuit artifact cache (precomputed STA / leakage /
         switching / SCPG tables shared by every analysis of one design):
         ``True`` (default) stores bundles in memory and, when the
-        session has a result cache, on disk through it;
+        session has a result store, on disk through it;
         ``False``/``None`` disables precomputation entirely (every
         analysis walks the netlist, the pre-artifact behaviour); a
-        directory path or :class:`~repro.runner.ResultCache` stores
-        bundles there instead of the result cache (so artifact reuse
-        can be controlled separately from point-result reuse).  Results
-        are bit-identical either way.
+        :class:`~repro.runner.SqliteStore` or a store path keeps bundles
+        there instead of the result store (so artifact reuse can be
+        controlled separately from point-result reuse).  Results are
+        bit-identical either way.
     trace:
         Tracing: ``None``/``False`` (default) leaves the free no-op
         tracer in place; ``True`` traces into an in-memory sink
@@ -83,53 +83,32 @@ class Session:
         MetricsRegistry`, or pass a registry to share one across
         sessions; default ``None`` records live histograms nowhere (the
         :meth:`metrics` snapshot still works on demand).
-    pool:
-        Warm worker pool policy for the chunked parallel batch path:
-        ``"shared"`` (default) creates one
-        :class:`~repro.runner.WorkerPool` lazily reused by every grid
-        the session runs, so workers fork once -- after the first power
-        model (and its artifact bundle) is built, which the forked
-        workers then inherit copy-on-write; ``"fresh"``/``None`` forks
-        an ephemeral pool per grid (the pre-pool behaviour); a
-        :class:`~repro.runner.WorkerPool` is used as-is (caller owns
-        and closes it).  Irrelevant unless ``workers`` enables
-        parallelism.
-    chunk_size:
-        Points per chunk on the chunked parallel path (default: adaptive
-        ``pending / (4 * workers)``, clamped).
     """
 
     def __init__(self, library=None, liberty=None, workers=None,
-                 cache="auto", store=None, journal=None, retry_on=(),
+                 store="auto", journal=None, retry_on=(),
                  retries=DEFAULT_RETRIES, backoff=DEFAULT_BACKOFF,
-                 timeout=None, artifacts=True, trace=None, metrics=None,
-                 pool="shared", chunk_size=None):
+                 timeout=None, artifacts=True, trace=None, metrics=None):
         if library is not None and liberty is not None:
             raise ValueError("pass either library or liberty, not both")
         self._library = library
         self._liberty = liberty
-        if store is not None:
-            if cache != "auto":
-                raise ValueError(
-                    "pass either store or cache, not both")
-            cache = open_store(store)
-        elif cache == "auto":
-            cache = default_cache()
-        elif cache is False:
-            cache = None
-        elif isinstance(cache, str):
-            import os
-
-            cache = ResultCache(os.path.expanduser(cache))
+        if isinstance(store, str) and store == "auto":
+            store = default_cache()
+        elif store is None or store is False:
+            store = None
+        else:
+            store = open_store(store)
         tracer, self._owns_tracer = self._make_tracer(trace)
         self._registry = self._make_registry(metrics)
-        self.pool, self._owns_pool = self._make_pool(pool, workers)
-        self.runner = Runner(workers=workers, cache=cache,
+        self.pool = None
+        if workers is not None and resolve_workers(workers) > 1:
+            self.pool = WorkerPool(workers=workers)
+        self.runner = Runner(workers=workers, cache=store,
                              retry_on=retry_on, retries=retries,
                              backoff=backoff, timeout=timeout,
                              journal=journal, tracer=tracer,
-                             metrics=self._registry, pool=self.pool,
-                             chunk_size=chunk_size)
+                             metrics=self._registry, pool=self.pool)
         self.artifacts = self._artifact_store(artifacts)
 
     @staticmethod
@@ -146,20 +125,6 @@ class Session:
         return Tracer(JsonlSink(trace)), True
 
     @staticmethod
-    def _make_pool(pool, workers):
-        """``(WorkerPool or None, owned)`` for the ``pool=`` argument."""
-        if pool is None or pool is False or pool == "fresh":
-            return None, False
-        if isinstance(pool, WorkerPool):
-            return pool, False
-        if pool is True or pool == "shared":
-            if workers is None or resolve_workers(workers) <= 1:
-                return None, False
-            return WorkerPool(workers=workers), True
-        raise ValueError(
-            "pool must be 'shared', 'fresh', a WorkerPool or None")
-
-    @staticmethod
     def _make_registry(metrics):
         if metrics is None or metrics is False:
             return None
@@ -174,14 +139,8 @@ class Session:
             return None
         from .runner.artifacts import ArtifactStore
 
-        if artifacts is True:
-            cache = self.runner.cache
-        elif isinstance(artifacts, ResultCache):
-            cache = artifacts
-        else:
-            import os
-
-            cache = ResultCache(os.path.expanduser(str(artifacts)))
+        cache = self.runner.cache if artifacts is True \
+            else open_store(artifacts)
         return ArtifactStore(cache=cache, stats=self.runner.stats,
                              journal=self.runner.journal,
                              tracer=self.runner.tracer)
@@ -232,14 +191,14 @@ class Session:
 
     def close(self):
         """Close the journal, any session-owned trace sink and the
-        session-owned warm pool (idempotent; the session stays usable --
+        session's warm pool (idempotent; the session stays usable --
         recording reopens the journal in append mode, and later parallel
         grids degrade to ephemeral per-grid pools with identical
         results)."""
         self.runner.close()
         if self._owns_tracer:
             self.runner.tracer.close()
-        if self._owns_pool and self.pool is not None:
+        if self.pool is not None:
             self.pool.close()
 
     def designs(self):

@@ -37,7 +37,7 @@ class ScpgCompareModel(TechniqueModel):
 
     Wraps a pristine :class:`~repro.scpg.power_model.ScpgPowerModel`
     and evaluates one mode (SCPG-Max by default -- the paper's best
-    configuration); the batch path rides ``_power_axis`` so the numbers
+    configuration); the batch path rides ``_freq_batch`` so the numbers
     are bit-identical to the Table I/II sweeps.
     """
 
@@ -57,7 +57,7 @@ class ScpgCompareModel(TechniqueModel):
         return _to_breakdown(self.model.power(freq_hz, self.mode))
 
     def _power_points(self, freqs):
-        values = self.model._power_axis(list(freqs), self.mode)
+        values = self.model._freq_batch(list(freqs), self.mode)
         return [_to_breakdown(b) for b in values]
 
 

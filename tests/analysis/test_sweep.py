@@ -92,18 +92,18 @@ class TestConvergenceCaching:
 
     def test_warm_cache_rerun_evaluates_nothing(
             self, m0_study, tmp_path, monkeypatch):
-        from repro.runner import ResultCache, Runner
+        from repro.runner import Runner, SqliteStore
 
         model = m0_study.model
         calls = self._counting(model, monkeypatch)
 
-        cold_runner = Runner(cache=ResultCache(tmp_path))
+        cold_runner = Runner(cache=SqliteStore(tmp_path / "store.sqlite"))
         fc_cold = find_convergence(model, Mode.SCPG, runner=cold_runner)
         n_cold = len(calls)
         assert n_cold > 0
 
         del calls[:]
-        warm_runner = Runner(cache=ResultCache(tmp_path))
+        warm_runner = Runner(cache=SqliteStore(tmp_path / "store.sqlite"))
         fc_warm = find_convergence(model, Mode.SCPG, runner=warm_runner)
         assert calls == []
         assert fc_warm == fc_cold
@@ -113,7 +113,7 @@ class TestConvergenceCaching:
     def test_evaluation_count_reduction(
             self, m0_study, tmp_path, monkeypatch):
         """Two searches cost one search's evaluations with a cache."""
-        from repro.runner import ResultCache, Runner
+        from repro.runner import Runner, SqliteStore
 
         model = m0_study.model
         calls = self._counting(model, monkeypatch)
@@ -123,17 +123,17 @@ class TestConvergenceCaching:
         n_bare = len(calls)
 
         del calls[:]
-        runner = Runner(cache=ResultCache(tmp_path / "conv"))
+        runner = Runner(cache=SqliteStore(tmp_path / "conv.sqlite"))
         assert find_convergence(model, Mode.SCPG, runner=runner) == fc_bare
         assert find_convergence(model, Mode.SCPG, runner=runner) == fc_bare
         assert 0 < len(calls) == n_bare // 2
 
     def test_sweep_warms_convergence(self, m0_study, tmp_path, monkeypatch):
         """Sweeps and searches share one cache namespace per model."""
-        from repro.runner import ResultCache, Runner
+        from repro.runner import Runner, SqliteStore
 
         model = m0_study.model
-        runner = Runner(cache=ResultCache(tmp_path))
+        runner = Runner(cache=SqliteStore(tmp_path / "store.sqlite"))
         sweep(model, [1e4], modes=(Mode.NO_PG, Mode.SCPG), runner=runner)
 
         calls = self._counting(model, monkeypatch)

@@ -15,7 +15,7 @@ from repro.techniques import DEFAULT_COMPARE_FREQS
 
 @pytest.fixture(scope="module")
 def session():
-    s = Session(cache=None)
+    s = Session(store=None)
     yield s
     s.close()
 

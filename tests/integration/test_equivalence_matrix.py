@@ -1,11 +1,13 @@
 """Every execution strategy produces bit-for-bit identical results.
 
-The runner promises that parallelism, batch kernels, the result cache
-and the artifact tables are pure execution detail: the Table I grid
-(Fig. 6's frequency axis x all three modes) must come back as *exactly*
-the same :class:`PowerBreakdown` objects -- float-equal, not approx --
-whichever way it is evaluated.  This is the differential harness that
-holds the PR 2/3 optimisations (and anything layered on top, like
+The runner promises that its two executors (in-process and a worker
+pool), batch kernels, the result store and the artifact tables are pure
+execution detail: the Table I / Table II grids (the Fig. 6 / Fig. 8
+frequency axes x all three modes) must come back as *exactly* the same
+:class:`PowerBreakdown` objects -- float-equal, not approx -- whichever
+way they are evaluated.  The strategy matrix is {serial fn, serial
+kernel, pool fn, pool kernel} on mult16 and M0-lite; this differential
+harness holds every optimisation (and anything layered on top, like
 tracing) to the paper's numbers.
 """
 
@@ -62,21 +64,9 @@ def _assert_identical(results, reference):
 
 
 class TestEquivalenceMatrix:
-    def test_serial_point_at_a_time(self, model, reference, monkeypatch):
-        """The runner with the batch kernel disabled: one
-        ``model.power`` call per point, like the original code path."""
-        sweep_mod = importlib.import_module("repro.analysis.sweep")
-        monkeypatch.setattr(sweep_mod, "_batch_kernel", lambda m: None)
-        data = sweep(model, TABLE_I_FREQS, runner=Runner())
-        _assert_identical(_flatten(data), reference)
-
-    def test_parallel_workers(self, model, reference):
-        data = sweep(model, TABLE_I_FREQS, runner=Runner(workers=2))
-        _assert_identical(_flatten(data), reference)
-
     def test_batch_kernel(self, model, reference):
-        """type(model) is ScpgPowerModel, so the serial path uses the
-        vectorised power_points kernel."""
+        """type(model) is ScpgPowerModel, so a serial sweep takes the
+        compiled ``scpg-power`` kernel path."""
         data = sweep(model, TABLE_I_FREQS, runner=Runner())
         _assert_identical(_flatten(data), reference)
 
@@ -90,7 +80,7 @@ class TestEquivalenceMatrix:
             assert breakdown == reference[point], point
 
     def test_cold_then_warm_cache(self, model, reference, tmp_path):
-        runner = Runner(cache=tmp_path / "cache")
+        runner = Runner(cache=tmp_path / "store.sqlite")
         cold = sweep(model, TABLE_I_FREQS, runner=runner)
         assert runner.stats.cache_misses > 0
         warm = sweep(model, TABLE_I_FREQS, runner=runner)
@@ -99,9 +89,9 @@ class TestEquivalenceMatrix:
         _assert_identical(_flatten(warm), reference)
 
     def test_parallel_warm_cache(self, model, reference, tmp_path):
-        serial = Runner(cache=tmp_path / "cache")
+        serial = Runner(cache=tmp_path / "store.sqlite")
         sweep(model, TABLE_I_FREQS, runner=serial)
-        parallel = Runner(workers=2, cache=tmp_path / "cache")
+        parallel = Runner(workers=2, cache=tmp_path / "store.sqlite")
         data = sweep(model, TABLE_I_FREQS, runner=parallel)
         _assert_identical(_flatten(data), reference)
 
@@ -118,22 +108,15 @@ class TestEquivalenceMatrix:
         _assert_identical(_flatten(data), reference)
         assert runner.tracer.spans > 0
 
-    def test_parallel_batch_explicit_chunks(self, model, reference):
-        """Chunk boundaries are pure scheduling: a deliberately odd
-        chunk size still reassembles the grid bit-for-bit."""
-        data = sweep(model, TABLE_I_FREQS,
-                     runner=Runner(workers=2, chunk_size=3))
-        _assert_identical(_flatten(data), reference)
-
     def test_artifact_table_evaluation(self):
         """Artifact tables on vs off: the Session rebuilds the same
         model, so the whole grid matches bit-for-bit (the PR 3
         contract, re-proved through the public facade)."""
         from repro.session import Session
 
-        with_tables = Session(cache=False, artifacts=True) \
+        with_tables = Session(store=None, artifacts=True) \
             .design("mult16").sweep(TABLE_I_FREQS)
-        without = Session(cache=False, artifacts=False) \
+        without = Session(store=None, artifacts=False) \
             .design("mult16").sweep(TABLE_I_FREQS)
         for mode in MODES:
             assert with_tables.results[mode] == without.results[mode], \
@@ -156,12 +139,15 @@ def case(request):
 
 
 class TestParallelBatchMatrix:
-    """The chunked parallel batch path (PR 5) against every other
-    execution strategy, for *both* paper case studies: the scheduler may
-    shard, pool and requeue however it likes, but the Table I / Table II
-    grids must come back float-identical."""
+    """The four strategies -- serial fn, serial kernel, pool fn, pool
+    kernel (on an ephemeral pool, which inherits the state, and on a
+    warm pool, which receives it as a blob) -- for *both* paper case
+    studies: the scheduler may shard, pool and requeue however it
+    likes, but the Table I / Table II grids must come back
+    float-identical."""
 
     def test_serial_reference_strategy(self, case, monkeypatch):
+        """Serial fn: one ``model.power`` call per point."""
         model, freqs, reference = case
         sweep_mod = importlib.import_module("repro.analysis.sweep")
         monkeypatch.setattr(sweep_mod, "_batch_kernel", lambda m: None)
@@ -169,27 +155,33 @@ class TestParallelBatchMatrix:
         _assert_identical(_flatten(data), reference)
 
     def test_serial_batch_kernel(self, case):
+        """Serial kernel: one compiled-kernel call for the grid."""
         model, freqs, reference = case
         data = sweep(model, freqs, runner=Runner())
         _assert_identical(_flatten(data), reference)
 
     def test_per_point_parallel(self, case, monkeypatch):
+        """Pool fn: chunks of one point."""
         model, freqs, reference = case
         sweep_mod = importlib.import_module("repro.analysis.sweep")
         monkeypatch.setattr(sweep_mod, "_batch_kernel", lambda m: None)
         data = sweep(model, freqs, runner=Runner(workers=2))
         _assert_identical(_flatten(data), reference)
 
-    def test_parallel_batch(self, case):
+    def test_parallel_batch(self, case, monkeypatch):
+        """Pool kernel: a deliberately odd chunk size still reassembles
+        the grid bit-for-bit (chunk boundaries are pure scheduling)."""
         model, freqs, reference = case
-        data = sweep(model, freqs,
-                     runner=Runner(workers=2, chunk_size=4))
+        core = importlib.import_module("repro.runner.core")
+        monkeypatch.setattr(core, "CHUNK_FLOOR", 3)
+        monkeypatch.setattr(core, "CHUNK_CAP", 3)
+        data = sweep(model, freqs, runner=Runner(workers=2))
         _assert_identical(_flatten(data), reference)
 
     def test_parallel_batch_on_a_warm_pool(self, case):
         model, freqs, reference = case
         with WorkerPool(workers=2) as pool:
-            runner = Runner(workers=2, pool=pool, chunk_size=4)
+            runner = Runner(workers=2, pool=pool)
             data = sweep(model, freqs, runner=runner)
             again = sweep(model, freqs, runner=runner)
             # The pool really served the grids (unpicklable state would
@@ -282,7 +274,7 @@ class TestServeStrategy:
 
         design = request.param
         freqs = SERVE_CASES[design]
-        session = Session(cache=False)
+        session = Session(store=None)
         data = session.design(design).sweep(freqs)
         session.close()
         return design, freqs, json.loads(json.dumps(sweep_to_dict(data)))
@@ -299,7 +291,7 @@ class TestServeStrategy:
         from repro.session import Session
 
         design, freqs, _ = offline
-        session = Session(cache=False)
+        session = Session(store=None)
         expected = json.loads(json.dumps(
             session.compare_techniques(design,
                                        freqs=list(freqs)).as_dict()))

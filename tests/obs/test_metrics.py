@@ -10,7 +10,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.runner import ResultCache, RunStats, evaluate_grid
+from repro.runner import RunStats, SqliteStore, evaluate_grid
 
 
 class TestSeries:
@@ -166,7 +166,7 @@ class TestStatsBridge:
         assert reg.counter("repro_points_total").to_value() == 5
 
     def test_cache_puts_counter(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SqliteStore(tmp_path / "store.sqlite")
         cache.writeback(cache.key_for("ns", 1), 42)
         reg = MetricsRegistry().fill_from_stats(RunStats(), cache=cache)
         assert reg.counter(

@@ -18,7 +18,7 @@ from repro.runner import (
     ARTIFACT_SCHEMA,
     ArtifactStore,
     CircuitArtifacts,
-    ResultCache,
+    SqliteStore,
     RunJournal,
     RunStats,
     read_journal,
@@ -39,7 +39,7 @@ VDDS = (None, 0.9, 0.6, 0.45, 0.3, 0.22)
 
 @pytest.fixture(scope="module")
 def session(lib):
-    s = Session(library=lib, cache=False)
+    s = Session(library=lib, store=None)
     yield s
     s.close()
 
@@ -211,11 +211,11 @@ class TestArtifactStore:
         assert stats.artifact_hits == 1
 
     def test_disk_reuse_across_stores(self, tmp_path):
-        cache = ResultCache(tmp_path / "art")
+        cache = SqliteStore(tmp_path / "art" / "store.sqlite")
         ArtifactStore(cache=cache).get("fp-1", _bundle)
         # A fresh store (fresh process, same directory) must not rebuild.
         stats = RunStats()
-        fresh = ArtifactStore(cache=ResultCache(tmp_path / "art"),
+        fresh = ArtifactStore(cache=SqliteStore(tmp_path / "art" / "store.sqlite"),
                               stats=stats)
 
         def explode():
@@ -226,7 +226,7 @@ class TestArtifactStore:
         assert stats.artifact_hits == 1 and stats.artifact_misses == 0
 
     def test_corrupt_disk_entry_degrades_to_rebuild(self, tmp_path):
-        cache = ResultCache(tmp_path / "art")
+        cache = SqliteStore(tmp_path / "art" / "store.sqlite")
         store = ArtifactStore(cache=cache)
         cache.put(store.key_for("fp-1"), {"not": "a bundle"})
         assert store.get("fp-1", _bundle).fingerprint == "fp-1"
@@ -238,7 +238,7 @@ class TestArtifactStore:
     def test_journal_events(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         journal = RunJournal(path)
-        store = ArtifactStore(cache=ResultCache(tmp_path / "art"),
+        store = ArtifactStore(cache=SqliteStore(tmp_path / "art" / "store.sqlite"),
                               journal=journal)
         store.get("fp-1", _bundle)
         store.get("fp-1", _bundle)
@@ -281,8 +281,8 @@ class TestInvalidation:
         from repro.tech.scl90 import Scl90Tuning, build_scl90
 
         retuned = build_scl90(Scl90Tuning(wire_cap_per_fanout=3e-15))
-        s1 = Session(library=lib, cache=False)
-        s2 = Session(library=retuned, cache=False)
+        s1 = Session(library=lib, store=None)
+        s2 = Session(library=retuned, store=None)
         try:
             assert s1.design("counter16").fingerprint \
                 != s2.design("counter16").fingerprint
@@ -295,8 +295,8 @@ class TestInvalidation:
 
 class TestSessionArtifacts:
     def test_results_identical_with_and_without(self, lib):
-        on = Session(library=lib, cache=False)
-        off = Session(library=lib, cache=False, artifacts=False)
+        on = Session(library=lib, store=None)
+        off = Session(library=lib, store=None, artifacts=False)
         try:
             h_on, h_off = on.design("counter16"), off.design("counter16")
             for vdd in (None, 0.5):
@@ -318,11 +318,11 @@ class TestSessionArtifacts:
             off.close()
 
     def test_artifact_dir_reused_by_second_session(self, lib, tmp_path):
-        art = str(tmp_path / "artifacts")
-        cold = Session(library=lib, cache=False, artifacts=art)
+        art = str(tmp_path / "artifacts.sqlite")
+        cold = Session(library=lib, store=None, artifacts=art)
         cold.design("counter16").sta()
         cold.close()
-        warm = Session(library=lib, cache=False, artifacts=art)
+        warm = Session(library=lib, store=None, artifacts=art)
         try:
             warm.design("counter16").sta()
             assert warm.stats.artifact_hits == 1
@@ -331,7 +331,7 @@ class TestSessionArtifacts:
             warm.close()
 
     def test_handle_memoises_one_bundle(self, lib):
-        s = Session(library=lib, cache=False)
+        s = Session(library=lib, store=None)
         try:
             h = s.design("counter16")
             h.sta()
@@ -346,7 +346,7 @@ class TestSessionArtifacts:
             s.close()
 
     def test_artifacts_off_has_no_store(self, lib):
-        s = Session(library=lib, cache=False, artifacts=False)
+        s = Session(library=lib, store=None, artifacts=False)
         try:
             assert s.artifacts is None
             assert s.design("counter16").artifacts() is None
@@ -355,10 +355,10 @@ class TestSessionArtifacts:
 
     def test_cross_process_reuse(self, lib, tmp_path):
         """A bundle built in another *process* is reused from disk."""
-        art = str(tmp_path / "artifacts")
+        art = str(tmp_path / "artifacts.sqlite")
         script = (
             "from repro.session import Session\n"
-            "s = Session(cache=False, artifacts={!r})\n"
+            "s = Session(store=None, artifacts={!r})\n"
             "s.design('counter16').sta()\n"
             "assert s.stats.artifact_misses == 1\n"
             "s.close()\n".format(art)
@@ -369,7 +369,7 @@ class TestSessionArtifacts:
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         subprocess.run([sys.executable, "-c", script], check=True,
                        env=env)
-        s = Session(library=lib, cache=False, artifacts=art)
+        s = Session(library=lib, store=None, artifacts=art)
         try:
             s.design("counter16").sta()
             assert s.stats.artifact_hits == 1

@@ -1,9 +1,9 @@
-"""The serial batch-kernel path of :func:`evaluate_grid`.
+"""The in-process batch-kernel path of :func:`evaluate_grid`.
 
 A ``kernel`` evaluates every cache-missed point in one call instead of
 dispatching ``fn`` per point.  The contract under test: identical
 results, identical cache behaviour, per-point journal events preserved,
-and the kernel only ever used on the serial path.
+and the shipped kernels identical to their point-at-a-time models.
 """
 
 import functools
@@ -11,8 +11,8 @@ import functools
 import pytest
 
 from repro.errors import RunnerError
-from repro.runner import ResultCache, RunJournal, RunStats, evaluate_grid
-from repro.runner import read_journal
+from repro.runner import RunJournal, RunStats, SqliteStore, evaluate_grid
+from repro.runner import compile_kernel, read_journal
 
 
 def _square(point):
@@ -85,7 +85,7 @@ class TestBatchPath:
         assert finish[0]["ok"] == 3 and finish[0]["infeasible"] == 0
 
     def test_cache_warm_rerun_evaluates_nothing(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = SqliteStore(tmp_path / "store.sqlite")
         points = list(range(8))
         cold = RunStats()
         evaluate_grid(_square, points, cache=cache, cache_key="sq",
@@ -99,7 +99,7 @@ class TestBatchPath:
         assert warm.cache_hits == 8
 
     def test_partial_cache_batches_only_the_misses(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = SqliteStore(tmp_path / "store.sqlite")
         evaluate_grid(_square, [0, 1, 2, 3], cache=cache, cache_key="sq",
                       kernel=_square_batch)
         seen = []
@@ -116,7 +116,7 @@ class TestBatchPath:
     def test_infeasible_marker_cached(self, tmp_path):
         from repro.errors import ScpgError
 
-        cache = ResultCache(tmp_path / "cache")
+        cache = SqliteStore(tmp_path / "store.sqlite")
         evaluate_grid(_evens_only, [1, 2], cache=cache, cache_key="ev",
                       on_error=(ScpgError,), kernel=_evens_only_batch)
         warm = RunStats()
@@ -133,7 +133,7 @@ class TestKernelGuards:
         from repro.analysis.sweep import _batch_kernel
         from repro.session import Session
 
-        s = Session(library=lib, cache=False)
+        s = Session(library=lib, store=None)
         try:
             model = s.design("counter16").power_model()
             assert _batch_kernel(model) is not None
@@ -150,7 +150,7 @@ class TestKernelGuards:
         class Patched(ScpgPowerModel):
             pass
 
-        s = Session(library=lib, cache=False)
+        s = Session(library=lib, store=None)
         try:
             model = s.design("counter16").power_model()
             patched = Patched(**{
@@ -166,7 +166,7 @@ class TestKernelGuards:
         from repro.session import Session
         from repro.subvt.energy import _batch_kernel
 
-        s = Session(library=lib, cache=False)
+        s = Session(library=lib, store=None)
         try:
             model = s.design("counter16").subvt_model()
             assert _batch_kernel(model) is not None
@@ -184,8 +184,8 @@ class TestKernelParity:
         from repro.scpg.power_model import Mode
         from repro.session import Session
 
-        s1 = Session(library=lib, cache=False)
-        s2 = Session(library=lib, cache=False)
+        s1 = Session(library=lib, store=None)
+        s2 = Session(library=lib, store=None)
         try:
             model = s1.design("counter16").power_model()
             freqs = [10 ** (4 + 0.2 * k) for k in range(20)]
@@ -195,6 +195,13 @@ class TestKernelParity:
             ref = sweep(pointwise, freqs)
             for mode in (Mode.NO_PG, Mode.SCPG, Mode.SCPG_MAX):
                 assert batch.results[mode] == ref.results[mode]
+            # The compiled kernel itself, called directly, equals the
+            # per-point ``power()`` of the same model.
+            kernel = compile_kernel(model)
+            assert kernel.name == "scpg-power"
+            points = [(1e5, Mode.SCPG), (2e6, Mode.SCPG_MAX)]
+            assert kernel(points) == [pointwise.power(f, mode)
+                                      for f, mode in points]
         finally:
             s1.close()
             s2.close()
@@ -203,14 +210,18 @@ class TestKernelParity:
         from repro.session import Session
         from repro.subvt.energy import energy_sweep
 
-        s1 = Session(library=lib, cache=False)
-        s2 = Session(library=lib, cache=False)
+        s1 = Session(library=lib, store=None)
+        s2 = Session(library=lib, store=None)
         try:
             model = s1.design("counter16").subvt_model()
             batch = energy_sweep(model, steps=24)
             pointwise = s2.design("counter16").subvt_model()
             pointwise.point = type(pointwise).point.__get__(pointwise)
             assert batch == energy_sweep(pointwise, steps=24)
+            kernel = compile_kernel(model)
+            assert kernel.name == "subvt-energy"
+            vdds = [0.25, 0.5]
+            assert kernel(vdds) == [pointwise.point(v) for v in vdds]
         finally:
             s1.close()
             s2.close()

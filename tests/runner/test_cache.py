@@ -1,19 +1,45 @@
-"""The on-disk result cache: storage, invalidation, env plumbing."""
+"""The result cache -- one SQLite store: storage, invalidation, the
+absent/corrupt miss ledger, and ``REPRO_CACHE_DIR`` plumbing."""
 
+import os
 import pickle
+import sqlite3
 import threading
 
 import pytest
 
-from repro.runner import CACHE_ENV, ResultCache, default_cache
+from repro.runner import CACHE_ENV, STORE_FILE, SqliteStore, default_cache
 
 
 @pytest.fixture()
 def cache(tmp_path):
-    return ResultCache(tmp_path / "cache")
+    store = SqliteStore(tmp_path / "cache.sqlite")
+    yield store
+    store.close()
+
+
+def _write_raw(cache, key, data):
+    """Overwrite ``key``'s row with raw bytes from outside the store (a
+    torn write of a crashed process, or a writer's repair)."""
+    conn = sqlite3.connect(cache.path)
+    conn.execute("INSERT INTO entries(key, value, created) "
+                 "VALUES(?, ?, 0) ON CONFLICT(key) DO UPDATE "
+                 "SET value=excluded.value", (key, data))
+    conn.commit()
+    conn.close()
+
+
+def _read_raw(cache, key):
+    conn = sqlite3.connect(cache.path)
+    row = conn.execute("SELECT value FROM entries WHERE key=?",
+                       (key,)).fetchone()
+    conn.close()
+    return row[0]
 
 
 class TestResultCache:
+    """The result cache's contract, held by its one store."""
+
     def test_roundtrip(self, cache):
         key = cache.key_for("ns", "point")
         hit, value = cache.lookup(key)
@@ -60,20 +86,20 @@ class TestResultCache:
     def test_corrupt_entry_is_a_miss(self, cache, junk):
         key = cache.key_for("k")
         cache.put(key, 1)
-        with open(cache._path(key), "wb") as f:
-            f.write(junk)
+        _write_raw(cache, key, junk)
         hit, value = cache.lookup(key)
         assert not hit and value is None
         cache.put(key, 2)
         assert cache.get(key) == 2
 
     def test_cold_miss_issues_no_unlink(self, cache, monkeypatch):
-        # The common absent-entry case must not pay a pointless unlink
-        # syscall per miss (regression: it used to take the corrupt path).
+        # The common absent-entry case must not pay a pointless DELETE
+        # per miss (regression: it used to take the corrupt path).
         drops = []
-        real_drop = cache._drop
+        real_drop = cache._drop_if_unchanged
         monkeypatch.setattr(
-            cache, "_drop", lambda key: (drops.append(key), real_drop(key))[1])
+            cache, "_drop_if_unchanged",
+            lambda key, data: (drops.append(key), real_drop(key, data))[1])
         hit, value = cache.lookup(cache.key_for("never-written"))
         assert not hit and value is None
         assert drops == []
@@ -81,12 +107,12 @@ class TestResultCache:
     def test_corrupt_entry_dropped_exactly_once(self, cache, monkeypatch):
         key = cache.key_for("k")
         cache.put(key, 1)
-        with open(cache._path(key), "wb") as f:
-            f.write(b"truncated garbag")
+        _write_raw(cache, key, b"truncated garbag")
         drops = []
-        real_drop = cache._drop
+        real_drop = cache._drop_if_unchanged
         monkeypatch.setattr(
-            cache, "_drop", lambda k: (drops.append(k), real_drop(k))[1])
+            cache, "_drop_if_unchanged",
+            lambda k, data: (drops.append(k), real_drop(k, data))[1])
         assert cache.lookup(key) == (False, None)   # corrupt -> dropped
         assert cache.lookup(key) == (False, None)   # absent -> cheap miss
         assert drops == [key]
@@ -96,8 +122,7 @@ class TestResultCache:
         key = cache.key_for("k")
         cache.lookup(key)                       # absent
         cache.put(key, 1)
-        with open(cache._path(key), "wb") as f:
-            f.write(b"garbage")
+        _write_raw(cache, key, b"garbage")
         cache.lookup(key)                       # corrupt
         cache.lookup(key)                       # absent again (cleaned)
         assert cache.absent == 2
@@ -112,35 +137,32 @@ class TestResultCache:
 
     def test_torn_write_cleanup_preserves_concurrent_repair(
             self, cache, monkeypatch):
-        # Regression: a reader that finds torn bytes used to unlink the
+        # Regression: a reader that finds torn bytes used to delete the
         # entry unconditionally.  If a healthy writer replaced the torn
-        # bytes between the reader's open() and its cleanup, that unlink
+        # bytes between the reader's read and its cleanup, that delete
         # threw away the repair -- a paid result vanished and the next
         # reader recomputed it.  Cleanup must compare before deleting.
         key = cache.key_for("k")
         cache.put(key, {"power": 1.0})
-        with open(cache._path(key), "rb") as f:
-            good = f.read()
+        good = _read_raw(cache, key)
         torn = good[: len(good) // 2]
-        with open(cache._path(key), "wb") as f:
-            f.write(torn)
+        _write_raw(cache, key, torn)
         real_loads = pickle.loads
 
         def racing_loads(data, **kw):
             if data == torn:
                 # The writer's complete entry lands between this
                 # reader's read and its cleanup.
-                with open(cache._path(key), "wb") as f:
-                    f.write(good)
+                _write_raw(cache, key, good)
                 raise pickle.UnpicklingError("truncated")
             return real_loads(data, **kw)
 
-        monkeypatch.setattr("repro.runner.cache.pickle.loads",
+        monkeypatch.setattr("repro.runner.sqlite_store.pickle.loads",
                             racing_loads)
         assert cache.lookup(key) == (False, None)
         assert (cache.corrupt, cache.absent) == (1, 0)
         monkeypatch.undo()
-        # Pre-fix this was a miss: the unconditional unlink had deleted
+        # Pre-fix this was a miss: the unconditional delete had removed
         # the writer's repair.
         assert cache.lookup(key) == (True, {"power": 1.0})
 
@@ -150,8 +172,7 @@ class TestResultCache:
         # next miss takes the cheap absent path.
         key = cache.key_for("k")
         cache.put(key, 1)
-        with open(cache._path(key), "wb") as f:
-            f.write(b"torn")
+        _write_raw(cache, key, b"torn")
         cache.lookup(key)
         assert key not in cache
 
@@ -176,15 +197,15 @@ class TestResultCache:
         assert cache.puts == 1
 
     def test_writeback_swallows_io_errors(self, cache, monkeypatch):
-        def refuse(path, *a, **kw):
-            raise OSError("disk full")
+        def refuse(sql, params=()):
+            raise sqlite3.OperationalError("database or disk is full")
 
-        monkeypatch.setattr("os.makedirs", refuse)
+        monkeypatch.setattr(cache, "_execute", refuse)
         assert cache.writeback(cache.key_for("k"), 7) is False
 
     def test_salt_partitions_keys(self, tmp_path):
-        a = ResultCache(tmp_path, salt="v1")
-        b = ResultCache(tmp_path, salt="v2")
+        a = SqliteStore(tmp_path / "s.sqlite", salt="v1")
+        b = SqliteStore(tmp_path / "s.sqlite", salt="v2")
         assert a.key_for("k") != b.key_for("k")
 
     def test_key_depends_on_all_parts(self, cache):
@@ -233,8 +254,7 @@ class TestConcurrency:
         # repairs it for everyone.
         key = cache.key_for("corrupt")
         cache.put(key, 1)
-        with open(cache._path(key), "wb") as f:
-            f.write(b"garbage")
+        _write_raw(cache, key, b"garbage")
         hits = []
 
         def prober():
@@ -261,8 +281,25 @@ class TestDefaultCache:
         assert default_cache(env={CACHE_ENV: value}) is None
 
     def test_directory(self, tmp_path):
-        cache = default_cache(env={CACHE_ENV: str(tmp_path / "rc")})
-        assert isinstance(cache, ResultCache)
+        # The variable keeps naming a directory; the store is one SQLite
+        # file inside it, created together with the directory.
+        root = tmp_path / "rc"
+        cache = default_cache(env={CACHE_ENV: str(root)})
+        assert isinstance(cache, SqliteStore)
+        assert cache.path == os.path.join(str(root), STORE_FILE)
         key = cache.key_for("k")
         cache.put(key, 42)
         assert cache.get(key) == 42
+        assert default_cache(env={CACHE_ENV: str(root)}).get(key) == 42
+        cache.close()
+
+    def test_old_pickle_shards_are_ignored(self, tmp_path):
+        # A directory left over from the old per-entry pickle layout is
+        # not read: its shards are simply never looked up.
+        root = tmp_path / "rc"
+        (root / "ab").mkdir(parents=True)
+        (root / "ab" / "abcdef.pkl").write_bytes(pickle.dumps(1))
+        cache = default_cache(env={CACHE_ENV: str(root)})
+        assert len(cache) == 0
+        assert (root / "ab" / "abcdef.pkl").exists()
+        cache.close()

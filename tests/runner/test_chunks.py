@@ -1,12 +1,13 @@
-"""The chunked parallel batch path of :func:`evaluate_grid`.
+"""Chunks on the pool executor of :func:`evaluate_grid`.
 
-With ``workers > 1`` *and* a ``kernel``, pending points are sharded
-into contiguous chunks and the kernel runs inside the pool workers.  The
-contract under test: results identical to the serial paths, adaptive
-chunk sizing, bounded in-flight submission, bisect-and-retry isolation
-of poison points without losing their siblings, per-point cache
-writeback and journal events preserved, and chunk-level observability
-(journal events, spans, metrics).
+With ``workers > 1`` every pending point travels in a chunk: a kernel
+grid is sharded into contiguous chunks and the kernel runs inside the
+pool workers; a fn-only grid ships chunks of one point.  The contract
+under test: results identical to the in-process paths, chunk sizing
+worked out from whether a kernel was given, bounded in-flight
+submission, bisect-and-retry isolation of poison points without losing
+their siblings, per-point store writeback and journal events preserved,
+and chunk-level observability (journal events, spans, metrics).
 """
 
 import functools
@@ -16,7 +17,7 @@ import pytest
 from repro.errors import ScpgError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MemorySink, Tracer
-from repro.runner import ResultCache, RunStats, evaluate_grid, read_journal
+from repro.runner import RunStats, SqliteStore, evaluate_grid, read_journal
 from repro.runner import core as runner_core
 from repro.runner.core import (
     CHUNK_CAP,
@@ -70,19 +71,24 @@ def _events(path):
 
 
 class TestChunkSizing:
-    def test_explicit_chunk_size_wins(self):
-        assert _chunk_points(1000, 2, 7) == 7
-        assert _chunk_points(10, 8, 1) == 1
+    def test_fn_grids_ship_one_point_per_chunk(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        evaluate_grid(_square, list(range(10)), workers=2,
+                      journal=str(path))
+        planned = [e for e in read_journal(path)
+                   if e["event"] == "chunks_planned"][0]
+        assert planned["per_chunk"] == 1
+        assert planned["chunks"] == 10
 
     def test_adaptive_targets_four_chunks_per_worker(self):
         # ceil(195 / (4 * 2)) = 25 points per chunk
-        assert _chunk_points(195, 2, None) == 25
+        assert _chunk_points(195, 2) == 25
 
     def test_floor_keeps_ipc_amortised_on_tiny_grids(self):
-        assert _chunk_points(10, 4, None) == CHUNK_FLOOR
+        assert _chunk_points(10, 4) == CHUNK_FLOOR
 
     def test_cap_bounds_work_lost_to_a_dead_worker(self):
-        assert _chunk_points(10 ** 6, 2, None) == CHUNK_CAP
+        assert _chunk_points(10 ** 6, 2) == CHUNK_CAP
 
 
 class TestChunkedPath:
@@ -100,37 +106,39 @@ class TestChunkedPath:
                             kernel=functools.partial(_ctx_scale_batch, 10))
         assert got == [10 * p for p in range(12)]
 
-    def test_journal_records_chunk_lifecycle(self, tmp_path):
+    def test_journal_records_chunk_lifecycle(self, tmp_path, chunk_of):
+        chunk_of(2)
         path = tmp_path / "journal.jsonl"
         evaluate_grid(_square, list(range(10)), workers=2,
-                      chunk_size=2, journal=str(path), label="chunky",
+                      journal=str(path), label="chunky",
                       kernel=_square_batch)
         events = read_journal(path)
         names = [e["event"] for e in events]
         planned = [e for e in events if e["event"] == "chunks_planned"]
         assert planned[0]["chunks"] == 5
-        assert planned[0]["chunk_size"] == 2
+        assert planned[0]["per_chunk"] == 2
         assert names.count("chunk_submitted") == 5
         assert names.count("chunk_finished") == 5
         assert names.count("point_finished") == 10
         finish = [e for e in events if e["event"] == "pool_finished"]
         assert finish[0]["chunks"] == 5
 
-    def test_submitted_chunks_are_contiguous_index_ranges(self, tmp_path):
+    def test_submitted_chunks_are_contiguous_index_ranges(self, tmp_path,
+                                                          chunk_of):
+        chunk_of(4)
         path = tmp_path / "journal.jsonl"
         evaluate_grid(_square, list(range(20)), workers=2,
-                      chunk_size=4, journal=str(path),
-                      kernel=_square_batch)
+                      journal=str(path), kernel=_square_batch)
         submits = [e for e in read_journal(path)
                    if e["event"] == "chunk_submitted"]
         spans = sorted((e["first"], e["last"]) for e in submits)
         assert spans == [(0, 3), (4, 7), (8, 11), (12, 15), (16, 19)]
 
-    def test_bounded_submission(self, tmp_path):
+    def test_bounded_submission(self, tmp_path, chunk_of):
+        chunk_of(1)
         path = tmp_path / "journal.jsonl"
         evaluate_grid(_square, list(range(48)), workers=2,
-                      chunk_size=1, journal=str(path),
-                      kernel=_square_batch)
+                      journal=str(path), kernel=_square_batch)
         finish = [e for e in read_journal(path)
                   if e["event"] == "pool_finished"][0]
         limit = MAX_INFLIGHT_PER_WORKER * 2
@@ -140,7 +148,7 @@ class TestChunkedPath:
         assert finish["inflight_peak"] == limit
 
     def test_cache_writeback_is_per_point(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = SqliteStore(tmp_path / "store.sqlite")
         points = list(range(16))
         cold = RunStats()
         evaluate_grid(_square, points, workers=2, cache=cache,
@@ -156,7 +164,7 @@ class TestChunkedPath:
         assert warm.cache_hits == 16
 
     def test_partial_cache_chunks_only_the_misses(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = SqliteStore(tmp_path / "store.sqlite")
         evaluate_grid(_square, list(range(8)), cache=cache,
                       cache_key="sq", kernel=_square_batch)
         path = tmp_path / "journal.jsonl"
@@ -168,11 +176,12 @@ class TestChunkedPath:
                    if e["event"] == "chunks_planned"][0]
         assert planned["points"] == 4    # 0..7 came from the cache
 
-    def test_infeasible_nones_counted(self):
+    def test_infeasible_nones_counted(self, chunk_of):
+        chunk_of(20)
         stats = RunStats()
         got = evaluate_grid(
             _soft_poison_point, list(range(20)), workers=2,
-            on_error=(ScpgError,), stats=stats, chunk_size=20,
+            on_error=(ScpgError,), stats=stats,
             kernel=lambda pts: [None if p == POISON else p * p
                                   for p in pts])
         assert got[POISON] is None
@@ -182,7 +191,7 @@ class TestChunkedPath:
 
 class TestBisectAndRetry:
     def test_hard_poison_isolated_siblings_kept(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = SqliteStore(tmp_path / "store.sqlite")
         path = tmp_path / "journal.jsonl"
         with pytest.raises(RuntimeError, match="poison 13"):
             evaluate_grid(_poison_point, list(range(32)), workers=2,
@@ -199,11 +208,12 @@ class TestBisectAndRetry:
         assert hard[0]["index"] == POISON
 
     def test_bisection_halves_trace_back_to_the_parent_chunk(
-            self, tmp_path):
+            self, tmp_path, chunk_of):
+        chunk_of(32)
         path = tmp_path / "journal.jsonl"
         with pytest.raises(RuntimeError):
             evaluate_grid(_poison_point, list(range(32)), workers=2,
-                          retries=0, chunk_size=32, journal=str(path),
+                          retries=0, journal=str(path),
                           kernel=_poison_batch)
         events = read_journal(path)
         bisected = {e["chunk"]: e["into"] for e in events
@@ -230,7 +240,8 @@ class TestBisectAndRetry:
         assert "chunk_failed" in names
         assert "requeue_serial" in names
 
-    def test_poison_retried_under_the_per_point_policy(self, tmp_path):
+    def test_poison_retried_under_the_per_point_policy(self, tmp_path,
+                                                       chunk_of):
         # The kernel has no retry policy; the isolated point re-runs in
         # the parent where retry_on applies, so a transient poison heals.
         marker = tmp_path / "tries"
@@ -246,11 +257,11 @@ class TestBisectAndRetry:
                 raise OSError("kernel cannot take {}".format(POISON))
             return [p * p for p in points]
 
+        chunk_of(8)
         path = tmp_path / "journal.jsonl"
         got = evaluate_grid(flaky, list(range(32)), workers=2,
                             retry_on=(OSError,), retries=2, backoff=0,
-                            chunk_size=8, journal=str(path),
-                            kernel=poison_kernel)
+                            journal=str(path), kernel=poison_kernel)
         assert got == [p * p for p in range(32)]
         names = _events(path)
         assert "chunk_failed" in names
@@ -258,10 +269,11 @@ class TestBisectAndRetry:
 
 
 class TestChunkObservability:
-    def test_chunk_spans_parent_the_point_spans(self):
+    def test_chunk_spans_parent_the_point_spans(self, chunk_of):
+        chunk_of(4)
         sink = MemorySink()
         tracer = Tracer(sink)
-        evaluate_grid(_square, list(range(12)), workers=2, chunk_size=4,
+        evaluate_grid(_square, list(range(12)), workers=2,
                       tracer=tracer, kernel=_square_batch)
         chunk_ids = {line["id"] for line in sink
                      if line["name"] == "chunk"}
@@ -270,12 +282,13 @@ class TestChunkObservability:
         assert len(points) == 12
         assert {line["parent"] for line in points} <= chunk_ids
 
-    def test_metrics_observe_chunks(self):
+    def test_metrics_observe_chunks(self, chunk_of):
+        chunk_of(4)
         registry = MetricsRegistry()
-        evaluate_grid(_square, list(range(12)), workers=2, chunk_size=4,
+        evaluate_grid(_square, list(range(12)), workers=2,
                       metrics=registry, kernel=_square_batch)
         assert registry.histogram("repro_chunk_seconds").count == 3
-        assert registry.gauge("repro_chunk_size").value == 4
+        assert registry.gauge("repro_points_per_chunk").value == 4
 
     def test_serial_runs_create_no_chunk_series(self):
         registry = MetricsRegistry()
@@ -283,15 +296,16 @@ class TestChunkObservability:
                       kernel=_square_batch)
         names = {metric.name for metric in registry}
         assert "repro_chunk_seconds" not in names
-        assert "repro_chunk_size" not in names
+        assert "repro_points_per_chunk" not in names
 
-    def test_report_surfaces_chunks_and_bisects(self, tmp_path):
+    def test_report_surfaces_chunks_and_bisects(self, tmp_path, chunk_of):
         from repro.obs.report import JournalReport
 
+        chunk_of(8)
         path = tmp_path / "journal.jsonl"
         with pytest.raises(RuntimeError):
             evaluate_grid(_poison_point, list(range(32)), workers=2,
-                          retries=0, chunk_size=8, journal=str(path),
+                          retries=0, journal=str(path),
                           label="poisoned", kernel=_poison_batch)
         report = JournalReport(read_journal(path))
         grid = report.grids[0]
@@ -304,6 +318,8 @@ class TestChunkObservability:
 
 
 class TestPerPointBoundedSubmission:
+    """Fn-only grids: chunks of one point, bounded like kernel chunks."""
+
     def test_inflight_never_exceeds_k_times_workers(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         evaluate_grid(_square, list(range(48)), workers=2,
@@ -316,7 +332,7 @@ class TestPerPointBoundedSubmission:
         assert finish["points"] == 48
 
     def test_fork_state_cleared_after_chunked_run(self):
-        evaluate_grid(_square, list(range(12)), workers=2, chunk_size=4,
+        evaluate_grid(_square, list(range(12)), workers=2,
                       kernel=_square_batch)
-        assert runner_core._FORK_STATE is None
+        assert runner_core._GRID_STATE is None
         assert not runner_core._FORK_LOCK.locked()

@@ -10,9 +10,9 @@ import pytest
 
 from repro.errors import PointTimeoutError, RunnerError
 from repro.runner import (
-    ResultCache,
     Runner,
     RunStats,
+    SqliteStore,
     evaluate_grid,
     read_journal,
     stable_hash,
@@ -149,7 +149,7 @@ class TestWorkerCrash:
         return point * 7
 
     def test_sigkill_neither_hangs_nor_loses_data(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = SqliteStore(tmp_path / "store.sqlite")
         key = stable_hash("crash-test")
         journal = tmp_path / "journal.jsonl"
         stats = RunStats()
@@ -183,7 +183,7 @@ class TestWorkerCrash:
         assert sorted(e["index"] for e in finished) == self.POINTS
 
     def test_crash_through_runner_policy(self, tmp_path):
-        runner = Runner(workers=2, cache=tmp_path / "cache",
+        runner = Runner(workers=2, cache=tmp_path / "store.sqlite",
                         journal=tmp_path / "journal.jsonl")
         try:
             out = runner.run(self._victim, self.POINTS,
@@ -211,7 +211,7 @@ class TestThreadSafety:
         evaluate_grid(_square, [1, 2, 3, 4], workers=2)
         assert runner_core._FORK_LOCK.acquire(blocking=False)
         runner_core._FORK_LOCK.release()
-        assert runner_core._FORK_STATE is None
+        assert runner_core._GRID_STATE is None
 
     def test_serial_paths_may_run_concurrently(self):
         errors = []
@@ -234,7 +234,7 @@ class TestIncrementalWriteback:
     def test_abort_keeps_paid_work(self, tmp_path):
         # A hard error at point 3 aborts the grid, but points evaluated
         # before it were already flushed to the cache.
-        cache = ResultCache(tmp_path)
+        cache = SqliteStore(tmp_path / "store.sqlite")
         key = stable_hash("abort-test")
 
         def fn(point):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runner import ResultCache, fingerprint, stable_hash
+from repro.runner import SqliteStore, fingerprint, stable_hash
 from repro.runner.fingerprint import _canon
 
 
@@ -185,14 +185,14 @@ class TestCacheKeyProperties:
            st.lists(st.floats(allow_nan=False), max_size=4))
     def test_key_for_is_a_function_of_content(self, tmp_path_factory, ns, point):
         tmp = tmp_path_factory.mktemp("cache")
-        a = ResultCache(tmp / "a")
-        b = ResultCache(tmp / "b")
+        a = SqliteStore(tmp / "a" / "store.sqlite")
+        b = SqliteStore(tmp / "b" / "store.sqlite")
         assert a.key_for(ns, point) == b.key_for(ns, point)
 
     @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=4),
            st.floats(allow_nan=False))
     def test_key_perturbation(self, tmp_path_factory, point, delta):
-        cache = ResultCache(tmp_path_factory.mktemp("cache"))
+        cache = SqliteStore(tmp_path_factory.mktemp("cache") / "s.sqlite")
         mutated = list(point)
         mutated[0] = mutated[0] + delta
         if mutated != point:
@@ -202,7 +202,7 @@ class TestCacheKeyProperties:
     @given(values)
     @settings(max_examples=25)
     def test_put_lookup_round_trip(self, tmp_path_factory, value):
-        cache = ResultCache(tmp_path_factory.mktemp("cache"))
+        cache = SqliteStore(tmp_path_factory.mktemp("cache") / "s.sqlite")
         key = cache.key_for("prop", value)
         found, _ = cache.lookup(key)
         assert not found
@@ -210,7 +210,7 @@ class TestCacheKeyProperties:
         found, stored = cache.lookup(key)
         assert found
         assert stored == {"value": repr(value)}
-        # a second cache over the same directory sees the entry
-        reread = ResultCache(cache.root)
+        # a second store over the same file sees the entry
+        reread = SqliteStore(cache.path)
         found, stored = reread.lookup(reread.key_for("prop", value))
         assert found

@@ -8,9 +8,9 @@ from repro.analysis.sweep import power_cache_key, sweep
 from repro.errors import RunnerError, ScpgError
 from repro.runner import (
     CachedEvaluator,
-    ResultCache,
     Runner,
     RunStats,
+    SqliteStore,
     evaluate_grid,
     resolve_workers,
     stable_hash,
@@ -92,7 +92,7 @@ class TestEvaluateGrid:
 
 class TestGridCaching:
     def test_cold_then_warm(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SqliteStore(tmp_path / "store.sqlite")
         key = stable_hash("test-grid", 1)
         cold, warm = RunStats(), RunStats()
         first = evaluate_grid(_square, [1, 2, 3], cache=cache,
@@ -104,7 +104,7 @@ class TestGridCaching:
         assert warm.cache_hits == 3 and warm.evaluated == 0
 
     def test_infeasible_points_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SqliteStore(tmp_path / "store.sqlite")
         key = stable_hash("test-grid", 2)
         evaluate_grid(_flaky, [2, 3], cache=cache, cache_key=key,
                       on_error=(ValueError,))
@@ -125,7 +125,7 @@ class TestGridCaching:
     def test_cache_key_partitions_entries(self, tmp_path):
         # A changed evaluation context (new key) must miss; re-running
         # under the old key must still hit.
-        cache = ResultCache(tmp_path)
+        cache = SqliteStore(tmp_path / "store.sqlite")
         old, new = stable_hash("ctx", "v1"), stable_hash("ctx", "v2")
         evaluate_grid(_square, [5], cache=cache, cache_key=old)
         stats = RunStats()
@@ -138,7 +138,7 @@ class TestGridCaching:
         assert stats.cache_hits == 1
 
     def test_no_cache_without_key(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SqliteStore(tmp_path / "store.sqlite")
         evaluate_grid(_square, [1, 2], cache=cache, cache_key=None)
         assert len(cache) == 0
 
@@ -147,9 +147,9 @@ class TestCachedEvaluatorCounters:
     def test_infeasible_marker_counts_as_miss_on_both_ledgers(
             self, tmp_path):
         # Regression: a persisted infeasible marker used to count as a
-        # ResultCache hit *and* a stats cache miss, so hit_rate and the
+        # store hit *and* a stats cache miss, so hit_rate and the
         # cache's own counters disagreed.
-        cache = ResultCache(tmp_path)
+        cache = SqliteStore(tmp_path / "store.sqlite")
         key = stable_hash("marker-drift")
         evaluate_grid(_flaky, [3], cache=cache, cache_key=key,
                       on_error=(ValueError,))       # persists the marker
@@ -166,7 +166,7 @@ class TestCachedEvaluatorCounters:
         assert stats.hit_rate == 0.0
 
     def test_real_hits_still_agree(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SqliteStore(tmp_path / "store.sqlite")
         key = stable_hash("marker-drift-2")
         evaluate_grid(_square, [4], cache=cache, cache_key=key)
         hits0 = cache.hits
@@ -182,8 +182,8 @@ class TestCachedEvaluatorCounters:
 
 class TestRunner:
     def test_path_coerced_to_cache(self, tmp_path):
-        runner = Runner(cache=str(tmp_path))
-        assert isinstance(runner.cache, ResultCache)
+        runner = Runner(cache=str(tmp_path / "store.sqlite"))
+        assert isinstance(runner.cache, SqliteStore)
 
     def test_stats_accumulate_across_runs(self):
         runner = Runner()
@@ -206,7 +206,7 @@ class TestSweepThroughRunner:
     def test_design_edit_invalidates(self, mult_study, tmp_path):
         # The cache key covers the model's content: perturbing any model
         # parameter must change the key, so stale entries are unreachable.
-        cache = ResultCache(tmp_path)
+        cache = SqliteStore(tmp_path / "store.sqlite")
         runner = Runner(cache=cache)
         sweep(mult_study.model, [1e6], runner=runner)
         misses = cache.misses

@@ -96,9 +96,9 @@ class TestGridJournalling:
         assert statuses == {0: "ok", 1: "infeasible"}
 
     def test_cached_points_never_reach_the_journal(self, tmp_path):
-        from repro.runner import ResultCache, stable_hash
+        from repro.runner import SqliteStore, stable_hash
 
-        cache = ResultCache(tmp_path / "cache")
+        cache = SqliteStore(tmp_path / "store.sqlite")
         key = stable_hash("journal-cache")
         evaluate_grid(_square, [1, 2], cache=cache, cache_key=key)
         path = tmp_path / "warm.jsonl"

@@ -3,10 +3,10 @@
 The pool's contract: workers survive across grids (``generation`` stays
 1, worker pids repeat), a crash is recovered by :meth:`restart` without
 losing the grid, a closed pool degrades to an ephemeral per-grid pool,
-and -- the platform regression this file pins -- every parallel path
-still produces identical results when ``fork`` is unavailable and the
+and -- the platform regression this file pins -- fn and kernel grids
+still produce identical results when ``fork`` is unavailable and the
 runner must fall back to ``spawn`` (or, with unpicklable state, all the
-way to serial).
+way to in-process).
 """
 
 import functools
@@ -45,7 +45,7 @@ KILL_POINT = 7
 
 
 def _killer_batch(points):
-    # Only ever kill inside a pool worker; the serial-batch requeue runs
+    # Only ever kill inside a pool worker; the in-process requeue runs
     # this same kernel in the parent, which must survive.
     if KILL_POINT in points \
             and multiprocessing.parent_process() is not None:
@@ -58,15 +58,14 @@ def _events(path):
 
 
 class TestWarmPool:
-    def test_workers_survive_across_grids(self):
+    def test_workers_survive_across_grids(self, chunk_of):
+        chunk_of(2)
         with WorkerPool(workers=2) as pool:
             first = set(evaluate_grid(_square, list(range(16)),
                                       workers=2, pool=pool,
-                                      chunk_size=2,
                                       kernel=_pid_batch))
             second = set(evaluate_grid(_square, list(range(16)),
                                        workers=2, pool=pool,
-                                       chunk_size=2,
                                        kernel=_pid_batch))
             assert pool.generation == 1
             assert pool.alive
@@ -91,15 +90,17 @@ class TestWarmPool:
                    if e["event"] == "chunks_planned"][0]
         assert planned["warm"] is True
 
-    def test_crash_recovered_and_pool_restartable(self, tmp_path):
+    def test_crash_recovered_and_pool_restartable(self, tmp_path,
+                                                  chunk_of):
+        chunk_of(4)
         path = tmp_path / "journal.jsonl"
         stats = RunStats()
         with WorkerPool(workers=2) as pool:
             got = evaluate_grid(_square, list(range(16)), workers=2,
-                                pool=pool, chunk_size=4, stats=stats,
+                                pool=pool, stats=stats,
                                 journal=str(path),
                                 kernel=_killer_batch)
-            # The serial-batch requeue re-ran the lost chunks in the
+            # The in-process requeue re-ran the lost chunks in the
             # parent, so the grid still completed bit-identically.
             assert got == [p * p for p in range(16)]
             assert stats.crashes == 1
@@ -160,11 +161,11 @@ class TestSpawnFallback:
                   if e["event"] == "pool_finished"][0]
         assert finish["method"] == "spawn"
 
-    def test_chunked_under_spawn(self, tmp_path):
+    def test_chunked_under_spawn(self, tmp_path, chunk_of):
+        chunk_of(3)
         path = tmp_path / "journal.jsonl"
         got = evaluate_grid(_square, list(range(12)), workers=2,
-                            chunk_size=3, journal=str(path),
-                            kernel=_square_batch)
+                            journal=str(path), kernel=_square_batch)
         assert got == [p * p for p in range(12)]
         finish = [e for e in read_journal(path)
                   if e["event"] == "pool_finished"][0]
@@ -177,7 +178,7 @@ class TestSpawnFallback:
                             context=lambda p: 3 * p, journal=str(path))
         assert got == [3 * p for p in range(8)]
         names = _events(path)
-        assert "point_submitted" not in names
+        assert "chunk_submitted" not in names
         assert "point_started" in names
 
     def test_unpicklable_state_degrades_to_serial_batch(self, tmp_path):
@@ -191,15 +192,14 @@ class TestSpawnFallback:
         assert "chunk_submitted" not in names
         assert "batch_started" in names
 
-    def test_warm_spawn_pool_ships_the_blob(self):
+    def test_warm_spawn_pool_ships_the_blob(self, chunk_of):
+        chunk_of(2)
         with WorkerPool(workers=2, method="spawn") as pool:
             pids = set(evaluate_grid(_square, list(range(8)), workers=2,
-                                     pool=pool, chunk_size=2,
-                                     kernel=_pid_batch))
+                                     pool=pool, kernel=_pid_batch))
             assert os.getpid() not in pids
             again = set(evaluate_grid(_square, list(range(8)),
                                       workers=2, pool=pool,
-                                      chunk_size=2,
                                       kernel=_pid_batch))
             assert pool.generation == 1
             assert len(pids | again) <= 2
@@ -209,7 +209,7 @@ class TestSessionPoolWiring:
     def test_parallel_session_owns_a_shared_pool(self):
         from repro.session import Session
 
-        session = Session(workers=2, cache=False)
+        session = Session(workers=2, store=None)
         try:
             assert isinstance(session.pool, WorkerPool)
             assert session.runner.pool is session.pool
@@ -220,34 +220,63 @@ class TestSessionPoolWiring:
     def test_serial_session_has_no_pool(self):
         from repro.session import Session
 
-        session = Session(cache=False)
+        session = Session(store=None)
         try:
             assert session.pool is None
         finally:
             session.close()
-
-    def test_fresh_policy_has_no_pool(self):
-        from repro.session import Session
-
-        session = Session(workers=2, cache=False, pool="fresh")
-        try:
-            assert session.pool is None
-        finally:
-            session.close()
-
-    def test_caller_pool_is_not_owned(self):
-        from repro.session import Session
-
-        with WorkerPool(workers=2) as pool:
-            session = Session(workers=2, cache=False, pool=pool)
-            try:
-                assert session.pool is pool
-            finally:
-                session.close()
-            assert not pool.closed    # caller owns it
 
     def test_bad_pool_policy_rejected(self):
+        # The session owns its pool; the old ``pool=`` policy knob
+        # ("shared" / "fresh" / a caller's pool) is gone, not ignored.
         from repro.session import Session
 
-        with pytest.raises(ValueError):
-            Session(workers=2, cache=False, pool="bogus")
+        with pytest.raises(TypeError, match="pool"):
+            Session(workers=2, store=None, pool="fresh")
+
+    def test_caller_pool_is_not_owned(self):
+        from repro.runner import Runner
+
+        with WorkerPool(workers=2) as pool:
+            runner = Runner(workers=2, pool=pool)
+            assert runner.run(_square, list(range(8))) \
+                == [p * p for p in range(8)]
+            runner.close()
+            assert not pool.closed    # caller owns it
+            assert pool.alive
+
+
+class TestStateTransports:
+    """The two ways grid state reaches workers, on the real state that
+    needs each of them."""
+
+    def test_unpicklable_case_study_reaches_workers_by_fork(
+            self, mult_study):
+        import pickle
+
+        from repro.runner import Runner
+        from repro.subvt.variation import corner_study
+
+        with pytest.raises(RecursionError):
+            pickle.dumps(mult_study)
+        serial = corner_study(mult_study)
+        with WorkerPool(workers=2) as pool:
+            runner = Runner(workers=2, pool=pool)
+            parallel = corner_study(mult_study, runner=runner)
+            # The study cannot ride the warm pool's blob: the grid ran on
+            # an ephemeral pool whose forked workers inherited it.
+            assert not pool.alive
+        assert runner.stats.evaluated == len(parallel.results)
+        assert parallel == serial
+
+    def test_warm_pool_receives_the_blob(self, mult_study):
+        from repro.analysis.sweep import sweep
+        from repro.runner import Runner
+
+        freqs = [1e4, 1e5, 1e6]
+        with WorkerPool(workers=2) as pool:
+            runner = Runner(workers=2, pool=pool)
+            first = sweep(mult_study.model, freqs, runner=runner)
+            again = sweep(mult_study.model, freqs, runner=runner)
+            assert pool.alive and pool.generation == 1
+        assert first == again == sweep(mult_study.model, freqs)

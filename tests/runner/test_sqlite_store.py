@@ -1,5 +1,5 @@
-"""SqliteStore: interface conformance, ledger agreement with
-ResultCache, multi-process writers, WAL crash recovery."""
+"""SqliteStore: interface conformance, the pinned miss ledger,
+multi-process writers, WAL crash recovery, and bad store paths."""
 
 import multiprocessing
 import os
@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.errors import RunnerError
-from repro.runner import ResultCache, SqliteStore, open_store
+from repro.runner import CACHE_SCHEMA, SqliteStore, open_store, stable_hash
 
 #: The fork start method matches the runner's own worker model and keeps
 #: the spawned writers cheap.
@@ -37,7 +37,7 @@ def _corrupt_row(path, key, junk=b"not a pickle"):
 
 
 class TestInterfaceConformance:
-    """SqliteStore honours the exact ResultCache contract."""
+    """SqliteStore honours the result-store contract."""
 
     def test_roundtrip(self, store):
         key = store.key_for("ns", "point")
@@ -104,11 +104,11 @@ class TestInterfaceConformance:
         a.close(), b.close()
 
     def test_same_keys_as_directory_store(self, tmp_path):
-        # Identical salt => identical content-addressed keys, so the
-        # two backends are drop-in replacements key-wise.
-        disk = ResultCache(tmp_path / "dir")
+        # Keys are the digests the retired directory store derived
+        # (same CACHE_SCHEMA salt), so key stability survives the move.
         sql = SqliteStore(tmp_path / "s.sqlite")
-        assert disk.key_for("a", 1, 2.5) == sql.key_for("a", 1, 2.5)
+        assert sql.key_for("a", 1, 2.5) \
+            == stable_hash(CACHE_SCHEMA, "a", 1, 2.5)
         sql.close()
 
     def test_foreign_schema_fails_loudly(self, tmp_path):
@@ -124,8 +124,8 @@ class TestInterfaceConformance:
 
 
 class TestLedgerAgreement:
-    """Both backends run one scripted sequence and land on identical
-    (hits, misses, absent, corrupt, puts) ledgers."""
+    """One scripted sequence lands on the (hits, misses, absent,
+    corrupt, puts) ledger the retired directory store also produced."""
 
     def _script(self, cache, corrupt_entry):
         k1, k2, k3 = (cache.key_for("k", i) for i in range(3))
@@ -144,23 +144,14 @@ class TestLedgerAgreement:
                 cache.puts)
 
     def test_identical_ledgers(self, tmp_path):
-        disk = ResultCache(tmp_path / "dir")
         sql = SqliteStore(tmp_path / "s.sqlite")
-
-        def corrupt_disk(cache, key):
-            with open(cache._path(key), "wb") as f:
-                f.write(b"not a pickle")
 
         def corrupt_sql(cache, key):
             _corrupt_row(cache.path, key)
 
-        disk_ledger = self._script(disk, corrupt_disk)
-        sql_ledger = self._script(sql, corrupt_sql)
-        assert disk_ledger == sql_ledger
-        assert disk_ledger == (2, 5, 4, 1, 3)
-        # The invariant both docstrings promise:
-        for cache in (disk, sql):
-            assert cache.misses == cache.absent + cache.corrupt
+        assert self._script(sql, corrupt_sql) == (2, 5, 4, 1, 3)
+        # The invariant the docstring promises:
+        assert sql.misses == sql.absent + sql.corrupt
         sql.close()
 
 
@@ -301,15 +292,36 @@ class TestOpenStore:
     def test_existing_store_passes_through(self, store):
         assert open_store(store) is store
 
-    def test_resultcache_passes_through(self, tmp_path):
-        cache = ResultCache(tmp_path / "dir")
-        assert open_store(cache) is cache
-
     def test_path_opens_sqlite(self, tmp_path):
         s = open_store(str(tmp_path / "new.sqlite"))
         assert isinstance(s, SqliteStore)
         assert os.path.exists(s.path)
         s.close()
+
+    def test_directory_is_a_named_error(self, tmp_path):
+        # An old ``--cache DIR`` lands here: a RunnerError naming the
+        # path, not sqlite3's bare "unable to open database file".
+        old = tmp_path / "old-cache"
+        old.mkdir()
+        with pytest.raises(RunnerError, match="old-cache.*directory"):
+            open_store(str(old))
+
+    def test_junk_file_is_a_named_error(self, tmp_path):
+        junk = tmp_path / "notes.txt"
+        junk.write_bytes(b"this is not an SQLite database " * 64)
+        with pytest.raises(RunnerError,
+                           match="notes.txt.*not a database"):
+            open_store(str(junk))
+
+    def test_foreign_schema_is_a_named_error(self, tmp_path):
+        path = tmp_path / "theirs.sqlite"
+        SqliteStore(path).close()
+        conn = sqlite3.connect(str(path))
+        conn.execute("UPDATE meta SET value='v0' WHERE name='schema'")
+        conn.commit()
+        conn.close()
+        with pytest.raises(RunnerError, match="theirs.sqlite.*'v0'"):
+            open_store(str(path))
 
 
 class TestSessionIntegration:
@@ -333,8 +345,10 @@ class TestSessionIntegration:
                 assert a == b
 
     def test_store_and_cache_are_exclusive(self, tmp_path):
+        # ``store=`` is the only spelling: the old ``cache=`` argument is
+        # rejected, not silently ignored.
         from repro.session import Session
 
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="cache"):
             Session(store=str(tmp_path / "s.sqlite"),
                     cache=str(tmp_path / "c"))

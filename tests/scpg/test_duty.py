@@ -109,7 +109,7 @@ class TestDutySweep:
 
     def test_cap_recalibration_reaches_both_paths(self, monkeypatch,
                                                   mult_study):
-        """`optimise_duty` and `_power_axis` share one clamp helper.
+        """`optimise_duty` and `_freq_batch` share one clamp helper.
 
         Regression (ISSUE 7): the sweep batch path used to re-implement
         the clamp with its own import-time copy of ``DUTY_CYCLE_CAP``,
@@ -121,7 +121,7 @@ class TestDutySweep:
         monkeypatch.setattr(duty_mod, "DUTY_CYCLE_CAP", 0.5)
         model = mult_study.model
         freq = 1e4  # low enough that the uncapped solution is ~1.0
-        (bd,) = model._power_axis([freq], Mode.SCPG_MAX)
+        (bd,) = model._freq_batch([freq], Mode.SCPG_MAX)
         assert bd.duty == 0.5
         assert optimise_duty(freq, model.timing) == 0.5
         assert model.power(freq, Mode.SCPG_MAX).duty == 0.5

@@ -20,7 +20,7 @@ SWEEP = {"kind": "sweep", "design": "counter16",
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("serve-http")
-    handle = serve_in_thread(cache=str(tmp / "cache"),
+    handle = serve_in_thread(store=str(tmp / "store.sqlite"),
                              spool=str(tmp / "spool"))
     yield handle
     handle.close()
@@ -116,7 +116,7 @@ class TestRoutes:
 
 class TestResultStates:
     def test_pending_result_is_409_and_cancel_flow(self, tmp_path):
-        service = SweepService(cache=False,
+        service = SweepService(store=None,
                                spool=tmp_path / "spool", start=False)
         handle = serve_in_thread(service=service)
         try:

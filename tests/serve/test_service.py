@@ -24,7 +24,7 @@ def _wait(job, timeout=60.0):
 
 @pytest.fixture()
 def service(tmp_path):
-    svc = SweepService(cache=tmp_path / "cache",
+    svc = SweepService(store=tmp_path / "store.sqlite",
                        spool=tmp_path / "spool")
     yield svc
     svc.close()
@@ -88,7 +88,7 @@ class TestLifecycle:
             assert len(block["rows"]) == 2
 
     def test_submit_after_close_raises(self, tmp_path):
-        svc = SweepService(cache=False, spool=tmp_path / "s")
+        svc = SweepService(store=None, spool=tmp_path / "s")
         svc.close()
         with pytest.raises(ServeError, match="closed"):
             svc.submit(SWEEP)
@@ -96,7 +96,7 @@ class TestLifecycle:
 
 class TestFifoFairness:
     def test_jobs_start_in_submission_order(self, tmp_path):
-        svc = SweepService(cache=False, spool=tmp_path / "spool",
+        svc = SweepService(store=None, spool=tmp_path / "spool",
                            start=False)
         try:
             specs = [
@@ -118,7 +118,7 @@ class TestFifoFairness:
             svc.close()
 
     def test_jobs_listing_preserves_order_and_filters(self, tmp_path):
-        svc = SweepService(cache=False, spool=tmp_path / "spool",
+        svc = SweepService(store=None, spool=tmp_path / "spool",
                            start=False)
         try:
             a = svc.submit(dict(SWEEP, tenant="alice"))
@@ -133,7 +133,7 @@ class TestFifoFairness:
 
 class TestCancel:
     def test_queued_job_cancels(self, tmp_path):
-        svc = SweepService(cache=False, spool=tmp_path / "spool",
+        svc = SweepService(store=None, spool=tmp_path / "spool",
                            start=False)
         try:
             job = svc.submit(SWEEP)
@@ -154,7 +154,7 @@ class TestCancel:
             service.cancel(job.id)
 
     def test_close_cancels_the_queue(self, tmp_path):
-        svc = SweepService(cache=False, spool=tmp_path / "spool",
+        svc = SweepService(store=None, spool=tmp_path / "spool",
                            start=False)
         job = svc.submit(SWEEP)
         svc.close()
@@ -232,7 +232,7 @@ class TestJournals:
         assert "nope" in events[-1]["error"]
 
     def test_session_journal_restored_after_each_job(self, tmp_path):
-        session = Session(cache=False,
+        session = Session(store=None,
                           journal=str(tmp_path / "session.jsonl"))
         svc = SweepService(session=session, spool=tmp_path / "spool")
         try:
@@ -246,7 +246,7 @@ class TestJournals:
 
 class TestSharedSessionRules:
     def test_session_and_kwargs_are_exclusive(self):
-        session = Session(cache=False)
+        session = Session(store=None)
         try:
             with pytest.raises(ValueError, match="not both"):
                 SweepService(session=session, workers=2)
@@ -254,7 +254,7 @@ class TestSharedSessionRules:
             session.close()
 
     def test_borrowed_session_stays_open(self, tmp_path):
-        session = Session(cache=False)
+        session = Session(store=None)
         svc = SweepService(session=session, spool=tmp_path / "spool")
         svc.close()
         handle = session.design("counter16")

@@ -8,7 +8,7 @@ from repro.session import Session
 @pytest.fixture(scope="module")
 def session():
     """A hermetic session (no on-disk caches)."""
-    s = Session(cache=None)
+    s = Session(store=None)
     yield s
     s.close()
 

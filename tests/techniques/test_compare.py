@@ -48,7 +48,7 @@ class TestRunComparison:
     def test_scpg_bit_identical_to_the_scpg_power_model(self, mult_handle,
                                                         comparison):
         """The plugin adapter must not perturb the paper's numbers."""
-        reference = mult_handle.power_model()._power_axis(
+        reference = mult_handle.power_model()._freq_batch(
             FREQS, Mode.SCPG_MAX)
         entry = comparison.entry("scpg")
         assert len(entry.points) == len(reference)
@@ -99,7 +99,7 @@ class TestSessionFacade:
         from repro.session import Session
 
         journal = tmp_path / "journal.jsonl"
-        s = Session(cache=None, journal=str(journal))
+        s = Session(store=None, journal=str(journal))
         try:
             s.compare_techniques("mult16", freqs=[1e4],
                                  techniques=["lector"])

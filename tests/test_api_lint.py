@@ -1,15 +1,15 @@
-"""Repo-wide lint: no in-tree caller uses the deprecated kernel names.
+"""Repo-wide lint: the removed kernel-era and plugin-era names stay gone.
 
 The unified Kernel API (``repro.runner.kernel``) replaced
 ``ScpgPowerModel.power_axis`` / ``power_points``,
 ``SubvtModel.points_axis`` and the ``batch_fn=`` keyword; the technique
 plugin framework (``repro.techniques``) replaced ``apply_scpg`` and
-``run_scpg_flow``.  The shims stay for external callers, but every
-caller *inside this repository* must be on the new spelling --
-otherwise the deprecation period never ends.  Only the modules that
-implement, re-export or test the shims may mention the old names.
+``run_scpg_flow``.  Their deprecation shims are deleted, so no module
+may define, re-export or call the old names again -- and the package
+must not expose them.
 """
 
+import inspect
 import re
 from pathlib import Path
 
@@ -17,9 +17,9 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: Deprecated spelling -> regex that catches a live use of it.  The
-#: leading ``.`` / word boundary keeps the blessed ``_``-prefixed
-#: internals (``model._power_axis``) from matching.
+#: Removed spelling -> regex that catches a use of it.  The leading
+#: ``.`` / word boundary keeps ``_``-prefixed internals
+#: (``_apply_scpg``) from matching.
 DEPRECATED = {
     "ScpgPowerModel.power_axis": re.compile(r"\.power_axis\("),
     "ScpgPowerModel.power_points": re.compile(r"\.power_points\("),
@@ -33,20 +33,8 @@ DEPRECATED = {
         r"(\bimport\s+[^\n]*\brun_scpg_flow\b|(?<!_)\brun_scpg_flow\s*\()"),
 }
 
-#: The only files allowed to spell the old names: the shim
-#: implementations and the tests that pin their behaviour.
+#: The only file allowed to spell the removed names: this lint.
 ALLOWED = {
-    "src/repro/scpg/power_model.py",
-    "src/repro/subvt/energy.py",
-    "src/repro/runner/core.py",
-    "src/repro/runner/kernel.py",
-    "src/repro/scpg/transform.py",     # apply_scpg shim lives here
-    "src/repro/scpg/__init__.py",      # re-exports the shim
-    "src/repro/flows/scpg_flow.py",    # run_scpg_flow shim lives here
-    "src/repro/flows/__init__.py",     # re-exports the shim
-    "src/repro/__init__.py",           # top-level re-export
-    "tests/runner/test_deprecations.py",
-    "tests/techniques/test_deprecations.py",
     "tests/test_api_lint.py",
 }
 
@@ -79,14 +67,31 @@ class TestNoDeprecatedCallers:
                     offenders.append("{}:{}: {}".format(
                         rel, lineno, line.strip()))
         assert not offenders, (
-            "{} is deprecated; use the Kernel API "
-            "(repro.runner.kernel):\n{}".format(
+            "{} was removed; use the Kernel API (repro.runner.kernel) "
+            "or the technique registry:\n{}".format(
                 name, "\n".join(offenders)))
 
     def test_allowlist_entries_exist(self):
-        """A deleted shim file must leave the allowlist too."""
         for rel in ALLOWED:
             assert (REPO / rel).is_file(), rel
+
+    def test_the_package_no_longer_exposes_them(self):
+        import repro
+        import repro.flows
+        import repro.scpg
+        from repro.runner import core
+        from repro.scpg.power_model import ScpgPowerModel
+        from repro.subvt.energy import SubvtModel
+
+        for owner, name in ((ScpgPowerModel, "power_axis"),
+                            (ScpgPowerModel, "power_points"),
+                            (SubvtModel, "points_axis"),
+                            (repro, "apply_scpg"),
+                            (repro.scpg, "apply_scpg"),
+                            (repro.flows, "run_scpg_flow")):
+            assert not hasattr(owner, name), name
+        for fn in (core.evaluate_grid, core.Runner.run):
+            assert "batch_fn" not in inspect.signature(fn).parameters
 
 
 #: The pre-database circuit constructors.  Product code goes through the

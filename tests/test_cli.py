@@ -230,6 +230,38 @@ class TestObservabilityFlags:
         assert capsys.readouterr().out == plain
 
 
+class TestStoreFlags:
+    def test_cache_file_warm_rerun_hits(self, tmp_path, capsys):
+        import json
+
+        store = str(tmp_path / "results.sqlite")
+        for name in ("cold", "warm"):
+            assert main(["--cache", store, "--stats-json",
+                         str(tmp_path / name), "subvt",
+                         "counter16"]) == 0
+        capsys.readouterr()
+        cold = json.loads((tmp_path / "cold").read_text())
+        warm = json.loads((tmp_path / "warm").read_text())
+        assert cold["evaluated"] > 0
+        assert warm["evaluated"] == 0
+        assert warm["cache_hits"] == warm["points"]
+
+    def test_old_cache_directory_is_a_clean_error(self, tmp_path,
+                                                  capsys):
+        old = tmp_path / "old-cache"
+        old.mkdir()
+        assert main(["--cache", str(old), "subvt", "counter16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(old) in err and "directory" in err
+
+    @pytest.mark.parametrize("flag", [["--pool", "fresh"],
+                                      ["--chunk-size", "4"]])
+    def test_removed_runner_flags_are_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            main(flag + ["info"])
+
+
 class TestReportCommand:
     def test_report_over_real_sweep_journal(self, tmp_path, capsys):
         journal = tmp_path / "run.jsonl"

@@ -4,13 +4,13 @@ import pytest
 
 from repro import Session
 from repro.errors import RegistryError
-from repro.runner import ResultCache
+from repro.runner import SqliteStore
 from repro.scpg.power_model import Mode, PowerBreakdown
 
 
 @pytest.fixture(scope="module")
 def session(lib):
-    return Session(library=lib, cache=False)
+    return Session(library=lib, store=None)
 
 
 class TestSession:
@@ -20,7 +20,7 @@ class TestSession:
         assert session.designs() == available_designs()
 
     def test_default_library_lazy(self):
-        s = Session(cache=False)
+        s = Session(store=None)
         assert s._library is None
         assert s.library.name == "scl90"
 
@@ -88,12 +88,12 @@ class TestSession:
         assert text.startswith("module counter16")
 
     def test_cache_settings(self, tmp_path, lib):
-        assert Session(library=lib, cache=False).runner.cache is None
-        explicit = Session(library=lib, cache=str(tmp_path))
-        assert isinstance(explicit.runner.cache, ResultCache)
+        assert Session(library=lib, store=None).runner.cache is None
+        explicit = Session(library=lib, store=str(tmp_path / "s.sqlite"))
+        assert isinstance(explicit.runner.cache, SqliteStore)
         # "auto" consults REPRO_CACHE_DIR; either way it must construct.
         auto = Session(library=lib).runner.cache
-        assert auto is None or isinstance(auto, ResultCache)
+        assert auto is None or isinstance(auto, SqliteStore)
 
     def test_journal_and_policy_reach_the_runner(self, tmp_path, lib):
         from repro.runner import RunJournal, read_journal
@@ -142,12 +142,12 @@ class TestDesignHandleAnalyses:
         assert report.total > 0
 
     def test_results_cached_across_handles(self, tmp_path, lib):
-        cached = Session(library=lib, cache=str(tmp_path))
+        cached = Session(library=lib, store=str(tmp_path / "s.sqlite"))
         cached.design("counter16").sweep([1e6])
         evaluated_cold = cached.stats.evaluated
         assert evaluated_cold > 0
 
-        rerun = Session(library=lib, cache=str(tmp_path))
+        rerun = Session(library=lib, store=str(tmp_path / "s.sqlite"))
         rerun.design("counter16").sweep([1e6])
         assert rerun.stats.evaluated == 0
         assert rerun.stats.cache_hits == rerun.stats.points
@@ -155,7 +155,7 @@ class TestDesignHandleAnalyses:
 
 class TestSessionObservability:
     def test_trace_true_collects_spans_in_memory(self, lib):
-        session = Session(library=lib, cache=False, trace=True)
+        session = Session(library=lib, store=None, trace=True)
         session.design("counter16").sweep([1e6])
         lines = session.tracer.sinks[0].lines
         names = {l["name"] for l in lines}
@@ -169,7 +169,7 @@ class TestSessionObservability:
         import json
 
         path = tmp_path / "trace.jsonl"
-        session = Session(library=lib, cache=False, trace=str(path))
+        session = Session(library=lib, store=None, trace=str(path))
         session.design("counter16").sweep([1e6])
         session.close()
         assert session.tracer.sinks[0]._file is None
@@ -180,7 +180,7 @@ class TestSessionObservability:
         from repro.obs import MemorySink, Tracer
 
         tracer = Tracer(MemorySink())
-        session = Session(library=lib, cache=False, trace=tracer)
+        session = Session(library=lib, store=None, trace=tracer)
         assert session.tracer is tracer
         session.close()                  # must not touch caller's sinks
 
@@ -190,7 +190,7 @@ class TestSessionObservability:
         assert session.tracer is NULL_TRACER
 
     def test_metrics_snapshot_subsumes_stats(self, lib):
-        session = Session(library=lib, cache=False, metrics=True)
+        session = Session(library=lib, store=None, metrics=True)
         session.design("counter16").sweep([1e6])
         data = session.metrics().to_dict()
         assert data["repro_points_total"] == session.stats.points
@@ -198,13 +198,13 @@ class TestSessionObservability:
             == session.stats.evaluated
 
     def test_metrics_on_demand_without_registry(self, lib):
-        session = Session(library=lib, cache=False)
+        session = Session(library=lib, store=None)
         session.design("counter16").sweep([1e6])
         data = session.metrics().to_dict()
         assert data["repro_points_total"] == session.stats.points
 
     def test_artifact_build_traced(self, lib):
-        session = Session(library=lib, cache=False, trace=True)
+        session = Session(library=lib, store=None, trace=True)
         session.design("counter16").power_model()
         names = [l["name"] for l in session.tracer.sinks[0].lines]
         assert "artifact_build" in names
