@@ -64,6 +64,19 @@ def _assert_identical(results, reference):
 
 
 class TestEquivalenceMatrix:
+    def test_serial_point_at_a_time(self, model, reference, monkeypatch):
+        """The runner with the batch kernel disabled: one
+        ``model.power`` call per point, like the original code path."""
+        sweep_mod = importlib.import_module("repro.analysis.sweep")
+        monkeypatch.setattr(sweep_mod, "_batch_kernel", lambda m: None)
+        data = sweep(model, TABLE_I_FREQS, runner=Runner())
+        _assert_identical(_flatten(data), reference)
+
+    def test_parallel_workers(self, model, reference):
+        """Pool kernel at the default adaptive chunk size."""
+        data = sweep(model, TABLE_I_FREQS, runner=Runner(workers=2))
+        _assert_identical(_flatten(data), reference)
+
     def test_batch_kernel(self, model, reference):
         """type(model) is ScpgPowerModel, so a serial sweep takes the
         compiled ``scpg-power`` kernel path."""
@@ -107,6 +120,16 @@ class TestEquivalenceMatrix:
         runner.journal.close()
         _assert_identical(_flatten(data), reference)
         assert runner.tracer.spans > 0
+
+    def test_parallel_batch_explicit_chunks(self, model, reference,
+                                            monkeypatch):
+        """Chunk boundaries are pure scheduling: a deliberately odd
+        chunk size still reassembles the grid bit-for-bit."""
+        core = importlib.import_module("repro.runner.core")
+        monkeypatch.setattr(core, "CHUNK_FLOOR", 3)
+        monkeypatch.setattr(core, "CHUNK_CAP", 3)
+        data = sweep(model, TABLE_I_FREQS, runner=Runner(workers=2))
+        _assert_identical(_flatten(data), reference)
 
     def test_artifact_table_evaluation(self):
         """Artifact tables on vs off: the Session rebuilds the same

@@ -1,62 +1,21 @@
-"""Deprecation shims kept by the unified Kernel API redesign.
+"""The compiled kernels that replaced the per-axis model methods.
 
-Every pre-redesign spelling -- ``ScpgPowerModel.power_axis`` /
-``power_points``, ``SubvtModel.points_axis``, and ``batch_fn=`` on both
-:func:`evaluate_grid` and :meth:`Runner.run` -- must keep returning the
-exact same values while emitting a single :class:`DeprecationWarning`
-pointing at the replacement.  See ``docs/api.md`` ("Kernel protocol").
+``ScpgPowerModel`` and ``SubvtModel`` expose one per-point method each
+(``power`` and ``point``); a grid of points goes through the compiled
+kernel from :func:`compile_kernel`.  These checks hold each kernel,
+called directly, to the per-point method of the same model --
+float-identical, not approx -- and check that the kernel path raises no
+:class:`DeprecationWarning`.  See ``docs/api.md`` ("Kernel protocol").
 """
 
 import warnings
 
-import pytest
-
-from repro.errors import RunnerError
-from repro.runner import Runner, compile_kernel, evaluate_grid
+from repro.runner import compile_kernel
 from repro.scpg.power_model import Mode
 from repro.subvt.energy import SubvtModel
 
 
-def _square(point):
-    return point * point
-
-
-def _square_batch(points):
-    return [p * p for p in points]
-
-
-def _ctx_scale(ctx, point):
-    return ctx * point
-
-
-def _ctx_scale_batch(ctx, points):
-    return [ctx * p for p in points]
-
-
-def _assert_one_deprecation(record, needle):
-    assert len(record) == 1
-    assert needle in str(record[0].message)
-
-
 class TestPowerModelShims:
-    def test_power_axis_warns_and_matches(self, mult_study):
-        model = mult_study.model
-        freqs = [1e4, 1e5, 1e6]
-        with pytest.warns(DeprecationWarning) as record:
-            old = model.power_axis(freqs, Mode.SCPG)
-        _assert_one_deprecation(record, "power_axis")
-        assert [b.total for b in old] \
-            == [b.total for b in model._power_axis(freqs, Mode.SCPG)]
-
-    def test_power_points_warns_and_matches(self, mult_study):
-        model = mult_study.model
-        points = [(1e5, Mode.NO_PG), (1e6, Mode.SCPG)]
-        with pytest.warns(DeprecationWarning) as record:
-            old = model.power_points(points)
-        _assert_one_deprecation(record, "power_points")
-        assert [b.total for b in old] \
-            == [b.total for b in model._power_points(points)]
-
     def test_kernel_replacement_identical(self, mult_study):
         model = mult_study.model
         points = [(1e5, Mode.SCPG), (2e6, Mode.SCPG_MAX)]
@@ -64,64 +23,19 @@ class TestPowerModelShims:
         assert kernel is not None and kernel.name == "scpg-power"
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            new = kernel(points)  # the blessed path never warns
+            new = kernel(points)
         assert [b.total for b in new] \
-            == [b.total for b in model._power_points(points)]
+            == [model.power(f, mode).total for f, mode in points]
 
 
 class TestSubvtShims:
-    def test_points_axis_warns_and_matches(self, lib):
-        model = SubvtModel(lib, 1e-12, 1e-6, 1e-8)
-        vdds = [0.3, 0.45, 0.6]
-        with pytest.warns(DeprecationWarning) as record:
-            old = model.points_axis(vdds)
-        _assert_one_deprecation(record, "points_axis")
-        assert [p.energy for p in old] \
-            == [p.energy for p in model._points_axis(vdds)]
-
     def test_kernel_replacement_identical(self, lib):
         model = SubvtModel(lib, 1e-12, 1e-6, 1e-8)
         kernel = compile_kernel(model)
         assert kernel is not None and kernel.name == "subvt-energy"
         vdds = [0.25, 0.5]
-        assert [p.energy for p in kernel(vdds)] \
-            == [p.energy for p in model._points_axis(vdds)]
-
-
-class TestRunnerBatchFnShims:
-    def test_evaluate_grid_batch_fn_warns_and_matches(self):
-        points = list(range(8))
-        with pytest.warns(DeprecationWarning) as record:
-            old = evaluate_grid(_square, points, batch_fn=_square_batch)
-        _assert_one_deprecation(record, "kernel=")
-        assert old == evaluate_grid(_square, points,
-                                    kernel=_square_batch)
-
-    def test_evaluate_grid_rejects_both_spellings(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(RunnerError, match="not both"):
-                evaluate_grid(_square, [1], kernel=_square_batch,
-                              batch_fn=_square_batch)
-
-    def test_runner_run_batch_fn_warns_once_and_matches(self):
-        runner = Runner()
-        with pytest.warns(DeprecationWarning) as record:
-            old = runner.run(_ctx_scale, [1, 2, 3], context=10,
-                             batch_fn=_ctx_scale_batch)
-        # Runner.run converts to a kernel before delegating, so the
-        # user sees exactly one warning, not one per layer.
-        deprecations = [w for w in record
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert old == [10, 20, 30]
-
-    def test_runner_run_legacy_context_arity(self):
-        """batch_fn=(context, points) call shape is preserved."""
-        runner = Runner()
-        with pytest.warns(DeprecationWarning):
-            ctx = runner.run(_ctx_scale, [4, 5], context=3,
-                             batch_fn=_ctx_scale_batch)
-        with pytest.warns(DeprecationWarning):
-            bare = runner.run(_square, [4, 5], batch_fn=_square_batch)
-        assert ctx == [12, 15]
-        assert bare == [16, 25]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            new = kernel(vdds)
+        assert [p.energy for p in new] \
+            == [model.point(v).energy for v in vdds]
