@@ -28,10 +28,9 @@ Every command runs through one :class:`repro.Session`, so the global
 options compose with all of them: ``--workers N`` fans sweeps over one
 warm pool of worker processes, ``--cache PATH`` reuses the
 content-addressed result store in the SQLite file PATH
-(``--no-cache`` disables it, default honours ``REPRO_CACHE_DIR``),
-``--no-artifact-cache`` disables the per-circuit precompute cache
-(every analysis walks the netlist again, as before the artifact layer),
-``--stats`` prints the runner's counters and stage timings to stderr,
+(``--no-cache`` disables it, default honours ``REPRO_CACHE_DIR``; the
+same file keeps each design's compiled artifact bundle), ``--stats``
+prints the runner's counters and stage timings to stderr,
 ``--stats-json PATH`` writes the same counters as JSON,
 ``--journal PATH`` appends a JSONL event log of every grid point the
 command evaluated, ``--trace PATH`` appends nested trace spans
@@ -59,7 +58,6 @@ def _session(args):
             workers=getattr(args, "workers", None),
             store=_store_spec(args),
             journal=getattr(args, "journal", None) or None,
-            artifacts=not getattr(args, "no_artifact_cache", False),
             trace=getattr(args, "trace", None) or None,
             metrics=bool(getattr(args, "metrics", None)))
     return args._session_obj
@@ -156,7 +154,7 @@ def cmd_sta(args):
     from .sta.report import render_timing_report
 
     handle = _session(args).design(args.design)
-    result = handle.sta(vdd=args.vdd if args.vdd else None)
+    result = handle.sta(vdd=args.vdd)
     _out(args, render_timing_report(result,
                                     design=handle.design.top.name,
                                     clock=args.clock))
@@ -362,7 +360,6 @@ def cmd_serve(args):
     session = Session(
         liberty=getattr(args, "liberty", None) or None,
         workers=args.workers, store=_store_spec(args, args.store),
-        artifacts=not getattr(args, "no_artifact_cache", False),
         metrics=True)
     args._session_obj = session
     service = SweepService(session=session, spool=args.spool)
@@ -408,9 +405,6 @@ def build_parser():
                         "results.sqlite in $REPRO_CACHE_DIR when set)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result store")
-    parser.add_argument("--no-artifact-cache", action="store_true",
-                        help="disable the per-circuit artifact cache "
-                        "(precomputed STA/leakage/switching tables)")
     parser.add_argument("--stats", action="store_true",
                         help="print runner counters and stage timings "
                         "to stderr")

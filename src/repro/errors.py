@@ -48,6 +48,11 @@ class IsaError(ReproError):
     """Assembler or instruction-set simulator error."""
 
 
+class SupplyError(ReproError):
+    """An operating supply voltage that is not a positive finite
+    number."""
+
+
 class ScpgError(ReproError):
     """Sub-clock power gating transform or model error."""
 

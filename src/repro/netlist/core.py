@@ -154,7 +154,13 @@ class Instance:
 
 
 class Module:
-    """A netlist module: ports, nets and instances."""
+    """A netlist module: ports, nets and instances.
+
+    ``generation`` counts structural edits: every construction method
+    below bumps it, so a per-module memo (a lowering, a compiled
+    schedule) stored with the generation it was built at can tell when
+    the module has changed since.
+    """
 
     def __init__(self, name):
         self.name = name
@@ -164,6 +170,7 @@ class Module:
         self._const_nets = {}
         self._port_index = {}
         self._uid = 0
+        self.generation = 0
 
     # -- construction ---------------------------------------------------------
 
@@ -181,6 +188,7 @@ class Module:
             net._set_driver(port)
         else:
             net.loads.append(port)
+        self.generation += 1
         return port
 
     def add_input(self, name):
@@ -205,6 +213,7 @@ class Module:
             )
         net = Net(name, self)
         self._nets[name] = net
+        self.generation += 1
         return net
 
     def const(self, value):
@@ -216,6 +225,7 @@ class Module:
             net = self.add_net("const{}".format(value))
             net.const_value = value
             self._const_nets[value] = net
+            self.generation += 1
         return self._const_nets[value]
 
     def add_instance(self, name, ref, connections, library=None):
@@ -240,6 +250,7 @@ class Module:
         for pin_name, net in connections.items():
             self.connect(inst, pin_name, net)
         self._instances[name] = inst
+        self.generation += 1
         return inst
 
     def connect(self, inst, pin_name, net):
@@ -265,6 +276,7 @@ class Module:
             net._set_driver((inst, pin_name))
         else:
             net.loads.append((inst, pin_name))
+        self.generation += 1
 
     def remove_instance(self, name):
         """Remove an instance and detach its connections."""
@@ -276,6 +288,7 @@ class Module:
                 net.loads = [
                     l for l in net.loads if l != (inst, pin_name)
                 ]
+        self.generation += 1
         return inst
 
     # -- queries --------------------------------------------------------------

@@ -504,12 +504,14 @@ _LEAKAGE_SOA = WeakKeyDictionary()
 
 
 def leakage_soa_for(module):
-    """The memoised :class:`LeakageSoa` of ``module`` (lowered once)."""
-    lk = _LEAKAGE_SOA.get(module)
-    if lk is None:
-        lk = lower_leakage(module)
-        _LEAKAGE_SOA[module] = lk
-    return lk
+    """The memoised :class:`LeakageSoa` of ``module``, lowered again
+    whenever the module has been edited since (its ``generation``
+    moved)."""
+    entry = _LEAKAGE_SOA.get(module)
+    if entry is None or entry[0] != module.generation:
+        entry = (module.generation, lower_leakage(module))
+        _LEAKAGE_SOA[module] = entry
+    return entry[1]
 
 
 def lower_soa(module, library=None):

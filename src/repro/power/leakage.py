@@ -18,7 +18,10 @@ bit-identical to the reference walk (kept as
 ``Cell.leakage_for_state`` and every accumulation replays the walk's
 addition order.  :func:`state_leakage_trace` extends the same gather
 across a whole co-simulation state trace (one row per cycle, e.g. from
-:meth:`repro.isa.trace.GateLevelCpu.state_trace`) as array ops.
+:meth:`repro.isa.trace.GateLevelCpu.state_trace`) as array ops, and
+:meth:`LeakageReport.from_soa` evaluates a lowering kept without its
+netlist (the SCPG model's snapshot); all three scale and fold through
+one helper.
 """
 
 from __future__ import annotations
@@ -58,6 +61,21 @@ class LeakageReport:
         """Off-state residual leakage through the sleep headers."""
         return self.by_kind.get(CellKind.HEADER, 0.0)
 
+    @classmethod
+    def from_soa(cls, lk, library, vdd=None, state=None, temp_c=None):
+        """The report of a :class:`~repro.netlist.soa.LeakageSoa` at
+        ``vdd`` (default nominal); ``state`` is an optional packed
+        net-value row."""
+        vdd = library.vdd_nom if vdd is None else vdd
+        report = cls(vdd=vdd)
+        totals = _leakage_totals(lk, library, vdd, state, temp_c)
+        if totals is not None:
+            total, kinds, cells = totals
+            report.total = float(total)
+            report.by_kind = {k: float(v) for k, v in kinds.items()}
+            report.by_cell = {k: float(v) for k, v in cells.items()}
+        return report
+
     def __str__(self):
         lines = ["leakage @ {:.2f} V: {:.4g} W".format(self.vdd, self.total)]
         for kind, value in sorted(self.by_kind.items(), key=lambda kv: -kv[1]):
@@ -80,6 +98,36 @@ def _cell_state(inst, state):
     return values
 
 
+def _left_fold(vals):
+    """Sum along the last axis as a strictly sequential left fold:
+    ``np.add.accumulate`` repeats the walk's float additions in
+    instance order, where ``np.sum`` would pair them."""
+    return np.add.accumulate(vals, axis=-1)[..., -1]
+
+
+def _leakage_totals(lk, library, vdd, states, temp_c, by_cell=True):
+    """``(total, by_kind, by_cell)`` of a lowered module at the resolved
+    supply ``vdd``, or ``None`` when it has no cells.
+
+    Each instance's leakage (state-dependent where ``states`` gives net
+    values) is scaled by the HVT factor for headers and the SVT factor
+    otherwise, then left-folded by total, kind and cell.  ``states`` is
+    ``None``, one packed row or a ``(cycles, n_nets)`` trace; the totals
+    take the matching leading shape.
+    """
+    svt_scale = library.leakage_scale(vdd, "svt", temp_c)
+    hvt_scale = library.leakage_scale(vdd, "hvt", temp_c)
+    vals = lk.per_instance(states) * np.where(lk.is_header, hvt_scale,
+                                              svt_scale)
+    if not vals.shape[-1]:
+        return None
+    kinds = {kind: _left_fold(vals[..., rows])
+             for kind, rows in lk.kind_rows}
+    cells = {name: _left_fold(vals[..., rows])
+             for name, rows in lk.cell_rows} if by_cell else {}
+    return _left_fold(vals), kinds, cells
+
+
 def leakage_power(module, library, vdd=None, state=None, temp_c=None):
     """Compute the :class:`LeakageReport` of a flat ``module``.
 
@@ -97,22 +145,10 @@ def leakage_power(module, library, vdd=None, state=None, temp_c=None):
     temp_c:
         Operating temperature (defaults to the library's).
     """
-    vdd = library.vdd_nom if vdd is None else vdd
-    svt_scale = library.leakage_scale(vdd, "svt", temp_c)
-    hvt_scale = library.leakage_scale(vdd, "hvt", temp_c)
     lk = leakage_soa_for(module)
-    per = lk.per_instance(None if state is None else lk.state_values(state))
-    vals = per * np.where(lk.is_header, hvt_scale, svt_scale)
-    report = LeakageReport(vdd=vdd)
-    if len(vals):
-        # np.add.accumulate is a strictly sequential left fold, so every
-        # total repeats the walk's float additions in instance order.
-        report.total = float(np.add.accumulate(vals)[-1])
-        for kind, rows in lk.kind_rows:
-            report.by_kind[kind] = float(np.add.accumulate(vals[rows])[-1])
-        for name, rows in lk.cell_rows:
-            report.by_cell[name] = float(np.add.accumulate(vals[rows])[-1])
-    return report
+    return LeakageReport.from_soa(
+        lk, library, vdd, None if state is None else lk.state_values(state),
+        temp_c)
 
 
 def _leakage_power_walk(module, library, vdd=None, state=None, temp_c=None):
@@ -184,8 +220,6 @@ def state_leakage_trace(module, library, states, vdd=None, temp_c=None):
     returns a :class:`LeakageTrace`.
     """
     vdd = library.vdd_nom if vdd is None else vdd
-    svt_scale = library.leakage_scale(vdd, "svt", temp_c)
-    hvt_scale = library.leakage_scale(vdd, "hvt", temp_c)
     lk = leakage_soa_for(module)
     if isinstance(states, np.ndarray):
         mat = np.asarray(states, dtype=np.int8)
@@ -195,14 +229,10 @@ def state_leakage_trace(module, library, states, vdd=None, temp_c=None):
         rows = [lk.state_values(s) for s in states]
         mat = np.asarray(rows, dtype=np.int8) if rows \
             else np.zeros((0, len(lk.net_names)), dtype=np.int8)
-    per = lk.per_instance(mat)
-    vals = per * np.where(lk.is_header, hvt_scale, svt_scale)
     trace = LeakageTrace(vdd=vdd)
-    if vals.shape[1]:
-        trace.total = np.add.accumulate(vals, axis=1)[:, -1]
-        for kind, rows in lk.kind_rows:
-            trace.by_kind[kind] = \
-                np.add.accumulate(vals[:, rows], axis=1)[:, -1]
-    else:
+    totals = _leakage_totals(lk, library, vdd, mat, temp_c, by_cell=False)
+    if totals is None:
         trace.total = np.zeros(len(mat), dtype=np.float64)
+    else:
+        trace.total, trace.by_kind, _ = totals
     return trace

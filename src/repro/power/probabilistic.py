@@ -16,7 +16,7 @@ Boolean-difference formulation for density.  Flip-flops resample per cycle:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import PowerError
 from ..netlist.traverse import topological_instances
@@ -159,33 +159,64 @@ def estimate_activity(module, input_probs=None, input_densities=None,
     return ActivityEstimate(prob=prob, density=density)
 
 
+@dataclass
+class SwitchedCapacitance:
+    """Per-net switched capacitance x activity: the vdd-independent half
+    of :func:`vectorless_switching`.
+
+    ``rows`` holds ``(net_name, cap_farads, density)`` in
+    ``module.nets()`` order for every non-constant net with positive
+    estimated density; ``cap`` is the net's load (wire + pin) plus its
+    driver's internal capacitance.  Activity estimation, the expensive
+    part, runs once at :meth:`compile`; :meth:`evaluate` only prices the
+    rows at a supply.  The table holds names and floats only, so it
+    pickles into the per-circuit artifact bundle.
+    """
+
+    rows: list = field(default_factory=list)
+
+    @classmethod
+    def compile(cls, module, library):
+        """Estimate activity and price every net's load."""
+        from ..sta.delay import net_load
+
+        est = estimate_activity(module)
+        rows = []
+        for net in module.nets():
+            if net.is_const:
+                continue
+            density = est.density.get(net.name, 0.0)
+            if density <= 0:
+                continue
+            cap = net_load(net, library)
+            driver = net.driver
+            if isinstance(driver, tuple) and driver[0].is_cell:
+                cap += driver[0].cell.c_internal
+            rows.append((net.name, cap, density))
+        return cls(rows=rows)
+
+    def evaluate(self, library, vdd=None):
+        """``(e_cycle, by_net)`` at ``vdd`` (default nominal)."""
+        vdd = library.vdd_nom if vdd is None else vdd
+        half_v2 = 0.5 * vdd * vdd
+        by_net = {}
+        e_cycle = 0.0
+        for name, cap, density in self.rows:
+            energy = half_v2 * cap * density
+            by_net[name] = energy
+            e_cycle += energy
+        return e_cycle, by_net
+
+
 def vectorless_switching(module, library, vdd=None):
     """Vectorless per-cycle switched energy: ``(e_cycle, by_net)``.
 
     The probabilistic activity estimate priced against each net's load
     (wire + pin + driver-internal capacitance) at ``vdd`` (default: the
-    library's characterisation voltage).  Adequate for trend studies and
+    library's characterisation voltage) -- a :class:`SwitchedCapacitance`
+    compiled and evaluated once.  Adequate for trend studies and
     reports when no workload trace exists; measured activity needs a
     testbench (see :mod:`repro.power.dynamic`).
     """
-    from ..sta.delay import net_load
-
-    est = estimate_activity(module)
-    vdd = library.vdd_nom if vdd is None else vdd
-    half_v2 = 0.5 * vdd * vdd
-    by_net = {}
-    e_cycle = 0.0
-    for net in module.nets():
-        if net.is_const:
-            continue
-        density = est.density.get(net.name, 0.0)
-        if density <= 0:
-            continue
-        cap = net_load(net, library)
-        driver = net.driver
-        if isinstance(driver, tuple) and driver[0].is_cell:
-            cap += driver[0].cell.c_internal
-        energy = half_v2 * cap * density
-        by_net[net.name] = energy
-        e_cycle += energy
-    return e_cycle, by_net
+    table = SwitchedCapacitance.compile(module, library)
+    return table.evaluate(library, vdd)

@@ -64,23 +64,6 @@ class VirtualRailModel:
         self.c_rail = self.params.rail_cap_fraction * c_int
         self.n_gates = gates
 
-    @classmethod
-    def from_totals(cls, c_rail, n_gates, params, library=None):
-        """Rebuild a rail model from its precomputed totals.
-
-        The per-cycle methods only ever read ``c_rail``, ``n_gates`` and
-        ``params``, so a model restored this way is behaviourally (and
-        fingerprint-) identical to one built by walking the module --
-        this is what lets :mod:`repro.runner.artifacts` snapshot a rail
-        without pickling the netlist.
-        """
-        model = cls.__new__(cls)
-        model.library = library
-        model.params = params
-        model.c_rail = c_rail
-        model.n_gates = n_gates
-        return model
-
     def __fingerprint__(self):
         """Content identity for result-cache keys (see repro.runner)."""
         return ("rail-v1", self.c_rail, self.n_gates, self.params)

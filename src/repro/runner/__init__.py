@@ -20,8 +20,8 @@ through this package.  The public surface:
 * :class:`RunJournal` / :func:`read_journal` -- append-only JSONL event
   log of everything a run did (the runner's black-box recorder);
 * :class:`ArtifactStore` / :class:`CircuitArtifacts` -- the per-circuit
-  precompute-once cache (compiled STA / leakage / switching / SCPG
-  tables shared across grid points and processes);
+  compile-once cache (the compiled STA, switching, SCPG model table and
+  simulation schedule, shared across grid points and processes);
 * :func:`fingerprint` / :func:`stable_hash` / :func:`module_fingerprint`
   -- the canonical hashing primitives.
 """

@@ -1,8 +1,9 @@
 """The unified batch-kernel protocol.
 
 Every vectorised evaluator in the repo -- the SCPG power model's
-frequency axis, the sub-threshold model's supply axis, the leakage
-table's VDD axis -- reaches the runner through one protocol:
+frequency axis, the sub-threshold model's supply axis, the technique
+models' frequency axes, the gate-level simulator's input matrices --
+reaches the runner through one protocol:
 
 * :class:`Kernel` -- a stateless strategy registered per *context type*
   (model class, netlist module, ...).  ``applies(context)`` guards
@@ -23,10 +24,10 @@ table's VDD axis -- reaches the runner through one protocol:
 accept a compiled kernel directly.
 
 Registered kernels: each model module self-registers at import time --
-e.g. :class:`repro.runner.artifacts.LeakageAxisKernel` binds to
-:class:`~repro.runner.artifacts.LeakageTable` and batches a whole VDD
-axis through ``evaluate_axis`` (one value matrix instead of per-supply
-walks, reports identical to scalar ``evaluate`` calls).
+e.g. :class:`repro.scpg.power_model.ScpgPowerKernel` binds to
+:class:`~repro.scpg.power_model.ScpgPowerModel` and batches a whole
+frequency axis through ``_freq_batch`` (results identical to
+point-at-a-time ``power`` calls).
 """
 
 from __future__ import annotations

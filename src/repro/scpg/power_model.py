@@ -25,7 +25,8 @@ import enum
 from dataclasses import dataclass
 
 from ..errors import ScpgError
-from ..power.leakage import leakage_power
+from ..netlist.soa import LeakageSoa, leakage_soa_for
+from ..power.leakage import LeakageReport
 from ..runner.kernel import Kernel, register_kernel
 from ..sta.constraints import ClockSpec
 from .clocking import scpg_feasible
@@ -147,43 +148,15 @@ class ScpgPowerModel:
     def from_scpg_design(cls, scpg_design, e_cycle, vdd=None,
                          extra_alwayson=0.0):
         """Build the model from an :class:`~repro.scpg.transform.ScpgDesign`
-        and a measured per-cycle energy.
+        and a measured per-cycle energy (through its
+        :class:`ScpgModelTable`).
 
         ``extra_alwayson`` adds always-on leakage not present in the
         netlist yet (e.g. a clock tree before CTS has run).
         """
-        lib = scpg_design.design.library
-        vdd = lib.vdd_nom if vdd is None else vdd
-        report = leakage_power(scpg_design.flat.top, lib, vdd)
-        scale = lib.delay_scale(vdd)
-        timing = scpg_design.timing.scaled(scale / lib.delay_scale(
-            scpg_design.sta.vdd))
-        energy_scale = lib.energy_scale(vdd)
-        return cls(
-            e_cycle=e_cycle * energy_scale,
-            leak_comb=report.combinational,
-            leak_alwayson=report.always_on + extra_alwayson,
-            leak_header_off=report.headers,
-            rail=scpg_design.rail,
-            header_gate_cap=scpg_design.headers.gate_cap,
-            timing=timing,
-            vdd=vdd,
-            e_iso_cycle=cls._iso_energy(scpg_design, vdd),
-        )
-
-    @staticmethod
-    def _iso_energy(scpg_design, vdd):
-        """Per-cycle switching energy of clamps + controller.
-
-        The ISOLATE net toggles twice per cycle into every isolation cell;
-        half the clamps see an output transition.
-        """
-        lib = scpg_design.design.library
-        iso_cell = lib.cell("ISO_AND_X1")
-        n = len(scpg_design.iso_instances)
-        ctl_cap = n * iso_cell.pin("ISO").capacitance
-        out_cap = 0.5 * n * iso_cell.c_internal
-        return (ctl_cap + out_cap) * vdd * vdd
+        return ScpgModelTable.compile(scpg_design).build_model(
+            scpg_design.design.library, e_cycle, vdd=vdd,
+            extra_alwayson=extra_alwayson)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -413,6 +386,67 @@ class ScpgPowerModel:
             except ScpgError:
                 row[mode] = None
         return row
+
+
+@dataclass
+class ScpgModelTable:
+    """Everything :class:`ScpgPowerModel` is built from, snapshot from an
+    :class:`~repro.scpg.transform.ScpgDesign` without its netlist.
+
+    ``leakage`` is the transformed netlist's
+    :class:`~repro.netlist.soa.LeakageSoa`; the rest are the nominal SCPG
+    timing, the rail model, the header gate capacitance and the
+    isolation-cell count.  :meth:`build_model` is the one model
+    constructor (:meth:`ScpgPowerModel.from_scpg_design` compiles a table
+    and calls it), and the per-circuit artifact bundle stores the table
+    so a bundle loaded from disk rebuilds the same model.
+    """
+
+    leakage: LeakageSoa
+    timing_nominal: object      # ScpgTimingParams at sta_vdd
+    sta_vdd: float
+    rail: object                # VirtualRailModel
+    header_gate_cap: float
+    n_iso: int
+
+    @classmethod
+    def compile(cls, scpg_design):
+        """Snapshot an :class:`~repro.scpg.transform.ScpgDesign`."""
+        return cls(
+            leakage=leakage_soa_for(scpg_design.flat.top),
+            timing_nominal=scpg_design.timing,
+            sta_vdd=scpg_design.sta.vdd,
+            rail=scpg_design.rail,
+            header_gate_cap=scpg_design.headers.gate_cap,
+            n_iso=len(scpg_design.iso_instances),
+        )
+
+    def build_model(self, library, e_cycle, vdd=None, extra_alwayson=0.0):
+        """The :class:`ScpgPowerModel` at ``vdd`` (default nominal) for a
+        base-design switched energy ``e_cycle`` characterised at nominal.
+
+        The isolation term charges the ISOLATE net, which toggles twice
+        per cycle into every clamp, plus an output transition in half
+        the clamps.
+        """
+        vdd = library.vdd_nom if vdd is None else vdd
+        report = LeakageReport.from_soa(self.leakage, library, vdd)
+        timing = self.timing_nominal.scaled(
+            library.delay_scale(vdd) / library.delay_scale(self.sta_vdd))
+        iso_cell = library.cell("ISO_AND_X1")
+        ctl_cap = self.n_iso * iso_cell.pin("ISO").capacitance
+        out_cap = 0.5 * self.n_iso * iso_cell.c_internal
+        return ScpgPowerModel(
+            e_cycle=e_cycle * library.energy_scale(vdd),
+            leak_comb=report.combinational,
+            leak_alwayson=report.always_on + extra_alwayson,
+            leak_header_off=report.headers,
+            rail=self.rail,
+            header_gate_cap=self.header_gate_cap,
+            timing=timing,
+            vdd=vdd,
+            e_iso_cycle=(ctl_cap + out_cap) * vdd * vdd,
+        )
 
 
 class ScpgPowerKernel(Kernel):

@@ -21,9 +21,28 @@ facade; the lower-level modules (``repro.analysis``, ``repro.subvt``,
 
 from __future__ import annotations
 
-from .runner import DEFAULT_BACKOFF, DEFAULT_RETRIES, Runner, WorkerPool, \
-    default_cache, module_fingerprint, open_store, resolve_workers, \
-    stable_hash
+import math
+
+from .errors import SupplyError
+from .runner import DEFAULT_BACKOFF, DEFAULT_RETRIES, ArtifactStore, \
+    Runner, WorkerPool, default_cache, module_fingerprint, open_store, \
+    resolve_workers, stable_hash
+
+
+def _check_vdd(vdd):
+    """``vdd`` unchanged when it is ``None`` (nominal) or a positive
+    finite supply; :class:`~repro.errors.SupplyError` otherwise."""
+    if vdd is None:
+        return None
+    try:
+        valid = math.isfinite(vdd) and vdd > 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise SupplyError(
+            "supply voltage must be a positive finite number of volts "
+            "(or None for nominal), got {!r}".format(vdd))
+    return vdd
 
 
 class Session:
@@ -52,8 +71,9 @@ class Session:
         WAL-mode file is safely shared by many processes and sessions --
         the backend :mod:`repro.serve` runs on, and the way several
         tenants sweeping overlapping grids dedupe each other's work.
-        Because ``artifacts=True`` (the default) stores artifact bundles
-        through the session's store, the store serves both roles.
+        The store also keeps the per-circuit artifact bundles (see
+        :meth:`DesignHandle.artifacts`); without one, bundles live in
+        memory for the session's lifetime.
     journal:
         A :class:`~repro.runner.RunJournal` or a path; every grid the
         session runs appends its JSONL events there (default: none).
@@ -61,17 +81,6 @@ class Session:
         Fault-tolerance policy forwarded to the session's
         :class:`~repro.runner.Runner` -- exception types retried with
         exponential backoff, and an optional per-point timeout.
-    artifacts:
-        Per-circuit artifact cache (precomputed STA / leakage /
-        switching / SCPG tables shared by every analysis of one design):
-        ``True`` (default) stores bundles in memory and, when the
-        session has a result store, on disk through it;
-        ``False``/``None`` disables precomputation entirely (every
-        analysis walks the netlist, the pre-artifact behaviour); a
-        :class:`~repro.runner.SqliteStore` or a store path keeps bundles
-        there instead of the result store (so artifact reuse can be
-        controlled separately from point-result reuse).  Results are
-        bit-identical either way.
     trace:
         Tracing: ``None``/``False`` (default) leaves the free no-op
         tracer in place; ``True`` traces into an in-memory sink
@@ -88,7 +97,7 @@ class Session:
     def __init__(self, library=None, liberty=None, workers=None,
                  store="auto", journal=None, retry_on=(),
                  retries=DEFAULT_RETRIES, backoff=DEFAULT_BACKOFF,
-                 timeout=None, artifacts=True, trace=None, metrics=None):
+                 timeout=None, trace=None, metrics=None):
         if library is not None and liberty is not None:
             raise ValueError("pass either library or liberty, not both")
         self._library = library
@@ -109,7 +118,9 @@ class Session:
                              backoff=backoff, timeout=timeout,
                              journal=journal, tracer=tracer,
                              metrics=self._registry, pool=self.pool)
-        self.artifacts = self._artifact_store(artifacts)
+        self.artifacts = ArtifactStore(
+            cache=self.runner.cache, stats=self.runner.stats,
+            journal=self.runner.journal, tracer=self.runner.tracer)
 
     @staticmethod
     def _make_tracer(trace):
@@ -133,17 +144,6 @@ class Session:
 
             return MetricsRegistry()
         return metrics
-
-    def _artifact_store(self, artifacts):
-        if artifacts is False or artifacts is None:
-            return None
-        from .runner.artifacts import ArtifactStore
-
-        cache = self.runner.cache if artifacts is True \
-            else open_store(artifacts)
-        return ArtifactStore(cache=cache, stats=self.runner.stats,
-                             journal=self.runner.journal,
-                             tracer=self.runner.tracer)
 
     @property
     def library(self):
@@ -325,96 +325,62 @@ class DesignHandle:
 
     def artifacts(self):
         """This design's :class:`~repro.runner.artifacts.CircuitArtifacts`
-        bundle (``None`` when the session runs with ``artifacts=False``).
+        bundle: its compiled STA, switching, SCPG model table and
+        simulation schedule.
 
         Served from the session's :class:`~repro.runner.artifacts.
-        ArtifactStore` -- in-process memo first, then the on-disk cache,
-        then a one-time build -- and memoised per handle.  Every
-        analysis below evaluates against these tables when present, with
-        bit-identical results to the netlist-walking path.
+        ArtifactStore` -- in-process memo first, then the session's
+        store, then a one-time build -- and memoised per handle.
         """
-        store = self.session.artifacts
-        if store is None:
-            return None
         if self._artifacts is None:
             from .runner.artifacts import CircuitArtifacts
 
             design = self.design
             fp = self.fingerprint
-            self._artifacts = store.get(
+            self._artifacts = self.session.artifacts.get(
                 fp,
                 lambda: CircuitArtifacts.build(
                     design, fingerprint=fp, name=design.top.name))
         return self._artifacts
 
     # -- analyses -------------------------------------------------------------
+    #
+    # Every method taking ``vdd`` reads ``None`` as the library's nominal
+    # supply and raises SupplyError for a non-finite or non-positive one.
 
     def sta(self, vdd=None):
         """Timing analysis result (memoised at the nominal supply)."""
-        art = self.artifacts()
-        if art is not None:
-            if vdd is not None:
-                return art.timing.evaluate(self.session.library, vdd=vdd)
-            if self._sta is None:
-                self._sta = art.timing.evaluate(self.session.library)
-            return self._sta
-        from .sta.analysis import TimingAnalysis
-
+        vdd = _check_vdd(vdd)
+        timing = self.artifacts().timing
         if vdd is not None:
-            return TimingAnalysis(self.design.top,
-                                  self.session.library).run(vdd=vdd)
+            return timing.run(vdd)
         if self._sta is None:
-            self._sta = TimingAnalysis(self.design.top,
-                                       self.session.library).run()
+            self._sta = timing.run()
         return self._sta
 
     def switching(self, vdd=None):
         """Vectorless ``(e_cycle, by_net)`` switching estimate."""
-        art = self.artifacts()
-        if art is not None:
-            if vdd is not None:
-                return art.switching.evaluate(self.session.library,
-                                              vdd=vdd)
-            if self._switching is None:
-                self._switching = art.switching.evaluate(
-                    self.session.library)
-            return self._switching
-        from .power.probabilistic import vectorless_switching
-
+        vdd = _check_vdd(vdd)
+        table = self.artifacts().switching
         if vdd is not None:
-            return vectorless_switching(self.design.top,
-                                        self.session.library, vdd)
+            return table.evaluate(self.session.library, vdd)
         if self._switching is None:
-            self._switching = vectorless_switching(
-                self.design.top, self.session.library)
+            self._switching = table.evaluate(self.session.library)
         return self._switching
 
     def leakage(self, vdd=None):
         """Leakage power report at ``vdd`` (default nominal)."""
-        art = self.artifacts()
-        if art is not None:
-            return art.leakage.evaluate(self.session.library,
-                                        vdd=vdd if vdd else None)
         from .power.leakage import leakage_power
 
         return leakage_power(self.design.top, self.session.library,
-                             vdd=vdd if vdd else None)
+                             vdd=_check_vdd(vdd))
 
     def leakage_axis(self, vdds, temp_c=None):
-        """Leakage reports across a whole supply axis at once.
-
-        ``vdds`` entries of ``None`` mean nominal.  Rides the artifact
-        bundle's vectorized :meth:`~repro.runner.artifacts.LeakageTable.
-        evaluate_axis` (one value matrix for the entire axis) when the
-        session caches artifacts; the fallback evaluates point by point
-        with identical results.
-        """
-        art = self.artifacts()
-        if art is not None:
-            return art.leakage.evaluate_axis(self.session.library, vdds,
-                                             temp_c=temp_c)
+        """One leakage report per supply in ``vdds`` (``None`` entries
+        mean nominal)."""
         from .power.leakage import leakage_power
 
+        vdds = [_check_vdd(v) for v in vdds]
         return [leakage_power(self.design.top, self.session.library,
                               vdd=v, temp_c=temp_c) for v in vdds]
 
@@ -429,7 +395,8 @@ class DesignHandle:
         from .power.leakage import state_leakage_trace
 
         return state_leakage_trace(self.design.top, self.session.library,
-                                   states, vdd=vdd, temp_c=temp_c)
+                                   states, vdd=_check_vdd(vdd),
+                                   temp_c=temp_c)
 
     def cosim(self, program, memory=None, max_cycles=200_000,
               group_size=10, engine="auto"):
@@ -450,21 +417,10 @@ class DesignHandle:
         """An :class:`~repro.scpg.power_model.ScpgPowerModel` with the
         vectorless energy estimate and measured base leakage."""
         if self._power_model is None:
-            art = self.artifacts()
-            if art is not None:
-                lib = self.session.library
-                e_cycle, _ = self.switching()
-                model = art.scpg.build_model(lib, e_cycle)
-                base = art.leakage.evaluate(lib)
-            else:
-                from .power.leakage import leakage_power
-                from .scpg.power_model import ScpgPowerModel
-
-                e_cycle, _ = self.switching()
-                model = ScpgPowerModel.from_scpg_design(
-                    self.scpg(), e_cycle)
-                base = leakage_power(self.design.top,
-                                     self.session.library)
+            e_cycle, _ = self.switching()
+            model = self.artifacts().scpg.build_model(
+                self.session.library, e_cycle)
+            base = self.leakage()
             model.leak_comb_base = base.combinational
             model.leak_alwayson_base = base.always_on
             self._power_model = model
@@ -484,19 +440,10 @@ class DesignHandle:
 
     def gate_sim(self):
         """The design's compiled levelized simulation schedule
-        (:class:`~repro.sim.compiled.CompiledSchedule`).
-
-        Served from the artifact bundle when the session caches
-        artifacts -- re-bound to the live module so the event-simulator
-        fallback still works on a bundle loaded from disk -- otherwise
-        compiled (and memoised) from the netlist directly.
-        """
-        art = self.artifacts()
-        if art is not None and art.gate_sim.schedule is not None:
-            return art.gate_sim.schedule.bind_module(self.design.top)
-        from .sim.compiled import schedule_for
-
-        return schedule_for(self.design.top, self.session.library)
+        (:class:`~repro.sim.compiled.CompiledSchedule`) from the artifact
+        bundle, re-bound to the live module so the event-simulator
+        fallback still works on a bundle loaded from disk."""
+        return self.artifacts().gate_sim.bind_module(self.design.top)
 
     def activity(self, vectors, clock="clk", reset=0, group_size=None):
         """Simulate a clocked workload; returns a
@@ -559,8 +506,9 @@ class DesignHandle:
         from .power.dynamic import DynamicReport
         from .power.report import PowerReport
 
-        lib = self.session.library
-        vdd = vdd or lib.vdd_nom
+        vdd = _check_vdd(vdd)
+        if vdd is None:
+            vdd = self.session.library.vdd_nom
         e_cycle, by_net = self.switching(vdd=vdd)
         dyn = DynamicReport(vdd=vdd, freq_hz=freq_hz, cycles=1,
                             energy_per_cycle=e_cycle, glitch_factor=1.0,

@@ -767,19 +767,25 @@ _SCHEDULES = weakref.WeakKeyDictionary()
 def peek_schedule(module):
     """The memoised schedule for ``module``, or ``None`` -- never
     compiles one (for callers that only want to reuse paid-for tables,
-    e.g. :func:`repro.power.dynamic.dynamic_power`)."""
-    return _SCHEDULES.get(module)
+    e.g. :func:`repro.power.dynamic.dynamic_power`).  A schedule compiled
+    before the module was last edited counts as absent."""
+    entry = _SCHEDULES.get(module)
+    if entry is None or entry[0] != module.generation:
+        return None
+    return entry[1]
 
 
 def schedule_for(module, library=None):
     """Per-module memoised :func:`compile_schedule` (keyed weakly, so
-    dropping the module drops the schedule)."""
-    entry = _SCHEDULES.get(module)
-    if entry is None or (library is not None and entry.soa is not None
-                         and entry.soa.net_cap is None):
-        entry = compile_schedule(module, library)
-        _SCHEDULES[module] = entry
-    return entry
+    dropping the module drops the schedule; recompiled when the module's
+    ``generation`` moved)."""
+    schedule = peek_schedule(module)
+    if schedule is None or (library is not None
+                            and schedule.soa is not None
+                            and schedule.soa.net_cap is None):
+        schedule = compile_schedule(module, library)
+        _SCHEDULES[module] = (module.generation, schedule)
+    return schedule
 
 
 class GateSimKernel(Kernel):

@@ -1,10 +1,11 @@
 """Arrival-time propagation, critical paths and Fmax.
 
-The analysis walks combinational instances in topological order,
-propagating worst-case (and best-case, for hold) arrival times from launch
-points -- sequential cell outputs (offset by clock-to-Q) and primary inputs
-(assumed registered externally at time 0) -- to capture points (flip-flop D
-pins and primary outputs).
+The analysis lowers a flat module once into an index program over its
+combinational instances in topological order, then propagates worst-case
+(and best-case, for hold) arrival times from launch points -- sequential
+cell outputs (offset by clock-to-Q) and primary inputs (assumed
+registered externally at time 0) -- to capture points (flip-flop D pins
+and primary outputs).
 
 Results are reported at the library's nominal voltage and can be rescaled
 to any supply with :meth:`TimingResult.at_vdd`, which is how the Section IV
@@ -78,6 +79,15 @@ class TimingResult:
 class TimingAnalysis:
     """Run STA on a flat module.
 
+    Construction lowers the module into an index program: nets are
+    interned to dense indices, and every edge delay is stored as its
+    nominal base ``intrinsic + R * C_load`` -- the parenthesised
+    subexpression :meth:`repro.tech.library.Cell.delay` evaluates before
+    applying the voltage scale.  :meth:`run` then propagates arrivals over
+    that program at any supply.  The object keeps no ``Net`` or
+    ``Instance`` once built, so it pickles as is (the per-circuit
+    artifact bundle stores it).
+
     Parameters
     ----------
     module:
@@ -87,9 +97,64 @@ class TimingAnalysis:
     """
 
     def __init__(self, module, library):
-        self.module = module
         self.library = library
-        self._order = topological_instances(module)
+        self.module_name = module.name
+        index = {}
+        names = []
+
+        def intern(net):
+            idx = index.get(id(net))
+            if idx is None:
+                idx = index[id(net)] = len(names)
+                names.append(net.name)
+            return idx
+
+        def base_delay(inst, net):
+            return inst.cell.intrinsic_delay \
+                + inst.cell.drive_resistance * net_load(net, library)
+
+        #: [(net_idx, port_name)] in input_ports() order.
+        self.port_launches = [
+            (intern(port.net), port.name) for port in module.input_ports()
+        ]
+        seq = [inst for inst in module.cell_instances()
+               if inst.cell.kind is CellKind.SEQUENTIAL]
+        #: [(q_net_idx, base_c2q, inst_name)] in cell_instances() order.
+        self.seq_launches = [
+            (intern(inst.connections["Q"]),
+             base_delay(inst, inst.connections["Q"]), inst.name)
+            for inst in seq if inst.connections.get("Q") is not None
+        ]
+        #: [(inst_name, (in_idx, ...), [(out_idx, base_delay), ...])] in
+        #: topological order.
+        self.steps = []
+        for inst in topological_instances(module):
+            ins = []
+            for pin in inst.input_pins():
+                net = inst.connections.get(pin)
+                if net is not None and not net.is_const:
+                    ins.append(intern(net))
+            outs = []
+            for pin in inst.output_pins():
+                net = inst.connections.get(pin)
+                if net is not None:
+                    outs.append((intern(net), base_delay(inst, net)))
+            self.steps.append((inst.name, tuple(ins), outs))
+        #: [(hold_nom, d_idx | None, setup_nom, inst_name)] per seq cell.
+        self.seq_captures = [
+            (inst.cell.hold,
+             None if inst.connections.get("D") is None
+             else intern(inst.connections["D"]),
+             inst.cell.setup, inst.name)
+            for inst in seq
+        ]
+        #: [(net_idx, port_name)] in output_ports() order.
+        self.port_captures = [
+            (intern(port.net), port.name) for port in module.output_ports()
+        ]
+        self.net_names = names
+        #: inst_name -> (in_idx, ...) for critical-path tracing.
+        self.trace_inputs = {name: ins for name, ins, _ in self.steps}
 
     def run(self, vdd=None):
         """Compute a :class:`TimingResult` at ``vdd`` (default nominal)."""
@@ -97,55 +162,45 @@ class TimingAnalysis:
         vdd = lib.vdd_nom if vdd is None else vdd
         scale = lib.delay_scale(vdd)
 
-        # arrival[net id] = (worst arrival, driver instance, min arrival)
+        # arrivals[net idx] = (worst arrival, min arrival); trace[net idx]
+        # = the (kind, name) that set the worst arrival.
         arrivals = {}
         trace = {}
 
-        def arrive(net, at, at_min, source):
-            key = id(net)
-            worst, best = arrivals.get(key, (None, None))
+        def arrive(idx, at, at_min, source):
+            worst, best = arrivals.get(idx, (None, None))
             if worst is None or at > worst:
-                trace[key] = source
+                trace[idx] = source
                 worst = at
             best = at_min if best is None else min(best, at_min)
-            arrivals[key] = (worst, best)
+            arrivals[idx] = (worst, best)
 
         # Launch points.
-        for port in self.module.input_ports():
-            arrive(port.net, 0.0, 0.0, ("port", port.name))
-        for inst in self.module.cell_instances():
-            if inst.cell.kind is CellKind.SEQUENTIAL:
-                q_net = inst.connections.get("Q")
-                if q_net is None:
-                    continue
-                c2q = inst.cell.delay(net_load(q_net, lib), scale)
-                arrive(q_net, c2q, c2q, ("clk2q", inst.name))
+        for idx, port_name in self.port_launches:
+            arrive(idx, 0.0, 0.0, ("port", port_name))
+        for idx, base, inst_name in self.seq_launches:
+            c2q = base * scale
+            arrive(idx, c2q, c2q, ("clk2q", inst_name))
 
         # Propagate through combinational logic.
-        for inst in self._order:
+        for inst_name, in_idxs, outs in self.steps:
             worst_in = 0.0
             best_in = None
             have_input = False
-            for pin_name in inst.input_pins():
-                net = inst.connections.get(pin_name)
-                if net is None or net.is_const:
-                    continue
-                entry = arrivals.get(id(net))
+            for idx in in_idxs:
+                entry = arrivals.get(idx)
                 if entry is None:
                     continue  # undriven (lint catches it) or tie
                 have_input = True
                 worst_in = max(worst_in, entry[0])
                 best_in = entry[1] if best_in is None \
                     else min(best_in, entry[1])
-            for pin_name in inst.output_pins():
-                net = inst.connections.get(pin_name)
-                if net is None:
-                    continue
-                d = inst.cell.delay(net_load(net, lib), scale)
+            for idx, base in outs:
+                d = base * scale
                 base_w = worst_in if have_input else 0.0
                 base_b = best_in if (have_input and best_in is not None) \
                     else 0.0
-                arrive(net, base_w + d, base_b + d, ("cell", inst.name))
+                arrive(idx, base_w + d, base_b + d, ("cell", inst_name))
 
         # Capture points.
         eval_delay = 0.0
@@ -153,34 +208,31 @@ class TimingAnalysis:
         setup = 0.0
         hold = 0.0
         worst_capture = None
-        for inst in self.module.cell_instances():
-            if inst.cell.kind is not CellKind.SEQUENTIAL:
+        for hold_nom, d_idx, setup_nom, inst_name in self.seq_captures:
+            hold = max(hold, hold_nom * scale)
+            if d_idx is None:
                 continue
-            hold = max(hold, inst.cell.hold * scale)
-            d_net = inst.connections.get("D")
-            if d_net is None:
-                continue
-            entry = arrivals.get(id(d_net))
+            entry = arrivals.get(d_idx)
             if entry is None:
                 continue
             if entry[0] > eval_delay:
                 eval_delay = entry[0]
-                setup = inst.cell.setup * scale
-                worst_capture = ("{}/D".format(inst.name), d_net)
+                setup = setup_nom * scale
+                worst_capture = ("{}/D".format(inst_name), d_idx)
             min_path = min(min_path, entry[1])
-        for port in self.module.output_ports():
-            entry = arrivals.get(id(port.net))
+        for idx, port_name in self.port_captures:
+            entry = arrivals.get(idx)
             if entry is None:
                 continue
             if entry[0] > eval_delay:
                 eval_delay = entry[0]
                 setup = 0.0
-                worst_capture = ("port {}".format(port.name), port.net)
+                worst_capture = ("port {}".format(port_name), idx)
             min_path = min(min_path, entry[1])
 
         if worst_capture is None:
             raise TimingError(
-                "module {} has no capture points".format(self.module.name)
+                "module {} has no capture points".format(self.module_name)
             )
         if min_path == float("inf"):
             min_path = 0.0
@@ -199,29 +251,24 @@ class TimingAnalysis:
         name, net = capture
         points = []
         seen = set()
-        while net is not None and id(net) in trace and id(net) not in seen:
-            seen.add(id(net))
-            kind, inst_name = trace[id(net)]
-            at = arrivals[id(net)][0]
-            points.append((inst_name, net.name, at))
+        while net is not None and net in trace and net not in seen:
+            seen.add(net)
+            kind, inst_name = trace[net]
+            points.append((inst_name, self.net_names[net], arrivals[net][0]))
             if kind != "cell":
                 break
-            inst = self.module.instance(inst_name)
             # Step to the worst input net of this instance.
             best = None
-            for pin_name in inst.input_pins():
-                candidate = inst.connections.get(pin_name)
-                if candidate is None or candidate.is_const:
-                    continue
-                entry = arrivals.get(id(candidate))
+            for candidate in self.trace_inputs[inst_name]:
+                entry = arrivals.get(candidate)
                 if entry is None:
                     continue
-                if best is None or entry[0] > arrivals[id(best)][0]:
+                if best is None or entry[0] > arrivals[best][0]:
                     best = candidate
             net = best
         points.reverse()
         return TimingPath(
-            delay=arrivals[id(capture[1])][0],
+            delay=arrivals[capture[1]][0],
             points=points,
             capture=name,
         )

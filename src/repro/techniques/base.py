@@ -180,7 +180,7 @@ class Technique:
     ``artifact_table(transformed)``
         A picklable snapshot of the transform, able to rebuild the
         power model without the netlist (the per-technique analogue of
-        :class:`~repro.runner.artifacts.ScpgModelTable`).
+        :class:`~repro.scpg.power_model.ScpgModelTable`).
     ``sweep_model(transformed, *, library, e_cycle, base_leakage,
     base_sta)``
         The uniform :class:`TechniqueModel` used by

@@ -148,7 +148,7 @@ class CbtstcTable:
     """Picklable snapshot of a CBTSTC transform (the per-technique
     artifact table): enough per-cluster scalars to rebuild the power
     model without the netlist, like
-    :class:`~repro.runner.artifacts.ScpgModelTable` does for SCPG."""
+    :class:`~repro.scpg.power_model.ScpgModelTable` does for SCPG."""
 
     clusters: list
     t_eval: float

@@ -9,7 +9,7 @@ entry points because the adapter delegates to the same code.
 
 from __future__ import annotations
 
-from ..scpg.power_model import Mode, ScpgPowerModel
+from ..scpg.power_model import Mode, ScpgModelTable, ScpgPowerModel
 from ..scpg.transform import _apply_scpg
 from .base import (
     Technique,
@@ -88,8 +88,6 @@ class ScpgTechnique(Technique):
         return _run_scpg_flow(design_builder, library, **options)
 
     def artifact_table(self, transformed):
-        from ..runner.artifacts import ScpgModelTable
-
         return ScpgModelTable.compile(transformed)
 
     def power_model(self, transformed, e_cycle, vdd=None,

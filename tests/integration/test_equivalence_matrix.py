@@ -1,7 +1,7 @@
 """Every execution strategy produces bit-for-bit identical results.
 
 The runner promises that its two executors (in-process and a worker
-pool), batch kernels, the result store and the artifact tables are pure
+pool), batch kernels, the result store and the artifact bundle are pure
 execution detail: the Table I / Table II grids (the Fig. 6 / Fig. 8
 frequency axes x all three modes) must come back as *exactly* the same
 :class:`PowerBreakdown` objects -- float-equal, not approx -- whichever
@@ -132,15 +132,22 @@ class TestEquivalenceMatrix:
         _assert_identical(_flatten(data), reference)
 
     def test_artifact_table_evaluation(self):
-        """Artifact tables on vs off: the Session rebuilds the same
-        model, so the whole grid matches bit-for-bit (the PR 3
-        contract, re-proved through the public facade)."""
+        """The Session's bundle-built model against one built by direct
+        module-level calls: the whole grid matches bit-for-bit."""
+        from repro.power.leakage import leakage_power
+        from repro.power.probabilistic import vectorless_switching
+        from repro.scpg.power_model import ScpgPowerModel
         from repro.session import Session
 
-        with_tables = Session(store=None, artifacts=True) \
-            .design("mult16").sweep(TABLE_I_FREQS)
-        without = Session(store=None, artifacts=False) \
-            .design("mult16").sweep(TABLE_I_FREQS)
+        handle = Session(store=None).design("mult16")
+        top, lib = handle.design.top, handle.session.library
+        e_cycle, _ = vectorless_switching(top, lib)
+        direct = ScpgPowerModel.from_scpg_design(handle.scpg(), e_cycle)
+        base = leakage_power(top, lib)
+        direct.leak_comb_base = base.combinational
+        direct.leak_alwayson_base = base.always_on
+        with_tables = handle.sweep(TABLE_I_FREQS)
+        without = sweep(direct, TABLE_I_FREQS, runner=Runner())
         for mode in MODES:
             assert with_tables.results[mode] == without.results[mode], \
                 mode

@@ -117,6 +117,31 @@ class TestInstances:
         assert (inst, "A") not in a.loads
         assert not any(i.name == "g" for i in m.instances())
 
+    def test_generation_counts_every_edit(self, lib):
+        m = Module("m")
+        seen = [m.generation]
+
+        def moved():
+            seen.append(m.generation)
+            return seen[-1] > seen[-2]
+
+        a = m.add_input("a")
+        assert moved()
+        y = m.add_net("y")
+        assert moved()
+        m.const(1)
+        assert moved()
+        m.const(1)  # the shared net already exists: no edit
+        assert not moved()
+        inst = m.add_instance("g", "INV_X1", {"A": a}, library=lib)
+        assert moved()
+        m.connect(inst, "Y", y)
+        assert moved()
+        m.remove_instance("g")
+        assert moved()
+        m.add_port("z", PortDirection.OUTPUT)
+        assert moved()
+
 
 class TestHierarchyAndFlatten:
     def _hier(self, lib):

@@ -200,3 +200,41 @@ class TestStateLeakageTrace:
         low = state_leakage_trace(m0_module, lib, states[:3], vdd=0.4)
         nom = state_leakage_trace(m0_module, lib, states[:3])
         assert (low.total < nom.total).all()
+
+
+class TestMemoAfterEdit:
+    """The memoised leakage lowering and compiled schedule follow netlist
+    edits: a module's ``generation`` moves, and the memo lowers again."""
+
+    @staticmethod
+    def _grow(top, lib):
+        """Hang one extra inverter off the first output port's net."""
+        net = top.output_ports()[0].net
+        top.add_instance("extra_inv", "INV_X1",
+                         {"A": net, "Y": top.add_net("extra_y")},
+                         library=lib)
+
+    def test_leakage_power_sees_an_added_instance(self, lib):
+        from repro.circuits.registry import build
+
+        top = build("counter16", lib)
+        before = leakage_power(top, lib)
+        self._grow(top, lib)
+        after = leakage_power(top, lib)
+        ref = _leakage_power_walk(top, lib)
+        assert after.total == ref.total
+        assert after.by_cell == ref.by_cell
+        assert after.total > before.total
+
+    def test_schedule_memo_sees_an_added_instance(self, lib):
+        from repro.circuits.registry import build
+        from repro.sim.compiled import peek_schedule, schedule_for
+
+        top = build("counter16", lib)
+        before = schedule_for(top, lib)
+        assert peek_schedule(top) is before
+        self._grow(top, lib)
+        assert peek_schedule(top) is None
+        after = schedule_for(top, lib)
+        assert after is not before
+        assert len(after.soa.net_names) == len(before.soa.net_names) + 1

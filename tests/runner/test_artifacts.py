@@ -1,19 +1,27 @@
 """Per-circuit artifact bundles: exact results, store semantics, keys.
 
-The artifact layer's contract is *bit-identical* evaluation -- every
-``assert`` here uses ``==`` on floats, never ``pytest.approx``.  A table
-that drifts by one ULP from the module it shadows breaks the result
-cache's key-sharing between the artifact and netlist-walking paths.
+The bundle stores each analysis module's own compiled form, so every
+``assert`` here uses ``==`` on floats, never ``pytest.approx``: the
+compiled STA against the netlist-walking oracle, the switched-capacitance
+table against a per-net pricing walk, the SCPG model table against
+``from_scpg_design``, and a Session's answers against direct
+module-level calls.
 """
 
+import io
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
-from repro.power.leakage import leakage_power
-from repro.power.probabilistic import vectorless_switching
+from repro.netlist.core import Instance, Module, Net
+from repro.netlist.soa import leakage_soa_for
+from repro.power.leakage import LeakageReport, _leakage_power_walk, \
+    leakage_power
+from repro.power.probabilistic import SwitchedCapacitance, \
+    estimate_activity, vectorless_switching
 from repro.runner import (
     ARTIFACT_SCHEMA,
     ArtifactStore,
@@ -24,15 +32,12 @@ from repro.runner import (
     read_journal,
     stable_hash,
 )
-from repro.runner.artifacts import (
-    DomainPartition,
-    LeakageTable,
-    ScpgModelTable,
-    SwitchedCapTable,
-    TimingTable,
-)
+from repro.scpg.power_model import ScpgModelTable, ScpgPowerModel
 from repro.session import Session
 from repro.sta.analysis import TimingAnalysis
+from repro.sta.delay import net_load
+
+from ..sta.walk import walk_timing
 
 VDDS = (None, 0.9, 0.6, 0.45, 0.3, 0.22)
 
@@ -49,16 +54,31 @@ def counter(session):
     return session.design("counter16")
 
 
-# -- table-level bit-identicality ---------------------------------------------
+def _netlist_objects(obj):
+    """Types of the netlist objects ``pickle`` would reach from ``obj``."""
+    found = set()
+
+    class Probe(pickle.Pickler):
+        def persistent_id(self, o):
+            if isinstance(o, (Net, Instance, Module)):
+                found.add(type(o).__name__)
+            return None
+
+    Probe(io.BytesIO()).dump(obj)
+    return found
+
+
+# -- each compiled form against its oracle ------------------------------------
 
 class TestTimingTable:
+    """:class:`TimingAnalysis` (the lowered STA the bundle stores)
+    against the netlist walk of ``tests/sta/walk.py``."""
+
     def test_matches_analysis_at_every_vdd(self, toy_design, lib):
-        table = TimingTable.compile(toy_design.top, lib)
+        analysis = TimingAnalysis(toy_design.top, lib)
         for vdd in VDDS:
-            ref = TimingAnalysis(toy_design.top, lib).run(vdd=vdd) \
-                if vdd is not None \
-                else TimingAnalysis(toy_design.top, lib).run()
-            got = table.evaluate(lib, vdd=vdd)
+            ref = walk_timing(toy_design.top, lib, vdd)
+            got = analysis.run() if vdd is None else analysis.run(vdd)
             assert got.eval_delay == ref.eval_delay
             assert got.setup == ref.setup
             assert got.hold == ref.hold
@@ -67,28 +87,34 @@ class TestTimingTable:
             assert str(got.critical_path) == str(ref.critical_path)
 
     def test_matches_on_generated_design(self, counter, lib):
-        table = TimingTable.compile(counter.design.top, lib)
+        analysis = TimingAnalysis(counter.design.top, lib)
         for vdd in (0.6, 0.35):
-            ref = TimingAnalysis(counter.design.top, lib).run(vdd=vdd)
-            got = table.evaluate(lib, vdd=vdd)
+            ref = walk_timing(counter.design.top, lib, vdd)
+            got = analysis.run(vdd)
             assert got.min_period == ref.min_period
+            assert got.min_path_delay == ref.min_path_delay
             assert str(got.critical_path) == str(ref.critical_path)
 
     def test_pickle_roundtrip(self, toy_design, lib):
-        import pickle
-
-        table = pickle.loads(pickle.dumps(
-            TimingTable.compile(toy_design.top, lib)))
-        ref = TimingAnalysis(toy_design.top, lib).run(vdd=0.5)
-        assert table.evaluate(lib, vdd=0.5).eval_delay == ref.eval_delay
+        analysis = TimingAnalysis(toy_design.top, lib)
+        assert _netlist_objects(analysis) == set()
+        restored = pickle.loads(pickle.dumps(analysis))
+        for vdd in VDDS:
+            ref = walk_timing(toy_design.top, lib, vdd)
+            got = restored.run(vdd)
+            assert got.eval_delay == ref.eval_delay
+            assert str(got.critical_path) == str(ref.critical_path)
 
 
 class TestLeakageTable:
+    """The leakage lowering (what the SCPG model table stores) against
+    the per-instance walk."""
+
     def test_matches_leakage_power(self, counter, lib):
-        table = LeakageTable.compile(counter.design.top)
         for vdd in VDDS:
-            ref = leakage_power(counter.design.top, lib, vdd=vdd)
-            got = table.evaluate(lib, vdd=vdd)
+            ref = _leakage_power_walk(counter.design.top, lib, vdd=vdd)
+            got = leakage_power(counter.design.top, lib, vdd=vdd)
+            assert got.vdd == ref.vdd
             assert got.total == ref.total
             assert got.by_kind == ref.by_kind
             assert got.by_cell == ref.by_cell
@@ -96,79 +122,58 @@ class TestLeakageTable:
             assert got.always_on == ref.always_on
             assert got.headers == ref.headers
 
-    def test_axis_matches_scalar_evaluations(self, counter, lib):
-        """One vectorized pass over the whole VDD axis returns the same
-        reports as point-at-a-time evaluate calls."""
-        table = LeakageTable.compile(counter.design.top)
-        reports = table.evaluate_axis(lib, list(VDDS))
-        assert len(reports) == len(VDDS)
-        for vdd, got in zip(VDDS, reports):
-            ref = table.evaluate(lib, vdd=vdd)
-            assert got.vdd == ref.vdd
-            assert got.total == ref.total
-            assert got.by_kind == ref.by_kind
-            assert got.by_cell == ref.by_cell
-
-    def test_axis_temp_and_empty(self, counter, lib):
-        table = LeakageTable.compile(counter.design.top)
-        hot = table.evaluate_axis(lib, [0.6], temp_c=85.0)[0]
-        assert hot.total == table.evaluate(lib, vdd=0.6,
-                                           temp_c=85.0).total
-        assert table.evaluate_axis(lib, []) == []
-        empty = LeakageTable()  # ScpgModelTable default-constructs one
-        report = empty.evaluate(lib, vdd=0.5)
-        assert report.total == 0.0 and report.by_kind == {}
-
-    def test_kernel_registered(self, counter, lib):
-        """The vdd axis batches through the kernel registry."""
-        from repro.errors import RunnerError
-        from repro.runner import compile_kernel, kernel_for
-
-        table = LeakageTable.compile(counter.design.top)
-        kernel = kernel_for(table)
-        assert kernel is not None and kernel.name == "leakage-axis"
-        compiled = compile_kernel(table, library=lib)
-        points = [None, 0.6, 0.3]
-        for vdd, got in zip(points, compiled(points)):
-            ref = table.evaluate(lib, vdd=vdd)
-            assert (got.vdd, got.total) == (ref.vdd, ref.total)
-            assert got.by_cell == ref.by_cell
-        with pytest.raises(RunnerError, match="library"):
-            compile_kernel(table)([0.6])
-
     def test_pickle_roundtrip(self, counter, lib):
-        import pickle
+        lk = pickle.loads(pickle.dumps(leakage_soa_for(counter.design.top)))
+        for vdd in (None, 0.5):
+            ref = _leakage_power_walk(counter.design.top, lib, vdd=vdd)
+            got = LeakageReport.from_soa(lk, lib, vdd)
+            assert got.total == ref.total
+            assert got.by_cell == ref.by_cell
 
-        table = pickle.loads(pickle.dumps(
-            LeakageTable.compile(counter.design.top)))
-        ref = leakage_power(counter.design.top, lib, vdd=0.5)
-        assert table.evaluate(lib, vdd=0.5).total == ref.total
+
+def _priced_walk(module, lib, vdd):
+    """``(e_cycle, by_net)`` priced net by net straight off the netlist."""
+    est = estimate_activity(module)
+    by_net = {}
+    e_cycle = 0.0
+    for net in module.nets():
+        density = est.density.get(net.name, 0.0)
+        if net.is_const or density <= 0:
+            continue
+        cap = net_load(net, lib)
+        if isinstance(net.driver, tuple) and net.driver[0].is_cell:
+            cap += net.driver[0].cell.c_internal
+        by_net[net.name] = 0.5 * vdd * vdd * cap * density
+        e_cycle += by_net[net.name]
+    return e_cycle, by_net
 
 
 class TestSwitchedCapTable:
     def test_matches_vectorless_switching(self, counter, lib):
-        table = SwitchedCapTable.compile(counter.design.top, lib)
+        top = counter.design.top
+        table = pickle.loads(pickle.dumps(
+            SwitchedCapacitance.compile(top, lib)))
         for vdd in VDDS:
-            if vdd is None:
-                ref = vectorless_switching(counter.design.top, lib)
-                got = table.evaluate(lib)
-            else:
-                ref = vectorless_switching(counter.design.top, lib, vdd)
-                got = table.evaluate(lib, vdd=vdd)
-            assert got[0] == ref[0]
-            assert got[1] == ref[1]
+            ref = _priced_walk(top, lib, lib.vdd_nom if vdd is None else vdd)
+            got = table.evaluate(lib) if vdd is None \
+                else table.evaluate(lib, vdd)
+            assert got == ref
+            assert vectorless_switching(top, lib, vdd) == ref
 
 
 class TestScpgModelTable:
     def test_model_fingerprint_and_numbers_match(self, counter, lib):
-        from repro.scpg.power_model import Mode, ScpgPowerModel
+        from repro.scpg.power_model import Mode
 
         scpg = counter.scpg()
         e_cycle, _ = counter.switching()
         ref = ScpgPowerModel.from_scpg_design(scpg, e_cycle)
-        got = ScpgModelTable.compile(scpg).build_model(lib, e_cycle)
-        # Identical fingerprints => identical result-cache keys, so
-        # artifact-path sweeps share cached points with legacy sweeps.
+        table = pickle.loads(pickle.dumps(ScpgModelTable.compile(scpg)))
+        assert _netlist_objects(table) == set()
+        got = table.build_model(lib, e_cycle)
+        # Identical fingerprints => identical result-cache keys, so a
+        # bundle loaded from disk shares cached points with a model built
+        # from the live transform.
         assert stable_hash("m", got) == stable_hash("m", ref)
         for freq in (1e4, 1e6, 1e7):
             for mode in Mode:
@@ -178,13 +183,6 @@ class TestScpgModelTable:
                 else:
                     assert a.total == b.total
                     assert a.energy_per_op == b.energy_per_op
-
-    def test_partition_snapshot(self, counter):
-        scpg = counter.scpg()
-        part = DomainPartition.compile(scpg)
-        assert part.header_count == scpg.headers.count
-        assert part.area_overhead_pct == scpg.area_overhead_pct
-        assert len(part.isolation_cells) == len(scpg.iso_instances)
 
 
 # -- the store ----------------------------------------------------------------
@@ -295,34 +293,38 @@ class TestInvalidation:
 
 class TestSessionArtifacts:
     def test_results_identical_with_and_without(self, lib):
-        on = Session(library=lib, store=None)
-        off = Session(library=lib, store=None, artifacts=False)
+        """The handle's answers equal direct module-level calls."""
+        s = Session(library=lib, store=None)
         try:
-            h_on, h_off = on.design("counter16"), off.design("counter16")
+            h = s.design("counter16")
+            top = h.design.top
             for vdd in (None, 0.5):
-                a, b = h_on.sta(vdd=vdd), h_off.sta(vdd=vdd)
+                a = h.sta(vdd=vdd)
+                b = TimingAnalysis(top, lib).run(vdd)
                 assert a.eval_delay == b.eval_delay
                 assert a.setup == b.setup
                 assert str(a.critical_path) == str(b.critical_path)
-                assert h_on.switching(vdd=vdd) == h_off.switching(vdd=vdd)
-                la, lb = h_on.leakage(vdd=vdd), h_off.leakage(vdd=vdd)
+                assert h.switching(vdd=vdd) \
+                    == vectorless_switching(top, lib, vdd)
+                la = h.leakage(vdd=vdd)
+                lb = leakage_power(top, lib, vdd=vdd)
                 assert la.total == lb.total and la.by_cell == lb.by_cell
-            assert stable_hash("m", h_on.power_model()) \
-                == stable_hash("m", h_off.power_model())
-            assert stable_hash("s", h_on.subvt_model()) \
-                == stable_hash("s", h_off.subvt_model())
-            assert on.stats.artifact_misses == 1
-            assert off.stats.artifact_misses == 0
+            e_cycle, _ = vectorless_switching(top, lib)
+            ref = ScpgPowerModel.from_scpg_design(h.scpg(), e_cycle)
+            base = leakage_power(top, lib)
+            ref.leak_comb_base = base.combinational
+            ref.leak_alwayson_base = base.always_on
+            assert stable_hash("m", h.power_model()) == stable_hash("m", ref)
+            assert s.stats.artifact_misses == 1
         finally:
-            on.close()
-            off.close()
+            s.close()
 
     def test_artifact_dir_reused_by_second_session(self, lib, tmp_path):
-        art = str(tmp_path / "artifacts.sqlite")
-        cold = Session(library=lib, store=None, artifacts=art)
+        store = str(tmp_path / "store.sqlite")
+        cold = Session(library=lib, store=store)
         cold.design("counter16").sta()
         cold.close()
-        warm = Session(library=lib, store=None, artifacts=art)
+        warm = Session(library=lib, store=store)
         try:
             warm.design("counter16").sta()
             assert warm.stats.artifact_hits == 1
@@ -345,23 +347,39 @@ class TestSessionArtifacts:
         finally:
             s.close()
 
-    def test_artifacts_off_has_no_store(self, lib):
-        s = Session(library=lib, store=None, artifacts=False)
+    def test_store_less_session_keeps_bundles_in_memory(self, lib):
+        s = Session(library=lib, store=None)
         try:
-            assert s.artifacts is None
-            assert s.design("counter16").artifacts() is None
+            assert s.artifacts.cache is None
+            bundle = s.design("counter16").artifacts()
+            assert bundle.schema == ARTIFACT_SCHEMA
+            assert s.design("counter16").artifacts() is bundle
+            assert s.stats.artifact_hits == 1
+        finally:
+            s.close()
+
+    def test_bundle_from_an_older_schema_is_rebuilt(self, lib, tmp_path):
+        store = SqliteStore(tmp_path / "store.sqlite")
+        s = Session(library=lib, store=store)
+        try:
+            h = s.design("counter16")
+            stale = CircuitArtifacts(schema="circuit-artifacts-v3",
+                                     fingerprint=h.fingerprint)
+            store.put(s.artifacts.key_for(h.fingerprint), stale)
+            assert h.artifacts().schema == ARTIFACT_SCHEMA
+            assert s.stats.artifact_misses == 1
         finally:
             s.close()
 
     def test_cross_process_reuse(self, lib, tmp_path):
         """A bundle built in another *process* is reused from disk."""
-        art = str(tmp_path / "artifacts.sqlite")
+        store = str(tmp_path / "store.sqlite")
         script = (
             "from repro.session import Session\n"
-            "s = Session(store=None, artifacts={!r})\n"
+            "s = Session(store={!r})\n"
             "s.design('counter16').sta()\n"
             "assert s.stats.artifact_misses == 1\n"
-            "s.close()\n".format(art)
+            "s.close()\n".format(store)
         )
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(
@@ -369,7 +387,7 @@ class TestSessionArtifacts:
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         subprocess.run([sys.executable, "-c", script], check=True,
                        env=env)
-        s = Session(library=lib, store=None, artifacts=art)
+        s = Session(library=lib, store=store)
         try:
             s.design("counter16").sta()
             assert s.stats.artifact_hits == 1

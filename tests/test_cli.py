@@ -189,16 +189,20 @@ class TestObservabilityFlags:
                      "--stats-json", str(tmp_path / "s.json"),
                      "subvt", "counter16"]) == 0
         assert capsys.readouterr().out == plain
-        assert main(["--no-artifact-cache", "subvt", "counter16"]) == 0
-        assert capsys.readouterr().out == plain
 
-    def test_artifact_cache_keeps_reports_identical(self, capsys):
+    def test_artifact_cache_keeps_reports_identical(self, tmp_path,
+                                                    capsys):
+        """A bundle read back from the store reports exactly what a
+        freshly built one does."""
+        store = str(tmp_path / "store.sqlite")
         for command in (["sta", "counter16"],
                         ["power", "counter16", "--freq", "1MHz"]):
-            assert main(command) == 0
-            cached = capsys.readouterr().out
-            assert main(["--no-artifact-cache"] + command) == 0
-            assert capsys.readouterr().out == cached
+            assert main(["--cache", store] + command) == 0
+            built = capsys.readouterr().out
+            assert main(["--cache", store, "--stats"] + command) == 0
+            out = capsys.readouterr()
+            assert out.out == built
+            assert "1 artifact hits, 0 artifact misses" in out.err
 
     def test_trace_written(self, tmp_path, capsys):
         import json

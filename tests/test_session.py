@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Session
-from repro.errors import RegistryError
+from repro.errors import RegistryError, SupplyError
 from repro.runner import SqliteStore
 from repro.scpg.power_model import Mode, PowerBreakdown
 
@@ -65,7 +65,7 @@ class TestSession:
         assert handles[0].design.top.name == "mult4"
 
     def test_expand_family_validates_axis(self, session):
-        from repro.errors import RegistryError
+        from repro.errors import RegistryError, SupplyError
 
         with pytest.raises(RegistryError):
             session.expand_family("multiplier", n=[0])
@@ -151,6 +151,47 @@ class TestDesignHandleAnalyses:
         rerun.design("counter16").sweep([1e6])
         assert rerun.stats.evaluated == 0
         assert rerun.stats.cache_hits == rerun.stats.points
+
+
+class TestSupplyChecks:
+    """Every handle method taking ``vdd`` reads ``None`` as nominal and
+    rejects a non-finite or non-positive supply, naming the value."""
+
+    @pytest.fixture(scope="class")
+    def handle(self, session):
+        return session.design("mult16")
+
+    def test_leakage_at_zero(self, handle):
+        with pytest.raises(SupplyError, match="0.0"):
+            handle.leakage(vdd=0.0)
+
+    def test_power_report_at_zero(self, handle):
+        with pytest.raises(SupplyError, match="0.0"):
+            handle.power_report(1e6, vdd=0.0)
+
+    def test_switching_at_negative(self, handle):
+        with pytest.raises(SupplyError, match="-1.0"):
+            handle.switching(vdd=-1.0)
+
+    def test_sta_at_zero(self, handle):
+        with pytest.raises(SupplyError, match="0.0"):
+            handle.sta(vdd=0.0)
+
+    def test_sta_at_nan(self, handle):
+        with pytest.raises(SupplyError, match="nan"):
+            handle.sta(vdd=float("nan"))
+
+    def test_infinite_and_non_numeric(self, handle):
+        with pytest.raises(SupplyError, match="inf"):
+            handle.leakage_axis([0.5, float("inf")])
+        with pytest.raises(SupplyError, match="'0.6'"):
+            handle.state_leakage_trace([], vdd="0.6")
+
+    def test_none_is_nominal(self, handle, lib):
+        assert handle.sta(vdd=None) is handle.sta()
+        assert handle.leakage().vdd == lib.vdd_nom
+        assert handle.power_report(1e6).vdd == lib.vdd_nom
+        assert handle.switching(vdd=lib.vdd_nom) == handle.switching()
 
 
 class TestSessionObservability:
