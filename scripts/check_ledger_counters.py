@@ -3,7 +3,7 @@
 
 Usage::
 
-    python scripts/check_ledger_counters.py [--update] [--workload W ...]
+    python scripts/check_ledger_counters.py [--update]
 
 For each workload of ``perfbench/run.py`` this runs one traced
 measurement at seed 1 (``--seed 1 --seconds 1 --trace 1``) and fails
@@ -73,15 +73,13 @@ def main(argv=None):
     parser.add_argument("--update", action="store_true",
                         help="rewrite {} from the runs".format(
                             BASELINE.relative_to(ROOT)))
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="check only this workload (repeatable)")
     args = parser.parse_args(argv)
 
     committed = {} if args.update or not BASELINE.exists() \
         else json.loads(BASELINE.read_text())
     measured = {}
     problems = []
-    for workload in args.workload or WORKLOADS:
+    for workload in WORKLOADS:
         print("== {} (seed {})".format(workload, SEED), flush=True)
         correct, counters = measure(workload)
         if not correct:
@@ -92,8 +90,6 @@ def main(argv=None):
                                 committed.get(workload, {}))
 
     if args.update and not problems:
-        if BASELINE.exists():
-            measured = dict(json.loads(BASELINE.read_text()), **measured)
         BASELINE.write_text(json.dumps(measured, indent=2, sort_keys=True)
                             + "\n")
         print("wrote {}".format(BASELINE.relative_to(ROOT)))

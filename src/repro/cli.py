@@ -207,8 +207,7 @@ def cmd_compare(args):
     freqs = [parse_si(f, "Hz") for f in args.freqs.split(",")] \
         if args.freqs else None
     comparison = session.compare_techniques(
-        args.design, freqs=freqs, techniques=techniques,
-        vdd=args.vdd if args.vdd else None)
+        args.design, freqs=freqs, techniques=techniques, vdd=args.vdd)
     text = format_comparison(comparison) + "\n"
     if args.json:
         with open(args.json, "w") as f:

@@ -225,7 +225,6 @@ class Module:
             net = self.add_net("const{}".format(value))
             net.const_value = value
             self._const_nets[value] = net
-            self.generation += 1
         return self._const_nets[value]
 
     def add_instance(self, name, ref, connections, library=None):

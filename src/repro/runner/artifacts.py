@@ -66,17 +66,19 @@ class CircuitArtifacts:
         from ..scpg.power_model import ScpgModelTable
         from ..scpg.transform import _apply_scpg
         from ..sim.compiled import compile_schedule
-        from ..sta.analysis import TimingAnalysis
+        from ..sta.analysis import timing_for
 
         library = design.library
         top = design.top
+        # Held here first, so the SCPG transform shares this lowering.
+        timing = timing_for(top, library)
         switching = SwitchedCapacitance.compile(top, library)
         e_cycle, _ = switching.evaluate(library)
         scpg_design = _apply_scpg(design, energy_per_cycle=e_cycle)
         return cls(
             fingerprint=fingerprint,
             design_name=name,
-            timing=TimingAnalysis(top, library),
+            timing=timing,
             switching=switching,
             scpg=ScpgModelTable.compile(scpg_design),
             gate_sim=compile_schedule(top, library),

@@ -36,7 +36,7 @@ from ..power.dynamic import DEFAULT_GLITCH_FACTOR
 from ..power.headers import HeaderNetwork, size_header_network
 from ..power.probabilistic import estimate_activity
 from ..power.rails import RailParams, VirtualRailModel
-from ..sta.analysis import TimingAnalysis
+from ..sta.analysis import timing_for
 from ..sta.delay import net_load
 from . import isolation as iso
 from .clocking import ScpgTimingParams, check_hold, timing_from_sta
@@ -137,7 +137,7 @@ def _apply_scpg(design, clock_port="clk", header_size=None,
         raise ScpgError("design has no clock port {}".format(clock_port))
     validate_module(top_src).raise_if_errors()
 
-    sta = TimingAnalysis(top_src, lib).run()
+    sta = timing_for(top_src, lib).run()
 
     if energy_per_cycle is None:
         energy_per_cycle = _estimate_energy_per_cycle(

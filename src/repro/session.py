@@ -253,7 +253,7 @@ class Session:
         handle = design if isinstance(design, DesignHandle) \
             else self.design(design, **params)
         return run_comparison(handle, freqs=freqs,
-                              techniques=techniques, vdd=vdd)
+                              techniques=techniques, vdd=_check_vdd(vdd))
 
     def __repr__(self):
         return "Session(library={!r}, runner={!r})".format(

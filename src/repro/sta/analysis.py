@@ -15,6 +15,7 @@ sub-threshold frequency sweep gets its ``Fmax(VDD)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from weakref import WeakKeyDictionary, ref
 
 from ..errors import TimingError
 from ..netlist.traverse import topological_instances
@@ -272,3 +273,24 @@ class TimingAnalysis:
             points=points,
             capture=name,
         )
+
+
+_TIMING = WeakKeyDictionary()
+
+
+def timing_for(module, library):
+    """The shared :class:`TimingAnalysis` of ``module`` under ``library``.
+
+    The memo holds the analysis weakly: callers share one lowering while
+    anything (an artifact bundle, a transform in progress) still holds
+    it, and a one-off analysis is freed with its caller.  It is lowered
+    again whenever the module has been edited since (its ``generation``
+    moved) or the library differs.
+    """
+    entry = _TIMING.get(module)
+    analysis = None if entry is None or entry[0] != module.generation \
+        else entry[1]()
+    if analysis is None or analysis.library is not library:
+        analysis = TimingAnalysis(module, library)
+        _TIMING[module] = (module.generation, ref(analysis))
+    return analysis

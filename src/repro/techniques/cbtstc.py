@@ -40,7 +40,7 @@ from ..power.headers import DEFAULT_IR_BUDGET, peak_current
 from ..power.leakage import GATABLE_KINDS
 from ..power.probabilistic import estimate_activity, vectorless_switching
 from ..power.rails import RailParams
-from ..sta.analysis import TimingAnalysis
+from ..sta.analysis import timing_for
 from ..tech.library import CellKind
 from .base import (
     Technique,
@@ -239,7 +239,7 @@ class CbtstcTechnique(Technique):
         if cluster_size < 1:
             raise TechniqueError("cluster_size must be >= 1")
 
-        sta = TimingAnalysis(top_src, lib).run()
+        sta = timing_for(top_src, lib).run()
         activity = estimate_activity(top_src)
         if energy_per_cycle is None:
             energy_per_cycle, _ = vectorless_switching(top_src, lib)

@@ -38,7 +38,7 @@ from ..netlist.stats import module_stats
 from ..netlist.transform import remap_cells
 from ..power.leakage import leakage_power
 from ..power.probabilistic import vectorless_switching
-from ..sta.analysis import TimingAnalysis
+from ..sta.analysis import timing_for
 from ..tech.library import CellKind, Library
 from .base import (
     Technique,
@@ -183,7 +183,7 @@ class LectorTable:
         lib = transformed.design.library
         top = transformed.design.top
         report = leakage_power(top, lib)
-        sta = TimingAnalysis(top, lib).run()
+        sta = timing_for(top, lib).run()
         e_new, _ = vectorless_switching(top, lib)
         e_base, _ = vectorless_switching(transformed.base.top,
                                          transformed.base.library)

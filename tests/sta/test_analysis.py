@@ -97,3 +97,25 @@ class TestTimingAnalysis:
         mult = TimingAnalysis(mult_module, lib).run()
         m0 = TimingAnalysis(m0_module, lib).run()
         assert m0.eval_delay > mult.eval_delay
+
+
+class TestTimingMemo:
+    """``timing_for`` shares one lowering per module and library while
+    it is held, and lowers again after a netlist edit."""
+
+    def test_reused_until_the_module_is_edited(self, lib):
+        from repro.circuits.registry import build
+        from repro.sta.analysis import timing_for
+
+        from .walk import walk_timing
+
+        top = build("counter16", lib)
+        before = timing_for(top, lib)
+        assert timing_for(top, lib) is before
+        net = top.output_ports()[0].net
+        top.add_instance("extra_inv", "INV_X1",
+                         {"A": net, "Y": top.add_net("extra_y")},
+                         library=lib)
+        after = timing_for(top, lib)
+        assert after is not before
+        assert after.run().eval_delay == walk_timing(top, lib).eval_delay

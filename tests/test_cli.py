@@ -130,6 +130,12 @@ class TestReports:
         low = capsys.readouterr().out
         assert nominal != low
 
+    def test_zero_supply_is_an_error(self, capsys):
+        assert main(["sta", "counter16", "--vdd", "0"]) == 1
+        assert "got 0.0" in capsys.readouterr().err
+        assert main(["compare", "counter16", "--vdd", "0"]) == 1
+        assert "got 0.0" in capsys.readouterr().err
+
     def test_power_report(self, capsys):
         assert main(["power", "counter16", "--freq", "5MHz"]) == 0
         out = capsys.readouterr().out

@@ -65,7 +65,7 @@ class TestSession:
         assert handles[0].design.top.name == "mult4"
 
     def test_expand_family_validates_axis(self, session):
-        from repro.errors import RegistryError, SupplyError
+        from repro.errors import RegistryError
 
         with pytest.raises(RegistryError):
             session.expand_family("multiplier", n=[0])
@@ -186,6 +186,10 @@ class TestSupplyChecks:
             handle.leakage_axis([0.5, float("inf")])
         with pytest.raises(SupplyError, match="'0.6'"):
             handle.state_leakage_trace([], vdd="0.6")
+
+    def test_compare_at_zero(self, session, handle):
+        with pytest.raises(SupplyError, match="0.0"):
+            session.compare_techniques(handle, vdd=0.0)
 
     def test_none_is_nominal(self, handle, lib):
         assert handle.sta(vdd=None) is handle.sta()
