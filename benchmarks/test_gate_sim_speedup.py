@@ -99,7 +99,7 @@ def test_gate_sim_speedup(lib):
         lambda: _run_event(module, vectors))
 
     cold_start = time.perf_counter()
-    schedule = compile_schedule(module, lib)
+    schedule = compile_schedule(module)
     cold_run = schedule.run_vectors(vectors, group_size=GROUP_SIZE)
     cold_s = time.perf_counter() - cold_start
     assert cold_run.engine == "levelized"

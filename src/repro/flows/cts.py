@@ -69,10 +69,7 @@ def synthesize_clock_tree(module, library, clock="clk",
             branch = module.add_net("{}_l{}_{}".format(
                 clock, levels, k // max_fanout))
             for inst, pin in chunk:
-                inst.connections[pin] = branch
-                branch.loads.append((inst, pin))
-                if (inst, pin) in clk_net.loads:
-                    clk_net.loads.remove((inst, pin))
+                module.reconnect(inst, pin, branch)
             buf = module.add_instance(
                 "ctsbuf_l{}_{}".format(levels, k // max_fanout),
                 cell,

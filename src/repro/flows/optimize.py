@@ -55,10 +55,7 @@ def _rewire_loads(module, from_net, to_net):
     onto ``to_net``."""
     for load in list(from_net.loads):
         if isinstance(load, tuple):
-            inst, pin = load
-            inst.connections[pin] = to_net
-            to_net.loads.append(load)
-            from_net.loads.remove(load)
+            module.reconnect(*load, to_net)
     # Output ports keep their own net; protected nets are never rewired
     # away, so port loads stay untouched.
 

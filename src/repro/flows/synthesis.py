@@ -59,9 +59,7 @@ def synthesize(module, library, max_fanout=MAX_FANOUT):
         for k, chunk in enumerate(chunks):
             new_net = module.add_net("{}_fo{}".format(net.name, k))
             for inst, pin in chunk:
-                inst.connections[pin] = new_net
-                new_net.loads.append((inst, pin))
-                net.loads.remove((inst, pin))
+                module.reconnect(inst, pin, new_net)
             module.add_instance(
                 "fobuf_{}_{}".format(net.name, k), buf,
                 {"A": net, "Y": new_net},

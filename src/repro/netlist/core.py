@@ -157,9 +157,10 @@ class Module:
     """A netlist module: ports, nets and instances.
 
     ``generation`` counts structural edits: every construction method
-    below bumps it, so a per-module memo (a lowering, a compiled
-    schedule) stored with the generation it was built at can tell when
-    the module has changed since.
+    below bumps it.  Analyses derived from the netlist alone (the
+    levelization, the activity estimate, net capacitances, lowerings,
+    the compiled schedule) are cached on the module through
+    :meth:`derived`, which drops the cache once the generation moves.
     """
 
     def __init__(self, name):
@@ -171,6 +172,28 @@ class Module:
         self._port_index = {}
         self._uid = 0
         self.generation = 0
+        self._derived = (0, {})
+
+    def __getstate__(self):
+        """Pickle without the derived-analysis cache."""
+        state = dict(self.__dict__)
+        state["_derived"] = (self.generation, {})
+        return state
+
+    def derived(self, key, build):
+        """``build(self)``, cached on this module under ``key``.
+
+        The cache belongs to one ``generation``: the first lookup after
+        an edit starts it afresh.  A ``build`` that raises caches
+        nothing, so it raises again on the next lookup.
+        """
+        generation, cache = self._derived
+        if generation != self.generation:
+            cache = {}
+            self._derived = (self.generation, cache)
+        if key not in cache:
+            cache[key] = build(self)
+        return cache[key]
 
     # -- construction ---------------------------------------------------------
 
@@ -252,8 +275,8 @@ class Module:
         self.generation += 1
         return inst
 
-    def connect(self, inst, pin_name, net):
-        """Attach ``net`` (a Net or net name) to ``inst.pin_name``."""
+    def _own_net(self, net):
+        """``net`` (a Net or net name) as a net of this module."""
         if isinstance(net, str):
             net = self.net(net)
         if net.module is not self:
@@ -262,6 +285,11 @@ class Module:
                     net.name, net.module.name, self.name
                 )
             )
+        return net
+
+    def connect(self, inst, pin_name, net):
+        """Attach ``net`` (a Net or net name) to ``inst.pin_name``."""
+        net = self._own_net(net)
         if pin_name in inst.connections:
             raise NetlistError(
                 "instance {} pin {} already connected".format(
@@ -276,6 +304,23 @@ class Module:
         else:
             net.loads.append((inst, pin_name))
         self.generation += 1
+
+    def reconnect(self, inst, pin_name, net):
+        """Move ``inst.pin_name`` from its current net onto ``net``.
+
+        An input pin leaves the old net's loads (the others keep their
+        order) and joins the end of ``net``'s; an output pin hands the
+        old net's driver over to ``net``.  An unconnected pin is simply
+        connected.
+        """
+        net = self._own_net(net)
+        old = inst.connections.pop(pin_name, None)
+        if old is not None:
+            if old.driver == (inst, pin_name):
+                old.driver = None
+            else:
+                old.loads.remove((inst, pin_name))
+        self.connect(inst, pin_name, net)
 
     def remove_instance(self, name):
         """Remove an instance and detach its connections."""

@@ -5,16 +5,11 @@ integer-indexed arrays: every net becomes an index into a value vector,
 every combinational (instance, output pin) pair becomes one *gate entry*
 with an ``int8`` ternary truth table in a shared flat table array, and
 the entries are ranked into dependency levels
-(:func:`repro.netlist.traverse.levelize`) and grouped by arity so a whole
-level evaluates as one batched table lookup::
+(:func:`repro.netlist.traverse.levels_for`) and grouped by arity so a
+whole level evaluates as one batched table lookup::
 
     keys = V[:, in_idx] @ pow3          # (B, gates) ternary codes
     V[:, out_idx] = tables[base + keys] # one gather per (level, arity)
-
-Per-cell physical data (delay, leakage, switched capacitance) and the
-per-net load capacitance are lowered into aligned ``numpy`` arrays when a
-library is supplied, so power accounting over a toggle matrix is a single
-vector expression instead of a netlist walk.
 
 Two further lowered forms serve the closed-loop paths:
 
@@ -35,7 +30,8 @@ Two further lowered forms serve the closed-loop paths:
 The lowered form holds only names, indices and arrays -- no ``Net`` /
 ``Instance`` / ``Cell`` references -- so it pickles into the artifact
 cache and ships to worker processes unchanged.  Combinational feedback
-makes a levelized schedule impossible; :func:`lower_soa` then raises
+makes a levelized schedule impossible, and an unconnected gate input
+has no value to gather; :func:`lower_soa` then raises
 :class:`~repro.errors.NetlistError` (callers fall back to the event
 simulator, see :mod:`repro.sim.compiled`).
 """
@@ -43,13 +39,13 @@ simulator, see :mod:`repro.sim.compiled`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from ..errors import NetlistError
 from ..tech.library import CellKind
 from ..sim.logic import X, compile_cell
-from .traverse import levelize, topological_instances
+from .traverse import levels_for
 
 
 @dataclass
@@ -67,7 +63,6 @@ class CombGroup:
     out_idx: np.ndarray
     table_base: np.ndarray
     pow3: np.ndarray
-    gate_ids: np.ndarray
     #: Per-operand contiguous column views of ``in_idx`` (gather order).
     in_cols: list = field(default_factory=list)
 
@@ -115,13 +110,8 @@ class SoaNetlist:
     #: :class:`CombGroup` whose inputs are all settled by level ``L``.
     levels: list = field(default_factory=list)
     tables: np.ndarray = None
-    #: Per gate entry (topological order): names, fanin tuples, output
-    #: net, level rank.
-    gate_names: list = field(default_factory=list)
-    gate_cell_names: list = field(default_factory=list)
+    #: Per gate entry (topological order): fanin net-index tuples.
     gate_inputs: list = field(default_factory=list)
-    gate_out: np.ndarray = None
-    gate_level: np.ndarray = None
     #: Sequential rows: pin net indices with ``-1`` for absent pins.
     seq_names: list = field(default_factory=list)
     seq_d: np.ndarray = None
@@ -134,11 +124,6 @@ class SoaNetlist:
     driver_gate: np.ndarray = None
     driver_seq: np.ndarray = None
     non_const_nets: int = 0
-    #: Library-derived physics (``None`` without a library).
-    gate_delay: np.ndarray = None
-    gate_leakage: np.ndarray = None
-    gate_switched_cap: np.ndarray = None
-    net_cap: np.ndarray = None
 
     @property
     def n_nets(self):
@@ -187,7 +172,6 @@ class SoaNetlist:
                         out_idx=grp.out_idx[keep],
                         table_base=grp.table_base[keep],
                         pow3=grp.pow3,
-                        gate_ids=grp.gate_ids[keep],
                         in_cols=[np.ascontiguousarray(in_idx[:, j])
                                  for j in range(grp.arity)],
                     )
@@ -286,23 +270,6 @@ class SoaNetlist:
         state = dict(self.__dict__)
         state.pop("_row_full", None)
         return state
-
-    def switched_energy(self, toggle_counts, cycles, vdd, glitch_factor=1.0):
-        """Vectorized switched energy per cycle from a toggle vector.
-
-        ``toggle_counts`` is a length-``n_nets`` array (e.g. a summed
-        toggle matrix from :class:`repro.sim.compiled.CompiledSchedule`);
-        returns ``(e_cycle, by_net)`` with the same per-net formula as
-        :func:`repro.power.dynamic.dynamic_power`.
-        """
-        if self.net_cap is None:
-            raise ValueError("lowered without a library; no capacitances")
-        counts = np.asarray(toggle_counts, dtype=np.float64)
-        energy = (0.5 * vdd * vdd) * self.net_cap * counts \
-            * (glitch_factor / cycles)
-        nonzero = np.nonzero(energy)[0]
-        by_net = {self.net_names[i]: float(energy[i]) for i in nonzero}
-        return float(energy.sum()), by_net
 
 
 @dataclass
@@ -500,28 +467,19 @@ def lower_leakage(module):
     return lk
 
 
-_LEAKAGE_SOA = WeakKeyDictionary()
-
-
 def leakage_soa_for(module):
-    """The memoised :class:`LeakageSoa` of ``module``, lowered again
-    whenever the module has been edited since (its ``generation``
-    moved)."""
-    entry = _LEAKAGE_SOA.get(module)
-    if entry is None or entry[0] != module.generation:
-        entry = (module.generation, lower_leakage(module))
-        _LEAKAGE_SOA[module] = entry
-    return entry[1]
+    """The :class:`LeakageSoa` of ``module``, cached on the module (see
+    :meth:`repro.netlist.core.Module.derived`)."""
+    return module.derived("leakage_soa", lower_leakage)
 
 
-def lower_soa(module, library=None):
+def lower_soa(module):
     """Lower a flat ``module`` into a :class:`SoaNetlist`.
 
-    Raises :class:`~repro.errors.NetlistError` for hierarchical modules
-    or combinational feedback (no levelized order exists).
+    Raises :class:`~repro.errors.NetlistError` for hierarchical modules,
+    combinational feedback (no levelized order exists) or an unconnected
+    gate input.
     """
-    from ..sta.delay import net_load
-
     soa = SoaNetlist(module_name=module.name)
     nets = module.nets()
     for i, net in enumerate(nets):
@@ -544,14 +502,17 @@ def lower_soa(module, library=None):
         soa.output_ports[port.name] = index[id(port.net)]
 
     # -- combinational gate entries, in topological order --------------------
-    order = topological_instances(module)   # raises on loops / hierarchy
-    rank_of = levelize(module)
+    order, rank_of = levels_for(module)     # raises on loops / hierarchy
     table_offset = {}
     flat_tables = []
     entries = []                            # (level, arity, in, out, base)
     driver_gate = np.full(len(nets), -1, dtype=np.int64)
     for inst in order:
         compiled = compile_cell(inst.cell)
+        for p in compiled.input_names:
+            if p not in inst.connections:
+                raise NetlistError("instance {} pin {} unconnected".format(
+                    inst.name, p))
         in_idx = tuple(index[id(inst.connections[p])]
                        for p in compiled.input_names)
         level = rank_of[inst.name]
@@ -567,23 +528,18 @@ def lower_soa(module, library=None):
                 flat_tables.extend(table)
             gate_id = len(entries)
             out_idx = index[id(net)]
-            entries.append((level, len(in_idx), in_idx, out_idx, base,
-                            gate_id))
+            entries.append((level, len(in_idx), in_idx, out_idx, base))
             driver_gate[out_idx] = gate_id
-            soa.gate_names.append(inst.name)
-            soa.gate_cell_names.append(inst.cell.name)
             soa.gate_inputs.append(in_idx)
     soa.tables = np.asarray(flat_tables, dtype=np.int8)
-    soa.gate_out = np.asarray([e[3] for e in entries], dtype=np.int64)
-    soa.gate_level = np.asarray([e[0] for e in entries], dtype=np.int64)
     soa.driver_gate = driver_gate
 
     n_levels = 1 + max((e[0] for e in entries), default=-1)
     soa.levels = [[] for _ in range(n_levels)]
     by_bucket = {}
-    for level, arity, in_idx, out_idx, base, gate_id in entries:
+    for level, arity, in_idx, out_idx, base in entries:
         by_bucket.setdefault((level, arity), []).append(
-            (in_idx, out_idx, base, gate_id))
+            (in_idx, out_idx, base))
     for (level, arity), rows in sorted(by_bucket.items()):
         in_idx = np.asarray([r[0] for r in rows],
                             dtype=np.int64).reshape(len(rows), arity)
@@ -593,7 +549,6 @@ def lower_soa(module, library=None):
             out_idx=np.asarray([r[1] for r in rows], dtype=np.int64),
             table_base=np.asarray([r[2] for r in rows], dtype=np.int64),
             pow3=np.asarray([3 ** k for k in range(arity)], dtype=np.int64),
-            gate_ids=np.asarray([r[3] for r in rows], dtype=np.int64),
             in_cols=[np.ascontiguousarray(in_idx[:, j])
                      for j in range(arity)],
         ))
@@ -624,35 +579,5 @@ def lower_soa(module, library=None):
     soa.seq_en = np.asarray(en, dtype=np.int64)
     soa.seq_rn = np.asarray(rn, dtype=np.int64)
     soa.driver_seq = driver_seq
-
-    # -- library physics -----------------------------------------------------
-    if library is not None:
-        net_cap = np.zeros(len(nets), dtype=np.float64)
-        for net in nets:
-            if net.is_const:
-                continue
-            cap = net_load(net, library)
-            driver = net.driver
-            if isinstance(driver, tuple) and driver[0].is_cell:
-                cap += driver[0].cell.c_internal
-            net_cap[index[id(net)]] = cap
-        soa.net_cap = net_cap
-        delay, leak = [], []
-        gate_id = 0
-        for inst in order:
-            compiled = compile_cell(inst.cell)
-            for pin in compiled.tables:
-                net = inst.connections.get(pin)
-                if net is None:
-                    continue
-                delay.append(inst.cell.intrinsic_delay
-                             + inst.cell.drive_resistance
-                             * net_load(net, library))
-                leak.append(inst.cell.leakage)
-                gate_id += 1
-        soa.gate_delay = np.asarray(delay, dtype=np.float64)
-        soa.gate_leakage = np.asarray(leak, dtype=np.float64)
-        soa.gate_switched_cap = net_cap[soa.gate_out] \
-            if len(soa.gate_out) else np.zeros(0)
 
     return soa

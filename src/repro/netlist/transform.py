@@ -243,15 +243,9 @@ def insert_buffer(module, net, buf_cell, name=None):
         raise NetlistError("cannot buffer undriven/const net " + net.name)
     new_net = module.add_net(net.name + "_buf")
     # Move instance loads to the buffered copy; ports keep seeing the driver.
-    kept = []
     for load in list(net.loads):
         if isinstance(load, tuple):
-            inst, pin = load
-            inst.connections[pin] = new_net
-            new_net.loads.append(load)
-        else:
-            kept.append(load)
-    net.loads = kept
+            module.reconnect(*load, new_net)
     inst_name = name or "buf_{}".format(net.name)
     in_pin = buf_cell.inputs[0].name
     out_pin = buf_cell.outputs[0].name

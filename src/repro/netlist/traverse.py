@@ -1,5 +1,9 @@
 """Netlist traversal: classification, topological order, levelization.
 
+:func:`topological_instances` is the one walk that orders and levels a
+module's combinational logic; :func:`levels_for` caches its result on the
+module (see :meth:`repro.netlist.core.Module.derived`).
+
 These helpers operate on *flat* modules (library-cell instances only); pass
 hierarchical designs through :meth:`repro.netlist.core.Design.flatten`
 first.  A submodule instance encountered here raises
@@ -10,6 +14,7 @@ order.
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 
 from ..errors import NetlistError
 from ..tech.library import CellKind
@@ -73,19 +78,24 @@ def _comb_fanin_counts(module):
 
 
 def topological_instances(module):
-    """Combinational instances in evaluation (topological) order.
+    """``(order, level_of)``: combinational instances in evaluation
+    (topological) order, and each one's logic level (longest distance,
+    in gates, from a source) by instance name.
 
     Sources are input ports, constants and sequential outputs.  Raises
     :class:`NetlistError` when a combinational loop prevents a full order.
+    This is the uncached walk; analyses read :func:`levels_for`.
     """
     _require_flat(module)
     comb, fanin = _comb_fanin_counts(module)
     ready = deque(i for i in comb if fanin[id(i)] == 0)
     order = []
-    comb_set = set(id(i) for i in comb)
+    level_of = {}
+    depth = {}      # id(inst) -> deepest comb fanin level + 1 so far
     while ready:
         inst = ready.popleft()
         order.append(inst)
+        level = level_of[inst.name] = depth.get(id(inst), 0)
         for pin_name in inst.output_pins():
             net = inst.connections.get(pin_name)
             if net is None:
@@ -94,7 +104,8 @@ def topological_instances(module):
                 if not isinstance(load, tuple):
                     continue
                 sink, _ = load
-                if id(sink) in comb_set:
+                if id(sink) in fanin:
+                    depth[id(sink)] = max(depth.get(id(sink), 0), level + 1)
                     fanin[id(sink)] -= 1
                     if fanin[id(sink)] == 0:
                         ready.append(sink)
@@ -105,25 +116,26 @@ def topological_instances(module):
                 module.name, ", ".join(stuck)
             )
         )
-    return order
+    return order, level_of
+
+
+def levels_for(module):
+    """``(order, level_of)`` of a flat module, cached on it: the
+    combinational instances in topological order, and each one's logic
+    level (longest distance, in gates, from a source) by instance name.
+
+    Every analysis that needs an evaluation order reads it here, so one
+    module generation is walked once.  A loop or a hierarchy error
+    raises on every call (a failed walk is not cached).  Treat both
+    values as read-only.
+    """
+    return module.derived("levels", topological_instances)
 
 
 def levelize(module):
-    """Map each combinational instance name to its logic level (longest
-    distance, in gates, from a source)."""
-    order = topological_instances(module)
-    levels = {}
-    for inst in order:
-        level = 0
-        for pin_name in inst.input_pins():
-            net = inst.connections.get(pin_name)
-            if net is None or net.is_const:
-                continue
-            driver = net.driver
-            if isinstance(driver, tuple) and driver[0].name in levels:
-                level = max(level, levels[driver[0].name] + 1)
-        levels[inst.name] = level
-    return levels
+    """Read-only view mapping each combinational instance name to its
+    logic level (see :func:`levels_for`)."""
+    return MappingProxyType(levels_for(module)[1])
 
 
 def fanout_instances(net):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..errors import NetlistError
 from .core import PortDirection
-from .traverse import topological_instances
+from .traverse import levels_for
 
 
 @dataclass
@@ -94,7 +94,7 @@ def validate_module(module, check_loops=True):
 
     if check_loops and not report.errors:
         try:
-            topological_instances(module)
+            levels_for(module)
         except NetlistError as exc:
             report.errors.append(str(exc))
 

@@ -105,7 +105,7 @@ def _measure_multiplier_energy(module, library, vectors, seed):
         **bus_values("a", 16, rng.getrandbits(16)),
         **bus_values("b", 16, rng.getrandbits(16)),
     } for _ in range(vectors)]
-    run = schedule_for(module, library).run_vectors(stimulus)
+    run = schedule_for(module).run_vectors(stimulus)
     dyn = dynamic_power(
         module, library, run.toggle_snapshot(), run.cycles,
         glitch_factor=MULT16_GLITCH_FACTOR)

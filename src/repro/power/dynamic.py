@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import PowerError
-from ..sta.delay import net_load
+from ..sta.delay import net_caps
 
 #: Default hazard multiplier for functional (zero-delay) toggle counts.
 DEFAULT_GLITCH_FACTOR = 1.0
@@ -84,39 +84,13 @@ def dynamic_power(module, library, toggles, cycles, vdd=None, freq_hz=1e6,
     report = DynamicReport(
         vdd=vdd, freq_hz=freq_hz, cycles=cycles, glitch_factor=glitch_factor
     )
-    caps = _compiled_caps(module)
     total = 0.0
-    for net in module.nets():
+    for net, cap in zip(module.nets(), net_caps(module, library)):
         count = toggles.get(net.name, 0)
         if not count or net.is_const:
             continue
-        cap = caps.get(net.name) if caps is not None else None
-        if cap is None:
-            cap = net_load(net, library)
-            driver = net.driver
-            if isinstance(driver, tuple) and driver[0].is_cell:
-                cap += driver[0].cell.c_internal
         energy = half_v2 * cap * count * glitch_factor / cycles
         report.by_net[net.name] = energy
         total += energy
     report.energy_per_cycle = total
     return report
-
-
-def _compiled_caps(module):
-    """Per-net capacitance from an already-compiled levelized schedule.
-
-    The struct-of-arrays lowering prices every net with the exact
-    arithmetic of the loop below (``net_load`` plus the driver's internal
-    capacitance), so reusing its table is bit-identical -- and free when
-    the workload just ran on the compiled engine.  Never compiles a
-    schedule; returns ``None`` when none is memoised for ``module``.
-    """
-    from ..sim.compiled import peek_schedule
-
-    schedule = peek_schedule(module)
-    if schedule is None or schedule.soa is None \
-            or schedule.soa.net_cap is None:
-        return None
-    soa = schedule.soa
-    return dict(zip(soa.net_names, soa.net_cap.tolist()))

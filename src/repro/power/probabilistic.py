@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import PowerError
-from ..netlist.traverse import topological_instances
+from ..netlist.traverse import levels_for
 from ..sim.logic import compile_cell
+from ..sta.delay import net_caps
 from ..tech.library import CellKind
 
 
@@ -121,7 +122,7 @@ def estimate_activity(module, input_probs=None, input_densities=None,
             prob[q.name] = default_prob
             density[q.name] = 2 * default_prob * (1 - default_prob)
 
-    order = topological_instances(module)
+    order = levels_for(module)[0]
     for _iteration in range(3):  # a couple of sweeps converge feedback paths
         for inst in order:
             compiled = compile_cell(inst.cell)
@@ -159,6 +160,13 @@ def estimate_activity(module, input_probs=None, input_densities=None,
     return ActivityEstimate(prob=prob, density=density)
 
 
+def activity_for(module):
+    """The default-argument :func:`estimate_activity` of ``module``,
+    cached on the module (see :meth:`repro.netlist.core.Module.derived`);
+    treat it as read-only."""
+    return module.derived("activity", estimate_activity)
+
+
 @dataclass
 class SwitchedCapacitance:
     """Per-net switched capacitance x activity: the vdd-independent half
@@ -168,9 +176,10 @@ class SwitchedCapacitance:
     ``module.nets()`` order for every non-constant net with positive
     estimated density; ``cap`` is the net's load (wire + pin) plus its
     driver's internal capacitance.  Activity estimation, the expensive
-    part, runs once at :meth:`compile`; :meth:`evaluate` only prices the
-    rows at a supply.  The table holds names and floats only, so it
-    pickles into the per-circuit artifact bundle.
+    part, is read from the module's cache (:func:`activity_for`);
+    :meth:`evaluate` only prices the rows at a supply.  The table holds
+    names and floats only, so it pickles into the per-circuit artifact
+    bundle.
     """
 
     rows: list = field(default_factory=list)
@@ -178,21 +187,14 @@ class SwitchedCapacitance:
     @classmethod
     def compile(cls, module, library):
         """Estimate activity and price every net's load."""
-        from ..sta.delay import net_load
-
-        est = estimate_activity(module)
+        density = activity_for(module).density
         rows = []
-        for net in module.nets():
+        for net, cap in zip(module.nets(), net_caps(module, library)):
             if net.is_const:
                 continue
-            density = est.density.get(net.name, 0.0)
-            if density <= 0:
-                continue
-            cap = net_load(net, library)
-            driver = net.driver
-            if isinstance(driver, tuple) and driver[0].is_cell:
-                cap += driver[0].cell.c_internal
-            rows.append((net.name, cap, density))
+            d = density.get(net.name, 0.0)
+            if d > 0:
+                rows.append((net.name, cap, d))
         return cls(rows=rows)
 
     def evaluate(self, library, vdd=None):

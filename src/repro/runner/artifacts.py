@@ -39,7 +39,8 @@ from .journal import NULL_JOURNAL
 #: v4: the bundle stores TimingAnalysis, SwitchedCapacitance,
 #: ScpgModelTable (with a LeakageSoa) and the CompiledSchedule; no
 #: separate leakage table or domain partition.
-ARTIFACT_SCHEMA = "circuit-artifacts-v4"
+#: v5: the CompiledSchedule's lowering carries no net capacitances.
+ARTIFACT_SCHEMA = "circuit-artifacts-v5"
 
 
 @dataclass
@@ -65,7 +66,7 @@ class CircuitArtifacts:
         from ..power.probabilistic import SwitchedCapacitance
         from ..scpg.power_model import ScpgModelTable
         from ..scpg.transform import _apply_scpg
-        from ..sim.compiled import compile_schedule
+        from ..sim.compiled import schedule_for
         from ..sta.analysis import timing_for
 
         library = design.library
@@ -81,7 +82,7 @@ class CircuitArtifacts:
             timing=timing,
             switching=switching,
             scpg=ScpgModelTable.compile(scpg_design),
-            gate_sim=compile_schedule(top, library),
+            gate_sim=schedule_for(top),
         )
 
 

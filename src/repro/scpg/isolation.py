@@ -80,10 +80,7 @@ def insert_isolation(top, nets, library, iso_net, clamp="low",
             raise ScpgError(
                 "cannot isolate net {} (no instance driver)".format(net.name))
         raw = top.add_net(net.name + "_raw")
-        drv_inst, drv_pin = driver
-        drv_inst.connections[drv_pin] = raw
-        raw.driver = (drv_inst, drv_pin)
-        net.driver = None
+        top.reconnect(*driver, raw)
         inst = top.add_instance(
             "{}_{}".format(prefix, i), cell,
             {"A": raw, "ISO": iso_net, "Y": net},

@@ -34,10 +34,9 @@ from ..netlist.transform import split_combinational
 from ..netlist.validate import validate_module
 from ..power.dynamic import DEFAULT_GLITCH_FACTOR
 from ..power.headers import HeaderNetwork, size_header_network
-from ..power.probabilistic import estimate_activity
+from ..power.probabilistic import SwitchedCapacitance
 from ..power.rails import RailParams, VirtualRailModel
 from ..sta.analysis import timing_for
-from ..sta.delay import net_load
 from . import isolation as iso
 from .clocking import ScpgTimingParams, check_hold, timing_from_sta
 from .domains import PowerDomainSpec
@@ -140,8 +139,8 @@ def _apply_scpg(design, clock_port="clk", header_size=None,
     sta = timing_for(top_src, lib).run()
 
     if energy_per_cycle is None:
-        energy_per_cycle = _estimate_energy_per_cycle(
-            top_src, lib, glitch_factor)
+        energy_per_cycle = SwitchedCapacitance.compile(
+            top_src, lib).evaluate(lib)[0] * glitch_factor
 
     # Step 1: split combinational logic into its own module.
     split = split_combinational(design)
@@ -227,21 +226,3 @@ def _apply_scpg(design, clock_port="clk", header_size=None,
                            override_port=override_port)
     return result
 
-
-def _estimate_energy_per_cycle(module, library, glitch_factor):
-    """Vectorless switched-energy estimate (probabilistic activity)."""
-    est = estimate_activity(module)
-    half_v2 = 0.5 * library.vdd_nom ** 2
-    total = 0.0
-    for net in module.nets():
-        if net.is_const:
-            continue
-        d = est.density.get(net.name, 0.0)
-        if d <= 0:
-            continue
-        cap = net_load(net, library)
-        driver = net.driver
-        if isinstance(driver, tuple) and driver[0].is_cell:
-            cap += driver[0].cell.c_internal
-        total += half_v2 * cap * d
-    return total * glitch_factor

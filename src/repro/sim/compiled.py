@@ -40,7 +40,6 @@ counts versus driving the event simulator through the same protocol.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -747,45 +746,25 @@ class ClosedLoopStepper:
         self.toggle_counts[:] = 0
 
 
-def compile_schedule(module, library=None):
+def compile_schedule(module):
     """Compile ``module`` into a :class:`CompiledSchedule`.
 
-    Never raises for feedback: an un-lowerable module yields a schedule
-    whose :meth:`~CompiledSchedule.vector_ready` is False and whose
-    workload runs ride the event simulator.
+    Never raises for an un-lowerable module (feedback, an unconnected
+    gate input): it yields a schedule whose
+    :meth:`~CompiledSchedule.vector_ready` is False, whose ``why`` says
+    what failed, and whose workload runs ride the event simulator.
     """
     try:
-        soa = lower_soa(module, library)
+        soa = lower_soa(module)
     except NetlistError as exc:
         return CompiledSchedule(module=module, soa=None, why=str(exc))
     return CompiledSchedule(module=module, soa=soa)
 
 
-_SCHEDULES = weakref.WeakKeyDictionary()
-
-
-def peek_schedule(module):
-    """The memoised schedule for ``module``, or ``None`` -- never
-    compiles one (for callers that only want to reuse paid-for tables,
-    e.g. :func:`repro.power.dynamic.dynamic_power`).  A schedule compiled
-    before the module was last edited counts as absent."""
-    entry = _SCHEDULES.get(module)
-    if entry is None or entry[0] != module.generation:
-        return None
-    return entry[1]
-
-
-def schedule_for(module, library=None):
-    """Per-module memoised :func:`compile_schedule` (keyed weakly, so
-    dropping the module drops the schedule; recompiled when the module's
-    ``generation`` moved)."""
-    schedule = peek_schedule(module)
-    if schedule is None or (library is not None
-                            and schedule.soa is not None
-                            and schedule.soa.net_cap is None):
-        schedule = compile_schedule(module, library)
-        _SCHEDULES[module] = (module.generation, schedule)
-    return schedule
+def schedule_for(module):
+    """The :func:`compile_schedule` of ``module``, cached on the module
+    (see :meth:`repro.netlist.core.Module.derived`)."""
+    return module.derived("schedule", compile_schedule)
 
 
 class GateSimKernel(Kernel):
@@ -813,7 +792,7 @@ class GateSimKernel(Kernel):
                 "gate-sim kernel needs a flat combinational module: "
                 + (schedule.why or "{} has {} flops".format(
                     module.name, schedule.soa.n_seq)))
-        return CompiledKernel(self, schedule_for(module, library))
+        return CompiledKernel(self, schedule_for(module))
 
 
 register_kernel(Module, GateSimKernel())

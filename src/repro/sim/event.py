@@ -96,11 +96,9 @@ class Simulator:
         # combinational loop (or a hierarchy error surfaced below) keeps
         # ranks empty and selects the FIFO fallback.
         try:
-            from ..netlist.traverse import topological_instances
+            from ..netlist.traverse import levels_for
 
-            ranks = {
-                id(i): r for r, i in enumerate(topological_instances(module))
-            }
+            ranks = {id(i): r for r, i in enumerate(levels_for(module)[0])}
         except NetlistError:
             ranks = None
         self._levelized = ranks is not None

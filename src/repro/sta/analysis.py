@@ -15,10 +15,10 @@ sub-threshold frequency sweep gets its ``Fmax(VDD)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from weakref import WeakKeyDictionary, ref
+from weakref import ref
 
 from ..errors import TimingError
-from ..netlist.traverse import topological_instances
+from ..netlist.traverse import levels_for
 from ..tech.library import CellKind
 from .delay import net_load
 
@@ -129,7 +129,7 @@ class TimingAnalysis:
         #: [(inst_name, (in_idx, ...), [(out_idx, base_delay), ...])] in
         #: topological order.
         self.steps = []
-        for inst in topological_instances(module):
+        for inst in levels_for(module)[0]:
             ins = []
             for pin in inst.input_pins():
                 net = inst.connections.get(pin)
@@ -275,22 +275,18 @@ class TimingAnalysis:
         )
 
 
-_TIMING = WeakKeyDictionary()
-
-
 def timing_for(module, library):
     """The shared :class:`TimingAnalysis` of ``module`` under ``library``.
 
-    The memo holds the analysis weakly: callers share one lowering while
-    anything (an artifact bundle, a transform in progress) still holds
-    it, and a one-off analysis is freed with its caller.  It is lowered
-    again whenever the module has been edited since (its ``generation``
-    moved) or the library differs.
+    The module's derived-analysis cache (see
+    :meth:`repro.netlist.core.Module.derived`) holds the analysis
+    weakly: callers share one lowering while anything (an artifact
+    bundle, a transform in progress) still holds it, and a one-off
+    analysis is freed with its caller, then lowered again on demand.
     """
-    entry = _TIMING.get(module)
-    analysis = None if entry is None or entry[0] != module.generation \
-        else entry[1]()
-    if analysis is None or analysis.library is not library:
+    slot = module.derived(("timing", library), lambda m: [None])
+    analysis = None if slot[0] is None else slot[0]()
+    if analysis is None:
         analysis = TimingAnalysis(module, library)
-        _TIMING[module] = (module.generation, ref(analysis))
+        slot[0] = ref(analysis)
     return analysis

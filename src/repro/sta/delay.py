@@ -28,6 +28,27 @@ def net_load(net, library):
     return total
 
 
+def net_caps(module, library):
+    """Switched capacitance (F) of every net of ``module``, in
+    ``module.nets()`` order: the net's load plus its driver cell's
+    internal capacitance (``0.0`` for a constant net).  Cached on the
+    module per library (see :meth:`repro.netlist.core.Module.derived`);
+    treat the list as read-only."""
+    def build(module):
+        caps = []
+        for net in module.nets():
+            cap = 0.0
+            if not net.is_const:
+                cap = net_load(net, library)
+                driver = net.driver
+                if isinstance(driver, tuple) and driver[0].is_cell:
+                    cap += driver[0].cell.c_internal
+            caps.append(cap)
+        return caps
+
+    return module.derived(("net_caps", library), build)
+
+
 def cell_delay(cell, c_load, scale=1.0):
     """Propagation delay (s) of ``cell`` into ``c_load``, voltage-scaled."""
     return cell.delay(c_load, scale)

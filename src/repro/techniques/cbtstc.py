@@ -38,7 +38,7 @@ from ..netlist.traverse import levelize
 from ..netlist.validate import validate_module
 from ..power.headers import DEFAULT_IR_BUDGET, peak_current
 from ..power.leakage import GATABLE_KINDS
-from ..power.probabilistic import estimate_activity, vectorless_switching
+from ..power.probabilistic import activity_for, vectorless_switching
 from ..power.rails import RailParams
 from ..sta.analysis import timing_for
 from ..tech.library import CellKind
@@ -240,7 +240,7 @@ class CbtstcTechnique(Technique):
             raise TechniqueError("cluster_size must be >= 1")
 
         sta = timing_for(top_src, lib).run()
-        activity = estimate_activity(top_src)
+        activity = activity_for(top_src)
         if energy_per_cycle is None:
             energy_per_cycle, _ = vectorless_switching(top_src, lib)
 

@@ -1,9 +1,21 @@
 """Netlist object model: modules, nets, ports, instances, hierarchy."""
 
+import pickle
+
 import pytest
 
+from repro.circuits.registry import build
 from repro.errors import NetlistError
 from repro.netlist.core import Design, Module, PortDirection
+from repro.netlist.traverse import levels_for, topological_instances
+from repro.netlist.validate import validate_module
+from repro.power.leakage import _leakage_power_walk, leakage_power
+from repro.power.probabilistic import activity_for, estimate_activity
+from repro.sim.compiled import compile_schedule, schedule_for
+from repro.sta.analysis import timing_for
+from repro.sta.delay import net_caps, net_load
+
+from ..sta.walk import walk_timing
 
 
 class TestNetsAndPorts:
@@ -200,3 +212,81 @@ class TestHierarchyAndFlatten:
         top.add_instance("u1", m2, {})
         with pytest.raises(NetlistError):
             Design(top, lib)
+
+
+def _levels_walk(module, lib):
+    """The walk's order, levelled again by longest path over it."""
+    order = topological_instances(module)[0]
+    level_of = {}
+    for inst in order:
+        level_of[inst.name] = max(
+            (level_of[net.driver[0].name] + 1
+             for net in inst.connections.values()
+             if isinstance(net.driver, tuple)
+             and net.driver[0].name in level_of), default=0)
+    return order, level_of
+
+
+def _caps_walk(module, lib):
+    return [0.0 if net.is_const else net_load(net, lib)
+            + (net.driver[0].cell.c_internal
+               if isinstance(net.driver, tuple) else 0.0)
+            for net in module.nets()]
+
+
+def _schedule_summary(schedule):
+    vectors = [{}] * 3
+    return (schedule.soa.net_names,
+            schedule.run_vectors(vectors).toggle_snapshot())
+
+
+#: (cached accessor, uncached reference, comparable summary) per analysis.
+DERIVED = {
+    "levels": (lambda m, lib: levels_for(m), _levels_walk,
+               lambda v: ([i.name for i in v[0]], dict(v[1]))),
+    "activity": (lambda m, lib: activity_for(m),
+                 lambda m, lib: estimate_activity(m),
+                 lambda v: (v.prob, v.density)),
+    "net_caps": (net_caps, _caps_walk, list),
+    "timing": (lambda m, lib: timing_for(m, lib).run(), walk_timing,
+               lambda v: (v.eval_delay, str(v.critical_path))),
+    "leakage": (leakage_power, _leakage_power_walk,
+                lambda v: (v.total, v.by_cell)),
+    "schedule": (lambda m, lib: schedule_for(m),
+                 lambda m, lib: compile_schedule(m), _schedule_summary),
+}
+
+
+class TestDerivedCache:
+    """Every analysis cached on a module is rebuilt after an edit, and
+    the cache neither survives a pickle nor hides a new loop."""
+
+    @pytest.mark.parametrize("analysis", sorted(DERIVED))
+    def test_rederived_after_edit(self, lib, analysis):
+        cached, fresh, summary = DERIVED[analysis]
+        module = build("counter16", lib)
+        before = summary(cached(module, lib))
+
+        timing_for(module, lib)
+        clone = pickle.loads(pickle.dumps(module))
+        assert clone._derived[1] == {}
+        assert summary(cached(clone, lib)) == before
+
+        net = module.output_ports()[0].net
+        module.add_instance("extra_inv", "INV_X1",
+                            {"A": net, "Y": module.add_net("extra_y")},
+                            library=lib)
+        after = summary(cached(module, lib))
+        assert after == summary(fresh(module, lib))
+        assert after != before
+
+        a, b = module.add_net("loop_a"), module.add_net("loop_b")
+        module.add_instance("loop_0", "INV_X1", {"A": a, "Y": b},
+                            library=lib)
+        module.add_instance("loop_1", "INV_X1", {"A": b, "Y": a},
+                            library=lib)
+        assert any("combinational loop" in e
+                   for e in validate_module(module).errors)
+        ok, why = schedule_for(module).vector_ready()
+        assert not ok and "combinational loop" in why
+

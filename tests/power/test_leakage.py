@@ -228,13 +228,12 @@ class TestMemoAfterEdit:
 
     def test_schedule_memo_sees_an_added_instance(self, lib):
         from repro.circuits.registry import build
-        from repro.sim.compiled import peek_schedule, schedule_for
+        from repro.sim.compiled import schedule_for
 
         top = build("counter16", lib)
-        before = schedule_for(top, lib)
-        assert peek_schedule(top) is before
+        before = schedule_for(top)
+        assert schedule_for(top) is before
         self._grow(top, lib)
-        assert peek_schedule(top) is None
-        after = schedule_for(top, lib)
+        after = schedule_for(top)
         assert after is not before
         assert len(after.soa.net_names) == len(before.soa.net_names) + 1

@@ -31,7 +31,6 @@ from repro.sim.compiled import (
     CompiledSchedule,
     GateSimKernel,
     compile_schedule,
-    peek_schedule,
     schedule_for,
 )
 from repro.sim.event import Simulator
@@ -253,6 +252,17 @@ class TestEligibilityAndFallback:
         assert run.toggle_snapshot() == tb.sim.toggle_snapshot()
         assert run.value("q") == tb.sim.value("q") == 0
 
+    def test_unconnected_gate_input_falls_back(self, lib):
+        module = Module("open_pin")
+        a = module.add_input("a")
+        y = module.add_output("y")
+        module.add_instance("u1", "NAND2_X1", {"A": a, "Y": y}, library=lib)
+        schedule = compile_schedule(module)
+        ok, why = schedule.vector_ready()
+        assert schedule.soa is None and not ok
+        assert "u1" in why and "pin B" in why
+        assert not GateSimKernel().applies(module)
+
     def test_missing_clock_port(self, lib):
         module = build_random_circuit(lib, 3)  # combinational
         ok, why = schedule_for(module).vector_ready()
@@ -275,19 +285,6 @@ class TestEligibilityAndFallback:
 class TestMemoisationAndPickle:
     def test_schedule_for_memoises(self, mult_module):
         assert schedule_for(mult_module) is schedule_for(mult_module)
-        assert peek_schedule(mult_module) is schedule_for(mult_module)
-
-    def test_peek_never_compiles(self, lib):
-        module = build_random_circuit(lib, 11)
-        assert peek_schedule(module) is None
-
-    def test_library_upgrade_recompiles_with_caps(self, lib):
-        module = build_random_circuit(lib, 12)
-        bare = schedule_for(module)
-        assert bare.soa.net_cap is None
-        priced = schedule_for(module, lib)
-        assert priced.soa.net_cap is not None
-        assert schedule_for(module, lib) is priced
 
     def test_pickle_drops_module_keeps_levelized_path(self, mult_module):
         schedule = schedule_for(mult_module)

@@ -42,7 +42,7 @@ def walk_timing(module, lib, vdd=None):
             c2q = inst.cell.delay(net_load(q_net, lib), scale)
             arrive(q_net, c2q, c2q, ("clk2q", inst.name))
 
-    for inst in topological_instances(module):
+    for inst in topological_instances(module)[0]:
         worst_in = 0.0
         best_in = None
         have_input = False
