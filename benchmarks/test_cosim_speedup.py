@@ -10,10 +10,12 @@ the workload vehicle and to harvest toggle traces for the power study:
   per-event Python dispatch :class:`~repro.sim.event.Simulator` with
   per-bit ``read_bus`` / ``set_inputs`` dict traffic (the pre-PR 10
   strategy);
-* **compiled** -- the same protocol over the
-  :class:`~repro.sim.compiled.ClosedLoopStepper`: settled single-row
-  phases over the struct-of-arrays netlist with packed-integer
-  :class:`~repro.sim.compiled.BusView` memory feeds.
+* **compiled** -- the same protocol on the compiled engine:
+  ``GateLevelCpu.run`` predicts each window of cycles with the pipeline
+  model (:mod:`repro.isa.pipeline`), settles the window as
+  ``(cycles, nets)`` matrices and keeps what the netlist confirms by
+  induction, with the :class:`~repro.sim.compiled.ClosedLoopStepper`
+  taking any cycle the prediction misses.
 
 Wall-clocks are best-of-``REPS``; the compiled side is also timed cold
 (schedule lowering included).  The engines must agree *bit-for-bit* --
@@ -21,8 +23,10 @@ cycle count, the architectural register file, data memory, per-net
 toggle counts and every activity group are asserted equal, so the
 speedup is never bought with drift.
 
-Acceptance (ISSUE 10): compiled closed-loop co-sim is >= 5x faster
-than the event engine.  The measurement is emitted as a
+Acceptance: compiled closed-loop co-sim is >= 5x faster than the
+event engine, with every compiled cycle confirmed batched -- a broken
+predictor would otherwise fall back to the stepper silently and still
+clear the floor.  The measurement is emitted as a
 ``repro-bench-sweep-v2`` JSON section (``REPRO_BENCH_COSIM_JSON=path``)
 for ``scripts/check_bench_regression.py``.
 """
@@ -88,6 +92,8 @@ def test_cosim_speedup(lib):
     event_s, event_cpu = _best_of(lambda: run("event"), 2)
     warm_s, cpu = _best_of(lambda: run("compiled"))
     assert cpu.engine == "compiled" and event_cpu.engine == "event"
+    assert cpu.batched_cycles == cpu.cycles
+    assert cold_cpu.batched_cycles == cold_cpu.cycles
 
     # Exactness first: the speedup only counts if nothing drifted.
     assert cpu.cycles == event_cpu.cycles == cold_cpu.cycles

@@ -2,9 +2,12 @@
 """cProfile the compiled closed-loop co-simulation hot path.
 
 Runs the same workload as ``benchmarks/test_cosim_speedup.py`` -- the
-M0-lite core executing CRC-32 to HALT through the
-:class:`~repro.sim.compiled.ClosedLoopStepper` -- under :mod:`cProfile`
-and writes two artifacts:
+M0-lite core executing CRC-32 to HALT through the batched
+``GateLevelCpu.run``: pipeline-model prediction
+(:mod:`repro.isa.pipeline`), whole windows of cycles settled as
+``(cycles, nets)`` matrices and confirmed by induction, and the
+:class:`~repro.sim.compiled.ClosedLoopStepper` for any cycle a window
+misses -- under :mod:`cProfile` and writes two artifacts:
 
 * a binary ``.prof`` dump (``--prof``), loadable with ``snakeviz`` or
   ``python -m pstats`` for interactive digging;
@@ -12,9 +15,10 @@ and writes two artifacts:
   cumulative and by self time, so the usual question ("what got slow?")
   is answerable straight from the CI artifact listing.
 
-The schedule lowering runs *before* profiling starts: the profile
-covers the steady-state stepping loop, which is what the co-sim
-benchmark gates on, not the one-off compile.
+The schedule lowering and one warm-up run happen *before* profiling
+starts: the profile covers the steady-state windows, which is what the
+co-sim benchmark gates on, not the one-off compile.  The report's first
+line says how many of the cycles ran batched.
 
 Usage::
 
@@ -42,21 +46,23 @@ def build_cpu(crc_rounds, group_size):
     from repro.tech.scl90 import build_scl90
 
     module = registry.build("m0lite", build_scl90())
-    # Warm the compiled schedule (and its row programs) outside the
-    # profile, then build the CPU that will actually run under it.
+    # Warm the compiled schedule (its row programs and window cones)
+    # outside the profile, then build the CPU that will actually run
+    # under it.
     warm = GateLevelCpu(module, crc32_program(crc_rounds),
                         dhrystone_memory(), group_size=group_size,
                         engine="compiled")
     assert warm.engine == "compiled"
+    warm.run()
     return GateLevelCpu(module, crc32_program(crc_rounds),
                         dhrystone_memory(), group_size=group_size,
                         engine="compiled")
 
 
-def report_text(stats, cycles):
+def report_text(stats, cycles, batched):
     out = io.StringIO()
     out.write("compiled closed-loop co-sim profile "
-              "({} cycles to HALT)\n\n".format(cycles))
+              "({} cycles to HALT, {} batched)\n\n".format(cycles, batched))
     for sort, title in (("cumulative", "top {} by cumulative time"),
                         ("tottime", "top {} by self time")):
         out.write("== {}\n".format(title.format(TOP_N)))
@@ -86,7 +92,7 @@ def main(argv=None):
     profiler.disable()
 
     profiler.dump_stats(args.prof)
-    text = report_text(profiler, cpu.cycles)
+    text = report_text(profiler, cpu.cycles, cpu.batched_cycles)
     with open(args.report, "w") as f:
         f.write(text)
     print(text.splitlines()[0])

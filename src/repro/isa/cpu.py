@@ -49,6 +49,43 @@ def _signed(value):
     return value - (1 << 32) if value & 0x80000000 else value
 
 
+def add_sub(a, b, subtract):
+    """``(result, carry, overflow)`` of ``a + b``, or ``a - b`` as
+    ``a + ~b + 1`` when ``subtract`` -- the execute-stage adder and its
+    C/V flags, shared by the ISS and the pipeline model
+    (:mod:`repro.isa.pipeline`)."""
+    b_eff = (~b & MASK32) if subtract else b
+    total = a + b_eff + (1 if subtract else 0)
+    result = total & MASK32
+    sa, sb = bool(a & 0x80000000), bool(b_eff & 0x80000000)
+    sr = bool(result & 0x80000000)
+    return result, total > MASK32, (sa == sb) and (sr != sa)
+
+
+def alu_value(funct, a, b):
+    """Result of a non-adder ALU ``funct`` (logic, shifts by ``b[4:0]``,
+    MUL, MOV, MVN) on 32-bit operands."""
+    if funct is Funct.AND:
+        return a & b
+    if funct is Funct.ORR:
+        return a | b
+    if funct is Funct.EOR:
+        return a ^ b
+    if funct is Funct.LSL:
+        return (a << (b & 31)) & MASK32
+    if funct is Funct.LSR:
+        return (a & MASK32) >> (b & 31)
+    if funct is Funct.ASR:
+        return (_signed(a) >> (b & 31)) & MASK32
+    if funct is Funct.MUL:
+        return (a * b) & MASK32
+    if funct is Funct.MOV:
+        return b
+    if funct is Funct.MVN:
+        return (~b) & MASK32
+    raise IsaError("bad funct {!r}".format(funct))
+
+
 class M0LiteCpu:
     """Interpreter over a word-addressed instruction list and data memory.
 
@@ -95,14 +132,9 @@ class M0LiteCpu:
         self.state.flags["z"] = result == 0
 
     def _add_sub(self, a, b, subtract):
-        b_eff = (~b & MASK32) if subtract else b
-        carry_in = 1 if subtract else 0
-        total = a + b_eff + carry_in
-        result = total & MASK32
-        self.state.flags["c"] = total > MASK32
-        sa, sb = bool(a & 0x80000000), bool(b_eff & 0x80000000)
-        sr = bool(result & 0x80000000)
-        self.state.flags["v"] = (sa == sb) and (sr != sa)
+        result, carry, overflow = add_sub(a, b, subtract)
+        self.state.flags["c"] = carry
+        self.state.flags["v"] = overflow
         self._set_nz(result)
         return result
 
@@ -164,26 +196,7 @@ class M0LiteCpu:
         if f is Funct.CMP:
             self._add_sub(a, b, subtract=True)
             return None
-        if f is Funct.AND:
-            value = a & b
-        elif f is Funct.ORR:
-            value = a | b
-        elif f is Funct.EOR:
-            value = a ^ b
-        elif f is Funct.LSL:
-            value = (a << (b & 31)) & MASK32
-        elif f is Funct.LSR:
-            value = (a & MASK32) >> (b & 31)
-        elif f is Funct.ASR:
-            value = (_signed(a) >> (b & 31)) & MASK32
-        elif f is Funct.MUL:
-            value = (a * b) & MASK32
-        elif f is Funct.MOV:
-            value = b
-        elif f is Funct.MVN:
-            value = (~b) & MASK32
-        else:  # pragma: no cover - decode() rejects other functs
-            raise IsaError("bad funct {!r}".format(f))
+        value = alu_value(f, a, b)
         self._set_nz(value)
         return value
 

@@ -21,6 +21,12 @@ Otherwise it transparently falls back to the event-driven
 counts, architectural state, and the grouped toggle trace are
 bit-identical across both engines (asserted by the differential tests in
 ``tests/integration/test_cosim_random.py``).
+
+On the compiled engine :meth:`GateLevelCpu.run` does not step at all
+while the pipeline model (:mod:`repro.isa.pipeline`) predicts the core
+correctly: it settles whole windows of predicted cycles at once and
+keeps the prefix the netlist confirms, handing any cycle it cannot
+confirm to the stepper (see :meth:`GateLevelCpu._run_window`).
 """
 
 from __future__ import annotations
@@ -35,7 +41,11 @@ from ..sim.testbench import read_bus
 from ..sim.event import Simulator
 from ..sim.logic import X
 from .cpu import M0LiteCpu
-from .encoding import MASK32
+from .encoding import MASK32, NOP_WORD
+from .pipeline import FlopLayout, PipelineModel
+
+#: Cycles per batched co-simulation window (see :meth:`GateLevelCpu.run`).
+WINDOW = 128
 
 
 class GateLevelCpu:
@@ -76,6 +86,7 @@ class GateLevelCpu:
         self._record_states = record_states
         self._states = []
         self._state_names = None
+        self._batched = 0
 
         stepper = None
         if engine != "event":
@@ -113,8 +124,11 @@ class GateLevelCpu:
             self._group_base = np.zeros(soa.n_nets, dtype=np.int64)
             self._cycles_in_group = 0
             self._names_arr = np.asarray(soa.net_names, dtype=object)
+            self._layout = FlopLayout.for_soa(soa)
+            self._program_words = np.asarray(self.program, dtype=np.int64)
         else:
             self.engine = "event"
+            self._layout = None
             self.sim = Simulator(module, record_toggles=record_toggles)
             self.recorder = GroupRecorder(self.sim, group_size)
             # Key tuples built once: the per-cycle feed path must not
@@ -301,18 +315,144 @@ class GateLevelCpu:
             dtype=np.int8)
 
     def run(self, max_cycles=100_000):
-        """Step until ``halted`` rises; returns cycles taken."""
+        """Run until ``halted`` rises; returns cycles taken.
+
+        On the compiled engine the cycles go in windows of up to
+        :data:`WINDOW`: a :class:`~repro.isa.pipeline.PipelineModel`
+        predicts each cycle's start state, the netlist settles the whole
+        window at once, and only the prefix it confirms is kept (see
+        :meth:`_run_window`).  When a window falls short, the
+        :class:`~repro.sim.compiled.ClosedLoopStepper` steps out the rest
+        of it before the next prediction.  Every result -- cycles, state,
+        memory, toggles, groups, state trace, errors -- is the one
+        :meth:`step` would give.
+        """
         start = self.cycles
+        owed = 0        # cycles the stepper owes after a short window
         while not self.halted:
-            if self.cycles - start >= max_cycles:
+            left = max_cycles - (self.cycles - start)
+            if left <= 0:
                 raise SimulationError(
                     "core did not halt in {} cycles".format(max_cycles))
+            if self._layout is not None and not owed:
+                n = min(WINDOW, left)
+                owed = n - self._run_window(n)
+                continue
             self.step()
+            owed -= 1
         if self.engine == "compiled":
             self._flush_group()
         else:
             self.recorder.flush()
         return self.cycles - start
+
+    def _run_window(self, n):
+        """Settle up to ``n`` predicted cycles at once; returns how many
+        the netlist confirmed (and committed, exactly as :meth:`step`
+        would have).
+
+        Row ``k`` of the window is the model's start state of cycle
+        ``k``, settled through the netlist; each row then runs the clock
+        pulse and both memory feeds, with the feed words computed from
+        the batched ``iaddr`` / ``daddr`` rows and the stores of the
+        settled start rows.  Cycle ``k`` is confirmed by induction: row
+        0 equals the stepper's state, and the start row of cycle ``k``
+        equals the computed end row of cycle ``k - 1`` -- so the end row
+        of every confirmed cycle is what stepping would have reached.  A
+        cycle whose store would fault, or whose store differs from the
+        model's, ends the confirmed prefix; so does the cycle after the
+        halt latch rises.
+        """
+        st = self._stepper
+        state = st._state
+        layout = self._layout
+        values = layout.pack(state)
+        idata, drdata = self._idata.read(), self._drdata.read()
+        if values is None or idata is None or drdata is None:
+            return 0
+        window = PipelineModel(self.program, self.memory, values, idata,
+                               drdata, self.cycles).window(n)
+        m = len(window)
+        if not m:
+            return 0
+        rows = np.repeat(state[np.newaxis, :], m, axis=0)
+        rows[:, layout.q_cols] = layout.unpack(window.fields)
+        rows[:, self._idata.index] = self._idata.bits(window.idata)
+        rows[:, self._drdata.index] = self._drdata.bits(window.drdata)
+
+        program = self._program_words
+        stores = []
+
+        def fetch_words(values):
+            iaddr, known = self._iaddr.read_rows(values)
+            words = np.full(m, NOP_WORD, dtype=np.int64)
+            ok = known & (iaddr < len(program))
+            words[ok] = program[iaddr[ok]]
+            return words
+
+        def load_words(values):
+            # ``rows`` are settled by now: their stores commit as each
+            # cycle begins, ahead of that cycle's drdata feed.
+            dwrite = (rows[:, self._dwrite_idx] == 1).tolist()
+            addr, addr_ok = self._daddr.read_rows(rows)
+            data, data_ok = self._dwdata.read_rows(rows)
+            daddr, known = self._daddr.read_rows(values)
+            memory = dict(self.memory)
+            words = [0] * m
+            for k, (w, a, a_ok, d, d_ok, r, r_ok) in enumerate(zip(
+                    dwrite, addr.tolist(), addr_ok.tolist(), data.tolist(),
+                    data_ok.tolist(), daddr.tolist(), known.tolist())):
+                if w:
+                    if not (a_ok and d_ok) or a % 4:
+                        break           # the stepper raises here
+                    memory[a] = d
+                    stores.append((a, d))
+                else:
+                    stores.append(None)
+                if r_ok:
+                    words[k] = memory.get(r & ~3 & MASK32, 0)
+            return np.asarray(words, dtype=np.int64)
+
+        end, toggles = st.settle_window(
+            rows, ((self._idata, fetch_words), (self._drdata, load_words)))
+
+        good = np.empty(m, dtype=bool)
+        good[0] = np.array_equal(rows[0], state)
+        good[1:] = (rows[1:] == end[:-1]).all(axis=1)
+        good[len(stores):] = False
+        for k, store in enumerate(stores):
+            if store != window.stores[k]:
+                good[k:] = False
+                break
+        done = m if good.all() else int(np.argmin(good))
+        halts = np.flatnonzero(end[:done, self._halted_idx] == 1)
+        if len(halts):
+            done = int(halts[0]) + 1
+
+        for store in stores[:done]:
+            if store is not None:
+                self.memory[store[0]] = store[1]
+        k = 0
+        while k < done:
+            take = min(done - k,
+                       max(1, self.group_size - self._cycles_in_group))
+            st.adopt(end[k + take - 1],
+                     None if toggles is None else toggles[k:k + take])
+            k += take
+            self._cycles_in_group += take
+            if self._cycles_in_group >= self.group_size:
+                self._flush_group()
+        if self._record_states:
+            self._states.extend(end[:done].copy())
+        self.cycles += done
+        self._batched += done
+        return done
+
+    @property
+    def batched_cycles(self):
+        """Cycles :meth:`run` settled in confirmed windows rather than
+        stepped (always 0 on the event engine)."""
+        return self._batched
 
     @property
     def halted(self):

@@ -36,6 +36,10 @@ skips applies whose values did not change, samples flops only on phases
 whose affected cone reaches a CK/RN pin, and accrues the identical
 consecutive-snapshot toggle diffs -- bit-identical state and toggle
 counts versus driving the event simulator through the same protocol.
+When the caller can predict each cycle's start state (the M0-lite
+pipeline model does), :meth:`ClosedLoopStepper.settle_window` settles
+a whole window of such cycles as ``(cycles, nets)`` matrices through
+the same phases, leaving the caller to confirm the prediction.
 """
 
 from __future__ import annotations
@@ -52,9 +56,15 @@ from .activity import ActivityTrace, GroupActivity
 from .logic import X, to_ternary
 
 
-def _diff(a, b):
-    """Functional-toggle mask between consecutive settled states."""
-    return (a != b) & (a != X) & (b != X)
+def _accrue(counts, a, b):
+    """Add the functional toggles between consecutive settled states
+    ``a`` and ``b`` to ``counts``: a 0 <-> 1 change, which with X
+    encoded as 2 is exactly an XOR of 1.  The mask is formed in place
+    over the XOR, so a window-sized matrix costs one temporary."""
+    flips = np.bitwise_xor(a, b)
+    mask = flips.view(np.bool_)
+    np.equal(flips, 1, out=mask)
+    counts += mask
 
 
 @dataclass
@@ -106,7 +116,7 @@ class CompiledSchedule:
         state = dict(self.__dict__)
         state["_module"] = None
         state.pop("_fo_state", None)
-        state.pop("_fo_clock", None)
+        state.pop("_fo_sources", None)
         state.pop("_seq_cols", None)
         state.pop("_row_state", None)
         state.pop("_row_inputs", None)
@@ -199,8 +209,8 @@ class CompiledSchedule:
         """Vectorized flip-flop sampling for one phase.
 
         ``pre`` holds the phase-start (pre-settle) values, ``now`` the
-        settled values; Q columns of ``now`` are updated in place.
-        Returns True when any Q changed.  Rules replicate the event
+        settled values.  Returns a copy of ``now`` with the sampled Q
+        columns, or ``None`` when no Q changed.  Rules replicate the event
         simulator: RN (async, post-settle) dominates; a rising edge
         samples the *pre-settle* D/EN; a non-rising change to X drives
         Q to X; EN==0 holds, EN==X corrupts the sample.
@@ -208,7 +218,7 @@ class CompiledSchedule:
         qcol, ck, dcol, has_en, en_safe, has_rn, rn_safe = \
             self._seq_columns()
         if not len(qcol):
-            return False
+            return None
         ck_old = pre[:, ck]
         ck_new = now[:, ck]
         d_pre = pre[:, dcol]
@@ -225,9 +235,10 @@ class CompiledSchedule:
         q_next = np.where(rn_now == X, X, q_next)
         q_next = q_next.astype(np.int8)
         if np.array_equal(q_next, held):
-            return False
-        now[:, qcol] = q_next
-        return True
+            return None
+        post = now.copy()
+        post[:, qcol] = q_next
+        return post
 
     def _seq_columns(self):
         """Memoised per-flop column arrays for :meth:`_sample_flops`."""
@@ -245,20 +256,20 @@ class CompiledSchedule:
                 has_rn, np.where(has_rn, rn, 0))
         return cols
 
-    def _phase(self, start, mutate, levels):
+    def _phase(self, start, mutate, levels, sample=True):
         """One settled phase: copy ``start``, apply ``mutate``, settle
-        the perturbed cone (``levels``), sample flops against ``start``,
-        re-settle the state cone if any flop moved.
+        the perturbed cone (``levels``), sample flops against ``start``
+        (skipped when ``sample`` is False: the cone reaches no CK/RN
+        pin), re-settle the state cone if any flop moved.
         Returns ``(pre_sample_state, post_sample_state)``."""
         soa = self.soa
         pre = start.copy()
         mutate(pre)
         soa.eval_comb(pre, levels)
-        post = pre.copy()
-        if self._sample_flops(start, post):
-            soa.eval_comb(post, self._state_levels())
-        else:
-            post = pre
+        post = self._sample_flops(start, pre) if sample else None
+        if post is None:
+            return pre, pre
+        soa.eval_comb(post, self._state_levels())
         return pre, post
 
     def _state_levels(self):
@@ -269,14 +280,15 @@ class CompiledSchedule:
             self._fo_state = levels
         return levels
 
-    def _clock_levels(self, clk_idx):
-        """Subschedule for the clock fanout (memoised per clock net)."""
-        cache = getattr(self, "_fo_clock", None)
+    def _fanout_levels(self, sources):
+        """Subschedule for the fanout of a tuple of source nets
+        (memoised per tuple: a clock net, an input bus)."""
+        cache = getattr(self, "_fo_sources", None)
         if cache is None:
-            cache = self._fo_clock = {}
-        levels = cache.get(clk_idx)
+            cache = self._fo_sources = {}
+        levels = cache.get(sources)
         if levels is None:
-            levels = cache[clk_idx] = self.soa.subschedule([clk_idx])
+            levels = cache[sources] = self.soa.subschedule(list(sources))
         return levels
 
     def _row_state_prog(self):
@@ -430,7 +442,7 @@ class CompiledSchedule:
             return mutate
 
         fo_inputs = soa.subschedule(stim_idx.tolist())
-        fo_clock = self._clock_levels(clk_idx)
+        fo_clock = self._fanout_levels((clk_idx,))
         prev_c = np.repeat(state[np.newaxis, :], ncyc, axis=0)
         for _ in range(ncyc + 1):
             a_pre, a_post = self._phase(prev_c, apply_inputs, fo_inputs)
@@ -443,11 +455,11 @@ class CompiledSchedule:
         else:  # pragma: no cover - ncyc+1 iterations always suffice
             raise SimulationError("batched replay failed to converge")
 
-        tog = _diff(prev_c, a_pre).astype(np.int64)
-        for before, after in ((a_pre, a_post), (a_post, b_pre),
-                              (b_pre, b_post), (b_post, c_pre),
-                              (c_pre, c_post)):
-            tog += _diff(before, after)
+        tog = np.zeros(prev_c.shape, dtype=np.int64)
+        for before, after in ((prev_c, a_pre), (a_pre, a_post),
+                              (a_post, b_pre), (b_pre, b_post),
+                              (b_post, c_pre), (c_pre, c_post)):
+            _accrue(tog, before, after)
         return tog, c_post[-1]
 
     # -- event-simulator fallback --------------------------------------------
@@ -578,9 +590,28 @@ class BusView:
         """Apply ``value``'s bits as one settled input phase."""
         if self._prog is None:
             raise SimulationError("bus {} is read-only".format(self.name))
-        vals = ((np.int64(value) >> self._shifts) & 1).astype(np.int8)
-        self._stepper._apply_indexed(self._idx, vals, self._prog,
-                                     self._sample)
+        self._stepper._apply_indexed(self._idx, self.bits(value),
+                                     self._prog, self._sample)
+
+    @property
+    def index(self):
+        """Net indices of the bus bits, LSB first (read-only copy)."""
+        return self._idx.copy()
+
+    def bits(self, words):
+        """The ``int8`` bits of an int (``(width,)``) or of an int array
+        (``(len, width)``), LSB first."""
+        words = np.asarray(words, dtype=np.int64)
+        return ((words[..., np.newaxis] >> self._shifts) & 1).astype(
+            np.int8)
+
+    def read_rows(self, values):
+        """Batched :meth:`read` over a ``(rows, nets)`` value matrix:
+        ``(ints, known)``, where ``known`` is False on rows with an X bit
+        (their int is meaningless)."""
+        bits = values[:, self._idx]
+        known = ~(bits == X).any(axis=1)
+        return bits.astype(np.int64) @ self._pow2, known
 
 
 class ClosedLoopStepper:
@@ -640,15 +671,15 @@ class ClosedLoopStepper:
         soa.eval_row(pre, prog)
         post = pre
         if sample:
-            post = pre.copy()
-            if self.schedule._sample_flops(start[None, :], post[None, :]):
+            sampled = self.schedule._sample_flops(start[None, :],
+                                                  pre[None, :])
+            if sampled is not None:
+                post = sampled[0]
                 soa.eval_row(post, self._state_prog)
-            else:
-                post = pre
         if self.record_toggles:
-            self.toggle_counts += _diff(start, pre)
+            _accrue(self.toggle_counts, start, pre)
             if post is not pre:
-                self.toggle_counts += _diff(pre, post)
+                _accrue(self.toggle_counts, pre, post)
         self._state = post
 
     def apply(self, values):
@@ -695,6 +726,69 @@ class ClosedLoopStepper:
         self.negedge()
         self.cycles += 1
 
+    def settle_window(self, rows, feeds):
+        """Settle a window of independent cycles as ``(cycles, nets)``
+        matrices: the batched twin of driving each row through
+        :meth:`posedge`, :meth:`negedge` and one settled input phase per
+        feed.
+
+        ``rows`` are the cycles' start states -- sources (flop outputs,
+        input ports) right, everything else a don't-care -- and are
+        settled in place by one full pass.  ``feeds`` is a sequence of
+        ``(bus, words)``: after the clock pulse each writable
+        :class:`BusView` is driven, in order, with ``words(values)``, an
+        int per row computed from the phase-start matrix.  Every phase is
+        a :meth:`CompiledSchedule._phase`, so sampling and settling follow
+        the stepper's rules exactly, and toggles are the same
+        consecutive-snapshot diffs.
+
+        Returns ``(end rows, per-cycle toggles)``; the toggles are an
+        ``int8`` ``(cycles, nets)`` matrix, or ``None`` without
+        ``record_toggles``.  The stepper's own state is untouched (see
+        :meth:`adopt`).
+        """
+        schedule = self.schedule
+        self.soa.eval_comb(rows)
+        clk = int(self._clk_idx[0])
+        fo_clock = schedule._fanout_levels((clk,))
+
+        def clock_to(level):
+            def mutate(values):
+                values[:, clk] = level
+            return mutate
+
+        def drive(bus, words):
+            def mutate(values):
+                values[:, bus._idx] = bus.bits(words(values))
+            return mutate
+
+        phases = [(clock_to(1), fo_clock, True),
+                  (clock_to(0), fo_clock, True)]
+        phases += [(drive(bus, words),
+                    schedule._fanout_levels(tuple(bus._idx.tolist())),
+                    bus._sample)
+                   for bus, words in feeds]
+        toggles = np.zeros(rows.shape, dtype=np.int8) \
+            if self.record_toggles else None
+        values = rows
+        for mutate, levels, sample in phases:
+            pre, post = schedule._phase(values, mutate, levels, sample)
+            if toggles is not None:
+                _accrue(toggles, values, pre)
+                if post is not pre:
+                    _accrue(toggles, pre, post)
+            values = post
+            del pre, post   # hold no more window-sized matrices than needed
+        return values, toggles
+
+    def adopt(self, row, toggles=None):
+        """Take ``row`` -- a settled end row of :meth:`settle_window` --
+        as the current state, accruing ``toggles`` (per-cycle rows to sum,
+        as :meth:`settle_window` returns them) when recording."""
+        self._state = row.copy()
+        if toggles is not None and self.record_toggles:
+            self.toggle_counts += toggles.sum(axis=0)
+
     def force_flops(self, value=0):
         """Force every flop output and re-settle the state cone
         (:meth:`~repro.sim.event.Simulator.force_flop_state` parity)."""
@@ -707,7 +801,7 @@ class ClosedLoopStepper:
         pre[qcols] = to_ternary(value)
         soa.eval_row(pre, self._state_prog)
         if self.record_toggles:
-            self.toggle_counts += _diff(start, pre)
+            _accrue(self.toggle_counts, start, pre)
         self._state = pre
 
     # -- accessors -----------------------------------------------------------

@@ -201,3 +201,171 @@ class TestCosimulate:
             memory={16: 41},
         )
         assert result.ok
+
+
+#: A store/load loop long enough for two batched windows, with a
+#: 10-cycle activity group straddling the first window boundary.
+LONG_COUNTDOWN = COUNTDOWN.replace("#20", "#40")
+
+UNALIGNED_LATE = """
+    movi r1, #40
+spin:
+    addi r1, #-1
+    bne  spin
+    movi r3, #2
+    str  r1, [r3, #0]
+    halt
+"""
+
+
+FAULT_CYCLE = 57
+
+
+def _inject_model_fault(monkeypatch, fault, cycle):
+    """Make the pipeline model wrong from ``cycle`` on: ``"flip"`` one
+    register-file bit of every predicted row, ``"raise"`` instead of
+    predicting (``None`` leaves it alone)."""
+    from repro.isa.pipeline import FIELDS, PipelineModel
+
+    if fault is None:
+        return
+    rf3 = [stem for stem, _width in FIELDS].index("rf3")
+    row = PipelineModel.row
+
+    def faulty_row(model):
+        values = row(model)
+        if model.cycle < cycle:
+            return values
+        if fault == "raise":
+            raise RuntimeError("injected model fault")
+        return values[:rf3] + (values[rf3] ^ 1 << 5,) + values[rf3 + 1:]
+
+    monkeypatch.setattr(PipelineModel, "row", faulty_row)
+
+
+def _outcome(gate):
+    """Everything a run produces, for bit-for-bit engine comparison."""
+    groups = [(g.index, g.cycles, g.total_toggles, g.nets, g.toggles)
+              for g in gate.activity_trace().groups]
+    states = gate.state_trace() if gate._record_states else None
+    return (gate.cycles, gate.registers(), gate.memory,
+            gate.toggle_snapshot(), groups), states
+
+
+def _assert_same(expected, gate):
+    (want, want_states), (got, got_states) = expected, _outcome(gate)
+    assert got == want
+    if want_states is not None:
+        assert np.array_equal(got_states, want_states)
+
+
+class TestBatchedRun:
+    """``run()`` on the compiled engine settles predicted windows; the
+    netlist confirms each cycle, so the result is the event engine's
+    bit for bit however the prediction goes."""
+
+    @pytest.fixture(scope="class")
+    def event_run(self, m0_module):
+        gate = GateLevelCpu(m0_module, assemble(LONG_COUNTDOWN),
+                            engine="event", record_states=True)
+        gate.run()
+        assert gate.cycles > 2 * 128 - 20
+        return _outcome(gate)
+
+    def test_fully_batched(self, m0_module, event_run):
+        gate = GateLevelCpu(m0_module, assemble(LONG_COUNTDOWN),
+                            record_states=True)
+        gate.run()
+        assert gate.batched_cycles == gate.cycles
+        _assert_same(event_run, gate)
+
+    @pytest.mark.parametrize("fault", ["flip", "raise"])
+    def test_mispredictions_fall_back_to_the_stepper(
+            self, m0_module, event_run, monkeypatch, fault):
+        """From :data:`FAULT_CYCLE` on the model is wrong (one
+        register-file bit flipped) or raises; the stepper takes over
+        there and every result stays exact."""
+        _inject_model_fault(monkeypatch, fault, FAULT_CYCLE)
+        gate = GateLevelCpu(m0_module, assemble(LONG_COUNTDOWN),
+                            record_states=True)
+        gate.run()
+        assert gate.batched_cycles == FAULT_CYCLE
+        _assert_same(event_run, gate)
+
+    @pytest.mark.parametrize("fault", [None, "flip"])
+    def test_without_toggle_recording(self, m0_module, monkeypatch, fault):
+        program = assemble(LONG_COUNTDOWN)
+        ev = GateLevelCpu(m0_module, program, engine="event",
+                          record_toggles=False)
+        ev.run()
+        _inject_model_fault(monkeypatch, fault, FAULT_CYCLE)
+        cp = GateLevelCpu(m0_module, program, record_toggles=False)
+        cp.run()
+        assert cp.batched_cycles == (FAULT_CYCLE if fault else cp.cycles)
+        assert _outcome(cp) == _outcome(ev)
+
+    def test_resumes_after_steps(self, m0_module, event_run):
+        gate = GateLevelCpu(m0_module, assemble(LONG_COUNTDOWN),
+                            record_states=True)
+        for _ in range(13):
+            gate.step()
+        gate.run()
+        assert gate.batched_cycles == gate.cycles - 13
+        _assert_same(event_run, gate)
+
+    def test_event_engine_never_batches(self, m0_module):
+        gate = GateLevelCpu(m0_module, assemble("movi r1, #1\nhalt"),
+                            engine="event")
+        gate.run()
+        assert gate.batched_cycles == 0
+
+
+def _error_at(drive, gate):
+    """``(class, message, cycle)`` of the error ``drive(gate)`` raises."""
+    with pytest.raises(Exception) as info:
+        drive(gate)
+    return type(info.value), str(info.value), gate.cycles
+
+
+def _step_to_halt(gate):
+    while not gate.halted:
+        gate.step()
+
+
+class TestErrorParity:
+    """Faults surface with the same class and message at the same cycle
+    on the event engine, a ``step()`` loop and the batched ``run()``."""
+
+    def test_unaligned_store(self, m0_module):
+        from repro.errors import IsaError
+
+        program = assemble(UNALIGNED_LATE)
+        batched = GateLevelCpu(m0_module, program)
+        outcomes = {
+            _error_at(GateLevelCpu.run,
+                      GateLevelCpu(m0_module, program, engine="event")),
+            _error_at(_step_to_halt, GateLevelCpu(m0_module, program)),
+            _error_at(GateLevelCpu.run, batched),
+        }
+        assert len(outcomes) == 1, outcomes
+        cls, message, cycle = outcomes.pop()
+        assert cls is IsaError
+        assert message == "unaligned gate-level store at 0x2"
+        assert cycle > 128      # the fault lies past the first window
+        assert batched.batched_cycles == cycle
+
+    @pytest.mark.parametrize("stepped", [0, 9])
+    def test_max_cycles_guard(self, m0_module, stepped):
+        program = assemble("spin:\n    b spin")
+
+        def drive(gate):
+            for _ in range(stepped):
+                gate.step()
+            gate.run(max_cycles=150)
+
+        outcomes = {
+            _error_at(drive, GateLevelCpu(m0_module, program, engine=e))
+            for e in ("event", "compiled")}
+        assert outcomes == {(SimulationError,
+                             "core did not halt in 150 cycles",
+                             stepped + 150)}
