@@ -57,20 +57,22 @@ def test_hold_contract_in_simulation(benchmark, mult_study):
     delay covering T_hold)."""
     import random
 
-    from repro.sim.testbench import ClockedTestbench, bus_values, read_bus
+    from repro.sim.compiled import bus_values, schedule_for
 
     def run_gated():
-        tb = ClockedTestbench(mult_study.scpg.flat.top,
-                              record_toggles=False)
-        tb.reset_flops()
-        tb.apply({"override_n": 1})  # gating active
+        stepper = schedule_for(mult_study.scpg.flat.top).stepper(
+            "clk", record_toggles=False)
+        stepper.negedge()
+        stepper.force_flops(0)
+        stepper.apply({"override_n": 1})  # gating active
+        product = stepper.output_bus("p", 32)
         rng = random.Random(77)
         prev = None
         for _ in range(30):
             a, b = rng.getrandbits(16), rng.getrandbits(16)
-            tb.cycle({**bus_values("a", 16, a),
-                      **bus_values("b", 16, b)})
-            p = read_bus(tb.sim, "p", 32)
+            stepper.cycle({**bus_values("a", 16, a),
+                           **bus_values("b", 16, b)})
+            p = product.read()
             if prev is not None:
                 assert p == prev[0] * prev[1]
             prev = (a, b)

@@ -1,4 +1,4 @@
-"""Compiled closed-loop co-simulation vs the event-driven engine.
+"""Compiled closed-loop co-simulation vs the event-driven oracle.
 
 The workload is the paper's M0-lite processor running the CRC-32
 workload to HALT under the full closed-loop memory protocol -- per-cycle
@@ -6,10 +6,10 @@ instruction fetch, load/store traffic and Fig. 7 activity grouping --
 i.e. exactly what :func:`repro.isa.trace.cosimulate` does to validate
 the workload vehicle and to harvest toggle traces for the power study:
 
-* **event** -- :class:`~repro.isa.trace.GateLevelCpu` over the
-  per-event Python dispatch :class:`~repro.sim.event.Simulator` with
-  per-bit ``read_bus`` / ``set_inputs`` dict traffic (the pre-PR 10
-  strategy);
+* **event** -- the same memory protocol over the per-event Python
+  dispatch simulator kept as the test oracle
+  (``tests/sim/testbench.py``'s ``EventCpu``, with per-bit
+  ``read_bus`` / ``set_inputs`` dict traffic);
 * **compiled** -- the same protocol on the compiled engine:
   ``GateLevelCpu.run`` predicts each window of cycles with the pipeline
   model (:mod:`repro.isa.pipeline`), settles the window as
@@ -73,25 +73,25 @@ def test_cosim_speedup(lib):
     from repro.circuits import registry
     from repro.isa.programs import crc32_program, dhrystone_memory
     from repro.isa.trace import GateLevelCpu
+    from tests.sim.testbench import EventCpu
 
     module = registry.build("m0lite", lib)
     program = crc32_program(CRC_ROUNDS)
     memory = dhrystone_memory()
 
-    def run(engine):
-        cpu = GateLevelCpu(module, program, dict(memory),
-                           group_size=GROUP_SIZE, engine=engine)
+    def run(cpu_class):
+        cpu = cpu_class(module, program, dict(memory),
+                        group_size=GROUP_SIZE)
         cpu.run()
         return cpu
 
     # Cold: schedule lowering + stepper construction included.
     cold_start = time.perf_counter()
-    cold_cpu = run("compiled")
+    cold_cpu = run(GateLevelCpu)
     cold_s = time.perf_counter() - cold_start
 
-    event_s, event_cpu = _best_of(lambda: run("event"), 2)
-    warm_s, cpu = _best_of(lambda: run("compiled"))
-    assert cpu.engine == "compiled" and event_cpu.engine == "event"
+    event_s, event_cpu = _best_of(lambda: run(EventCpu), 2)
+    warm_s, cpu = _best_of(lambda: run(GateLevelCpu))
     assert cpu.batched_cycles == cpu.cycles
     assert cold_cpu.batched_cycles == cold_cpu.cycles
 

@@ -1,13 +1,13 @@
-"""Levelized struct-of-arrays gate simulation vs the event simulator.
+"""Levelized struct-of-arrays gate simulation vs the event oracle.
 
 The workload is the paper's multiplier activity extraction: 300 random
 operand vectors through the mult16 netlist with Fig. 7 vector grouping
 (the measurement that feeds Table I's switched energy).  Both engines
 run the identical open-loop stimulus:
 
-* **event** -- the per-event Python dispatch path
-  (:class:`~repro.sim.testbench.ClockedTestbench` +
-  :class:`~repro.sim.activity.GroupRecorder`), the pre-PR 6 strategy;
+* **event** -- the per-event Python dispatch simulator kept as the test
+  oracle (``tests/sim/testbench.py``'s ``ClockedTestbench`` +
+  ``GroupRecorder``);
 * **levelized** -- the compiled
   :class:`~repro.sim.compiled.CompiledSchedule`: the netlist lowers once
   to struct-of-arrays form and the whole workload evaluates as batched
@@ -54,7 +54,7 @@ def lib():
 
 
 def _vectors():
-    from repro.sim.testbench import bus_values
+    from repro.sim.compiled import bus_values
 
     rng = random.Random(SEED)
     return [{
@@ -64,8 +64,7 @@ def _vectors():
 
 
 def _run_event(module, vectors):
-    from repro.sim.activity import GroupRecorder
-    from repro.sim.testbench import ClockedTestbench
+    from tests.sim.testbench import ClockedTestbench, GroupRecorder
 
     tb = ClockedTestbench(module)
     tb.reset_flops(0)
@@ -102,7 +101,7 @@ def test_gate_sim_speedup(lib):
     schedule = compile_schedule(module)
     cold_run = schedule.run_vectors(vectors, group_size=GROUP_SIZE)
     cold_s = time.perf_counter() - cold_start
-    assert cold_run.engine == "levelized"
+    assert cold_run.toggle_snapshot() == event_toggles
 
     warm_s, run = _best_of(
         lambda: schedule.run_vectors(vectors, group_size=GROUP_SIZE))

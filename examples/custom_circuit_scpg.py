@@ -19,7 +19,7 @@ from repro.circuits.builder import new_module
 from repro.netlist.verilog import dumps_verilog, parse_verilog
 from repro.power import dynamic_power, leakage_power
 from repro.scpg import ScpgPowerModel
-from repro.sim.testbench import ClockedTestbench, bus_values, read_bus
+from repro.sim.compiled import bus_values, schedule_for
 from repro.tech import build_scl90
 from repro.techniques import technique
 from repro.units import fmt_freq, fmt_power
@@ -50,15 +50,16 @@ def main():
 
     # 1. Build and sanity-simulate the custom design.
     mac = build_mac8(lib)
-    tb = ClockedTestbench(mac)
-    tb.reset_flops()
+    sim = schedule_for(mac).stepper("clk")
+    sim.negedge()
+    sim.force_flops(0)
     rng = random.Random(7)
     expected = 0
     for _ in range(20):
         a, b_ = rng.getrandbits(8), rng.getrandbits(8)
-        tb.cycle({**bus_values("a", 8, a), **bus_values("b", 8, b_)})
+        sim.cycle({**bus_values("a", 8, a), **bus_values("b", 8, b_)})
         expected = (expected + a * b_) & 0xFFFFFF
-    assert read_bus(tb.sim, "acc", 24) == expected
+    assert sim.output_bus("acc", 24).read() == expected
     print("mac8 functional check: PASS (acc = {})".format(expected))
 
     # 2. Verilog round-trip (what a real flow would hand off).
@@ -78,8 +79,8 @@ def main():
         len(result.scpg.iso_instances)))
 
     # 4. Power at a few operating points.
-    toggles = tb.sim.toggle_snapshot()
-    dyn = dynamic_power(mac, lib, toggles, tb.cycles)
+    toggles = sim.toggle_snapshot()
+    dyn = dynamic_power(mac, lib, toggles, sim.cycles)
     model = ScpgPowerModel.from_scpg_design(result.scpg,
                                             dyn.energy_per_cycle)
     base = leakage_power(reparsed.top, lib)

@@ -15,7 +15,7 @@ the on-disk result cache.
 
 from repro import Mode, ScpgPowerModel, Session
 from repro.power import dynamic_power, leakage_power
-from repro.sim.testbench import ClockedTestbench, bus_values
+from repro.sim.compiled import bus_values, schedule_for
 from repro.units import fmt_energy, fmt_freq, fmt_power
 
 
@@ -39,7 +39,7 @@ def main():
     print("  area overhead     : {:.1f}% (paper: 3.9%)".format(
         scpg.area_overhead_pct))
 
-    # 4. Measure switching energy with the event-driven simulator (the
+    # 4. Measure switching energy with the gate-level simulator (the
     #    handle's default power model uses a vectorless estimate; a
     #    simulated workload is the paper's methodology).
     import random
@@ -47,14 +47,12 @@ def main():
     from repro.circuits import build_mult16
 
     lib = session.library
-    tb = ClockedTestbench(build_mult16(lib))
-    tb.reset_flops()
+    mult = build_mult16(lib)
     rng = random.Random(0)
-    for _ in range(200):
-        tb.cycle({**bus_values("a", 16, rng.getrandbits(16)),
-                  **bus_values("b", 16, rng.getrandbits(16))})
-    dyn = dynamic_power(tb.sim.module, lib, tb.sim.toggle_snapshot(),
-                        tb.cycles)
+    run = schedule_for(mult).run_vectors(
+        [{**bus_values("a", 16, rng.getrandbits(16)),
+          **bus_values("b", 16, rng.getrandbits(16))} for _ in range(200)])
+    dyn = dynamic_power(mult, lib, run.toggle_snapshot(), run.cycles)
     print("\nmeasured switching energy:", fmt_energy(dyn.energy_per_cycle),
           "per cycle")
 

@@ -50,13 +50,10 @@ def build_cpu(crc_rounds, group_size):
     # outside the profile, then build the CPU that will actually run
     # under it.
     warm = GateLevelCpu(module, crc32_program(crc_rounds),
-                        dhrystone_memory(), group_size=group_size,
-                        engine="compiled")
-    assert warm.engine == "compiled"
+                        dhrystone_memory(), group_size=group_size)
     warm.run()
     return GateLevelCpu(module, crc32_program(crc_rounds),
-                        dhrystone_memory(), group_size=group_size,
-                        engine="compiled")
+                        dhrystone_memory(), group_size=group_size)
 
 
 def report_text(stats, cycles, batched):

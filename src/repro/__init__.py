@@ -26,7 +26,7 @@ Package map (see DESIGN.md for the full inventory):
 ``repro.tech``            synthetic 90nm library, device models, Liberty-lite
 ``repro.netlist``         netlist model, Verilog subset I/O, transforms
 ``repro.circuits``        generator families + keyed design database + registry
-``repro.sim``             event-driven simulator, VCD, activity capture
+``repro.sim``             levelized gate simulator, VCD, activity capture
 ``repro.sta``             static timing analysis
 ``repro.power``           leakage / dynamic / rails / header sizing
 ``repro.isa``             M0-lite ISA, assembler, ISS, Dhrystone-lite

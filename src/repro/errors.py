@@ -33,7 +33,7 @@ class LibraryError(ReproError):
 
 
 class SimulationError(ReproError):
-    """The event-driven simulator hit an unrecoverable condition."""
+    """The gate-level simulator hit an unrecoverable condition."""
 
 
 class TimingError(ReproError):

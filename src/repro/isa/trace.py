@@ -8,25 +8,20 @@ ISS and the netlist and verifies architectural equivalence, which is the
 evidence that the substituted processor is a faithful workload vehicle for
 the power study.
 
-Two engines sit behind the same protocol.  The default ``engine="auto"``
-steps the netlist through a
+The netlist steps through a
 :class:`~repro.sim.compiled.ClosedLoopStepper` -- settled single-row
 phases over the SoA arrays, with precomputed integer-indexed
-:class:`~repro.sim.compiled.BusView` accessors replacing the per-bit
-``read_bus`` / ``set_inputs`` dict traffic -- whenever the module is
-:meth:`~repro.sim.compiled.CompiledSchedule.vector_ready` and carries
-the full M0-lite memory interface (the SCPG-transformed core included).
-Otherwise it transparently falls back to the event-driven
-:class:`~repro.sim.event.Simulator`.  Cycle
-counts, architectural state, and the grouped toggle trace are
-bit-identical across both engines (asserted by the differential tests in
-``tests/integration/test_cosim_random.py``).
+:class:`~repro.sim.compiled.BusView` accessors for the memory buses.
+Any flat module with the M0-lite memory interface qualifies, the
+SCPG-transformed core included.  ``tests/integration/test_cosim_random.py``
+checks cycle counts, architectural state and the grouped toggle trace
+bit for bit against the event-driven oracle in ``tests/sim/``.
 
-On the compiled engine :meth:`GateLevelCpu.run` does not step at all
-while the pipeline model (:mod:`repro.isa.pipeline`) predicts the core
-correctly: it settles whole windows of predicted cycles at once and
-keeps the prefix the netlist confirms, handing any cycle it cannot
-confirm to the stepper (see :meth:`GateLevelCpu._run_window`).
+:meth:`GateLevelCpu.run` does not step at all while the pipeline model
+(:mod:`repro.isa.pipeline`) predicts the core correctly: it settles whole
+windows of predicted cycles at once and keeps the prefix the netlist
+confirms, handing any cycle it cannot confirm to the stepper (see
+:meth:`GateLevelCpu._run_window`).
 """
 
 from __future__ import annotations
@@ -36,9 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import IsaError, SimulationError
-from ..sim.activity import ActivityTrace, GroupActivity, GroupRecorder
-from ..sim.testbench import read_bus
-from ..sim.event import Simulator
+from ..sim.activity import ActivityTrace, GroupActivity
+from ..sim.compiled import schedule_for
 from ..sim.logic import X
 from .cpu import M0LiteCpu
 from .encoding import MASK32, NOP_WORD
@@ -48,6 +42,32 @@ from .pipeline import FlopLayout, PipelineModel
 WINDOW = 128
 
 
+def _missing_interface(soa):
+    """Why ``soa`` cannot host the M0-lite memory protocol (``""`` when
+    it can): address/store nets readable, memory-data input ports
+    drivable, and the architectural register flops present."""
+    if "rstn" not in soa.input_ports:
+        return "no input port rstn"
+    for name, width in (("idata", 16), ("drdata", 32)):
+        for i in range(width):
+            if "{}_{}".format(name, i) not in soa.input_ports:
+                return "no input port {}_{}".format(name, i)
+    for name, width in (("iaddr", 32), ("daddr", 32), ("dwdata", 32)):
+        for i in range(width):
+            if "{}_{}".format(name, i) not in soa.net_index:
+                return "no net {}_{}".format(name, i)
+    for name in ("dwrite", "halted"):
+        if name not in soa.net_index:
+            return "no net {}".format(name)
+    seq = {n: r for r, n in enumerate(soa.seq_names)}
+    for r in range(16):
+        for b in range(32):
+            row = seq.get("rf{}_{}".format(r, b))
+            if row is None or soa.seq_q[row] < 0:
+                return "no register flop rf{}_{}".format(r, b)
+    return ""
+
+
 class GateLevelCpu:
     """Drive a flat M0-lite netlist with instruction and data memories.
 
@@ -55,17 +75,16 @@ class GateLevelCpu:
     ----------
     module:
         Flat module from :func:`repro.circuits.m0lite.build_m0lite` (or an
-        SCPG-transformed flat equivalent with the same ports).
+        SCPG-transformed flat equivalent with the same ports).  A netlist
+        without a levelized schedule raises its
+        :class:`~repro.errors.NetlistError`; one without the memory
+        interface raises :class:`~repro.errors.SimulationError`.
     program:
         16-bit instruction words (word 0 at address 0).
     memory:
         Initial data memory dict (byte address -> 32-bit word).
     group_size:
         Activity vector-group size (10 in the paper).
-    engine:
-        ``"auto"`` (compiled stepping when eligible, event otherwise),
-        ``"compiled"`` (raise when ineligible) or ``"event"``.  The
-        chosen engine is exposed as :attr:`engine`.
     record_states:
         Keep a per-cycle snapshot of every settled net value; see
         :meth:`state_trace` (feeds
@@ -73,11 +92,7 @@ class GateLevelCpu:
     """
 
     def __init__(self, module, program, memory=None, group_size=10,
-                 record_toggles=True, engine="auto", record_states=False):
-        if engine not in ("auto", "event", "compiled"):
-            raise ValueError(
-                "engine must be 'auto', 'event' or 'compiled', "
-                "got {!r}".format(engine))
+                 record_toggles=True, record_states=False):
         self.module = module
         self.program = list(program)
         self.memory = dict(memory or {})
@@ -85,152 +100,67 @@ class GateLevelCpu:
         self.group_size = group_size
         self._record_states = record_states
         self._states = []
-        self._state_names = None
         self._batched = 0
 
-        stepper = None
-        if engine != "event":
-            from ..sim.compiled import schedule_for
-
-            schedule = schedule_for(module)
-            ok, why = self._compiled_ready(schedule)
-            if ok:
-                stepper = schedule.stepper(
-                    "clk", record_toggles=record_toggles)
-            elif engine == "compiled":
-                raise SimulationError(
-                    "compiled co-sim unavailable for {}: {}".format(
-                        module.name, why))
-
-        if stepper is not None:
-            self.engine = "compiled"
-            self._stepper = stepper
-            soa = stepper.soa
-            self._iaddr = stepper.output_bus("iaddr", 32)
-            self._daddr = stepper.output_bus("daddr", 32)
-            self._dwdata = stepper.output_bus("dwdata", 32)
-            self._idata = stepper.input_bus("idata", 16)
-            self._drdata = stepper.input_bus("drdata", 32)
-            self._dwrite_idx = soa.net_index["dwrite"]
-            self._halted_idx = soa.net_index["halted"]
-            rf = np.empty((16, 32), dtype=np.int64)
-            for r in range(16):
-                for b in range(32):
-                    row = stepper._seq_rows["rf{}_{}".format(r, b)]
-                    rf[r, b] = soa.seq_q[row]
-            self._rf_q = rf
-            self._rf_pow2 = np.int64(1) << np.arange(32, dtype=np.int64)
-            self._trace = ActivityTrace()
-            self._group_base = np.zeros(soa.n_nets, dtype=np.int64)
-            self._cycles_in_group = 0
-            self._names_arr = np.asarray(soa.net_names, dtype=object)
-            self._layout = FlopLayout.for_soa(soa)
-            self._program_words = np.asarray(self.program, dtype=np.int64)
-        else:
-            self.engine = "event"
-            self._layout = None
-            self.sim = Simulator(module, record_toggles=record_toggles)
-            self.recorder = GroupRecorder(self.sim, group_size)
-            # Key tuples built once: the per-cycle feed path must not
-            # re-format 48 net-name strings every cycle.
-            self._idata_keys = tuple(
-                "idata_{}".format(i) for i in range(16))
-            self._drdata_keys = tuple(
-                "drdata_{}".format(i) for i in range(32))
-        self._reset()
-
-    @staticmethod
-    def _compiled_ready(schedule):
-        """``(ok, reason)``: can the compiled stepper host the M0-lite
-        memory protocol?  Beyond ``vector_ready`` this needs the full
-        interface -- address/store nets readable, memory-data input
-        ports drivable, and the architectural register flops present."""
-        ok, why = schedule.vector_ready("clk")
-        if not ok:
-            return False, why
-        soa = schedule.soa
-        if "rstn" not in soa.input_ports:
-            return False, "no input port rstn"
-        for name, width in (("idata", 16), ("drdata", 32)):
-            for i in range(width):
-                if "{}_{}".format(name, i) not in soa.input_ports:
-                    return False, "no input port {}_{}".format(name, i)
-        for name, width in (("iaddr", 32), ("daddr", 32), ("dwdata", 32)):
-            for i in range(width):
-                if "{}_{}".format(name, i) not in soa.net_index:
-                    return False, "no net {}_{}".format(name, i)
-        for name in ("dwrite", "halted"):
-            if name not in soa.net_index:
-                return False, "no net {}".format(name)
-        seq = {n: r for r, n in enumerate(soa.seq_names)}
+        stepper = schedule_for(module).stepper(
+            "clk", record_toggles=record_toggles)
+        soa = stepper.soa
+        why = _missing_interface(soa)
+        if why:
+            raise SimulationError(
+                "co-simulation unavailable for {}: {}".format(
+                    module.name, why))
+        self._stepper = stepper
+        self._iaddr = stepper.output_bus("iaddr", 32)
+        self._daddr = stepper.output_bus("daddr", 32)
+        self._dwdata = stepper.output_bus("dwdata", 32)
+        self._idata = stepper.input_bus("idata", 16)
+        self._drdata = stepper.input_bus("drdata", 32)
+        self._dwrite_idx = soa.net_index["dwrite"]
+        self._halted_idx = soa.net_index["halted"]
+        rf = np.empty((16, 32), dtype=np.int64)
         for r in range(16):
             for b in range(32):
-                row = seq.get("rf{}_{}".format(r, b))
-                if row is None or soa.seq_q[row] < 0:
-                    return False, "no register flop rf{}_{}".format(r, b)
-        return True, ""
+                row = stepper._seq_rows["rf{}_{}".format(r, b)]
+                rf[r, b] = soa.seq_q[row]
+        self._rf_q = rf
+        self._rf_pow2 = np.int64(1) << np.arange(32, dtype=np.int64)
+        self._trace = ActivityTrace()
+        self._group_base = np.zeros(soa.n_nets, dtype=np.int64)
+        self._cycles_in_group = 0
+        self._names_arr = np.asarray(soa.net_names, dtype=object)
+        self._layout = FlopLayout.for_soa(soa)
+        self._program_words = np.asarray(self.program, dtype=np.int64)
+        self._reset()
 
     #: Extra input pins held at fixed values from reset on (e.g. an
-    #: SCPG ``override_n``); subclasses override.  Applied identically
-    #: on both engines.
+    #: SCPG ``override_n``); subclasses override.
     _extra_reset_inputs = {}
 
     def _reset(self):
-        extra = self._extra_reset_inputs
-        if self.engine == "compiled":
-            st = self._stepper
-            st.force_flops(0)
-            st.apply({"clk": 0, "rstn": 0, **extra})
-            self._feed_memories()
-            # One reset cycle.
-            st.posedge()
-            st.negedge()
-            st.apply({"rstn": 1})
-            self._feed_memories()
-            st.reset_toggles()
-            self._group_base[:] = 0
-            return
-        sim = self.sim
-        sim.force_flop_state(0)
-        sim.set_inputs({"clk": 0, "rstn": 0, **extra})
+        st = self._stepper
+        st.force_flops(0)
+        st.apply({"clk": 0, "rstn": 0, **self._extra_reset_inputs})
         self._feed_memories()
         # One reset cycle.
-        sim.set_input("clk", 1)
-        sim.set_input("clk", 0)
-        sim.set_input("rstn", 1)
+        st.posedge()
+        st.negedge()
+        st.apply({"rstn": 1})
         self._feed_memories()
-        sim.reset_toggles()
+        st.reset_toggles()
+        self._group_base[:] = 0
 
     def _feed_memories(self):
-        if self.engine == "compiled":
-            iaddr = self._iaddr.read()
-            word = 0x7000  # NOP on X/out-of-range address
-            if iaddr is not None and iaddr < len(self.program):
-                word = self.program[iaddr]
-            self._idata.drive(word)
-            daddr = self._daddr.read()
-            data = 0
-            if daddr is not None:
-                data = self.memory.get(daddr & ~3 & MASK32, 0)
-            self._drdata.drive(data)
-            return
-        sim = self.sim
-        iaddr = read_bus(sim, "iaddr", 32)
-        word = 0x7000  # NOP on X/out-of-range address
+        iaddr = self._iaddr.read()
+        word = NOP_WORD  # on an X or out-of-range address
         if iaddr is not None and iaddr < len(self.program):
             word = self.program[iaddr]
-        sim.set_inputs(
-            {key: (word >> i) & 1
-             for i, key in enumerate(self._idata_keys)}
-        )
-        daddr = read_bus(sim, "daddr", 32)
+        self._idata.drive(word)
+        daddr = self._daddr.read()
         data = 0
         if daddr is not None:
             data = self.memory.get(daddr & ~3 & MASK32, 0)
-        sim.set_inputs(
-            {key: (data >> i) & 1
-             for i, key in enumerate(self._drdata_keys)}
-        )
+        self._drdata.drive(data)
 
     def step(self):
         """Advance one clock cycle: commit stores, clock edge, then feed
@@ -245,46 +175,28 @@ class GateLevelCpu:
         sampling points are identical, since no combinational path depends
         on the clock level).
         """
-        if self.engine == "compiled":
-            st = self._stepper
-            if int(st._state[self._dwrite_idx]) == 1:
-                addr = self._daddr.read()
-                data = self._dwdata.read()
-                if addr is None or data is None:
-                    raise SimulationError("store with X address or data")
-                if addr % 4:
-                    raise IsaError(
-                        "unaligned gate-level store at {:#x}".format(addr))
-                self.memory[addr] = data
-            st.posedge()
-            st.negedge()
-            self._feed_memories()
-            self.cycles += 1
-            self._cycles_in_group += 1
-            if self._cycles_in_group >= self.group_size:
-                self._flush_group()
-        else:
-            sim = self.sim
-            if sim.value("dwrite") == 1:
-                addr = read_bus(sim, "daddr", 32)
-                data = read_bus(sim, "dwdata", 32)
-                if addr is None or data is None:
-                    raise SimulationError("store with X address or data")
-                if addr % 4:
-                    raise IsaError(
-                        "unaligned gate-level store at {:#x}".format(addr))
-                self.memory[addr] = data
-            sim.set_input("clk", 1)
-            sim.set_input("clk", 0)
-            self._feed_memories()
-            self.cycles += 1
-            self.recorder.after_cycle()
+        st = self._stepper
+        if int(st._state[self._dwrite_idx]) == 1:
+            addr = self._daddr.read()
+            data = self._dwdata.read()
+            if addr is None or data is None:
+                raise SimulationError("store with X address or data")
+            if addr % 4:
+                raise IsaError(
+                    "unaligned gate-level store at {:#x}".format(addr))
+            self.memory[addr] = data
+        st.posedge()
+        st.negedge()
+        self._feed_memories()
+        self.cycles += 1
+        self._cycles_in_group += 1
+        if self._cycles_in_group >= self.group_size:
+            self._flush_group()
         if self._record_states:
-            self._states.append(self._state_row())
+            self._states.append(st.state_row())
 
     def _flush_group(self):
-        """Close the current toggle group (compiled engine; no-op when
-        empty -- :class:`~repro.sim.activity.GroupRecorder` parity)."""
+        """Close the current toggle group (no-op when empty)."""
         if self._cycles_in_group == 0:
             return
         soa = self._stepper.soa
@@ -302,26 +214,15 @@ class GateLevelCpu:
         self._group_base = counts.copy()
         self._cycles_in_group = 0
 
-    def _state_row(self):
-        """The settled value row, ``module.nets()`` order, ``int8``."""
-        if self.engine == "compiled":
-            return self._stepper.state_row()
-        if self._state_names is None:
-            self._state_names = [n.name for n in self.module.nets()]
-        snap = self.sim.state_snapshot()
-        return np.asarray(
-            [v if v in (0, 1) else X
-             for v in (snap.get(name) for name in self._state_names)],
-            dtype=np.int8)
-
     def run(self, max_cycles=100_000):
         """Run until ``halted`` rises; returns cycles taken.
 
-        On the compiled engine the cycles go in windows of up to
-        :data:`WINDOW`: a :class:`~repro.isa.pipeline.PipelineModel`
-        predicts each cycle's start state, the netlist settles the whole
-        window at once, and only the prefix it confirms is kept (see
-        :meth:`_run_window`).  When a window falls short, the
+        The cycles go in windows of up to :data:`WINDOW`: a
+        :class:`~repro.isa.pipeline.PipelineModel` predicts each cycle's
+        start state (when the module keeps the M0-lite flop names), the
+        netlist settles the whole window at once, and only the prefix it
+        confirms is kept (see :meth:`_run_window`).  When a window falls
+        short, the
         :class:`~repro.sim.compiled.ClosedLoopStepper` steps out the rest
         of it before the next prediction.  Every result -- cycles, state,
         memory, toggles, groups, state trace, errors -- is the one
@@ -340,10 +241,7 @@ class GateLevelCpu:
                 continue
             self.step()
             owed -= 1
-        if self.engine == "compiled":
-            self._flush_group()
-        else:
-            self.recorder.flush()
+        self._flush_group()
         return self.cycles - start
 
     def _run_window(self, n):
@@ -451,30 +349,20 @@ class GateLevelCpu:
     @property
     def batched_cycles(self):
         """Cycles :meth:`run` settled in confirmed windows rather than
-        stepped (always 0 on the event engine)."""
+        stepped."""
         return self._batched
 
     @property
     def halted(self):
         """True when the core has executed HALT."""
-        if self.engine == "compiled":
-            return int(self._stepper._state[self._halted_idx]) == 1
-        return self.sim.value("halted") == 1
+        return int(self._stepper._state[self._halted_idx]) == 1
 
     def register(self, index):
         """Architectural register value from the netlist flip-flops."""
-        if self.engine == "compiled":
-            row = self._stepper._state[self._rf_q[index]]
-            if (row == X).any():
-                return None
-            return int(row.astype(np.int64) @ self._rf_pow2)
-        value = 0
-        for bit in range(32):
-            v = self.sim.flop_q("rf{}_{}".format(index, bit))
-            if v == X:
-                return None
-            value |= v << bit
-        return value
+        row = self._stepper._state[self._rf_q[index]]
+        if (row == X).any():
+            return None
+        return int(row.astype(np.int64) @ self._rf_pow2)
 
     def registers(self):
         """All 16 register values."""
@@ -482,33 +370,21 @@ class GateLevelCpu:
 
     def activity_trace(self):
         """Grouped switching activity recorded so far."""
-        if self.engine == "compiled":
-            self._flush_group()
-            return self._trace
-        self.recorder.flush()
-        return self.recorder.trace
+        self._flush_group()
+        return self._trace
 
     def toggle_snapshot(self):
-        """Per-net toggle counts as dict name -> count (both engines
-        return the same dict for the same program)."""
-        if self.engine == "compiled":
-            return self._stepper.toggle_snapshot()
-        return self.sim.toggle_snapshot()
+        """Per-net toggle counts as dict name -> count."""
+        return self._stepper.toggle_snapshot()
 
     def value(self, net_name):
         """Current settled 0/1/X value of one net."""
-        if self.engine == "compiled":
-            return self._stepper.value(net_name)
-        return self.sim.value(net_name)
+        return self._stepper.value(net_name)
 
     @property
     def state_net_names(self):
         """Net-name order of :meth:`state_trace` columns."""
-        if self.engine == "compiled":
-            return list(self._stepper.soa.net_names)
-        if self._state_names is None:
-            self._state_names = [n.name for n in self.module.nets()]
-        return list(self._state_names)
+        return list(self._stepper.soa.net_names)
 
     def state_trace(self):
         """Per-cycle settled net values, ``(cycles, n_nets)`` ``int8``.
@@ -547,18 +423,14 @@ class CosimResult:
 
 
 def cosimulate(module, program, memory=None, max_cycles=200_000,
-               group_size=10, engine="auto"):
+               group_size=10):
     """Run ``program`` to HALT on both the ISS and the gate-level core and
     compare final architectural state.  Returns :class:`CosimResult`.
-
-    ``engine`` selects the gate-level engine (see :class:`GateLevelCpu`);
-    the result is identical either way.
     """
     iss = M0LiteCpu(program, memory)
     instructions = iss.run(max_steps=max_cycles)
 
-    gate = GateLevelCpu(module, program, memory, group_size=group_size,
-                        engine=engine)
+    gate = GateLevelCpu(module, program, memory, group_size=group_size)
     cycles = gate.run(max_cycles=max_cycles)
 
     mismatches = []

@@ -10,6 +10,10 @@ rewrite preserved behaviour.  Two strategies:
   protocol when the design has the named clock input), comparing every
   output each cycle.
 
+Both sides simulate on the levelized engine (:mod:`repro.sim.compiled`):
+a combinational check is one batched evaluation per side, a clocked one a
+:class:`~repro.sim.compiled.ClosedLoopStepper` per side.
+
 This is a miniature "logic equivalence check" (LEC) in the simulation
 style; it cannot *prove* equivalence for large designs, but with a few
 hundred vectors over a datapath it is a strong regression oracle, and the
@@ -21,8 +25,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import NetlistError
-from ..sim.event import Simulator
+from ..sim.compiled import schedule_for
 from ..sim.logic import X
 
 #: Input counts up to this get exhaustive checking.
@@ -55,6 +61,21 @@ def _port_signature(module):
     return ins, outs
 
 
+def _fmt(value):
+    return "X" if value == X else int(value)
+
+
+def _evaluate(module, names, points, outs):
+    """``module``'s ``outs`` over input ``points`` whose columns are
+    ``names`` -- reordered to the module's own port declaration order."""
+    schedule = schedule_for(module)
+    schedule.require()
+    order = [names.index(name) for name in schedule.soa.input_ports]
+    got = schedule.evaluate(points[:, order])
+    cols = list(schedule.soa.output_ports)
+    return got[:, [cols.index(name) for name in outs]]
+
+
 def check_equivalence(golden, revised, vectors=256, clock=None, seed=0,
                       max_mismatches=5):
     """Compare two flat modules with identical port lists.
@@ -62,7 +83,9 @@ def check_equivalence(golden, revised, vectors=256, clock=None, seed=0,
     Parameters
     ----------
     golden / revised:
-        Flat modules (library cells only).
+        Flat modules (library cells only).  A netlist without a
+        levelized schedule (a combinational loop) raises its
+        :class:`~repro.errors.NetlistError`.
     vectors:
         Random vectors to apply (ignored when exhaustive checking fits).
     clock:
@@ -78,53 +101,55 @@ def check_equivalence(golden, revised, vectors=256, clock=None, seed=0,
     ins, outs = g_sig
     data_ins = [p for p in ins if p != clock]
 
-    sim_g = Simulator(golden, record_toggles=False)
-    sim_r = Simulator(revised, record_toggles=False)
-    if clock is not None:
-        for sim in (sim_g, sim_r):
-            sim.force_flop_state(0)
-            sim.set_input(clock, 0)
-
-    def apply_and_compare(assignment, label):
-        for sim in (sim_g, sim_r):
-            sim.set_inputs(assignment)
-            if clock is not None:
-                sim.set_input(clock, 1)
-                sim.set_input(clock, 0)
-        diffs = []
-        for out in outs:
-            a = sim_g.value(out)
-            b = sim_r.value(out)
-            if a != b:
-                diffs.append("{}: golden={} revised={} at {}".format(
-                    out, "X" if a == X else a, "X" if b == X else b,
-                    label))
-        return diffs
-
-    mismatches = []
     if clock is None and len(data_ins) <= EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
         count = 1 << len(data_ins)
-        for bits in range(count):
-            assignment = {
-                name: (bits >> i) & 1 for i, name in enumerate(data_ins)
-            }
-            mismatches += apply_and_compare(
-                assignment, "vector {:#x}".format(bits))
-            if len(mismatches) >= max_mismatches:
-                break
-        applied = min(count, bits + 1)
+        points = (np.arange(count)[:, np.newaxis]
+                  >> np.arange(len(data_ins))) & 1
+        label = "vector {:#x}".format
     else:
         mode = "random"
         rng = random.Random(seed)
-        applied = 0
-        for k in range(vectors):
-            assignment = {name: rng.getrandbits(1) for name in data_ins}
-            mismatches += apply_and_compare(assignment,
-                                            "cycle {}".format(k))
-            applied += 1
-            if len(mismatches) >= max_mismatches:
-                break
+        count = vectors
+        points = np.asarray(
+            [[rng.getrandbits(1) for _ in data_ins] for _ in range(count)])
+        label = "cycle {}".format
+    points = points.astype(np.int8).reshape(count, len(data_ins))
+
+    if clock is None:
+        tables = [_evaluate(m, data_ins, points, outs)
+                  for m in (golden, revised)]
+
+        def outputs(k):
+            return [table[k] for table in tables]
+    else:
+        steppers = []
+        for module in (golden, revised):
+            stepper = schedule_for(module).stepper(
+                clock, record_toggles=False)
+            stepper.force_flops(0)
+            stepper.negedge()
+            steppers.append(stepper)
+        out_idx = [[st.soa.net_index[name] for name in outs]
+                   for st in steppers]
+
+        def outputs(k):
+            vec = dict(zip(data_ins, points[k].tolist()))
+            for st in steppers:
+                st.cycle(vec)
+            return [st.state_row()[idx]
+                    for st, idx in zip(steppers, out_idx)]
+
+    mismatches = []
+    applied = 0
+    for k in range(count):
+        applied += 1
+        for out, a, b in zip(outs, *outputs(k)):
+            if a != b:
+                mismatches.append("{}: golden={} revised={} at {}".format(
+                    out, _fmt(a), _fmt(b), label(k)))
+        if len(mismatches) >= max_mismatches:
+            break
 
     return EquivalenceReport(
         equivalent=not mismatches,

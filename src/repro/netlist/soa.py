@@ -32,8 +32,8 @@ The lowered form holds only names, indices and arrays -- no ``Net`` /
 cache and ships to worker processes unchanged.  Combinational feedback
 makes a levelized schedule impossible, and an unconnected gate input
 has no value to gather; :func:`lower_soa` then raises
-:class:`~repro.errors.NetlistError` (callers fall back to the event
-simulator, see :mod:`repro.sim.compiled`).
+:class:`~repro.errors.NetlistError`, which every simulation entry point
+re-raises (see :mod:`repro.sim.compiled`).
 """
 
 from __future__ import annotations

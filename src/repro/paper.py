@@ -5,7 +5,7 @@ reproduction pipeline for one test design:
 
 1. generate the netlist (:mod:`repro.circuits`);
 2. implement it twice through the flows (baseline and SCPG, incl. CTS);
-3. measure switched energy per cycle with the event simulator (random
+3. measure switched energy per cycle with the gate-level simulator (random
    operands for the multiplier; the Dhrystone-lite workload, grouped per
    10 vectors with representative max/min/avg groups, for the M0-lite --
    the paper's §III-B methodology);
@@ -35,8 +35,7 @@ from .power.dynamic import (
 )
 from .power.leakage import leakage_power
 from .scpg.power_model import ScpgPowerModel
-from .sim.compiled import schedule_for
-from .sim.testbench import bus_values
+from .sim.compiled import bus_values, schedule_for
 from .subvt.energy import SubvtModel
 from .tech.calibration import CORTEX_M0_ANCHORS, MULTIPLIER_ANCHORS
 from .tech.scl90 import build_scl90
@@ -97,8 +96,7 @@ def _measure_multiplier_energy(module, library, vectors, seed):
     """Switched energy per cycle under random operand vectors.
 
     Runs through the levelized struct-of-arrays engine
-    (:mod:`repro.sim.compiled`); its toggle counts are bit-identical to
-    the event simulator's, so the calibration numbers are unchanged.
+    (:mod:`repro.sim.compiled`).
     """
     rng = random.Random(seed)
     stimulus = [{

@@ -2,7 +2,7 @@
 
 Every 0->1/1->0 transition of a net dissipates ``0.5 * C * VDD^2`` where
 ``C`` is the driver's internal capacitance plus the fanout pin loads and
-wire estimate.  Toggle counts come from the zero-delay event simulator,
+wire estimate.  Toggle counts come from the zero-delay gate simulator,
 which sees functional transitions only; the *glitch factor* multiplies
 them to stand in for the hazard activity a delay-accurate simulation would
 add.  The multiplier's array of reconvergent partial-product and carry
@@ -67,7 +67,7 @@ def dynamic_power(module, library, toggles, cycles, vdd=None, freq_hz=1e6,
     library:
         Cell library (for capacitances).
     toggles:
-        Dict net name -> toggle count (e.g. ``Simulator.toggle_snapshot``).
+        Dict net name -> toggle count (e.g. ``CompiledRun.toggle_snapshot``).
     cycles:
         Number of clock cycles the counts cover.
     vdd:

@@ -53,7 +53,7 @@ class CircuitArtifacts:
     timing: object = None       # TimingAnalysis
     switching: object = None    # SwitchedCapacitance
     scpg: object = None         # ScpgModelTable
-    gate_sim: object = None     # CompiledSchedule (module dropped on pickle)
+    gate_sim: object = None     # CompiledSchedule
 
     @classmethod
     def build(cls, design, fingerprint="", name=""):

@@ -18,8 +18,8 @@ Given a flat design, :func:`_apply_scpg` (reached through
 4. produces the power-intent description (UPF-lite) and the book-keeping
    the power model and the flow reports need.
 
-The transformed design remains simulatable: the two-phase flop semantics
-of the event simulator capture register data before the isolation clamps
+The transformed design remains simulatable: the phase-start flop sampling
+of the gate simulator captures register data before the isolation clamps
 assert on the rising edge, mirroring the hold-time argument of Fig. 4.
 """
 

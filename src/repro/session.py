@@ -399,19 +399,15 @@ class DesignHandle:
                                    temp_c=temp_c)
 
     def cosim(self, program, memory=None, max_cycles=200_000,
-              group_size=10, engine="auto"):
+              group_size=10):
         """Closed-loop ISS-vs-netlist co-simulation of ``program`` (see
         :func:`repro.isa.trace.cosimulate`; the design must expose the
-        M0-lite port interface).  ``engine`` picks the gate-level
-        engine: the compiled :class:`~repro.sim.compiled.
-        ClosedLoopStepper` when eligible under ``"auto"``, the event
-        simulator otherwise -- bit-identical results either way.
+        M0-lite port interface).
         """
         from .isa.trace import cosimulate
 
         return cosimulate(self.design.top, program, memory,
-                          max_cycles=max_cycles, group_size=group_size,
-                          engine=engine)
+                          max_cycles=max_cycles, group_size=group_size)
 
     def power_model(self):
         """An :class:`~repro.scpg.power_model.ScpgPowerModel` with the
@@ -441,17 +437,14 @@ class DesignHandle:
     def gate_sim(self):
         """The design's compiled levelized simulation schedule
         (:class:`~repro.sim.compiled.CompiledSchedule`) from the artifact
-        bundle, re-bound to the live module so the event-simulator
-        fallback still works on a bundle loaded from disk."""
-        return self.artifacts().gate_sim.bind_module(self.design.top)
+        bundle."""
+        return self.artifacts().gate_sim
 
     def activity(self, vectors, clock="clk", reset=0, group_size=None):
         """Simulate a clocked workload; returns a
         :class:`~repro.sim.compiled.CompiledRun` (toggle counts, final
         values, optional grouped :class:`~repro.sim.activity.
-        ActivityTrace`).  Rides the levelized engine when the circuit
-        qualifies, the event simulator otherwise -- bit-identical either
-        way."""
+        ActivityTrace`) on the levelized engine."""
         return self.gate_sim().run_vectors(
             vectors, clock=clock, reset=reset, group_size=group_size)
 

@@ -74,54 +74,12 @@ class ActivityTrace:
         )
 
 
-class GroupRecorder:
-    """Incrementally collect toggle counts into fixed-size cycle groups."""
-
-    def __init__(self, sim, group_size=10):
-        self.sim = sim
-        self.group_size = group_size
-        self.trace = ActivityTrace()
-        self._cycles_in_group = 0
-        self._base = dict(sim.toggle_snapshot())
-        self._nets = len([n for n in sim.module.nets() if not n.is_const])
-
-    def after_cycle(self):
-        """Call once per simulated cycle."""
-        self._cycles_in_group += 1
-        if self._cycles_in_group >= self.group_size:
-            self.flush()
-
-    def flush(self):
-        """Close the current group (no-op when empty)."""
-        if self._cycles_in_group == 0:
-            return
-        snap = self.sim.toggle_snapshot()
-        deltas = {
-            name: snap[name] - self._base.get(name, 0)
-            for name in snap
-            if snap[name] != self._base.get(name, 0)
-        }
-        self.trace.groups.append(
-            GroupActivity(
-                index=len(self.trace.groups),
-                cycles=self._cycles_in_group,
-                total_toggles=sum(deltas.values()),
-                nets=self._nets,
-                toggles=deltas,
-            )
-        )
-        self._base = snap
-        self._cycles_in_group = 0
-
-
 def group_activity(module, vectors, group_size=10, clock="clk"):
     """Run ``vectors`` through ``module`` and return the grouped
     :class:`ActivityTrace` (paper Fig. 7 pipeline for open-loop stimuli).
 
-    Rides the levelized struct-of-arrays engine
-    (:mod:`repro.sim.compiled`) when the circuit qualifies, with a
-    transparent event-simulator fallback -- the traces are bit-identical
-    either way.
+    Runs on the levelized struct-of-arrays engine
+    (:mod:`repro.sim.compiled`).
     """
     from .compiled import schedule_for
 

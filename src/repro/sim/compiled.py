@@ -2,29 +2,35 @@
 
 :func:`compile_schedule` lowers a flat module once
 (:func:`repro.netlist.soa.lower_soa`) and wraps it in a
-:class:`CompiledSchedule` -- the levelized evaluation schedule.  A whole
-workload of input vectors then simulates as a handful of batched numpy
-passes instead of per-event Python dispatch: each clock cycle is three
-settled states (inputs applied with the clock low, the rising edge, the
-falling edge), every state is one levelized sweep over a ``(cycles,
-nets)`` value matrix, and flip-flops sample vectorized with the event
-simulator's exact rules (pre-settle D/EN, async RN dominance, X edges).
+:class:`CompiledSchedule` -- the levelized evaluation schedule.  This is
+the repository's gate-level simulator: a whole workload of input vectors
+simulates as a handful of batched numpy passes instead of per-event
+Python dispatch.  Each clock cycle is three settled phases (inputs
+applied with the clock low, the rising edge, the falling edge), and
+every phase is a levelized sweep over a ``(cycles, nets)`` value matrix.
+
+Zero-delay semantics follow a generational event wave.  A phase's
+stimulus settles in one sweep; every flop with an event on its CK or RN
+pin then samples (RN dominates, a rising edge captures the phase-start
+D/EN, an edge to X corrupts), and the sampled Q changes become the next
+generation's events.  Flops clocked straight from a port therefore
+sample one generation before flops behind clock logic -- buffers, gated
+clocks -- and flops clocked or reset from state sample later still (see
+:meth:`CompiledSchedule._generations`).  Toggle counts are the
+differences between consecutive settled sweeps, so every 0 <-> 1
+transition of the wave is counted exactly once.
 
 Cross-cycle state is resolved by fixed-point iteration: the cycle-``k``
 row starts from cycle ``k-1``'s settled end state, so each batched pass
 finalises at least one more cycle and a ``d``-deep pipeline converges in
-``d + 1`` passes.  Toggle counts are consecutive-snapshot differences
-(both values known), which makes the result **bit-identical** to the
-event simulator's functional (generational) toggle accounting -- the
-differential tests in ``tests/sim/test_compiled.py`` assert equality,
-not closeness.
+``d + 1`` passes.  ``tests/sim/event.py`` keeps an event-driven
+simulator as the differential oracle; the tests assert bit-identical
+toggles, activity groups, final values and state traces against it.
 
-Not every netlist is batchable: combinational feedback has no levelized
-order, and clock/reset cones that pass through logic or state cannot be
-replayed per-phase.  :meth:`CompiledSchedule.vector_ready` reports this,
-and :meth:`CompiledSchedule.run_vectors` transparently falls back to the
-event-driven :class:`~repro.sim.event.Simulator` (float-exact by
-construction) for those designs.
+A netlist with combinational feedback, or a gate input left open, has no
+levelized order: :func:`compile_schedule` still returns a schedule, but
+running it raises the :class:`~repro.errors.NetlistError` that names the
+loop or pin.
 
 Closed-loop workloads (a testbench that must *read* outputs each cycle
 to decide the next inputs -- the ISA co-simulator's memory protocol)
@@ -34,12 +40,11 @@ the same settled-phase machinery one cycle at a time: a
 packed row programs (:meth:`repro.netlist.soa.SoaNetlist.pack_levels`),
 skips applies whose values did not change, samples flops only on phases
 whose affected cone reaches a CK/RN pin, and accrues the identical
-consecutive-snapshot toggle diffs -- bit-identical state and toggle
-counts versus driving the event simulator through the same protocol.
-When the caller can predict each cycle's start state (the M0-lite
-pipeline model does), :meth:`ClosedLoopStepper.settle_window` settles
-a whole window of such cycles as ``(cycles, nets)`` matrices through
-the same phases, leaving the caller to confirm the prediction.
+consecutive-snapshot toggle diffs.  When the caller can predict each
+cycle's start state (the M0-lite pipeline model does),
+:meth:`ClosedLoopStepper.settle_window` settles a whole window of such
+cycles as ``(cycles, nets)`` matrices through the same phases, leaving
+the caller to confirm the prediction.
 """
 
 from __future__ import annotations
@@ -56,6 +61,10 @@ from .activity import ActivityTrace, GroupActivity
 from .logic import X, to_ternary
 
 
+#: Cycles per batched pass of :meth:`CompiledSchedule.run_vectors`.
+_MAX_BATCH = 1024
+
+
 def _accrue(counts, a, b):
     """Add the functional toggles between consecutive settled states
     ``a`` and ``b`` to ``counts``: a 0 <-> 1 change, which with X
@@ -67,23 +76,29 @@ def _accrue(counts, a, b):
     counts += mask
 
 
+def _set_columns(cols, value):
+    """A phase stimulus: drive columns ``cols`` of every row to
+    ``value``."""
+    def mutate(values):
+        values[:, cols] = value
+    return mutate
+
+
 @dataclass
 class CompiledRun:
-    """Result of one workload run (levelized or event fallback)."""
+    """Result of one clocked workload run."""
 
     cycles: int
-    engine: str
-    #: Per-net toggle counts (all nets, zeros included) -- same key set
-    #: and values as ``Simulator.toggle_snapshot`` after the same run.
+    #: Per-net toggle counts (all nets, zeros included).
     toggles: dict = field(default_factory=dict)
     trace: ActivityTrace = None
     #: Net name -> final settled value (clock low).
     final_values: dict = field(default_factory=dict)
-    #: Per-cycle per-net toggle matrix (levelized engine only).
+    #: Per-cycle per-net toggle matrix.
     toggle_matrix: np.ndarray = None
 
     def toggle_snapshot(self):
-        """Dict net name -> toggle count (``Simulator`` parity)."""
+        """Dict net name -> toggle count."""
         return dict(self.toggles)
 
     def total_toggles(self):
@@ -94,183 +109,221 @@ class CompiledRun:
         return self.final_values[net_name]
 
 
-class CompiledSchedule:
-    """A module's levelized evaluation schedule plus eligibility facts.
+class _FlopTable:
+    """Per-flop pin columns for the generational sampler: flops with Q,
+    CK and D nets (the rest can change nothing, or cannot run at all --
+    see :meth:`CompiledSchedule.require`).
 
-    Instances pickle (for the artifact cache) without the source module;
-    an unpickled schedule keeps the full vector-parallel path but cannot
-    fall back to the event simulator.
+    ``sens`` holds every CK/RN pin net once; a generation's events are
+    the changes of those columns, so the sampler gathers ``(rows,
+    len(sens))`` slices instead of whole value matrices.
     """
 
-    def __init__(self, module=None, soa=None, why=""):
-        self._module = module
+    def __init__(self, soa):
+        rows = np.nonzero((soa.seq_q >= 0) & (soa.seq_ck >= 0)
+                          & (soa.seq_d >= 0))[0]
+        self.q = soa.seq_q[rows]
+        self.d = soa.seq_d[rows]
+        ck = soa.seq_ck[rows]
+        en = soa.seq_en[rows]
+        rn = soa.seq_rn[rows]
+        self.has_en = en >= 0
+        self.en = np.where(self.has_en, en, 0)
+        self.has_rn = rn >= 0
+        # sorted() over a set: np.unique would import numpy.ma.
+        self.sens = np.asarray(
+            sorted(set(ck.tolist()) | set(rn[self.has_rn].tolist())),
+            dtype=np.int64)
+        self.ck_pos = np.searchsorted(self.sens, ck)
+        self.rn_pos = np.searchsorted(self.sens,
+                                      np.where(self.has_rn, rn, ck))
+        # Oscillation guard: an acyclic chain of state-driven clocks and
+        # resets takes at most two generations per flop.
+        self.limit = 4 * (len(rows) + 2)
+
+    def sample(self, old, new, values, wave):
+        """The Q columns after one generation's sampling, or ``None``
+        when no Q changes.
+
+        ``old`` / ``new`` are the ``sens`` columns before and at this
+        generation, ``values`` the current matrix (its Q columns are the
+        held state) and ``wave`` the phase-start matrix.  A flop with an
+        event on CK or RN samples: RN low or X dominates; otherwise a
+        rising CK edge captures the phase-start D (EN == 0 holds, EN ==
+        X corrupts), a CK change to X corrupts, anything else holds.
+        Flops without an event hold whatever their pins read.
+        """
+        if np.array_equal(old, new):
+            return None
+        ck_old = old[:, self.ck_pos]
+        ck_new = new[:, self.ck_pos]
+        ck_ev = ck_old != ck_new
+        rn_new = new[:, self.rn_pos]
+        rn_ev = self.has_rn & (old[:, self.rn_pos] != rn_new)
+        active = ck_ev | rn_ev
+        if not active.any():
+            return None
+        held = values[:, self.q]
+        rising = ck_ev & (ck_old == 0) & (ck_new == 1)
+        q_next = np.where(ck_ev & ~rising & (ck_new == X), X, held)
+        en = np.where(self.has_en, wave[:, self.en], 1)
+        d = np.where(en == X, X, wave[:, self.d])
+        q_next = np.where(rising & (en != 0), d, q_next)
+        rn_now = np.where(self.has_rn, rn_new, 1)
+        q_next = np.where(active & (rn_now == 0), 0, q_next)
+        q_next = np.where(active & (rn_now == X), X, q_next)
+        q_next = q_next.astype(np.int8)
+        if np.array_equal(q_next, held):
+            return None
+        return q_next
+
+
+class CompiledSchedule:
+    """A module's levelized evaluation schedule.
+
+    Holds only the lowered :class:`~repro.netlist.soa.SoaNetlist` (or,
+    for a netlist that cannot be levelized, the reason in ``why``), so
+    instances pickle into the artifact cache and run unchanged in
+    worker processes.
+    """
+
+    #: Memoised derived tables, rebuilt on demand after unpickling.
+    _MEMOS = ("_flops", "_fo_state", "_fo_sources", "_row_state",
+              "_row_inputs")
+
+    def __init__(self, soa=None, why=""):
         self.soa = soa
         self.why = why          # non-empty when lowering failed
-        self._cones = {}
         if soa is not None:
-            self._port_name = {idx: name
-                               for name, idx in soa.input_ports.items()}
             self._init = self._build_init()
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state["_module"] = None
-        state.pop("_fo_state", None)
-        state.pop("_fo_sources", None)
-        state.pop("_seq_cols", None)
-        state.pop("_row_state", None)
-        state.pop("_row_inputs", None)
+        for name in self._MEMOS:
+            state.pop(name, None)
         return state
-
-    @property
-    def module(self):
-        return self._module
-
-    def bind_module(self, module):
-        """Re-attach the live module an unpickled schedule lost, restoring
-        the event-simulator fallback.  Returns ``self``."""
-        if self._module is None:
-            self._module = module
-        return self
 
     # -- eligibility ---------------------------------------------------------
 
-    def _cone(self, idx):
-        """``(source port names, depends-on-state)`` of one net's cone."""
-        res = self._cones.get(idx)
-        if res is not None:
-            return res
-        soa = self.soa
-        if soa.driver_seq[idx] >= 0:
-            res = (frozenset(), True)
-        elif soa.driver_gate[idx] >= 0:
-            self._cones[idx] = (frozenset(), False)  # placeholder (DAG)
-            ports = set()
-            seq = False
-            for i in soa.gate_inputs[soa.driver_gate[idx]]:
-                p, s = self._cone(i)
-                ports |= p
-                seq = seq or s
-            res = (frozenset(ports), seq)
-        else:
-            name = self._port_name.get(idx)
-            res = (frozenset([name]) if name else frozenset(), False)
-        self._cones[idx] = res
-        return res
+    def require(self, clock=None):
+        """Raise unless this schedule can simulate.
 
-    def vector_ready(self, clock="clk"):
-        """``(ok, reason)``: can this schedule batch a clocked workload?
-
-        Requires an acyclic combinational graph, every flop clocked from
-        a pure clock cone (sources only the ``clock`` port / constants),
-        and async resets free of state feedback -- the conditions under
-        which the three-phase batched replay is exact.
+        :class:`~repro.errors.NetlistError` when the netlist has no
+        levelized order (the lowering's message: the loop or the open
+        pin) or a flop lacks its clock or data pin;
+        :class:`~repro.errors.SimulationError` when ``clock`` is given
+        but is not an input port.
         """
         if self.soa is None:
-            return False, self.why or "combinational feedback"
+            raise NetlistError(self.why)
+        if clock is None:
+            return
         soa = self.soa
         if clock not in soa.input_ports:
-            return False, "no input port {!r}".format(clock)
+            raise SimulationError("module {} has no input port {!r}".format(
+                soa.module_name, clock))
         for row in range(soa.n_seq):
             if soa.seq_ck[row] < 0:
-                return False, "flop {} has no clock pin".format(
-                    soa.seq_names[row])
+                raise NetlistError("flop {} has no clock pin".format(
+                    soa.seq_names[row]))
             if soa.seq_q[row] >= 0 and soa.seq_d[row] < 0:
-                return False, "flop {} has no data pin".format(
-                    soa.seq_names[row])
-        for idx in set(soa.seq_ck.tolist()):
-            if idx < 0:
-                continue
-            ports, seq = self._cone(idx)
-            if seq or not ports <= {clock}:
-                return False, (
-                    "clock cone of net {} mixes in {}".format(
-                        soa.net_names[idx],
-                        "state" if seq else ", ".join(sorted(ports - {
-                            clock}))))
-        for idx in set(soa.seq_rn.tolist()):
-            if idx < 0:
-                continue
-            if self._cone(idx)[1]:
-                return False, "reset cone of net {} depends on state".format(
-                    soa.net_names[idx])
+                raise NetlistError("flop {} has no data pin".format(
+                    soa.seq_names[row]))
+
+    def vector_ready(self, clock="clk"):
+        """``(ok, reason)``: can this schedule run a clocked workload?
+        The non-raising form of :meth:`require`."""
+        try:
+            self.require(clock)
+        except (NetlistError, SimulationError) as exc:
+            return False, str(exc)
         return True, ""
 
-    # -- batched engine ------------------------------------------------------
+    # -- phase engine --------------------------------------------------------
 
     def _build_init(self):
-        """Settled pre-run state: all-X, constants applied, combinational
-        nets evaluated (ties propagate)."""
-        row = self.soa.initial_values()[np.newaxis, :].copy()
-        self.soa.eval_comb(row)
-        return row[0]
+        """The settled power-up state: all-X but for constants and tie
+        cells, then the logic settles as one wave, so a flop whose reset
+        settles low clears (and a state-driven pin samples as usual)."""
+        soa = self.soa
+        start = soa.initial_values()[np.newaxis, :].copy()
+        soa.eval_comb(start, [[grp for grp in level if grp.arity == 0]
+                              for level in soa.levels])
+        values = start.copy()
+        soa.eval_comb(values)
+        return self._generations(
+            start, values, lambda v: None,
+            lambda v: soa.eval_comb(v, self._state_levels()))[-1][0]
 
-    def _sample_flops(self, pre, now):
-        """Vectorized flip-flop sampling for one phase.
+    def _flop_table(self):
+        """The memoised :class:`_FlopTable`, ``None`` without flops."""
+        table = getattr(self, "_flops", False)
+        if table is False:
+            table = _FlopTable(self.soa)
+            self._flops = table = table if len(table.q) else None
+        return table
 
-        ``pre`` holds the phase-start (pre-settle) values, ``now`` the
-        settled values.  Returns a copy of ``now`` with the sampled Q
-        columns, or ``None`` when no Q changed.  Rules replicate the event
-        simulator: RN (async, post-settle) dominates; a rising edge
-        samples the *pre-settle* D/EN; a non-rising change to X drives
-        Q to X; EN==0 holds, EN==X corrupts the sample.
+    def _generations(self, start, values, settle, settle_state):
+        """Settle one phase's stimulus generation by generation -- the
+        one flop sampler every engine path uses.
+
+        ``start`` is the phase-start matrix, ``values`` the same
+        rows with the stimulus applied.  Generation ``g`` starts from
+        the values its events left: every flop with an event on a CK or
+        RN pin (a change since generation ``g - 1`` started) samples
+        (:meth:`_FlopTable.sample`), the changes settle in one sweep --
+        ``settle`` for the stimulus, ``settle_state`` for flop outputs
+        -- and only then do the sampled Qs update, as the next
+        generation's events.  A sweep that moves a CK or RN pin also
+        makes the next generation sample.
+
+        Returns the settled matrix after each sweep; the last is the end
+        state, and consecutive ones differ by at most one transition per
+        net, so their differences are the phase's toggles.
         """
-        qcol, ck, dcol, has_en, en_safe, has_rn, rn_safe = \
-            self._seq_columns()
-        if not len(qcol):
-            return None
-        ck_old = pre[:, ck]
-        ck_new = now[:, ck]
-        d_pre = pre[:, dcol]
-        en_pre = np.where(has_en, pre[:, en_safe], 1)
-        rn_now = np.where(has_rn, now[:, rn_safe], 1)
-
-        held = now[:, qcol]
-        changed = ck_new != ck_old
-        rising = (ck_old == 0) & (ck_new == 1)
-        q_next = np.where(changed & ~rising & (ck_new == X), X, held)
-        d_eff = np.where(en_pre == X, X, d_pre)
-        q_next = np.where(rising & (en_pre != 0), d_eff, q_next)
-        q_next = np.where(rn_now == 0, 0, q_next)
-        q_next = np.where(rn_now == X, X, q_next)
-        q_next = q_next.astype(np.int8)
-        if np.array_equal(q_next, held):
-            return None
-        post = now.copy()
-        post[:, qcol] = q_next
-        return post
-
-    def _seq_columns(self):
-        """Memoised per-flop column arrays for :meth:`_sample_flops`."""
-        cols = getattr(self, "_seq_cols", None)
-        if cols is None:
-            soa = self.soa
-            rows = np.nonzero(soa.seq_q >= 0)[0]
-            en = soa.seq_en[rows]
-            has_en = en >= 0
-            rn = soa.seq_rn[rows]
-            has_rn = rn >= 0
-            cols = self._seq_cols = (
-                soa.seq_q[rows], soa.seq_ck[rows], soa.seq_d[rows],
-                has_en, np.where(has_en, en, 0),
-                has_rn, np.where(has_rn, rn, 0))
-        return cols
+        table = self._flop_table()
+        if table is None:
+            settle(values)
+            return [values]
+        sens = table.sens
+        old = start[:, sens]
+        rows = []
+        sweep = settle
+        for _ in range(table.limit):
+            new = values[:, sens]
+            if sweep is not None:
+                sweep(values)
+                rows.append(values)
+            q_next = table.sample(old, new, values, start)
+            old = new
+            if q_next is not None:
+                values = values.copy()
+                values[:, table.q] = q_next
+                sweep = settle_state
+            elif sweep is not None and \
+                    not np.array_equal(values[:, sens], new):
+                sweep = None        # derived CK/RN pins moved: sample
+            else:
+                return rows
+        raise SimulationError(
+            "simulation did not settle (oscillating state loop?) in "
+            "module {}".format(self.soa.module_name))
 
     def _phase(self, start, mutate, levels, sample=True):
-        """One settled phase: copy ``start``, apply ``mutate``, settle
-        the perturbed cone (``levels``), sample flops against ``start``
-        (skipped when ``sample`` is False: the cone reaches no CK/RN
-        pin), re-settle the state cone if any flop moved.
-        Returns ``(pre_sample_state, post_sample_state)``."""
+        """One settled phase over a ``(rows, nets)`` matrix: copy
+        ``start``, apply ``mutate``, settle the perturbed cone
+        (``levels``) and run the generations (skipped when ``sample`` is
+        False: the cone reaches no CK/RN pin).  Returns the settled
+        matrix after each sweep (see :meth:`_generations`)."""
         soa = self.soa
-        pre = start.copy()
-        mutate(pre)
-        soa.eval_comb(pre, levels)
-        post = self._sample_flops(start, pre) if sample else None
-        if post is None:
-            return pre, pre
-        soa.eval_comb(post, self._state_levels())
-        return pre, post
+        values = start.copy()
+        mutate(values)
+        if not sample:
+            soa.eval_comb(values, levels)
+            return [values]
+        return self._generations(
+            start, values, lambda v: soa.eval_comb(v, levels),
+            lambda v: soa.eval_comb(v, self._state_levels()))
 
     def _state_levels(self):
         """Subschedule for the fanout of every flop output."""
@@ -304,9 +357,7 @@ class CompiledSchedule:
         the given net indices, memoised per index set.
 
         Sampling is needed exactly when the apply can move a CK or RN
-        pin net -- the only nets through which a settled clock-low apply
-        can change flop state (the event simulator's per-flop event
-        triggers reduce to the same condition).
+        pin net: a generation samples only flops with an event there.
         """
         cache = getattr(self, "_row_inputs", None)
         if cache is None:
@@ -325,74 +376,10 @@ class CompiledSchedule:
         return entry
 
     def stepper(self, clock="clk", record_toggles=True):
-        """A :class:`ClosedLoopStepper` over this schedule.
-
-        Raises :class:`~repro.errors.SimulationError` unless
-        :meth:`vector_ready` -- callers that need a fallback should
-        check eligibility first (see :class:`repro.isa.trace.GateLevelCpu`).
-        """
+        """A :class:`ClosedLoopStepper` over this schedule (raises like
+        :meth:`require`)."""
         return ClosedLoopStepper(self, clock=clock,
                                  record_toggles=record_toggles)
-
-    def _run_levelized(self, vectors, clock, reset, group_size,
-                       max_batch=1024):
-        soa = self.soa
-        n = soa.n_nets
-        clk_idx = soa.input_ports[clock]
-
-        # Pre-run settle sequence mirrors ClockedTestbench construction:
-        # clock low, then all flops forced to the reset value.  All
-        # transitions are X -> known, so no toggles accrue -- identical
-        # to the event path's zero pre-run count.
-        state = self._init[np.newaxis, :].copy()
-        state[0, clk_idx] = 0
-        soa.eval_comb(state)
-        qcols = soa.seq_q[soa.seq_q >= 0]
-        if len(qcols):
-            state[0, qcols] = to_ternary(reset)
-            soa.eval_comb(state)
-        state = state[0]
-
-        per_cycle = []
-        final = state
-        groups = None if group_size is None else []
-        done = 0
-        vectors = list(vectors)
-        for at in range(0, len(vectors), max_batch):
-            chunk = vectors[at:at + max_batch]
-            tog, final = self._run_chunk(chunk, clock, clk_idx, state=final)
-            per_cycle.append(tog)
-            done += len(chunk)
-        toggle_matrix = np.concatenate(per_cycle, axis=0) if per_cycle \
-            else np.zeros((0, n), dtype=np.int64)
-        counts = toggle_matrix.sum(axis=0)
-
-        if group_size is not None:
-            trace = ActivityTrace()
-            for start in range(0, len(vectors), group_size):
-                block = toggle_matrix[start:start + group_size]
-                sums = block.sum(axis=0)
-                nz = np.nonzero(sums)[0]
-                trace.groups.append(GroupActivity(
-                    index=len(trace.groups),
-                    cycles=block.shape[0],
-                    total_toggles=int(sums.sum()),
-                    nets=soa.non_const_nets,
-                    toggles={soa.net_names[i]: int(sums[i]) for i in nz},
-                ))
-        else:
-            trace = None
-
-        return CompiledRun(
-            cycles=len(vectors),
-            engine="levelized",
-            toggles={name: int(counts[i])
-                     for i, name in enumerate(soa.net_names)},
-            trace=trace,
-            final_values={name: int(final[i])
-                          for i, name in enumerate(soa.net_names)},
-            toggle_matrix=toggle_matrix,
-        )
 
     def _run_chunk(self, vectors, clock, clk_idx, state):
         """Fixed-point batched replay of one chunk of cycles.
@@ -436,19 +423,14 @@ class CompiledSchedule:
             if len(stim_idx):
                 v[:, stim_idx] = stim
 
-        def clk_to(value):
-            def mutate(v):
-                v[:, clk_idx] = value
-            return mutate
-
         fo_inputs = soa.subschedule(stim_idx.tolist())
         fo_clock = self._fanout_levels((clk_idx,))
         prev_c = np.repeat(state[np.newaxis, :], ncyc, axis=0)
         for _ in range(ncyc + 1):
-            a_pre, a_post = self._phase(prev_c, apply_inputs, fo_inputs)
-            b_pre, b_post = self._phase(a_post, clk_to(1), fo_clock)
-            c_pre, c_post = self._phase(b_post, clk_to(0), fo_clock)
-            rolled = np.vstack([state[np.newaxis, :], c_post[:-1]])
+            a = self._phase(prev_c, apply_inputs, fo_inputs)
+            b = self._phase(a[-1], _set_columns([clk_idx], 1), fo_clock)
+            c = self._phase(b[-1], _set_columns([clk_idx], 0), fo_clock)
+            rolled = np.vstack([state[np.newaxis, :], c[-1][:-1]])
             if np.array_equal(rolled, prev_c):
                 break
             prev_c = rolled
@@ -456,41 +438,11 @@ class CompiledSchedule:
             raise SimulationError("batched replay failed to converge")
 
         tog = np.zeros(prev_c.shape, dtype=np.int64)
-        for before, after in ((prev_c, a_pre), (a_pre, a_post),
-                              (a_post, b_pre), (b_pre, b_post),
-                              (b_post, c_pre), (c_pre, c_post)):
-            _accrue(tog, before, after)
-        return tog, c_post[-1]
-
-    # -- event-simulator fallback --------------------------------------------
-
-    def _run_event(self, vectors, clock, reset, group_size):
-        if self._module is None:
-            raise SimulationError(
-                "schedule for {} needs the event simulator ({}), but was "
-                "restored without its module".format(
-                    self.soa.module_name if self.soa else "?", self.why))
-        from .activity import GroupRecorder
-        from .testbench import ClockedTestbench
-
-        tb = ClockedTestbench(self._module, clock=clock)
-        tb.reset_flops(reset)
-        recorder = None if group_size is None \
-            else GroupRecorder(tb.sim, group_size)
-        for vec in vectors:
-            tb.cycle(vec)
-            if recorder is not None:
-                recorder.after_cycle()
-        if recorder is not None:
-            recorder.flush()
-        return CompiledRun(
-            cycles=tb.cycles,
-            engine="event",
-            toggles=tb.sim.toggle_snapshot(),
-            trace=None if recorder is None else recorder.trace,
-            final_values={net.name: tb.sim.value(net.name)
-                          for net in self._module.nets()},
-        )
+        before = prev_c
+        for row in a + b + c:
+            _accrue(tog, before, row)
+            before = row
+        return tog, c[-1][-1]
 
     # -- public API ----------------------------------------------------------
 
@@ -498,16 +450,62 @@ class CompiledSchedule:
         """Simulate a clocked workload; returns a :class:`CompiledRun`.
 
         One vector dict per cycle (standard apply / posedge / negedge
-        protocol, flops pre-forced to ``reset``).  Batches through the
-        levelized engine when :meth:`vector_ready`, otherwise replays
-        through the event simulator -- either way the toggle counts and
-        final values are bit-identical.
+        protocol).  Before the first cycle the clock settles low and
+        every flop is forced to ``reset``, each as a settled phase.
+        Raises like :meth:`require`.
         """
+        self.require(clock)
+        soa = self.soa
+        clk_idx = soa.input_ports[clock]
         vectors = list(vectors)
-        ok, _why = self.vector_ready(clock)
-        if ok:
-            return self._run_levelized(vectors, clock, reset, group_size)
-        return self._run_event(vectors, clock, reset, group_size)
+
+        state = self._init[np.newaxis, :]
+        pre = np.zeros(state.shape, dtype=np.int64)
+        qcols = soa.seq_q[soa.seq_q >= 0]
+        for cols, value, levels in (
+                ([clk_idx], 0, self._fanout_levels((clk_idx,))),
+                (qcols, to_ternary(reset), self._state_levels())):
+            if not len(cols):
+                continue
+            for row in self._phase(state, _set_columns(cols, value),
+                                   levels):
+                _accrue(pre, state, row)
+                state = row
+        state = state[0]
+
+        per_cycle = []
+        for at in range(0, len(vectors), _MAX_BATCH):
+            tog, state = self._run_chunk(vectors[at:at + _MAX_BATCH], clock,
+                                         clk_idx, state)
+            per_cycle.append(tog)
+        toggle_matrix = np.concatenate(per_cycle, axis=0) if per_cycle \
+            else np.zeros((0, soa.n_nets), dtype=np.int64)
+        counts = toggle_matrix.sum(axis=0) + pre[0]
+
+        trace = None
+        if group_size is not None:
+            trace = ActivityTrace()
+            for start in range(0, len(vectors), group_size):
+                block = toggle_matrix[start:start + group_size]
+                sums = block.sum(axis=0)
+                nz = np.nonzero(sums)[0]
+                trace.groups.append(GroupActivity(
+                    index=len(trace.groups),
+                    cycles=block.shape[0],
+                    total_toggles=int(sums.sum()),
+                    nets=soa.non_const_nets,
+                    toggles={soa.net_names[i]: int(sums[i]) for i in nz},
+                ))
+
+        return CompiledRun(
+            cycles=len(vectors),
+            toggles={name: int(counts[i])
+                     for i, name in enumerate(soa.net_names)},
+            trace=trace,
+            final_values={name: int(state[i])
+                          for i, name in enumerate(soa.net_names)},
+            toggle_matrix=toggle_matrix,
+        )
 
     def evaluate(self, points):
         """Batch-evaluate a purely combinational module.
@@ -517,9 +515,7 @@ class CompiledSchedule:
         n_outputs)`` in ``output_ports`` order.  This is the gate-level
         :class:`~repro.runner.kernel.Kernel` callable shape.
         """
-        if self.soa is None:
-            raise SimulationError(
-                "no levelized schedule: {}".format(self.why))
+        self.require()
         soa = self.soa
         if soa.n_seq:
             raise SimulationError(
@@ -541,13 +537,19 @@ class CompiledSchedule:
         return values[:, out_idx]
 
 
+def bus_values(name, width, value):
+    """Dict of pin assignments for the bit-blasted bus ``name_0 ..
+    name_{width-1}`` (to merge into a vector)."""
+    return {"{}_{}".format(name, i): (value >> i) & 1 for i in range(width)}
+
+
 class BusView:
     """Packed integer view over ``name_0 .. name_{width-1}`` bit nets.
 
     Output views gather the current settled values in one take;
     input views drive a whole integer through the stepper's memoised
     apply program -- no per-bit name formatting or dict traffic on the
-    per-cycle path (compare :func:`repro.sim.testbench.read_bus`).
+    per-cycle path.
     """
 
     __slots__ = ("_stepper", "name", "width", "_idx", "_shifts", "_pow2",
@@ -579,8 +581,7 @@ class BusView:
             self._prog = self._sample = None
 
     def read(self):
-        """The bus as an int, or ``None`` when any bit is X
-        (:func:`~repro.sim.testbench.read_bus` parity)."""
+        """The bus as an int, or ``None`` when any bit is X."""
         row = self._stepper._state[self._idx]
         if (row == X).any():
             return None
@@ -617,27 +618,23 @@ class BusView:
 class ClosedLoopStepper:
     """Cycle-at-a-time reactive stepping over a compiled schedule.
 
-    Mirrors driving an event :class:`~repro.sim.event.Simulator` through
-    the standard protocol (settled apply phases with the clock low, then
-    :meth:`posedge` / :meth:`negedge`), but every phase is a handful of
-    fused gathers over a single ``(n_nets,)`` value row: the perturbed
-    cone settles through a memoised packed row program, flop sampling
-    runs only when the cone can reach a CK/RN pin, unchanged applies
-    skip entirely, and toggle accounting accrues the same
-    consecutive-snapshot diffs as the batched engine -- so state,
-    toggles and flop values stay bit-identical to the event path.
+    The standard protocol -- settled apply phases with the clock low,
+    then :meth:`posedge` / :meth:`negedge` -- over a single ``(n_nets,)``
+    value row: the perturbed cone settles through a memoised packed row
+    program, flop sampling runs only when the cone can reach a CK/RN
+    pin, unchanged applies skip entirely, and every phase goes through
+    the batched engine's generational sampler
+    (:meth:`CompiledSchedule._generations`), so state and toggles match
+    a batched run of the same stimulus bit for bit.
 
-    This is the engine under :class:`repro.isa.trace.GateLevelCpu`'s
-    compiled mode; anything per-cycle-interactive can drive it directly
-    via :meth:`apply` / :meth:`cycle` and the :class:`BusView` accessors.
+    This is the engine under :class:`repro.isa.trace.GateLevelCpu`;
+    anything per-cycle-interactive can drive it directly via
+    :meth:`apply` / :meth:`cycle` and the :class:`BusView` accessors.
+    Construction raises like :meth:`CompiledSchedule.require`.
     """
 
     def __init__(self, schedule, clock="clk", record_toggles=True):
-        ok, why = schedule.vector_ready(clock)
-        if not ok:
-            raise SimulationError(
-                "cannot step {}: {}".format(
-                    schedule.soa.module_name if schedule.soa else "?", why))
+        schedule.require(clock)
         self.schedule = schedule
         self.soa = schedule.soa
         self.clock = clock
@@ -646,7 +643,8 @@ class ClosedLoopStepper:
         self._state = schedule._init.copy()
         self.toggle_counts = np.zeros(soa.n_nets, dtype=np.int64)
         self.cycles = 0
-        self._state_prog = schedule._row_state_prog()
+        state_prog = schedule._row_state_prog()
+        self._settle_state = lambda v: soa.eval_row(v[0], state_prog)
         self._programs = {}
         self._seq_rows = {name: row
                           for row, name in enumerate(soa.seq_names)}
@@ -660,27 +658,26 @@ class ClosedLoopStepper:
 
     def _apply_indexed(self, idx, vals, prog, sample):
         """One settled phase: set ``vals`` at ``idx``, settle the cone,
-        sample flops when the cone warrants it.  No-op when every value
-        is unchanged (the event simulator drops such events too)."""
+        run the generations when the cone warrants it.  No-op when every
+        value is unchanged (an unchanged net is no event)."""
         start = self._state
         if np.array_equal(start[idx], vals):
             return
         soa = self.soa
-        pre = start.copy()
-        pre[idx] = vals
-        soa.eval_row(pre, prog)
-        post = pre
+        row = start.copy()
+        row[idx] = vals
         if sample:
-            sampled = self.schedule._sample_flops(start[None, :],
-                                                  pre[None, :])
-            if sampled is not None:
-                post = sampled[0]
-                soa.eval_row(post, self._state_prog)
+            rows = [r[0] for r in self.schedule._generations(
+                start[np.newaxis, :], row[np.newaxis, :],
+                lambda v: soa.eval_row(v[0], prog), self._settle_state)]
+        else:
+            soa.eval_row(row, prog)
+            rows = [row]
         if self.record_toggles:
-            _accrue(self.toggle_counts, start, pre)
-            if post is not pre:
-                _accrue(self.toggle_counts, pre, post)
-        self._state = post
+            for after in rows:
+                _accrue(self.toggle_counts, start, after)
+                start = after
+        self._state = rows[-1]
 
     def apply(self, values):
         """Settle a ``{port name: value}`` change (clock stays put)."""
@@ -706,7 +703,7 @@ class ClosedLoopStepper:
 
     def posedge(self):
         """Drive the clock high (flops sample against the pre-edge
-        state, exactly like the event simulator's edge)."""
+        state)."""
         self._apply_indexed(self._clk_idx, self._clk_vals[1],
                             self._clk_prog, True)
 
@@ -749,21 +746,16 @@ class ClosedLoopStepper:
         """
         schedule = self.schedule
         self.soa.eval_comb(rows)
-        clk = int(self._clk_idx[0])
-        fo_clock = schedule._fanout_levels((clk,))
-
-        def clock_to(level):
-            def mutate(values):
-                values[:, clk] = level
-            return mutate
+        clk = self._clk_idx
+        fo_clock = schedule._fanout_levels((int(clk[0]),))
 
         def drive(bus, words):
             def mutate(values):
                 values[:, bus._idx] = bus.bits(words(values))
             return mutate
 
-        phases = [(clock_to(1), fo_clock, True),
-                  (clock_to(0), fo_clock, True)]
+        phases = [(_set_columns(clk, 1), fo_clock, True),
+                  (_set_columns(clk, 0), fo_clock, True)]
         phases += [(drive(bus, words),
                     schedule._fanout_levels(tuple(bus._idx.tolist())),
                     bus._sample)
@@ -772,13 +764,13 @@ class ClosedLoopStepper:
             if self.record_toggles else None
         values = rows
         for mutate, levels, sample in phases:
-            pre, post = schedule._phase(values, mutate, levels, sample)
+            settled = schedule._phase(values, mutate, levels, sample)
             if toggles is not None:
-                _accrue(toggles, values, pre)
-                if post is not pre:
-                    _accrue(toggles, pre, post)
-            values = post
-            del pre, post   # hold no more window-sized matrices than needed
+                for after in settled:
+                    _accrue(toggles, values, after)
+                    values = after
+            values = settled[-1]
+            del settled     # hold no more window-sized matrices than needed
         return values, toggles
 
     def adopt(self, row, toggles=None):
@@ -790,19 +782,16 @@ class ClosedLoopStepper:
             self.toggle_counts += toggles.sum(axis=0)
 
     def force_flops(self, value=0):
-        """Force every flop output and re-settle the state cone
-        (:meth:`~repro.sim.event.Simulator.force_flop_state` parity)."""
+        """Force every flop output to ``value`` as one settled phase:
+        the fanout settles, and flops clocked or reset from state sample
+        the forced values like any other event."""
         soa = self.soa
         qcols = soa.seq_q[soa.seq_q >= 0]
         if not len(qcols):
             return
-        start = self._state
-        pre = start.copy()
-        pre[qcols] = to_ternary(value)
-        soa.eval_row(pre, self._state_prog)
-        if self.record_toggles:
-            _accrue(self.toggle_counts, start, pre)
-        self._state = pre
+        self._apply_indexed(qcols, np.full(len(qcols), to_ternary(value),
+                                           dtype=np.int8),
+                            self.schedule._row_state_prog(), True)
 
     # -- accessors -----------------------------------------------------------
 
@@ -832,7 +821,7 @@ class ClosedLoopStepper:
         return self._state.copy()
 
     def toggle_snapshot(self):
-        """Dict net name -> toggle count (``Simulator`` parity)."""
+        """Dict net name -> toggle count."""
         return {name: int(self.toggle_counts[i])
                 for i, name in enumerate(self.soa.net_names)}
 
@@ -844,15 +833,15 @@ def compile_schedule(module):
     """Compile ``module`` into a :class:`CompiledSchedule`.
 
     Never raises for an un-lowerable module (feedback, an unconnected
-    gate input): it yields a schedule whose
-    :meth:`~CompiledSchedule.vector_ready` is False, whose ``why`` says
-    what failed, and whose workload runs ride the event simulator.
+    gate input): it yields a schedule whose ``why`` holds the lowering's
+    message and whose runs raise it as a
+    :class:`~repro.errors.NetlistError`.
     """
     try:
         soa = lower_soa(module)
     except NetlistError as exc:
-        return CompiledSchedule(module=module, soa=None, why=str(exc))
-    return CompiledSchedule(module=module, soa=soa)
+        return CompiledSchedule(soa=None, why=str(exc))
+    return CompiledSchedule(soa=soa)
 
 
 def schedule_for(module):

@@ -2,7 +2,7 @@
 
 Real flows hand activity from simulation to power tools as SAIF (per-net
 ``T0``/``T1`` durations and ``TC`` toggle counts).  This module writes and
-parses a SAIF subset so activity captured by the event simulator can be
+parses a SAIF subset so activity captured by the gate simulator can be
 stored, diffed and fed back into :func:`repro.power.dynamic.dynamic_power`
 without re-simulating::
 
@@ -34,7 +34,7 @@ def write_saif(stream_or_path, module, cycles, toggles, probabilities=None,
     cycles:
         Observation window in cycles.
     toggles:
-        Dict net name -> toggle count (``Simulator.toggle_snapshot``).
+        Dict net name -> toggle count (``CompiledRun.toggle_snapshot``).
     probabilities:
         Optional dict net name -> P(net = 1); ``T1 = P * cycles``.  When
         absent, a 0.5 split is assumed.

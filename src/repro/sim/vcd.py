@@ -1,14 +1,17 @@
 """VCD (value change dump) writer and a small parser.
 
 The paper's methodology creates a VCD from ModelSim and feeds it to
-PrimeTime-PX.  Our simulator can stream net changes into a VCD file through
-:class:`VcdWriter` (attach it as a watcher), and :func:`parse_vcd` reads
-the subset back (toggle counting, cross-checking).
+PrimeTime-PX.  :class:`VcdWriter` writes the changes between consecutive
+settled value rows of the levelized simulator (:func:`dump_simulation`
+does so phase by phase), and :func:`parse_vcd` reads the subset back
+(toggle counting, cross-checking).
 """
 
 from __future__ import annotations
 
 import io
+
+import numpy as np
 
 from ..errors import SimulationError
 from .logic import X
@@ -29,13 +32,15 @@ def _identifier(index):
 class VcdWriter:
     """Stream net value changes as VCD.
 
-    Usage::
+    Usage, with rows from a
+    :class:`~repro.sim.compiled.ClosedLoopStepper`::
 
-        writer = VcdWriter(out_file, [net.name for net in nets])
-        sim.add_watcher(writer.on_change)
-        ...
+        writer = VcdWriter(out_file, names)
+        columns = [soa.net_index[name] for name in names]
+        before = stepper.state_row()
         writer.set_time(cycle * period_ns)
-        tb.cycle(vec)
+        stepper.cycle(vec)
+        writer.write_changes(before, stepper.state_row(), columns)
         writer.close()
     """
 
@@ -45,6 +50,7 @@ class VcdWriter:
         if self._stream is None:
             raise SimulationError("VcdWriter needs a writable stream")
         self._ids = {}
+        self._names = list(net_names)
         self._time = 0
         self._time_written = None
         out = self._stream
@@ -68,16 +74,23 @@ class VcdWriter:
             raise SimulationError("VCD time must not go backwards")
         self._time = time
 
-    def on_change(self, net, old, new):
-        """Watcher callback for :meth:`Simulator.add_watcher`."""
-        ident = self._ids.get(net.name)
-        if ident is None:
+    def write_changes(self, before, after, columns):
+        """Write, at the current time, every net whose value differs
+        between the settled rows ``before`` and ``after``;
+        ``columns[k]`` is the row column of the ``k``-th declared net."""
+        columns = np.asarray(columns, dtype=np.int64)
+        old, new = before[columns], after[columns]
+        changed = np.flatnonzero(old != new)
+        if not len(changed):
             return
         if self._time_written != self._time:
             self._stream.write("#{}\n".format(self._time))
             self._time_written = self._time
-        symbol = "x" if new == X else str(new)
-        self._stream.write("{}{}\n".format(symbol, ident))
+        for k in changed.tolist():
+            value = int(new[k])
+            symbol = "x" if value == X else str(value)
+            self._stream.write("{}{}\n".format(
+                symbol, self._ids[self._names[k]]))
 
     def close(self):
         """Flush the stream (caller owns closing files)."""
@@ -86,22 +99,29 @@ class VcdWriter:
 
 def dump_simulation(module, vectors, clock="clk", period_ns=10,
                     net_names=None):
-    """Convenience: run ``vectors`` through a testbench, return VCD text."""
-    from .testbench import ClockedTestbench
+    """Run ``vectors`` through ``module`` (clock ``clock`` low, flops
+    forced to 0, then one apply / posedge / negedge cycle per vector)
+    and return the VCD text: the inputs change at the start of each
+    period, the clock pulses at its middle."""
+    from .compiled import schedule_for
 
-    tb = ClockedTestbench(module)
-    tb.reset_flops()
+    stepper = schedule_for(module).stepper(clock, record_toggles=False)
+    stepper.negedge()
+    stepper.force_flops(0)
     names = net_names or [n.name for n in module.nets() if not n.is_const]
+    columns = [stepper.soa.net_index[name] for name in names]
     out = io.StringIO()
     writer = VcdWriter(out, names, module_name=module.name)
-    tb.sim.add_watcher(writer.on_change)
     for i, vec in enumerate(vectors):
-        writer.set_time(i * period_ns)
-        tb.apply(vec)
-        writer.set_time(i * period_ns + period_ns // 2)
-        tb.posedge()
-        tb.negedge()
-        tb.cycles += 1
+        for time, phase in ((i * period_ns, lambda: stepper.apply(vec or {})),
+                            (i * period_ns + period_ns // 2,
+                             stepper.posedge),
+                            (i * period_ns + period_ns // 2,
+                             stepper.negedge)):
+            writer.set_time(time)
+            before = stepper.state_row()
+            phase()
+            writer.write_changes(before, stepper.state_row(), columns)
     writer.close()
     return out.getvalue()
 

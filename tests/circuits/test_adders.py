@@ -11,8 +11,9 @@ from repro.circuits.adders import (
 )
 from repro.circuits.builder import new_module
 from repro.errors import NetlistError
-from repro.sim.event import Simulator
-from repro.sim.testbench import read_bus
+
+from ..sim.event import Simulator
+from ..sim.testbench import read_bus
 
 
 def _build_adder(lib, kind, width=8, **kwargs):

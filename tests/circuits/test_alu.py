@@ -5,8 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuits.alu import ALU_OPS, build_alu, lower_half_multiplier
 from repro.circuits.builder import new_module
-from repro.sim.event import Simulator
-from repro.sim.testbench import bus_values, read_bus
+from repro.sim.compiled import bus_values
+
+from ..sim.event import Simulator
+from ..sim.testbench import read_bus
+
 
 MASK = 0xFFFFFFFF
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.circuits.counters import build_counter, build_lfsr
-from repro.sim.testbench import ClockedTestbench, read_bus
+
+from ..sim.testbench import ClockedTestbench, read_bus
 
 
 class TestCounter:

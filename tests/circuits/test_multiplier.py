@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from repro.circuits.multiplier import build_mult16
 from repro.netlist.stats import module_stats
 from repro.netlist.validate import validate_module
-from repro.sim.event import Simulator
-from repro.sim.testbench import ClockedTestbench, bus_values, read_bus
+from repro.sim.compiled import bus_values
+
+from ..sim.event import Simulator
+from ..sim.testbench import ClockedTestbench, read_bus
 
 
 class TestStructure:

@@ -6,7 +6,9 @@ import pytest
 
 from repro.circuits.regfile import build_register_file
 from repro.errors import NetlistError
-from repro.sim.testbench import ClockedTestbench, bus_values, read_bus
+from repro.sim.compiled import bus_values
+
+from ..sim.testbench import ClockedTestbench, read_bus
 
 
 @pytest.fixture()

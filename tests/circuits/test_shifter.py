@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits.shifter import build_barrel_shifter
-from repro.sim.event import Simulator
-from repro.sim.testbench import bus_values, read_bus
+from repro.sim.compiled import bus_values
+
+from ..sim.event import Simulator
+from ..sim.testbench import read_bus
+
 
 MASK = 0xFFFFFFFF
 

@@ -28,8 +28,8 @@ class TestTraditionalFlow:
     def test_functionality_preserved(self, lib, fresh_mult):
         import random
 
-        from repro.sim.testbench import (
-            ClockedTestbench, bus_values, read_bus)
+        from repro.sim.compiled import bus_values
+        from ..sim.testbench import ClockedTestbench, read_bus
 
         result = run_traditional_flow(Design(fresh_mult, lib))
         tb = ClockedTestbench(result.flat.top)

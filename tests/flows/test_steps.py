@@ -10,7 +10,8 @@ from repro.flows.route import estimate_routing
 from repro.flows.synthesis import synthesize
 from repro.netlist.stats import module_stats
 from repro.netlist.validate import validate_module
-from repro.sim.event import Simulator
+
+from ..sim.event import Simulator
 
 
 def _high_fanout_module(lib, fanout=60):
@@ -106,8 +107,8 @@ class TestCts:
     def test_flops_still_clocked(self, lib, fresh_mult):
         import random
 
-        from repro.sim.testbench import (
-            ClockedTestbench, bus_values, read_bus)
+        from repro.sim.compiled import bus_values
+        from ..sim.testbench import ClockedTestbench, read_bus
 
         synthesize_clock_tree(fresh_mult, lib)
         tb = ClockedTestbench(fresh_mult)

@@ -73,16 +73,18 @@ class TestRandomCosim:
 
 
 class TestEngineDifferential:
-    """The compiled closed-loop stepper against the event simulator:
-    same random programs, bit-identical execution -- cycle counts,
-    register files, data memory, and the grouped toggle trace."""
+    """The compiled closed-loop engine against the event oracle: same
+    random programs, bit-identical execution -- cycle counts, register
+    files, data memory, and the grouped toggle trace."""
 
     @staticmethod
     def _assert_engines_match(m0_module, program, seed=None):
         from repro.isa.trace import GateLevelCpu
 
-        ev = GateLevelCpu(m0_module, program, engine="event")
-        cp = GateLevelCpu(m0_module, program, engine="compiled")
+        from ..sim.testbench import EventCpu
+
+        ev = EventCpu(m0_module, program)
+        cp = GateLevelCpu(m0_module, program)
         ev.run(max_cycles=20_000)
         cp.run(max_cycles=20_000)
         assert ev.cycles == cp.cycles, seed

@@ -222,21 +222,21 @@ class TestParallelBatchMatrix:
 
 
 class TestCosimEngineStrategy:
-    """The gate-level co-sim engine as one more execution strategy: the
-    compiled closed-loop stepper and the event simulator must agree on
-    every observable of a full program run -- cycle-for-cycle, toggle-
-    for-toggle -- so engine choice stays pure execution detail exactly
-    like workers, kernels and caches above."""
+    """The gate-level co-sim engine against the event oracle as one more
+    execution strategy: both must agree on every observable of a full
+    program run -- cycle-for-cycle, toggle-for-toggle -- exactly like
+    workers, kernels and caches above."""
 
     @pytest.fixture(scope="class")
     def runs(self, m0_module):
         from repro.isa.programs import crc32_program, dhrystone_memory
         from repro.isa.trace import cosimulate
 
+        from ..sim.testbench import event_cosimulate
+
         program, memory = crc32_program(1), dhrystone_memory()
-        return {engine: cosimulate(m0_module, program, dict(memory),
-                                   engine=engine)
-                for engine in ("event", "compiled")}
+        return {"event": event_cosimulate(m0_module, program, dict(memory)),
+                "compiled": cosimulate(m0_module, program, dict(memory))}
 
     def test_both_architecturally_ok(self, runs):
         assert runs["event"].ok and runs["compiled"].ok

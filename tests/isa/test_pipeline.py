@@ -97,7 +97,7 @@ class TestOracle:
         """Same flop names after the SCPG transform, same trajectory."""
         gate = _ScpgGateLevelCpu(m0_study.scpg.flat.top,
                                  dhrystone_program(2), dhrystone_memory())
-        assert gate.engine == "compiled" and gate._layout is not None
+        assert gate._layout is not None
         assert _lockstep(gate) > 100
 
     def test_starts_after_any_number_of_steps(self, m0_module):

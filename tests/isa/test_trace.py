@@ -6,6 +6,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.isa.assembler import assemble
 from repro.isa.trace import GateLevelCpu, cosimulate
+from repro.sim.compiled import ClosedLoopStepper
+
+from ..sim.testbench import EventCpu
 
 COUNTDOWN = """
     movi r1, #20
@@ -77,41 +80,25 @@ class TestGateLevelCpu:
 
 
 class TestEngines:
-    """The compiled closed-loop engine against the event engine."""
+    """The compiled closed-loop engine against the event oracle."""
 
     def test_auto_picks_compiled_for_m0lite(self, m0_module):
         gate = GateLevelCpu(m0_module, assemble("halt"))
-        assert gate.engine == "compiled"
-
-    def test_bad_engine_rejected(self, m0_module):
-        with pytest.raises(ValueError, match="engine"):
-            GateLevelCpu(m0_module, assemble("halt"), engine="bogus")
+        assert isinstance(gate._stepper, ClosedLoopStepper)
 
     def test_compiled_raises_on_ineligible_module(self, mult_module):
         """A multiplier has no M0-lite memory interface."""
         with pytest.raises(SimulationError, match="unavailable"):
-            GateLevelCpu(mult_module, assemble("halt"), engine="compiled")
-
-    def test_auto_falls_back_when_ineligible(self, m0_module,
-                                             monkeypatch):
-        """``auto`` degrades to the event engine (same results) when
-        the compiled stepper cannot host the module."""
-        monkeypatch.setattr(
-            GateLevelCpu, "_compiled_ready",
-            staticmethod(lambda schedule: (False, "forced by test")))
-        gate = GateLevelCpu(m0_module, assemble("movi r1, #3\nhalt"))
-        assert gate.engine == "event"
-        gate.run()
-        assert gate.register(1) == 3
+            GateLevelCpu(mult_module, assemble("halt"))
 
     def test_scpg_core_engines_bit_identical(self, m0_study):
         """The SCPG-transformed core (isolation clamps, header logic in
-        the netlist) runs the compiled engine with identical results --
-        the memory feed lands after the falling edge on both paths."""
+        the netlist) matches the oracle -- the memory feed lands after
+        the falling edge on both."""
         core = m0_study.scpg.flat.top
         program = assemble(COUNTDOWN)
-        ev = GateLevelCpu(core, program, engine="event")
-        cp = GateLevelCpu(core, program, engine="auto")
+        ev = EventCpu(core, program)
+        cp = GateLevelCpu(core, program)
         ev.run()
         cp.run()
         assert ev.cycles == cp.cycles
@@ -121,8 +108,8 @@ class TestEngines:
 
     def test_engines_bit_identical(self, m0_module):
         program = assemble(COUNTDOWN)
-        ev = GateLevelCpu(m0_module, program, engine="event")
-        cp = GateLevelCpu(m0_module, program, engine="compiled")
+        ev = EventCpu(m0_module, program)
+        cp = GateLevelCpu(m0_module, program)
         ev.run()
         cp.run()
         assert ev.cycles == cp.cycles
@@ -138,10 +125,8 @@ class TestEngines:
 
     def test_state_traces_bit_identical(self, m0_module):
         program = assemble(COUNTDOWN)
-        ev = GateLevelCpu(m0_module, program, engine="event",
-                          record_states=True)
-        cp = GateLevelCpu(m0_module, program, engine="compiled",
-                          record_states=True)
+        ev = EventCpu(m0_module, program, record_states=True)
+        cp = GateLevelCpu(m0_module, program, record_states=True)
         for _ in range(30):
             ev.step()
             cp.step()
@@ -152,22 +137,6 @@ class TestEngines:
         gate = GateLevelCpu(m0_module, assemble("halt"))
         with pytest.raises(SimulationError, match="record_states"):
             gate.state_trace()
-
-    def test_event_key_tuples_precomputed(self, m0_module):
-        """The event feed path formats its 48 input-net names once."""
-        gate = GateLevelCpu(m0_module, assemble("halt"), engine="event")
-        assert gate._idata_keys[0] == "idata_0"
-        assert gate._idata_keys is gate._idata_keys  # stable tuple
-        assert len(gate._idata_keys) == 16
-        assert len(gate._drdata_keys) == 32
-        assert gate._drdata_keys[31] == "drdata_31"
-
-    def test_cosimulate_engine_passthrough(self, m0_module):
-        program = assemble("movi r1, #5\nhalt")
-        rs = {e: cosimulate(m0_module, program, engine=e)
-              for e in ("event", "compiled", "auto")}
-        assert all(r.ok for r in rs.values())
-        assert len({r.cycles for r in rs.values()}) == 1
 
 
 class TestCosimulate:
@@ -260,14 +229,14 @@ def _assert_same(expected, gate):
 
 
 class TestBatchedRun:
-    """``run()`` on the compiled engine settles predicted windows; the
-    netlist confirms each cycle, so the result is the event engine's
-    bit for bit however the prediction goes."""
+    """``run()`` settles predicted windows; the netlist confirms each
+    cycle, so the result is the oracle's bit for bit however the
+    prediction goes."""
 
     @pytest.fixture(scope="class")
     def event_run(self, m0_module):
-        gate = GateLevelCpu(m0_module, assemble(LONG_COUNTDOWN),
-                            engine="event", record_states=True)
+        gate = EventCpu(m0_module, assemble(LONG_COUNTDOWN),
+                        record_states=True)
         gate.run()
         assert gate.cycles > 2 * 128 - 20
         return _outcome(gate)
@@ -295,8 +264,7 @@ class TestBatchedRun:
     @pytest.mark.parametrize("fault", [None, "flip"])
     def test_without_toggle_recording(self, m0_module, monkeypatch, fault):
         program = assemble(LONG_COUNTDOWN)
-        ev = GateLevelCpu(m0_module, program, engine="event",
-                          record_toggles=False)
+        ev = EventCpu(m0_module, program, record_toggles=False)
         ev.run()
         _inject_model_fault(monkeypatch, fault, FAULT_CYCLE)
         cp = GateLevelCpu(m0_module, program, record_toggles=False)
@@ -313,12 +281,6 @@ class TestBatchedRun:
         assert gate.batched_cycles == gate.cycles - 13
         _assert_same(event_run, gate)
 
-    def test_event_engine_never_batches(self, m0_module):
-        gate = GateLevelCpu(m0_module, assemble("movi r1, #1\nhalt"),
-                            engine="event")
-        gate.run()
-        assert gate.batched_cycles == 0
-
 
 def _error_at(drive, gate):
     """``(class, message, cycle)`` of the error ``drive(gate)`` raises."""
@@ -334,7 +296,7 @@ def _step_to_halt(gate):
 
 class TestErrorParity:
     """Faults surface with the same class and message at the same cycle
-    on the event engine, a ``step()`` loop and the batched ``run()``."""
+    on the event oracle, a ``step()`` loop and the batched ``run()``."""
 
     def test_unaligned_store(self, m0_module):
         from repro.errors import IsaError
@@ -342,8 +304,7 @@ class TestErrorParity:
         program = assemble(UNALIGNED_LATE)
         batched = GateLevelCpu(m0_module, program)
         outcomes = {
-            _error_at(GateLevelCpu.run,
-                      GateLevelCpu(m0_module, program, engine="event")),
+            _error_at(EventCpu.run, EventCpu(m0_module, program)),
             _error_at(_step_to_halt, GateLevelCpu(m0_module, program)),
             _error_at(GateLevelCpu.run, batched),
         }
@@ -364,8 +325,8 @@ class TestErrorParity:
             gate.run(max_cycles=150)
 
         outcomes = {
-            _error_at(drive, GateLevelCpu(m0_module, program, engine=e))
-            for e in ("event", "compiled")}
+            _error_at(drive, cpu(m0_module, program))
+            for cpu in (EventCpu, GateLevelCpu)}
         assert outcomes == {(SimulationError,
                              "core did not halt in 150 cycles",
                              stepped + 150)}

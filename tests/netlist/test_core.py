@@ -181,7 +181,7 @@ class TestHierarchyAndFlatten:
         assert all(i.is_cell for i in flat.top.instances())
 
     def test_flatten_preserves_function(self, lib):
-        from repro.sim.event import Simulator
+        from ..sim.event import Simulator
 
         flat = self._hier(lib).flatten()
         sim = Simulator(flat.top)

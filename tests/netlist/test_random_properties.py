@@ -40,13 +40,68 @@ _GATES = [
 ]
 
 
+#: Clock structures of ``build_random_circuit(clocked=True)``.
+CLOCKINGS = ("raw", "and", "or", "buf", "mixed", "state")
+
+
+def _clock_source(module, lib, clk, rng, clocking, nets, cache):
+    """The CK net of the next register under ``clocking`` (see
+    :func:`build_random_circuit`); gates are built once per kind."""
+    kind = clocking
+    if kind == "mixed":
+        kind = rng.choice(("raw", "and", "or", "buf"))
+    elif kind == "state":
+        if rng.random() < 0.3:
+            return clk
+        src = rng.choice(nets)
+        if src.is_const or rng.random() < 0.5:
+            return src
+        inv = module.add_net("nck{}".format(len(cache)))
+        module.add_instance("ick{}".format(len(cache)), "INV_X1",
+                            {"A": src, "Y": inv}, library=lib)
+        cache[inv.name] = inv
+        return inv
+    if kind == "raw":
+        return clk
+    net = cache.get(kind)
+    if net is None:
+        net = cache[kind] = module.add_net("gck_" + kind)
+        if kind == "buf":
+            mid = module.add_net("gck_buf0")
+            module.add_instance("cb0", "BUF_X1", {"A": clk, "Y": mid},
+                                library=lib)
+            module.add_instance("cb1", "BUF_X1", {"A": mid, "Y": net},
+                                library=lib)
+        else:
+            ce = module.port("ce").net if module.has_port("ce") \
+                else module.add_input("ce")
+            module.add_instance(
+                "cg_" + kind, "AND2_X1" if kind == "and" else "OR2_X1",
+                {"A": clk, "B": ce, "Y": net}, library=lib)
+    return net
+
+
 def build_random_circuit(lib, seed, n_inputs=5, n_gates=25,
-                         clocked=False):
-    """A random DAG of gates; deterministic in ``seed``."""
+                         clocked=False, clocking="raw"):
+    """A random DAG of gates; deterministic in ``seed``.
+
+    With ``clocked``, about one gate in five feeds a register, clocked
+    per ``clocking`` (one of :data:`CLOCKINGS`): ``raw`` from the
+    ``clk`` port; ``and`` / ``or`` through a clock gate with the ``ce``
+    input port; ``buf`` through a two-buffer tree; ``mixed`` any of
+    those per register; ``state`` from ``clk``, from any earlier net
+    (inputs, logic, register outputs) or its inverse -- ripple and
+    data-driven clocks -- with ``DFFR_X1`` / ``DFFE_X1`` registers whose
+    reset and enable come from the ``rn`` port or earlier nets.  The
+    clock structure draws from its own generator, so every choice
+    builds the same gate DAG as ``raw``.
+    """
     rng = random.Random(seed)
+    crng = random.Random(seed ^ 0x5EED)
     module = Module("rand{}".format(seed))
     nets = []
     clk = module.add_input("clk") if clocked else None
+    cache = {}
     for i in range(n_inputs):
         nets.append(module.add_input("i{}".format(i)))
     if rng.random() < 0.3:
@@ -61,9 +116,21 @@ def build_random_circuit(lib, seed, n_inputs=5, n_gates=25,
                             library=lib)
         if clocked and rng.random() < 0.2:
             q = module.add_net("q{}".format(g))
-            module.add_instance(
-                "ff{}".format(g), "DFF_X1",
-                {"D": out, "CK": clk, "Q": q}, library=lib)
+            ck = _clock_source(module, lib, clk, crng, clocking, nets,
+                               cache)
+            conns = {"D": out, "CK": ck, "Q": q}
+            cell = "DFF_X1"
+            if clocking == "state" and crng.random() < 0.5:
+                if crng.random() < 0.5:
+                    cell = "DFFR_X1"
+                    rn = module.port("rn").net if module.has_port("rn") \
+                        else module.add_input("rn")
+                    conns["RN"] = rn if crng.random() < 0.5 \
+                        else crng.choice(nets)
+                else:
+                    cell = "DFFE_X1"
+                    conns["EN"] = crng.choice(nets)
+            module.add_instance("ff{}".format(g), cell, conns, library=lib)
             nets.append(q)
         nets.append(out)
     # Expose a handful of recent nets as outputs.

@@ -9,8 +9,10 @@ from repro.netlist.core import Design
 from repro.netlist.stats import module_stats
 from repro.netlist.transform import insert_buffer, split_combinational
 from repro.netlist.validate import validate_module
-from repro.sim.testbench import ClockedTestbench, bus_values, read_bus
+from repro.sim.compiled import bus_values
 from repro.tech.library import CellKind
+
+from ..sim.testbench import ClockedTestbench, read_bus
 
 
 class TestSplit:

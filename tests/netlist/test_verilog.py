@@ -61,8 +61,8 @@ class TestRoundTrip:
         assert module_stats(d2.top).by_cell == \
             module_stats(mult_module).by_cell
         # And it still multiplies.
-        from repro.sim.testbench import (
-            ClockedTestbench, bus_values, read_bus)
+        from repro.sim.compiled import bus_values
+        from ..sim.testbench import ClockedTestbench, read_bus
 
         tb = ClockedTestbench(d2.top)
         tb.reset_flops()

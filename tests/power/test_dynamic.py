@@ -6,7 +6,9 @@ import pytest
 
 from repro.errors import PowerError
 from repro.power.dynamic import dynamic_power
-from repro.sim.testbench import ClockedTestbench, bus_values
+from repro.sim.compiled import bus_values
+
+from ..sim.testbench import ClockedTestbench
 
 
 def _run_mult(mult_module, cycles=40, seed=0, magnitude=0xFFFF):

@@ -9,8 +9,9 @@ from repro.power.leakage import (
     leakage_power,
     state_leakage_trace,
 )
-from repro.sim.event import Simulator
 from repro.tech.library import CellKind
+
+from ..sim.event import Simulator
 
 
 class TestAverageLeakage:
@@ -55,7 +56,7 @@ class TestStateDependentLeakage:
     def test_state_changes_total(self, mult_module, lib):
         sim = Simulator(mult_module)
         sim.force_flop_state(0)
-        from repro.sim.testbench import bus_values
+        from repro.sim.compiled import bus_values
 
         sim.set_inputs({**bus_values("a", 16, 0), **bus_values("b", 16, 0),
                         "clk": 0})
@@ -102,7 +103,7 @@ class TestVectorizedAgainstWalk:
                 _leakage_power_walk(mult_module, lib, vdd=vdd))
 
     def test_stateful_identical(self, mult_module, lib):
-        from repro.sim.testbench import bus_values
+        from repro.sim.compiled import bus_values
 
         sim = Simulator(mult_module)
         sim.force_flop_state(0)
@@ -120,7 +121,7 @@ class TestVectorizedAgainstWalk:
         """Unresolved (X) nets fold to the state-independent default on
         both paths."""
         sim = Simulator(mult_module)  # flops left unknown
-        from repro.sim.testbench import bus_values
+        from repro.sim.compiled import bus_values
 
         sim.set_inputs({**bus_values("a", 16, 1), "clk": 0})
         state = sim.state_snapshot()

@@ -90,7 +90,8 @@ class TestTransitionDensity:
         import random
 
         from repro.power.dynamic import dynamic_power
-        from repro.sim.testbench import ClockedTestbench, bus_values
+        from repro.sim.compiled import bus_values
+        from ..sim.testbench import ClockedTestbench
 
         est = estimate_activity(mult_module)
         tb = ClockedTestbench(mult_module)

@@ -46,7 +46,8 @@ class TestPowerReport:
     def test_with_dynamic(self, mult_module, lib):
         import random
 
-        from repro.sim.testbench import ClockedTestbench, bus_values
+        from repro.sim.compiled import bus_values
+        from ..sim.testbench import ClockedTestbench
 
         tb = ClockedTestbench(mult_module)
         tb.reset_flops()

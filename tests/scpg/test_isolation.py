@@ -11,7 +11,8 @@ from repro.scpg.isolation import (
     controller_delay,
     insert_isolation,
 )
-from repro.sim.event import Simulator
+
+from ..sim.event import Simulator
 
 
 class TestRailSense:

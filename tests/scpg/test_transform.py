@@ -8,9 +8,12 @@ from repro.errors import ScpgError
 from repro.netlist.core import Design
 from repro.netlist.stats import module_stats
 from repro.netlist.validate import validate_module
-from repro.sim.testbench import ClockedTestbench, bus_values, read_bus
+from repro.sim.compiled import bus_values
 from repro.tech.library import CellKind
 from repro.techniques import technique
+
+from ..sim.testbench import ClockedTestbench, read_bus
+
 
 _scpg = technique("scpg")
 

@@ -1,4 +1,9 @@
-"""Event-driven gate-level simulator.
+"""Event-driven gate-level simulator: the differential oracle.
+
+The library simulates with the levelized engine of
+:mod:`repro.sim.compiled`; this independent per-event implementation
+stays with the tests so every engine-parity test can compare against it
+bit for bit.
 
 Zero-delay semantics: on each input change, affected cones re-evaluate until
 the netlist settles (functional toggles only; the power model applies a
@@ -11,13 +16,12 @@ On an acyclic combinational graph each settle wave is processed in
 *topological generations*: all gates affected by one simultaneous set of
 net changes are evaluated once each, in dependency order, so every net
 makes at most one transition per generation and the recorded toggles are
-exactly the functional ones (this is also what makes the levelized
-vector-parallel engine in :mod:`repro.sim.compiled` bit-for-bit
-equivalent).  Netlists with combinational feedback (latch loops) fall
+exactly the functional ones (the levelized engine in
+:mod:`repro.sim.compiled` replays the same generations).  Netlists with combinational feedback (latch loops) fall
 back to FIFO event order, which settles loops but may record
 order-dependent hazard transitions.
 
-Typical use goes through :class:`~repro.sim.testbench.ClockedTestbench`;
+Typical use goes through :class:`tests.sim.testbench.ClockedTestbench`;
 direct use::
 
     sim = Simulator(design.flatten().top)
@@ -31,9 +35,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from ..errors import NetlistError, SimulationError
-from ..tech.library import CellKind
-from .logic import X, compile_cell, to_ternary
+from repro.errors import NetlistError, SimulationError
+from repro.netlist.traverse import levels_for
+from repro.sim.logic import X, compile_cell, to_ternary
+from repro.tech.library import CellKind
 
 _MAX_EVENTS_PER_SETTLE = 4_000_000
 
@@ -96,8 +101,6 @@ class Simulator:
         # combinational loop (or a hierarchy error surfaced below) keeps
         # ranks empty and selects the FIFO fallback.
         try:
-            from ..netlist.traverse import levels_for
-
             ranks = {id(i): r for r, i in enumerate(levels_for(module)[0])}
         except NetlistError:
             ranks = None

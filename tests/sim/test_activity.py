@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from repro.sim.activity import GroupRecorder, group_activity
-from repro.sim.testbench import ClockedTestbench, bus_values
+from repro.sim.activity import group_activity
+from repro.sim.compiled import bus_values
+
+from .testbench import ClockedTestbench, GroupRecorder
 
 
 def _mult_vectors(rng, n, magnitude=0xFFFF):

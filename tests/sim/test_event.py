@@ -5,8 +5,9 @@ import pytest
 from repro.circuits.builder import new_module
 from repro.errors import SimulationError
 from repro.netlist.core import Module
-from repro.sim.event import Simulator
 from repro.sim.logic import X
+
+from .event import Simulator
 
 
 class TestCombinational:

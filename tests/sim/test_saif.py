@@ -14,7 +14,9 @@ from repro.sim.saif import (
     toggles_from_saif,
     write_saif,
 )
-from repro.sim.testbench import ClockedTestbench, bus_values
+from repro.sim.compiled import bus_values
+
+from .testbench import ClockedTestbench
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 """Closed-loop reactive stepping (``ClosedLoopStepper`` / ``BusView``).
 
-The stepper's contract is bit-identity with the event simulator driven
-through the same protocol -- every comparison here is exact (``==`` on
+The stepper's contract is bit-identity with the event oracle
+(:mod:`tests.sim.event`) driven through the same protocol -- every comparison here is exact (``==`` on
 values and toggle counts, ``np.array_equal`` on state rows), never
 approximate.
 """
@@ -11,13 +11,13 @@ import random
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim.compiled import ClosedLoopStepper, schedule_for
-from repro.sim.event import Simulator
+from repro.errors import NetlistError, SimulationError
+from repro.sim.compiled import ClosedLoopStepper, bus_values, schedule_for
 from repro.sim.logic import X
-from repro.sim.testbench import bus_values
 
-from .test_compiled import build_gated_clock
+from .event import Simulator
+from .test_compiled import build_gated_clock, build_latch, build_skew
+from .testbench import read_bus
 
 
 def event_state_row(sim, module):
@@ -161,8 +161,6 @@ class TestAccessors:
         for _ in range(2):
             sim.set_input("clk", 1)
             sim.set_input("clk", 0)
-        from repro.sim.testbench import read_bus
-
         assert p.read() == read_bus(sim, "p", 32)
 
     def test_bus_view_x_reads_none(self, mult_module):
@@ -183,12 +181,23 @@ class TestAccessors:
 
 class TestEligibility:
     def test_gated_clock_rejected(self, lib):
-        module = build_gated_clock(lib)
-        schedule = schedule_for(module)
-        with pytest.raises(SimulationError, match="cannot step"):
-            schedule.stepper("clk")
-        with pytest.raises(SimulationError):
-            ClosedLoopStepper(schedule, "clk")
+        """Kept name: a gated clock steps, phase for phase like the
+        oracle -- an enable edge while the clock is high clocks the
+        flop in an apply phase."""
+        frames = [{"en": 1, "d": 1}, {"en": 0, "d": 0}, {"en": 1, "d": 0},
+                  {"en": 0, "d": 1}, {"en": 1, "d": 1}]
+        stepper, _ = lockstep(build_gated_clock(lib), frames)
+        assert isinstance(stepper, ClosedLoopStepper)
+
+    def test_clock_skew_lockstep(self, lib):
+        stepper, _ = lockstep(build_skew(lib), [{}] * 4)
+        # The first edge rises from X and clocks nothing; the other three
+        # each pulse y.
+        assert stepper.toggle_snapshot()["y"] == 6
+
+    def test_feedback_raises(self, lib):
+        with pytest.raises(NetlistError, match="combinational loop"):
+            schedule_for(build_latch(lib)).stepper("clk")
 
     def test_missing_clock_rejected(self, mult_module):
         with pytest.raises(SimulationError):

@@ -3,12 +3,9 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.testbench import (
-    ClockedTestbench,
-    bus_values,
-    drive_bus,
-    read_bus,
-)
+from repro.sim.compiled import bus_values
+
+from .testbench import ClockedTestbench, drive_bus, read_bus
 
 
 class TestHelpers:

@@ -1,12 +1,17 @@
-"""Repo-wide lint: the removed kernel-era and plugin-era names stay gone.
+"""Repo-wide lint: the removed kernel-era, plugin-era and two-engine
+names stay gone.
 
 The unified Kernel API (``repro.runner.kernel``) replaced
 ``ScpgPowerModel.power_axis`` / ``power_points``,
 ``SubvtModel.points_axis`` and the ``batch_fn=`` keyword; the technique
 plugin framework (``repro.techniques``) replaced ``apply_scpg`` and
-``run_scpg_flow``.  Their deprecation shims are deleted, so no module
-may define, re-export or call the old names again -- and the package
-must not expose them.
+``run_scpg_flow``.  The levelized engine (``repro.sim.compiled``) is the
+only gate-level simulator: the event engine lives on as the test oracle
+in ``tests/sim/``, so ``repro.sim.event`` / ``repro.sim.testbench``,
+``CompiledSchedule.bind_module`` and the ``engine=`` switch of
+``GateLevelCpu`` / ``cosimulate`` / ``DesignHandle.cosim`` are gone.
+Their deprecation shims are deleted, so no module may define, re-export
+or call the old names again -- and the package must not expose them.
 """
 
 import inspect
@@ -31,6 +36,17 @@ DEPRECATED = {
         r"(\bimport\s+[^\n]*\bapply_scpg\b|(?<!_)\bapply_scpg\s*\()"),
     "run_scpg_flow entry point": re.compile(
         r"(\bimport\s+[^\n]*\brun_scpg_flow\b|(?<!_)\brun_scpg_flow\s*\()"),
+    "CompiledSchedule.bind_module": re.compile(r"\.bind_module\("),
+    "repro.sim.event / repro.sim.testbench": re.compile(
+        r"\brepro\.sim\.(?:event|testbench)\b"),
+}
+
+#: Removed keywords, matched across the lines of a whole call: removed
+#: spelling -> regex over a file's text.
+DEPRECATED_CALLS = {
+    "engine= of GateLevelCpu / cosimulate / .cosim": re.compile(
+        r"(?:\bGateLevelCpu|\bcosimulate|\.cosim)\s*\("
+        r"(?:[^()]|\([^()]*\))*?\bengine\s*="),
 }
 
 #: The only file allowed to spell the removed names: this lint.
@@ -38,7 +54,7 @@ ALLOWED = {
     "tests/test_api_lint.py",
 }
 
-SCAN_DIRS = ("src", "tests", "benchmarks", "scripts")
+SCAN_DIRS = ("src", "tests", "benchmarks", "scripts", "examples")
 
 
 def iter_sources():
@@ -71,6 +87,23 @@ class TestNoDeprecatedCallers:
             "or the technique registry:\n{}".format(
                 name, "\n".join(offenders)))
 
+    @pytest.mark.parametrize("name", sorted(DEPRECATED_CALLS))
+    def test_no_in_repo_call_with_removed_keyword(self, name):
+        pattern = DEPRECATED_CALLS[name]
+        offenders = []
+        for path in iter_sources():
+            rel = path.relative_to(REPO).as_posix()
+            if rel in ALLOWED:
+                continue
+            text = path.read_text()
+            for match in pattern.finditer(text):
+                lineno = text.count("\n", 0, match.start()) + 1
+                offenders.append("{}:{}: {}".format(
+                    rel, lineno, match.group(0).splitlines()[0].strip()))
+        assert not offenders, (
+            "{} was removed; the compiled engine is the only one:\n{}"
+            .format(name, "\n".join(offenders)))
+
     def test_allowlist_entries_exist(self):
         for rel in ALLOWED:
             assert (REPO / rel).is_file(), rel
@@ -92,6 +125,25 @@ class TestNoDeprecatedCallers:
             assert not hasattr(owner, name), name
         for fn in (core.evaluate_grid, core.Runner.run):
             assert "batch_fn" not in inspect.signature(fn).parameters
+
+    def test_one_gate_level_simulator(self):
+        import importlib.util
+
+        import repro.sim
+        from repro.isa.trace import GateLevelCpu, cosimulate
+        from repro.session import DesignHandle
+        from repro.sim.compiled import CompiledRun, CompiledSchedule
+
+        for name in ("repro.sim.event", "repro.sim.testbench"):
+            assert importlib.util.find_spec(name) is None, name
+        for name in ("Simulator", "ClockedTestbench", "drive_bus",
+                     "read_bus"):
+            assert not hasattr(repro.sim, name), name
+        for fn in (GateLevelCpu, cosimulate, DesignHandle.cosim):
+            assert "engine" not in inspect.signature(fn).parameters
+        for attr in ("bind_module", "_run_event", "module"):
+            assert not hasattr(CompiledSchedule, attr), attr
+        assert "engine" not in CompiledRun.__dataclass_fields__
 
 
 #: The pre-database circuit constructors.  Product code goes through the
