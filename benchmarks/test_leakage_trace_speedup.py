@@ -5,7 +5,7 @@ The workload is the power engine's per-cycle leakage question: given a
 the compiled closed-loop co-sim with ``record_states=True``), what is
 the state-dependent leakage of every cycle?
 
-* **walk** -- :func:`repro.power.leakage._leakage_power_walk` once per
+* **walk** -- ``tests/power/walk.py``'s ``leakage_power_walk`` once per
   cycle: a full ``cell_instances()`` walk with per-pin dict lookups and
   ``leakage_for_state`` scans (the pre-PR 10 strategy, kept verbatim as
   the differential oracle).  Snapshot dicts are prepared *outside* the
@@ -68,8 +68,8 @@ def test_leakage_trace_speedup(lib):
     from repro.circuits import registry
     from repro.isa.programs import crc32_program, dhrystone_memory
     from repro.isa.trace import GateLevelCpu
-    from repro.power.leakage import _leakage_power_walk, \
-        state_leakage_trace
+    from repro.power.leakage import state_leakage_trace
+    from tests.power.walk import leakage_power_walk
 
     module = registry.build("m0lite", lib)
     cpu = GateLevelCpu(module, crc32_program(CRC_ROUNDS),
@@ -82,7 +82,7 @@ def test_leakage_trace_speedup(lib):
     snaps = [dict(zip(names, row.tolist())) for row in states]
 
     walk_s, walk = _best_of(
-        lambda: [_leakage_power_walk(module, lib, state=s)
+        lambda: [leakage_power_walk(module, lib, state=s)
                  for s in snaps], 1)
 
     # Cold: the LeakageSoa lowering included.

@@ -125,7 +125,7 @@ class Instance:
     def output_pins(self):
         """Formal names of output pins/ports of the reference."""
         if self.cell:
-            return [p.name for p in self.cell.outputs]
+            return self.cell.output_names
         return [
             p.name
             for p in self.submodule.ports
@@ -135,7 +135,7 @@ class Instance:
     def input_pins(self):
         """Formal names of input pins/ports of the reference."""
         if self.cell:
-            return [p.name for p in self.cell.inputs]
+            return self.cell.input_names
         return [
             p.name
             for p in self.submodule.ports
@@ -424,11 +424,6 @@ class Design:
             if existing is None:
                 self.modules[sub.name] = sub
                 self._register_submodules(sub)
-
-    def refresh_modules(self):
-        """Re-scan the hierarchy after structural edits."""
-        self.modules = {self.top.name: self.top}
-        self._register_submodules(self.top)
 
     def flatten(self, name=None):
         """Return a new single-module :class:`Design` with the hierarchy

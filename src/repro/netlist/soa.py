@@ -45,7 +45,7 @@ import numpy as np
 from ..errors import NetlistError
 from ..tech.library import CellKind
 from ..sim.logic import X, compile_cell
-from .traverse import levels_for
+from .traverse import connectivity_for, level_rows
 
 
 @dataclass
@@ -110,8 +110,6 @@ class SoaNetlist:
     #: :class:`CombGroup` whose inputs are all settled by level ``L``.
     levels: list = field(default_factory=list)
     tables: np.ndarray = None
-    #: Per gate entry (topological order): fanin net-index tuples.
-    gate_inputs: list = field(default_factory=list)
     #: Sequential rows: pin net indices with ``-1`` for absent pins.
     seq_names: list = field(default_factory=list)
     seq_d: np.ndarray = None
@@ -119,10 +117,6 @@ class SoaNetlist:
     seq_q: np.ndarray = None
     seq_en: np.ndarray = None
     seq_rn: np.ndarray = None
-    #: ``driver_gate[i]`` / ``driver_seq[i]``: gate entry / seq row
-    #: driving net ``i`` (``-1`` when port-, const- or un-driven).
-    driver_gate: np.ndarray = None
-    driver_seq: np.ndarray = None
     non_const_nets: int = 0
 
     @property
@@ -383,7 +377,7 @@ def _leak_table(cell):
     cached = _LEAK_TABLES.get(id(cell))
     if cached is not None:
         return cached
-    pins = [p.name for p in cell.inputs]
+    pins = cell.input_names
     k = len(pins)
     table = np.empty(3 ** k, dtype=np.float64)
     for code in range(3 ** k):
@@ -403,67 +397,44 @@ def lower_leakage(module):
 
     Works for any module (no levelization involved); instance order is
     ``module.cell_instances()`` order, the same walk
-    :func:`repro.power.leakage.leakage_power` used to take.
+    :func:`repro.power.leakage.leakage_power` used to take.  Reads the
+    module's :class:`~repro.netlist.traverse.Connectivity`.
     """
-    lk = LeakageSoa(module_name=module.name)
-    nets = module.nets()
-    index = {}
-    const_idx, const_val = [], []
-    for i, net in enumerate(nets):
-        lk.net_names.append(net.name)
-        lk.net_index[net.name] = i
-        index[id(net)] = i
-        if net.is_const:
-            const_idx.append(i)
-            const_val.append(net.const_value)
-    lk.const_idx = np.asarray(const_idx, dtype=np.int64)
-    lk.const_val = np.asarray(const_val, dtype=np.int8)
+    conn = connectivity_for(module)
+    types = conn.cell_types
+    code = conn.cell_code
+    lk = LeakageSoa(module_name=module.name, net_names=conn.net_names,
+                    net_index=conn.net_index, const_idx=conn.const_idx,
+                    const_val=conn.const_val)
+    lk.inst_names = [inst.name for inst in conn.cells]
+    lk.cell_names = [types[c].name for c in code.tolist()]
+    lk.kinds = [types[c].kind for c in code.tolist()]
+    lk.base = np.array([c.leakage for c in types], dtype=np.float64)[code]
+    lk.is_header = np.array([c.kind is CellKind.HEADER for c in types],
+                            dtype=bool)[code]
 
-    base, is_header = [], []
-    kind_rows, cell_rows = {}, {}
-    kind_order, cell_order = [], []
-    by_cell = {}
-    for row, inst in enumerate(module.cell_instances()):
-        cell = inst.cell
-        lk.inst_names.append(inst.name)
-        lk.cell_names.append(cell.name)
-        lk.kinds.append(cell.kind)
-        base.append(cell.leakage)
-        is_header.append(cell.kind is CellKind.HEADER)
-        if cell.kind not in kind_rows:
-            kind_rows[cell.kind] = []
-            kind_order.append(cell.kind)
-        kind_rows[cell.kind].append(row)
-        if cell.name not in cell_rows:
-            cell_rows[cell.name] = []
-            cell_order.append(cell.name)
-        cell_rows[cell.name].append(row)
-        if cell.leakage_states:
-            by_cell.setdefault(id(cell), (cell, []))[1].append((row, inst))
-    lk.base = np.asarray(base, dtype=np.float64)
-    lk.is_header = np.asarray(is_header, dtype=bool)
-    lk.kind_rows = [(kind, np.asarray(kind_rows[kind], dtype=np.int64))
-                    for kind in kind_order]
-    lk.cell_rows = [(name, np.asarray(cell_rows[name], dtype=np.int64))
-                    for name in cell_order]
+    # Row groups by kind and by cell name, in first-occurrence order.
+    # (``cell_types`` is in first-occurrence order already.)
+    for groups, attr in ((lk.kind_rows, "kind"), (lk.cell_rows, "name")):
+        keys = {}
+        for c in types:
+            keys.setdefault(getattr(c, attr), len(keys))
+        of_row = np.array([keys[getattr(c, attr)] for c in types],
+                          dtype=np.int64)[code]
+        groups.extend((key, np.flatnonzero(of_row == k))
+                      for key, k in keys.items())
 
-    for cell, members in by_cell.values():
+    for c, cell in enumerate(types):
+        if not cell.leakage_states:
+            continue
         k, table = _leak_table(cell)
-        pins = [p.name for p in cell.inputs]
-        rows = np.asarray([row for row, _ in members], dtype=np.int64)
-        pin_idx = np.full((len(members), k), -1, dtype=np.int64)
-        static_code = np.zeros(len(members), dtype=np.int64)
+        rows = np.flatnonzero(code == c)
+        pin_idx = conn.in_net[rows, :k].astype(np.int64)
         pow3 = np.asarray([3 ** j for j in range(k)], dtype=np.int64)
-        for m, (_, inst) in enumerate(members):
-            for j, name in enumerate(pins):
-                net = inst.connections.get(name)
-                if net is None:
-                    static_code[m] += X * pow3[j]
-                else:
-                    pin_idx[m, j] = index[id(net)]
         lk.groups.append(StateLeakGroup(
             cell_name=cell.name, rows=rows, pin_idx=pin_idx,
-            static_code=static_code, pow3=pow3, table=table))
+            static_code=((pin_idx < 0) * pow3).sum(axis=1) * X,
+            pow3=pow3, table=table))
     return lk
 
 
@@ -476,108 +447,56 @@ def leakage_soa_for(module):
 def lower_soa(module):
     """Lower a flat ``module`` into a :class:`SoaNetlist`.
 
-    Raises :class:`~repro.errors.NetlistError` for hierarchical modules,
+    Reads the module's :class:`~repro.netlist.traverse.Connectivity`;
+    raises :class:`~repro.errors.NetlistError` for hierarchical modules,
     combinational feedback (no levelized order exists) or an unconnected
     gate input.
     """
-    soa = SoaNetlist(module_name=module.name)
-    nets = module.nets()
-    for i, net in enumerate(nets):
-        soa.net_index[net.name] = i
-        soa.net_names.append(net.name)
-    index = {id(net): i for i, net in enumerate(nets)}
-
-    const_idx = []
-    const_val = []
-    for net in nets:
-        if net.is_const:
-            const_idx.append(index[id(net)])
-            const_val.append(net.const_value)
-    soa.const_idx = np.asarray(const_idx, dtype=np.int64)
-    soa.const_val = np.asarray(const_val, dtype=np.int8)
-    soa.non_const_nets = len(nets) - len(const_idx)
+    conn, rows, _ = level_rows(module)      # raises on loops / hierarchy
+    soa = SoaNetlist(module_name=module.name, net_names=conn.net_names,
+                     net_index=conn.net_index, const_idx=conn.const_idx,
+                     const_val=conn.const_val)
+    soa.non_const_nets = len(conn.net_names) - len(conn.const_idx)
     for port in module.input_ports():
-        soa.input_ports[port.name] = index[id(port.net)]
+        soa.input_ports[port.name] = conn.port_net[port.name]
     for port in module.output_ports():
-        soa.output_ports[port.name] = index[id(port.net)]
+        soa.output_ports[port.name] = conn.port_net[port.name]
 
     # -- combinational gate entries, in topological order --------------------
-    order, rank_of = levels_for(module)     # raises on loops / hierarchy
-    table_offset = {}
-    flat_tables = []
-    entries = []                            # (level, arity, in, out, base)
-    driver_gate = np.full(len(nets), -1, dtype=np.int64)
-    for inst in order:
-        compiled = compile_cell(inst.cell)
-        for p in compiled.input_names:
-            if p not in inst.connections:
-                raise NetlistError("instance {} pin {} unconnected".format(
-                    inst.name, p))
-        in_idx = tuple(index[id(inst.connections[p])]
-                       for p in compiled.input_names)
-        level = rank_of[inst.name]
-        for pin, table in compiled.tables.items():
-            net = inst.connections.get(pin)
-            if net is None:
-                continue
-            key = (id(inst.cell), pin)
-            base = table_offset.get(key)
-            if base is None:
-                base = len(flat_tables)
-                table_offset[key] = base
-                flat_tables.extend(table)
-            gate_id = len(entries)
-            out_idx = index[id(net)]
-            entries.append((level, len(in_idx), in_idx, out_idx, base))
-            driver_gate[out_idx] = gate_id
-            soa.gate_inputs.append(in_idx)
-    soa.tables = np.asarray(flat_tables, dtype=np.int8)
-    soa.driver_gate = driver_gate
+    missing = conn.open_inputs()[rows]
+    if missing.any():
+        g, k = np.argwhere(missing)[0]
+        inst = conn.cells[rows[g]]
+        raise NetlistError("instance {} pin {} unconnected".format(
+            inst.name, inst.cell.input_names[k]))
 
-    n_levels = 1 + max((e[0] for e in entries), default=-1)
-    soa.levels = [[] for _ in range(n_levels)]
-    by_bucket = {}
-    for level, arity, in_idx, out_idx, base in entries:
-        by_bucket.setdefault((level, arity), []).append(
-            (in_idx, out_idx, base))
-    for (level, arity), rows in sorted(by_bucket.items()):
-        in_idx = np.asarray([r[0] for r in rows],
-                            dtype=np.int64).reshape(len(rows), arity)
+    # One truth table per (cell, output pin), in first-use order.
+    row, out, kind, kinds, batches = conn.entries()
+    bases, flat_tables = [], []
+    for cell, pin in kinds:
+        bases.append(len(flat_tables))
+        flat_tables.extend(compile_cell(cell).tables[pin])
+    soa.tables = np.asarray(flat_tables, dtype=np.int8)
+    bases = np.asarray(bases, dtype=np.int64)[kind]
+    soa.levels = [[] for _ in range(batches[-1][0] + 1 if batches else 0)]
+    for level, arity, sel in batches:
+        in_idx = conn.in_net[row[sel], :arity].astype(np.int64)
         soa.levels[level].append(CombGroup(
             arity=arity,
             in_idx=in_idx,
-            out_idx=np.asarray([r[1] for r in rows], dtype=np.int64),
-            table_base=np.asarray([r[2] for r in rows], dtype=np.int64),
-            pow3=np.asarray([3 ** k for k in range(arity)], dtype=np.int64),
+            out_idx=out[sel],
+            table_base=bases[sel],
+            pow3=np.asarray([3 ** j for j in range(arity)], dtype=np.int64),
             in_cols=[np.ascontiguousarray(in_idx[:, j])
                      for j in range(arity)],
         ))
 
     # -- sequential rows -----------------------------------------------------
-    driver_seq = np.full(len(nets), -1, dtype=np.int64)
-    d, ck, q, en, rn = [], [], [], [], []
-    for inst in module.cell_instances():
-        if inst.cell.kind is not CellKind.SEQUENTIAL:
-            continue
-
-        def pin_idx(name):
-            net = inst.connections.get(name)
-            return -1 if net is None else index[id(net)]
-
-        row = len(soa.seq_names)
-        soa.seq_names.append(inst.name)
-        d.append(pin_idx("D"))
-        ck.append(pin_idx("CK"))
-        q.append(pin_idx("Q"))
-        en.append(pin_idx("EN") if inst.cell.has_pin("EN") else -1)
-        rn.append(pin_idx("RN") if inst.cell.has_pin("RN") else -1)
-        if q[-1] >= 0:
-            driver_seq[q[-1]] = row
-    soa.seq_d = np.asarray(d, dtype=np.int64)
-    soa.seq_ck = np.asarray(ck, dtype=np.int64)
-    soa.seq_q = np.asarray(q, dtype=np.int64)
-    soa.seq_en = np.asarray(en, dtype=np.int64)
-    soa.seq_rn = np.asarray(rn, dtype=np.int64)
-    soa.driver_seq = driver_seq
-
+    seq = conn.seq_rows
+    soa.seq_names = [conn.cells[r].name for r in seq.tolist()]
+    soa.seq_d = conn.pin_net(seq, "D")
+    soa.seq_ck = conn.pin_net(seq, "CK")
+    soa.seq_q = conn.pin_net(seq, "Q")
+    soa.seq_en = conn.pin_net(seq, "EN")
+    soa.seq_rn = conn.pin_net(seq, "RN")
     return soa

@@ -62,18 +62,28 @@ def module_stats(module):
     """Compute :class:`ModuleStats` for a flat ``module``.
 
     Hierarchical instances are counted recursively (their cells roll up into
-    the same totals).
+    the same totals).  Cached on the module (see
+    :meth:`repro.netlist.core.Module.derived`) with the generation of
+    each submodule rolled up, since editing one leaves its parent's
+    generation alone; treat the result as read-only.
     """
-    stats = ModuleStats(module.name)
-    _accumulate(module, stats)
-    stats.nets = len(module.nets())
+    slot = module.derived("stats", lambda m: [None, ()])
+    stats, subs = slot
+    if stats is None or any(sub.generation != generation
+                            for sub, generation in subs):
+        stats = ModuleStats(module.name)
+        subs = []
+        _accumulate(module, stats, subs)
+        stats.nets = len(module.nets())
+        slot[:] = stats, tuple((sub, sub.generation) for sub in subs)
     return stats
 
 
-def _accumulate(module, stats):
+def _accumulate(module, stats, subs):
     for inst in module.instances():
         if not inst.is_cell:
-            _accumulate(inst.submodule, stats)
+            subs.append(inst.submodule)
+            _accumulate(inst.submodule, stats, subs)
             continue
         cell = inst.cell
         stats.cells += 1

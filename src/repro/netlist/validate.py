@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import NetlistError
 from .core import PortDirection
-from .traverse import levels_for
+from .traverse import connectivity_for, levels_for
 
 
 @dataclass
@@ -46,45 +48,47 @@ class ValidationReport:
 
 
 def validate_module(module, check_loops=True):
-    """Run all structural checks on a flat ``module``."""
+    """Run all structural checks on a flat ``module`` (over its
+    :class:`~repro.netlist.traverse.Connectivity`)."""
     report = ValidationReport(module.name)
+    conn = connectivity_for(module)
+    missing = conn.open_inputs()
+    dead = np.array([bool(c.output_names) for c in conn.cell_types],
+                    dtype=bool)[conn.cell_code] & (conn.out_net < 0).all(1)
+    flagged = set(np.flatnonzero(missing.any(axis=1) | dead).tolist())
 
+    rows = iter(range(len(conn.cells)))
+    hierarchical = False
     for inst in module.instances():
         if not inst.is_cell:
+            hierarchical = True
             report.errors.append(
                 "instance {} is hierarchical; flatten first".format(inst.name)
             )
             continue
-        for pin_name in inst.input_pins():
-            if pin_name not in inst.connections:
-                report.errors.append(
-                    "instance {} input pin {} unconnected".format(
-                        inst.name, pin_name
-                    )
-                )
-        connected_outputs = [
-            p for p in inst.output_pins() if p in inst.connections
-        ]
-        if inst.output_pins() and not connected_outputs:
+        row = next(rows)
+        if row not in flagged:
+            continue
+        report.errors.extend(
+            "instance {} input pin {} unconnected".format(
+                inst.name, inst.cell.input_names[k])
+            for k in np.flatnonzero(missing[row]).tolist())
+        if dead[row]:
             report.warnings.append(
                 "instance {} drives nothing".format(inst.name)
             )
 
-    if any("hierarchical" in e for e in report.errors):
+    if hierarchical:
         return report
 
-    for net in module.nets():
-        has_loads = bool(net.loads)
-        if has_loads and not net.is_driven:
-            report.errors.append("net {} has loads but no driver".format(
-                net.name))
-        if (
-            not has_loads
-            and net.is_driven
-            and not net.is_const
-            and not module.has_port(net.name)
-        ):
-            report.warnings.append("net {} is dangling".format(net.name))
+    for i in np.flatnonzero(conn.has_loads & ~conn.driven).tolist():
+        report.errors.append("net {} has loads but no driver".format(
+            conn.net_names[i]))
+    dangling = ~conn.has_loads & conn.driven & ~conn.is_const \
+        & ~conn.is_port
+    for i in np.flatnonzero(dangling).tolist():
+        report.warnings.append("net {} is dangling".format(
+            conn.net_names[i]))
 
     for port in module.ports:
         if port.direction is PortDirection.OUTPUT and not port.net.is_driven:

@@ -13,10 +13,10 @@ leakage is always-on, header leakage is the gated-mode residual.
 :func:`leakage_power` runs over the memoised
 :class:`~repro.netlist.soa.LeakageSoa` lowering -- one state gather plus
 one scaled accumulate instead of a per-instance netlist walk -- and is
-bit-identical to the reference walk (kept as
-:func:`_leakage_power_walk`): the state tables are enumerated *through*
-``Cell.leakage_for_state`` and every accumulation replays the walk's
-addition order.  :func:`state_leakage_trace` extends the same gather
+bit-identical to the per-instance walk it replaced (the differential
+oracle in ``tests/power/walk.py``): the state tables are enumerated
+*through* ``Cell.leakage_for_state`` and every accumulation replays the
+walk's addition order.  :func:`state_leakage_trace` extends the same gather
 across a whole co-simulation state trace (one row per cycle, e.g. from
 :meth:`repro.isa.trace.GateLevelCpu.state_trace`) as array ops, and
 :meth:`LeakageReport.from_soa` evaluates a lowering kept without its
@@ -83,21 +83,6 @@ class LeakageReport:
         return "\n".join(lines)
 
 
-def _cell_state(inst, state):
-    """Input pin values of ``inst`` from a net-value snapshot."""
-    values = {}
-    for pin_name in inst.input_pins():
-        net = inst.connections.get(pin_name)
-        if net is None:
-            values[pin_name] = None
-        elif net.is_const:
-            values[pin_name] = net.const_value
-        else:
-            v = state.get(net.name)
-            values[pin_name] = None if v not in (0, 1) else v
-    return values
-
-
 def _left_fold(vals):
     """Sum along the last axis as a strictly sequential left fold:
     ``np.add.accumulate`` repeats the walk's float additions in
@@ -149,30 +134,6 @@ def leakage_power(module, library, vdd=None, state=None, temp_c=None):
     return LeakageReport.from_soa(
         lk, library, vdd, None if state is None else lk.state_values(state),
         temp_c)
-
-
-def _leakage_power_walk(module, library, vdd=None, state=None, temp_c=None):
-    """Reference per-instance netlist walk (pre-lowering implementation).
-
-    Kept verbatim as the differential oracle for :func:`leakage_power`
-    and the slow side of the leakage-trace benchmark.
-    """
-    vdd = library.vdd_nom if vdd is None else vdd
-    svt_scale = library.leakage_scale(vdd, "svt", temp_c)
-    hvt_scale = library.leakage_scale(vdd, "hvt", temp_c)
-    report = LeakageReport(vdd=vdd)
-    for inst in module.cell_instances():
-        cell = inst.cell
-        if state is not None and cell.leakage_states:
-            base = cell.leakage_for_state(_cell_state(inst, state))
-        else:
-            base = cell.leakage
-        scale = hvt_scale if cell.kind is CellKind.HEADER else svt_scale
-        value = base * scale
-        report.total += value
-        report.by_kind[cell.kind] = report.by_kind.get(cell.kind, 0.0) + value
-        report.by_cell[cell.name] = report.by_cell.get(cell.name, 0.0) + value
-    return report
 
 
 @dataclass

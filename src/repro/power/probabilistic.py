@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import PowerError
-from ..netlist.traverse import levels_for
+from ..netlist.traverse import level_rows
 from ..sim.logic import compile_cell
 from ..sta.delay import net_caps
-from ..tech.library import CellKind
 
 
 @dataclass
@@ -40,53 +41,49 @@ class ActivityEstimate:
         """Expected toggles of net ``name`` per cycle."""
         return self.density[name]
 
-    def average_density(self):
-        """Mean toggles/net/cycle over all estimated nets."""
-        if not self.density:
-            return 0.0
-        return sum(self.density.values()) / len(self.density)
+
+def _minterm_masks(tables, n):
+    """``(one, flip)`` of ``(gates, 3**n)`` ternary truth tables:
+    ``one[m, g]`` is set when minterm ``m`` (input ``k`` is bit ``k``)
+    drives gate ``g``'s output to 1, and ``flip[i][j, g]`` when toggling
+    input ``i`` flips it from the ``j``-th minterm with input ``i`` at 0.
+    """
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    code = bits @ 3 ** np.arange(n)
+    return tables[:, code].T == 1, [
+        (tables[:, code[bits[:, i] == 0]]
+         != tables[:, code[bits[:, i] == 0] + 3 ** i]).T for i in range(n)]
 
 
-def _gate_output_stats(compiled, pin, in_probs, in_densities):
-    """Exact output probability and Boolean-difference density."""
-    table = compiled.tables[pin]
-    n = len(compiled.input_names)
-    prob = 0.0
-    # P(out = 1): sum over minterms.
-    for idx in range(1 << n):
-        p = 1.0
-        t_idx = 0
-        stride = 1
+def _output_stats(q, dq, one, flip):
+    """Exact output probabilities and Boolean-difference densities of a
+    batch of gates with ``n`` inputs each.
+
+    ``q`` / ``dq`` are ``(gates, n)`` input probabilities and densities;
+    ``one`` and ``flip`` come from :func:`_minterm_masks`.  Each gate
+    sees the IEEE operations of the textbook per-gate loop in its
+    order: minterm products multiply from input 0 up, and sums add the
+    minterms in index order (adding ``0.0`` for a skipped one changes
+    nothing), so the result is bit-identical to that loop.
+    """
+    gates, n = q.shape
+
+    def minterms(skip=None):
+        p = np.ones((1, gates))
         for k in range(n):
-            bit = (idx >> k) & 1
-            p *= in_probs[k] if bit else (1.0 - in_probs[k])
-            t_idx += bit * stride
-            stride *= 3
-        if table[t_idx] == 1:
-            prob += p
-    # Density: sum_i P(dOut/dIn_i) * D(in_i).
-    density = 0.0
+            if k != skip:
+                p = np.concatenate((p * (1.0 - q[:, k]), p * q[:, k]))
+        return p
+
+    prob = np.zeros(gates)
+    for term in np.where(one, minterms(), 0.0):
+        prob += term
+    density = np.zeros(gates)
     for i in range(n):
-        sens = 0.0
-        for idx in range(1 << n):
-            if (idx >> i) & 1:
-                continue  # enumerate with input i = 0, flip to 1
-            p = 1.0
-            t0 = 0
-            t1 = 0
-            stride = 1
-            for k in range(n):
-                bit = (idx >> k) & 1
-                if k == i:
-                    t1 += stride
-                else:
-                    p *= in_probs[k] if bit else (1.0 - in_probs[k])
-                    t0 += bit * stride
-                    t1 += bit * stride
-                stride *= 3
-            if table[t0] != table[t1]:
-                sens += p
-        density += sens * in_densities[i]
+        sens = np.zeros(gates)
+        for term in np.where(flip[i], minterms(i), 0.0):
+            sens += term
+        density += sens * dq[:, i]
     return prob, density
 
 
@@ -96,68 +93,75 @@ def estimate_activity(module, input_probs=None, input_densities=None,
 
     ``input_probs`` / ``input_densities`` override per-input defaults
     (dict port name -> value).  Returns an :class:`ActivityEstimate`.
+
+    The gates are swept level by level over the module's
+    :class:`~repro.netlist.traverse.Connectivity`, each level's gates
+    batched by arity (see :func:`_output_stats`).
     """
     input_probs = input_probs or {}
     input_densities = input_densities or {}
-    prob = {}
-    density = {}
+    conn = level_rows(module)[0]
+    names = conn.net_names
+    # One slot per net, plus a last one that unconnected pins read as 0.
+    prob = np.full(len(names) + 1, default_prob, dtype=np.float64)
+    density = np.full(len(names) + 1, default_density, dtype=np.float64)
+    prob[-1] = density[-1] = 0.0
 
-    for port in module.input_ports():
-        prob[port.net.name] = input_probs.get(port.name, default_prob)
-        density[port.net.name] = input_densities.get(
-            port.name, default_density)
-
-    for net in module.nets():
-        if net.is_const:
-            prob[net.name] = float(net.const_value)
-            density[net.name] = 0.0
+    ports = module.input_ports()
+    prob_of = {p.net.name: input_probs.get(p.name, default_prob)
+               for p in ports}
+    density_of = {p.net.name: input_densities.get(p.name, default_density)
+                  for p in ports}
+    port_idx = [conn.port_net[p.name] for p in ports]
+    prob[port_idx] = list(prob_of.values())
+    density[port_idx] = list(density_of.values())
+    prob[conn.const_idx] = conn.const_val
+    density[conn.const_idx] = 0.0
 
     # Flip-flop outputs: resample D each cycle.  D's statistics are not
     # known yet (cyclic), so seed with defaults and refine by iteration.
-    seq = [i for i in module.cell_instances()
-           if i.cell.kind is CellKind.SEQUENTIAL]
-    for inst in seq:
-        q = inst.connections.get("Q")
-        if q is not None:
-            prob[q.name] = default_prob
-            density[q.name] = 2 * default_prob * (1 - default_prob)
+    # A flop whose D is an earlier flop's Q reads the value that flop
+    # just took, so each Q takes its value from a resolved source.
+    seq_q = conn.pin_net(conn.seq_rows, "Q")
+    flops = seq_q[seq_q >= 0]
+    prob[flops] = default_prob
+    density[flops] = 2 * default_prob * (1 - default_prob)
+    source = {}
+    for d, q in zip(conn.pin_net(conn.seq_rows, "D").tolist(),
+                    seq_q.tolist()):
+        if d >= 0 and q >= 0:
+            source[q] = source.get(d, d)
+    flop_q = np.array(list(source), dtype=np.int64)
+    flop_src = np.array(list(source.values()), dtype=np.int64)
 
-    order = levels_for(module)[0]
+    # Gate entries, batched per level by arity.
+    row, out_idx, kind, kinds, batches = conn.entries()
+    tables = [compile_cell(cell).tables[pin] for cell, pin in kinds]
+    ins = conn.in_net[row]
+    ins[ins < 0] = len(names)
+    plan = [(ins[sel, :n], out_idx[sel]) + _minterm_masks(
+        np.array([tables[k] for k in kind[sel].tolist()]), n)
+        for _, n, sel in batches]
+
     for _iteration in range(3):  # a couple of sweeps converge feedback paths
-        for inst in order:
-            compiled = compile_cell(inst.cell)
-            in_probs = []
-            in_densities = []
-            for pin_name in compiled.input_names:
-                net = inst.connections.get(pin_name)
-                if net is None:
-                    in_probs.append(0.0)
-                    in_densities.append(0.0)
-                else:
-                    in_probs.append(prob.get(net.name, default_prob))
-                    in_densities.append(
-                        density.get(net.name, default_density))
-            for pin, net_idx in (
-                (p, inst.connections.get(p)) for p in inst.output_pins()
-            ):
-                if net_idx is None:
-                    continue
-                p_out, d_out = _gate_output_stats(
-                    compiled, pin, in_probs, in_densities)
-                prob[net_idx.name] = p_out
-                density[net_idx.name] = min(d_out, 1.0)
-        for inst in seq:
-            d_net = inst.connections.get("D")
-            q_net = inst.connections.get("Q")
-            if d_net is None or q_net is None:
-                continue
-            p = prob.get(d_net.name, default_prob)
-            prob[q_net.name] = p
-            density[q_net.name] = 2 * p * (1 - p)
+        for in_idx, out, one, flip in plan:
+            p_out, d_out = _output_stats(prob[in_idx], density[in_idx],
+                                         one, flip)
+            prob[out] = p_out
+            density[out] = np.minimum(d_out, 1.0)
+        p = prob[flop_src]
+        prob[flop_q] = p
+        density[flop_q] = 2 * p * (1 - p)
 
-    if not prob:
+    # The estimate's nets, in the order a per-gate walk records them:
+    # inputs, constants, flop outputs, then gate outputs in order.
+    keys = np.concatenate((conn.const_idx, flops, out_idx))
+    named = [names[i] for i in keys.tolist()]
+    prob_of.update(zip(named, prob[keys].tolist()))
+    density_of.update(zip(named, density[keys].tolist()))
+    if not prob_of:
         raise PowerError("module has no nets to estimate")
-    return ActivityEstimate(prob=prob, density=density)
+    return ActivityEstimate(prob=prob_of, density=density_of)
 
 
 def activity_for(module):

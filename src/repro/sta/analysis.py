@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 from weakref import ref
 
 from ..errors import TimingError
-from ..netlist.traverse import levels_for
-from ..tech.library import CellKind
-from .delay import net_load
+from ..netlist.traverse import level_rows
+from .delay import net_loads
 
 
 @dataclass
@@ -80,8 +79,9 @@ class TimingResult:
 class TimingAnalysis:
     """Run STA on a flat module.
 
-    Construction lowers the module into an index program: nets are
-    interned to dense indices, and every edge delay is stored as its
+    Construction lowers the module into an index program over the
+    module's :class:`~repro.netlist.traverse.Connectivity` net indices,
+    and every edge delay is stored as its
     nominal base ``intrinsic + R * C_load`` -- the parenthesised
     subexpression :meth:`repro.tech.library.Cell.delay` evaluates before
     applying the voltage scale.  :meth:`run` then propagates arrivals over
@@ -100,60 +100,46 @@ class TimingAnalysis:
     def __init__(self, module, library):
         self.library = library
         self.module_name = module.name
-        index = {}
-        names = []
+        conn, rows, _ = level_rows(module)
+        cells = conn.cells
+        loads = net_loads(module, library).tolist()
 
-        def intern(net):
-            idx = index.get(id(net))
-            if idx is None:
-                idx = index[id(net)] = len(names)
-                names.append(net.name)
-            return idx
-
-        def base_delay(inst, net):
-            return inst.cell.intrinsic_delay \
-                + inst.cell.drive_resistance * net_load(net, library)
+        def base_delay(cell, idx):
+            return cell.intrinsic_delay + cell.drive_resistance * loads[idx]
 
         #: [(net_idx, port_name)] in input_ports() order.
-        self.port_launches = [
-            (intern(port.net), port.name) for port in module.input_ports()
-        ]
-        seq = [inst for inst in module.cell_instances()
-               if inst.cell.kind is CellKind.SEQUENTIAL]
+        self.port_launches = [(conn.port_net[port.name], port.name)
+                              for port in module.input_ports()]
+        seq = conn.seq_rows
+        q_nets = conn.pin_net(seq, "Q").tolist()
+        d_nets = conn.pin_net(seq, "D").tolist()
+        seq = [cells[r] for r in seq.tolist()]
         #: [(q_net_idx, base_c2q, inst_name)] in cell_instances() order.
         self.seq_launches = [
-            (intern(inst.connections["Q"]),
-             base_delay(inst, inst.connections["Q"]), inst.name)
-            for inst in seq if inst.connections.get("Q") is not None
+            (q, base_delay(inst.cell, q), inst.name)
+            for inst, q in zip(seq, q_nets) if q >= 0
         ]
         #: [(inst_name, (in_idx, ...), [(out_idx, base_delay), ...])] in
         #: topological order.
         self.steps = []
-        for inst in levels_for(module)[0]:
-            ins = []
-            for pin in inst.input_pins():
-                net = inst.connections.get(pin)
-                if net is not None and not net.is_const:
-                    ins.append(intern(net))
-            outs = []
-            for pin in inst.output_pins():
-                net = inst.connections.get(pin)
-                if net is not None:
-                    outs.append((intern(net), base_delay(inst, net)))
-            self.steps.append((inst.name, tuple(ins), outs))
+        is_const = conn.is_const.tolist()
+        for r, ins, outs in zip(rows.tolist(), conn.in_net[rows].tolist(),
+                                conn.out_net[rows].tolist()):
+            cell = cells[r].cell
+            self.steps.append((
+                cells[r].name,
+                tuple(i for i in ins if i >= 0 and not is_const[i]),
+                [(o, base_delay(cell, o)) for o in outs if o >= 0]))
         #: [(hold_nom, d_idx | None, setup_nom, inst_name)] per seq cell.
         self.seq_captures = [
-            (inst.cell.hold,
-             None if inst.connections.get("D") is None
-             else intern(inst.connections["D"]),
-             inst.cell.setup, inst.name)
-            for inst in seq
+            (inst.cell.hold, None if d < 0 else d, inst.cell.setup,
+             inst.name)
+            for inst, d in zip(seq, d_nets)
         ]
         #: [(net_idx, port_name)] in output_ports() order.
-        self.port_captures = [
-            (intern(port.net), port.name) for port in module.output_ports()
-        ]
-        self.net_names = names
+        self.port_captures = [(conn.port_net[port.name], port.name)
+                              for port in module.output_ports()]
+        self.net_names = conn.net_names
         #: inst_name -> (in_idx, ...) for critical-path tracing.
         self.trace_inputs = {name: ins for name, ins, _ in self.steps}
 

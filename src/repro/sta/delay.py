@@ -10,6 +10,8 @@ post-route parasitics).
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def net_load(net, library):
     """Capacitive load (F) seen by the driver of ``net``."""
@@ -28,6 +30,16 @@ def net_load(net, library):
     return total
 
 
+def net_loads(module, library):
+    """:func:`net_load` of every net of ``module``, in ``module.nets()``
+    order (``0.0`` for a constant net), as an array.  Cached on the
+    module per library (see :meth:`repro.netlist.core.Module.derived`);
+    treat it as read-only."""
+    return module.derived(("net_loads", library), lambda module: np.array(
+        [0.0 if net.is_const else net_load(net, library)
+         for net in module.nets()], dtype=np.float64))
+
+
 def net_caps(module, library):
     """Switched capacitance (F) of every net of ``module``, in
     ``module.nets()`` order: the net's load plus its driver cell's
@@ -36,13 +48,11 @@ def net_caps(module, library):
     treat the list as read-only."""
     def build(module):
         caps = []
-        for net in module.nets():
-            cap = 0.0
-            if not net.is_const:
-                cap = net_load(net, library)
-                driver = net.driver
-                if isinstance(driver, tuple) and driver[0].is_cell:
-                    cap += driver[0].cell.c_internal
+        for net, cap in zip(module.nets(),
+                            net_loads(module, library).tolist()):
+            driver = net.driver
+            if isinstance(driver, tuple) and driver[0].is_cell:
+                cap += driver[0].cell.c_internal
             caps.append(cap)
         return caps
 

@@ -104,7 +104,7 @@ class Cell:
     name: str
     kind: CellKind
     area: float
-    pins: list[Pin] = field(default_factory=list)
+    pins: tuple[Pin, ...] = ()
     leakage: float = 0.0
     leakage_states: list[LeakageState] = field(default_factory=list)
     intrinsic_delay: float = 0.0
@@ -117,37 +117,36 @@ class Cell:
     drive_strength: int = 1
 
     def __post_init__(self):
-        names = [p.name for p in self.pins]
-        if len(set(names)) != len(names):
+        # The pin tables are computed once; ``pins`` becomes a tuple so
+        # they cannot go stale.
+        self.pins = tuple(self.pins)
+        self._pin_table = {p.name: p for p in self.pins}
+        if len(self._pin_table) != len(self.pins):
             raise LibraryError(
                 "cell {} has duplicate pin names".format(self.name)
             )
+        #: Input / output pins and their names, in declaration order.
+        self.inputs = tuple(
+            p for p in self.pins if p.direction is PinDirection.INPUT)
+        self.outputs = tuple(
+            p for p in self.pins if p.direction is PinDirection.OUTPUT)
+        self.input_names = tuple(p.name for p in self.inputs)
+        self.output_names = tuple(p.name for p in self.outputs)
         self._state_memo = {}
-        self._state_pins = tuple(
-            p.name for p in self.pins if p.direction is PinDirection.INPUT)
 
     # -- pin queries ---------------------------------------------------------
 
     def pin(self, name):
         """Look up a pin by name; raises :class:`LibraryError` if absent."""
-        for p in self.pins:
-            if p.name == name:
-                return p
-        raise LibraryError("cell {} has no pin {}".format(self.name, name))
+        try:
+            return self._pin_table[name]
+        except KeyError:
+            raise LibraryError(
+                "cell {} has no pin {}".format(self.name, name)) from None
 
     def has_pin(self, name):
         """True when a pin of that name exists."""
-        return any(p.name == name for p in self.pins)
-
-    @property
-    def inputs(self):
-        """Input pins, in declaration order."""
-        return [p for p in self.pins if p.direction is PinDirection.INPUT]
-
-    @property
-    def outputs(self):
-        """Output pins, in declaration order."""
-        return [p for p in self.pins if p.direction is PinDirection.OUTPUT]
+        return name in self._pin_table
 
     @property
     def clock_pin(self):
@@ -193,7 +192,7 @@ class Cell:
         the expression evaluator's own missing-pin handling, so the key
         is exact.)
         """
-        key = tuple(values.get(name) for name in self._state_pins)
+        key = tuple(values.get(name) for name in self.input_names)
         power = self._state_memo.get(key, self)
         if power is not self:
             return power

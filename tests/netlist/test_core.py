@@ -5,16 +5,17 @@ import pickle
 import pytest
 
 from repro.circuits.registry import build
-from repro.errors import NetlistError
+from repro.errors import LibraryError, NetlistError
 from repro.netlist.core import Design, Module, PortDirection
 from repro.netlist.traverse import levels_for, topological_instances
 from repro.netlist.validate import validate_module
-from repro.power.leakage import _leakage_power_walk, leakage_power
-from repro.power.probabilistic import activity_for, estimate_activity
+from repro.power.leakage import leakage_power
+from repro.power.probabilistic import activity_for
 from repro.sim.compiled import compile_schedule, schedule_for
 from repro.sta.analysis import timing_for
 from repro.sta.delay import net_caps, net_load
 
+from ..power.walk import leakage_power_walk, walk_activity
 from ..sta.walk import walk_timing
 
 
@@ -90,6 +91,22 @@ class TestInstances:
         m.add_instance("g1", "INV_X1", {"A": a, "Y": y}, library=lib)
         with pytest.raises(NetlistError):
             m.add_instance("g2", "INV_X1", {"A": a, "Y": y}, library=lib)
+
+    def test_second_driver_named(self, lib):
+        m = Module("m")
+        a = m.add_input("a")
+        y = m.add_net("y")
+        m.add_instance("g1", "INV_X1", {"A": a, "Y": y}, library=lib)
+        g2 = m.add_instance("g2", "INV_X1", {"A": a}, library=lib)
+        with pytest.raises(NetlistError, match="net y has multiple drivers"):
+            m.connect(g2, "Y", y)
+
+    def test_connect_unknown_pin_names_cell_and_pin(self, lib):
+        m = Module("m")
+        g = m.add_instance("g", "INV_X1", {}, library=lib)
+        with pytest.raises(LibraryError, match="cell INV_X1 has no pin Q"):
+            m.connect(g, "Q", m.add_net("n"))
+        assert g.connections == {}
 
     def test_driving_const_rejected(self, lib):
         m = Module("m")
@@ -245,12 +262,12 @@ DERIVED = {
     "levels": (lambda m, lib: levels_for(m), _levels_walk,
                lambda v: ([i.name for i in v[0]], dict(v[1]))),
     "activity": (lambda m, lib: activity_for(m),
-                 lambda m, lib: estimate_activity(m),
+                 lambda m, lib: walk_activity(m),
                  lambda v: (v.prob, v.density)),
     "net_caps": (net_caps, _caps_walk, list),
     "timing": (lambda m, lib: timing_for(m, lib).run(), walk_timing,
                lambda v: (v.eval_delay, str(v.critical_path))),
-    "leakage": (leakage_power, _leakage_power_walk,
+    "leakage": (leakage_power, leakage_power_walk,
                 lambda v: (v.total, v.by_cell)),
     "schedule": (lambda m, lib: schedule_for(m),
                  lambda m, lib: compile_schedule(m), _schedule_summary),

@@ -36,6 +36,33 @@ class TestModuleStats:
         assert hier_stats.by_cell == flat_stats.by_cell
         assert hier_stats.area == pytest.approx(flat_stats.area)
 
+    def test_flat_stats_cached_per_generation(self, toy_design, lib):
+        module = toy_design.top.__class__("cached")
+        a = module.add_input("a")
+        module.add_instance("u0", "INV_X1", {"A": a, "Y": module.add_net()},
+                            library=lib)
+        first = module_stats(module)
+        assert module_stats(module) is first
+        module.add_instance("u1", "INV_X1", {"A": a, "Y": module.add_net()},
+                            library=lib)
+        assert module_stats(module).cells == 2
+
+    def test_submodule_edit_moves_parent_area(self, toy_design, lib):
+        """Editing a submodule leaves the parent's generation alone; the
+        parent's statistics still see the edit."""
+        from repro.netlist.transform import split_combinational
+
+        split = split_combinational(toy_design)
+        before = module_stats(split.top)
+        generation = split.top.generation
+        inv = lib.cell("INV_X1")
+        split.comb.add_instance("extra", inv,
+                                {"A": split.comb.add_net()})
+        assert split.top.generation == generation
+        after = module_stats(split.top)
+        assert after.cells == before.cells + 1
+        assert after.area == pytest.approx(before.area + inv.area)
+
     def test_str(self, toy_design):
         text = str(module_stats(toy_design.top))
         assert "3 cells" in text

@@ -6,12 +6,15 @@ from repro.errors import NetlistError
 from repro.netlist.core import Design, Module
 from repro.netlist.traverse import (
     combinational_instances,
-    driver_instance,
-    fanout_instances,
-    header_instances,
     levelize,
     sequential_instances,
     topological_instances,
+)
+
+from .walk import (
+    driver_instance,
+    fanout_instances,
+    header_instances,
     transitive_fanin,
 )
 

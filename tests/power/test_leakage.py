@@ -5,13 +5,13 @@ import pytest
 
 from repro.power.leakage import (
     GATABLE_KINDS,
-    _leakage_power_walk,
     leakage_power,
     state_leakage_trace,
 )
 from repro.tech.library import CellKind
 
 from ..sim.event import Simulator
+from .walk import leakage_power_walk
 
 
 class TestAverageLeakage:
@@ -100,7 +100,7 @@ class TestVectorizedAgainstWalk:
         for vdd in (None, 0.9, 0.45, 0.25):
             _assert_reports_identical(
                 leakage_power(mult_module, lib, vdd=vdd),
-                _leakage_power_walk(mult_module, lib, vdd=vdd))
+                leakage_power_walk(mult_module, lib, vdd=vdd))
 
     def test_stateful_identical(self, mult_module, lib):
         from repro.sim.compiled import bus_values
@@ -115,7 +115,7 @@ class TestVectorizedAgainstWalk:
             state = sim.state_snapshot()
             _assert_reports_identical(
                 leakage_power(mult_module, lib, state=state),
-                _leakage_power_walk(mult_module, lib, state=state))
+                leakage_power_walk(mult_module, lib, state=state))
 
     def test_state_with_x_values_identical(self, mult_module, lib):
         """Unresolved (X) nets fold to the state-independent default on
@@ -127,7 +127,7 @@ class TestVectorizedAgainstWalk:
         state = sim.state_snapshot()
         _assert_reports_identical(
             leakage_power(mult_module, lib, state=state),
-            _leakage_power_walk(mult_module, lib, state=state))
+            leakage_power_walk(mult_module, lib, state=state))
 
     def test_toy_design_identical(self, toy_design, lib):
         sim = Simulator(toy_design.top)
@@ -136,7 +136,7 @@ class TestVectorizedAgainstWalk:
         state = sim.state_snapshot()
         _assert_reports_identical(
             leakage_power(toy_design.top, lib, state=state),
-            _leakage_power_walk(toy_design.top, lib, state=state))
+            leakage_power_walk(toy_design.top, lib, state=state))
 
 
 class TestStateLeakageTrace:
@@ -163,7 +163,7 @@ class TestStateLeakageTrace:
         assert trace.cycles == len(states)
         for c in (0, 1, len(states) // 2, len(states) - 1):
             snap = dict(zip(names, states[c].tolist()))
-            ref = _leakage_power_walk(m0_module, lib, state=snap)
+            ref = leakage_power_walk(m0_module, lib, state=snap)
             assert trace.total[c] == ref.total
             for kind, arr in trace.by_kind.items():
                 assert arr[c] == ref.by_kind.get(kind, 0.0)
@@ -222,7 +222,7 @@ class TestMemoAfterEdit:
         before = leakage_power(top, lib)
         self._grow(top, lib)
         after = leakage_power(top, lib)
-        ref = _leakage_power_walk(top, lib)
+        ref = leakage_power_walk(top, lib)
         assert after.total == ref.total
         assert after.by_cell == ref.by_cell
         assert after.total > before.total

@@ -18,8 +18,7 @@ import pytest
 
 from repro.netlist.core import Instance, Module, Net
 from repro.netlist.soa import leakage_soa_for
-from repro.power.leakage import LeakageReport, _leakage_power_walk, \
-    leakage_power
+from repro.power.leakage import LeakageReport, leakage_power
 from repro.power.probabilistic import SwitchedCapacitance, \
     estimate_activity, vectorless_switching
 from repro.runner import (
@@ -37,6 +36,7 @@ from repro.session import Session
 from repro.sta.analysis import TimingAnalysis
 from repro.sta.delay import net_load
 
+from ..power.walk import leakage_power_walk
 from ..sta.walk import walk_timing
 
 VDDS = (None, 0.9, 0.6, 0.45, 0.3, 0.22)
@@ -112,7 +112,7 @@ class TestLeakageTable:
 
     def test_matches_leakage_power(self, counter, lib):
         for vdd in VDDS:
-            ref = _leakage_power_walk(counter.design.top, lib, vdd=vdd)
+            ref = leakage_power_walk(counter.design.top, lib, vdd=vdd)
             got = leakage_power(counter.design.top, lib, vdd=vdd)
             assert got.vdd == ref.vdd
             assert got.total == ref.total
@@ -125,7 +125,7 @@ class TestLeakageTable:
     def test_pickle_roundtrip(self, counter, lib):
         lk = pickle.loads(pickle.dumps(leakage_soa_for(counter.design.top)))
         for vdd in (None, 0.5):
-            ref = _leakage_power_walk(counter.design.top, lib, vdd=vdd)
+            ref = leakage_power_walk(counter.design.top, lib, vdd=vdd)
             got = LeakageReport.from_soa(lk, lib, vdd)
             assert got.total == ref.total
             assert got.by_cell == ref.by_cell

@@ -43,6 +43,22 @@ class TestCell:
         with pytest.raises(LibraryError):
             cell.pin("Z")
 
+    def test_unknown_pin_names_cell_and_pin(self):
+        with pytest.raises(LibraryError, match="cell G has no pin Z"):
+            _make_cell().pin("Z")
+
+    def test_pins_frozen_after_construction(self):
+        """The pin tables are computed once, so the pins cannot change
+        under them."""
+        cell = _make_cell()
+        assert isinstance(cell.pins, tuple)
+        assert isinstance(cell.inputs, tuple)
+        assert isinstance(cell.outputs, tuple)
+        assert cell.input_names == ("A",)
+        assert cell.output_names == ("Y",)
+        with pytest.raises(AttributeError):
+            cell.pins.append(Pin("B", PinDirection.INPUT))
+
     def test_duplicate_pins_rejected(self):
         with pytest.raises(LibraryError):
             Cell("BAD", CellKind.COMBINATIONAL, 1.0, pins=[
