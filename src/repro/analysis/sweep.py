@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ScpgError
-from ..runner import Runner, can_fingerprint, compile_kernel, stable_hash
-from ..scpg.power_model import Mode
+from ..runner import Runner, can_fingerprint, stable_hash
+from ..scpg.power_model import Mode, ScpgPowerModel
 
 
 @dataclass
@@ -53,10 +53,13 @@ def _power_point(model, point):
 
 
 def _batch_kernel(model):
-    """The compiled sweep kernel -- or ``None`` for non-pristine models
-    (the ``ScpgPowerKernel.applies`` guard keeps instance overrides
-    honoured on the point-at-a-time path)."""
-    return compile_kernel(model)
+    """The sweep's batch kernel, ``model._power_points`` -- or ``None``
+    for a subclassed model or one whose ``power`` is replaced on the
+    instance, so the override stays honoured on the point-at-a-time
+    path."""
+    if type(model) is ScpgPowerModel and "power" not in vars(model):
+        return model._power_points
+    return None
 
 
 def power_cache_key(model):

@@ -168,6 +168,10 @@ class DesignKey:
                     raise GeneratorError(
                         "malformed design key {!r}: bad parameter "
                         "{!r} (expected name=value)".format(text, chunk))
+                if pair.group(1) in params:
+                    raise GeneratorError(
+                        "malformed design key {!r}: parameter {!r} is "
+                        "given twice".format(text, pair.group(1)))
                 params[pair.group(1)] = _parse_value(pair.group(2))
         return cls(name, **params)
 

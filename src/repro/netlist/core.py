@@ -448,8 +448,13 @@ class Design:
                 net_map[id(net)] = flat.add_net(prefix + net.name)
         for inst in module.instances():
             if inst.is_cell:
-                new = Instance(prefix + inst.name, flat, cell=inst.cell)
-                flat._instances[new.name] = new
+                name = prefix + inst.name
+                if name in flat._instances:
+                    raise NetlistError(
+                        "flattening {}: two instances flatten to {}".format(
+                            self.top.name, name))
+                new = Instance(name, flat, cell=inst.cell)
+                flat._instances[name] = new
                 for pin_name, net in inst.connections.items():
                     target = net_map[id(net)]
                     new.connections[pin_name] = target

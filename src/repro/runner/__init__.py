@@ -44,13 +44,6 @@ from .fingerprint import (
 )
 from .instrument import RunStats
 from .journal import NULL_JOURNAL, RunJournal, read_journal
-from .kernel import (
-    CompiledKernel,
-    Kernel,
-    compile_kernel,
-    kernel_for,
-    register_kernel,
-)
 from .pool import WorkerPool
 from .sqlite_store import (
     CACHE_ENV,
@@ -69,11 +62,9 @@ __all__ = [
     "CACHE_SCHEMA",
     "CircuitArtifacts",
     "CachedEvaluator",
-    "CompiledKernel",
     "DEFAULT_BACKOFF",
     "DEFAULT_RETRIES",
     "INFEASIBLE_MARKER",
-    "Kernel",
     "NULL_JOURNAL",
     "RunJournal",
     "SQLITE_SCHEMA",
@@ -83,15 +74,12 @@ __all__ = [
     "Runner",
     "WorkerPool",
     "can_fingerprint",
-    "compile_kernel",
     "default_cache",
     "evaluate_grid",
     "fingerprint",
-    "kernel_for",
     "module_fingerprint",
     "open_store",
     "read_journal",
-    "register_kernel",
     "resolve_workers",
     "stable_hash",
 ]

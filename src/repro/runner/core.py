@@ -320,15 +320,17 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
         ``"energy_sweep"``, ...).
     kernel:
         Optional batch kernel ``kernel(pending_points)`` -- usually a
-        :class:`~repro.runner.kernel.CompiledKernel` from
-        :func:`~repro.runner.kernel.compile_kernel`, but any callable
-        of that shape works -- that evaluates a list of points in one
-        pass, returning one value per point with ``None`` marking
-        infeasible points.  In-process runs feed it every missed point
-        at once; pool runs shard the missed points into contiguous
-        chunks and run the kernel inside the workers, so it must be
-        picklable.  It must produce results bit-identical to ``fn`` per
-        point, with ``on_error`` exceptions already mapped to ``None``.
+        model's own batch method (``ScpgPowerModel._power_points``,
+        ``SubvtModel._supply_batch``, ``TechniqueModel._power_points``,
+        ``CompiledSchedule.evaluate``), but any callable of that shape
+        works -- that evaluates a list of points in one pass, returning
+        one value per point with ``None`` marking infeasible points.
+        In-process runs feed it every missed point at once; pool runs
+        shard the missed points into contiguous chunks and run the
+        kernel inside the workers, so it must be picklable (a bound
+        method of a picklable model is).  It must produce results
+        bit-identical to ``fn`` per point, with ``on_error`` exceptions
+        already mapped to ``None``.
         The retry/timeout policy does not apply inside a kernel call
         (kernels are pure arithmetic) -- but a kernel that raises is
         routed around: the poison point is isolated and re-run through

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from ..errors import ScpgError
 from ..netlist.soa import LeakageSoa, leakage_soa_for
 from ..power.leakage import LeakageReport
-from ..runner.kernel import Kernel, register_kernel
 from ..sta.constraints import ClockSpec
 from .clocking import scpg_feasible
 from .duty import clamp_duty, optimise_duty
@@ -311,8 +310,8 @@ class ScpgPowerModel:
 
         Groups the points by mode, runs each group through
         :meth:`_freq_batch`, and reassembles results in point order --
-        what :class:`ScpgPowerKernel` dispatches for
-        :func:`repro.analysis.sweep.sweep`.
+        the batch kernel :func:`repro.analysis.sweep.sweep` hands the
+        runner.
         """
         out = [None] * len(points)
         by_mode = {}
@@ -447,23 +446,3 @@ class ScpgModelTable:
             vdd=vdd,
             e_iso_cycle=(ctl_cap + out_cap) * vdd * vdd,
         )
-
-
-class ScpgPowerKernel(Kernel):
-    """Batch kernel for ``(freq_hz, mode)`` grids over a pristine
-    :class:`ScpgPowerModel` (see :mod:`repro.runner.kernel`)."""
-
-    name = "scpg-power"
-
-    def applies(self, model):
-        # A subclassed model, or one whose ``power`` was replaced on the
-        # instance (tests do this to count evaluations), must keep the
-        # point-at-a-time path so the override is honoured.
-        return type(model) is ScpgPowerModel \
-            and "power" not in getattr(model, "__dict__", {})
-
-    def evaluate(self, model, points, library=None):
-        return model._power_points(points)
-
-
-register_kernel(ScpgPowerModel, ScpgPowerKernel())

@@ -54,9 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NetlistError, SimulationError
-from ..netlist.core import Module
 from ..netlist.soa import lower_soa
-from ..runner.kernel import CompiledKernel, Kernel, register_kernel
 from .activity import ActivityTrace, GroupActivity
 from .logic import X, to_ternary
 
@@ -512,8 +510,11 @@ class CompiledSchedule:
 
         ``points`` is ``(batch, n_inputs)`` of 0/1/X values in
         ``input_ports`` declaration order; returns ``(batch,
-        n_outputs)`` in ``output_ports`` order.  This is the gate-level
-        :class:`~repro.runner.kernel.Kernel` callable shape.
+        n_outputs)`` in ``output_ports`` order.  The bound method
+        ``schedule_for(module).evaluate`` is a picklable batch kernel
+        for :func:`~repro.runner.evaluate_grid`: the schedule pickles
+        without its module, so workers replay the levelized tables
+        without re-lowering the netlist.
         """
         self.require()
         soa = self.soa
@@ -848,34 +849,3 @@ def schedule_for(module):
     """The :func:`compile_schedule` of ``module``, cached on the module
     (see :meth:`repro.netlist.core.Module.derived`)."""
     return module.derived("schedule", compile_schedule)
-
-
-class GateSimKernel(Kernel):
-    """The gate-level :class:`~repro.runner.kernel.Kernel`: a flat
-    combinational :class:`~repro.netlist.core.Module` compiles once into
-    its levelized schedule; the compiled callable batch-evaluates input
-    matrices (see :meth:`CompiledSchedule.evaluate`)."""
-
-    name = "gate-sim"
-
-    def applies(self, module):
-        schedule = schedule_for(module)
-        return schedule.soa is not None and schedule.soa.n_seq == 0
-
-    def evaluate(self, schedule, points, library=None):
-        return schedule.evaluate(points)
-
-    def compile(self, module, library=None):
-        # Lower once here: the compiled kernel embeds the (picklable)
-        # schedule, not the module, so worker processes replay the
-        # levelized tables without re-lowering the netlist.
-        if not self.applies(module):
-            schedule = schedule_for(module)
-            raise SimulationError(
-                "gate-sim kernel needs a flat combinational module: "
-                + (schedule.why or "{} has {} flops".format(
-                    module.name, schedule.soa.n_seq)))
-        return CompiledKernel(self, schedule_for(module))
-
-
-register_kernel(Module, GateSimKernel())

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import PowerError
-from ..runner.kernel import Kernel, register_kernel
 
 
 @dataclass(frozen=True)
@@ -119,37 +118,18 @@ class SubvtModel:
         return out
 
 
-class SubvtKernel(Kernel):
-    """Batch kernel for supply-voltage grids over a pristine
-    :class:`SubvtModel` (see :mod:`repro.runner.kernel`)."""
-
-    name = "subvt-energy"
-
-    def applies(self, model):
-        # A subclassed model, or one whose ``point`` was replaced on
-        # the instance (tests do this to count evaluations), must keep
-        # the point-at-a-time path so the override is honoured.
-        return type(model) is SubvtModel \
-            and "point" not in getattr(model, "__dict__", {})
-
-    def evaluate(self, model, points, library=None):
-        return model._supply_batch(points)
-
-
-register_kernel(SubvtModel, SubvtKernel())
-
-
 def _voltage_point(model, vdd):
     return model.point(vdd)
 
 
 def _batch_kernel(model):
-    """The compiled sweep kernel -- or ``None`` for non-pristine models
-    (the :meth:`SubvtKernel.applies` guard keeps instance overrides
-    honoured on the point-at-a-time path)."""
-    from ..runner.kernel import compile_kernel
-
-    return compile_kernel(model)
+    """The sweep's batch kernel, ``model._supply_batch`` -- or ``None``
+    for a subclassed model or one whose ``point`` is replaced on the
+    instance, so the override stays honoured on the point-at-a-time
+    path."""
+    if type(model) is SubvtModel and "point" not in vars(model):
+        return model._supply_batch
+    return None
 
 
 def _model_cache_key(model):

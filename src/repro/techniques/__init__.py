@@ -41,8 +41,6 @@ from .base import (
     Technique,
     TechniqueBreakdown,
     TechniqueModel,
-    TechniquePowerKernel,
-    register_model_kernel,
 )
 from .cbtstc import CbtstcTechnique
 from .compare import (
@@ -60,8 +58,6 @@ __all__ = [
     "Technique",
     "TechniqueBreakdown",
     "TechniqueModel",
-    "TechniquePowerKernel",
-    "register_model_kernel",
     "register_technique",
     "technique",
     "available_techniques",

@@ -11,12 +11,10 @@ the Session/runner/golden machinery stays technique-agnostic:
   model (:meth:`~Technique.sweep_model`).
 * :class:`TechniqueModel` -- the frequency -> power surface every
   technique exposes: ``fmax()`` and ``breakdown(freq_hz)`` returning a
-  :class:`TechniqueBreakdown`, with ``_power_points`` as the batch
-  kernel entry point.
-* :class:`TechniquePowerKernel` -- the :mod:`repro.runner.kernel`
-  strategy that dispatches whole frequency axes; each concrete model
-  class registers one instance, so ``Session.compare_techniques`` runs
-  through the chunked runner exactly like the SCPG sweeps.
+  :class:`TechniqueBreakdown`, with ``_power_points`` evaluating a whole
+  frequency axis -- the batch kernel ``Session.compare_techniques``
+  hands the runner, so comparisons ride the chunked runner exactly like
+  the SCPG sweeps.
 * :class:`EligibilityReport` -- the constraint-check outcome, with
   machine-readable issue codes.
 """
@@ -26,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ReproError, TechniqueError
-from ..runner.kernel import Kernel, register_kernel
 
 
 @dataclass
@@ -126,7 +123,8 @@ class TechniqueModel:
 
     def _power_points(self, freqs):
         """Batch-evaluate a frequency axis; ``None`` marks infeasible
-        points (what :class:`TechniquePowerKernel` dispatches)."""
+        points.  Calls :meth:`breakdown` per point, so a subclass or
+        instance override of it is honoured."""
         out = []
         for f in freqs:
             try:
@@ -134,35 +132,6 @@ class TechniqueModel:
             except ReproError:
                 out.append(None)
         return out
-
-
-class TechniquePowerKernel(Kernel):
-    """Batch kernel for frequency axes over a pristine technique model.
-
-    One stateless instance per concrete model class (exact-type
-    registry); the ``applies`` guard keeps subclassed or
-    instance-patched models on the point-at-a-time path so their
-    overrides stay honoured.
-    """
-
-    name = "technique-power"
-
-    def __init__(self, model_cls):
-        self.model_cls = model_cls
-
-    def applies(self, model):
-        return type(model) is self.model_cls and \
-            "breakdown" not in getattr(model, "__dict__", {})
-
-    def evaluate(self, model, points, library=None):
-        return model._power_points(points)
-
-
-def register_model_kernel(model_cls):
-    """Register the shared batch kernel for ``model_cls`` (and return
-    the class, so it doubles as a decorator)."""
-    register_kernel(model_cls, TechniquePowerKernel(model_cls))
-    return model_cls
 
 
 class Technique:

@@ -47,7 +47,6 @@ from .base import (
     TechniqueBreakdown,
     TechniqueModel,
     common_checks,
-    register_model_kernel,
 )
 
 #: Default gates per cluster (the paper clusters tens of gates per TSTC).
@@ -104,7 +103,6 @@ class CbtstcDesign:
         return 100.0 * (self.area - self.base_area) / self.base_area
 
 
-@register_model_kernel
 @dataclass
 class CbtstcModel(TechniqueModel):
     """Frequency -> power surface of a CBTSTC-transformed design.

@@ -6,10 +6,10 @@ named by a registry alias, a database :class:`~repro.circuits.
 generators.DesignKey` or a spec string like ``"multiplier(n=8)"`` --
 builds its uniform :class:`~repro.techniques.base.TechniqueModel`, and
 evaluates all of them -- plus an ungated baseline -- over one frequency
-grid through the session's runner.  Every technique model carries a
-registered batch kernel, so the evaluations ride the same chunked
-dispatch / content-addressed cache as the SCPG sweeps, journalled under
-``compare:<design>:<technique>`` labels.
+grid through the session's runner.  Each technique model's
+``_power_points`` is the grid's batch kernel, so the evaluations ride
+the same chunked dispatch / content-addressed cache as the SCPG sweeps,
+journalled under ``compare:<design>:<technique>`` labels.
 
 The result is a :class:`TechniqueComparison`: per-technique Fmax, area
 overhead and per-frequency power breakdowns with savings against the
@@ -21,15 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ReproError
-from ..runner import can_fingerprint, compile_kernel, stable_hash
-from .base import TechniqueBreakdown, TechniqueModel, register_model_kernel
+from ..runner import can_fingerprint, stable_hash
+from .base import TechniqueBreakdown, TechniqueModel
 
 #: Grid used when the caller gives no frequencies (spans the paper's
 #: measurement points up to near the designs' convergence region).
 DEFAULT_COMPARE_FREQS = (1e4, 1e5, 1e6, 5e6)
 
 
-@register_model_kernel
 @dataclass
 class BaselineModel(TechniqueModel):
     """The ungated reference every technique is scored against."""
@@ -175,7 +174,7 @@ def run_comparison(handle, freqs=None, techniques=None, vdd=None):
         return runner.run(_breakdown_point, freqs, context=model,
                           cache_key=compare_cache_key(model),
                           on_error=(ReproError,), label=label,
-                          kernel=compile_kernel(model))
+                          kernel=model._power_points)
 
     baseline_model = BaselineModel(
         e_cycle=e_cycle, leak_total=base_leakage.total,

@@ -45,7 +45,6 @@ from .base import (
     TechniqueBreakdown,
     TechniqueModel,
     common_checks,
-    register_model_kernel,
 )
 
 #: Suffix of the derived cell variants.
@@ -130,7 +129,6 @@ class LectorDesign:
         return 100.0 * (self.area - self.base_area) / self.base_area
 
 
-@register_model_kernel
 @dataclass
 class LectorModel(TechniqueModel):
     """Frequency -> power surface of a LECTOR-remapped design.

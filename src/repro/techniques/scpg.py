@@ -16,7 +16,6 @@ from .base import (
     TechniqueBreakdown,
     TechniqueModel,
     common_checks,
-    register_model_kernel,
 )
 
 
@@ -31,7 +30,6 @@ def _to_breakdown(b):
         p_leak=b.leakage, total=b.total)
 
 
-@register_model_kernel
 class ScpgCompareModel(TechniqueModel):
     """The SCPG power model behind the uniform technique surface.
 
@@ -57,6 +55,10 @@ class ScpgCompareModel(TechniqueModel):
         return _to_breakdown(self.model.power(freq_hz, self.mode))
 
     def _power_points(self, freqs):
+        # ``_freq_batch`` bypasses ``breakdown``: a subclass or an
+        # instance override of it takes the per-point loop instead.
+        if type(self) is not ScpgCompareModel or "breakdown" in vars(self):
+            return super()._power_points(freqs)
         values = self.model._freq_batch(list(freqs), self.mode)
         return [_to_breakdown(b) for b in values]
 

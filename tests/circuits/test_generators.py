@@ -52,9 +52,12 @@ class TestDesignKey:
                           "q": "x y"}
 
     def test_parse_rejects_malformed(self):
-        for text in ("", "a b", "fam(", "fam(x)", "fam(x=1", "1fam"):
+        for text in ("", "a b", "fam(", "fam(x)", "fam(x=1", "1fam",
+                     "multiplier(n=8,n=9)"):
             with pytest.raises(GeneratorError):
                 DesignKey.parse(text)
+        with pytest.raises(GeneratorError, match="parameter 'n' is given"):
+            DesignKey.parse("multiplier(n=8,n=9)")
 
     def test_looks_like_key(self):
         assert looks_like_key("multiplier(n=8)")

@@ -79,17 +79,15 @@ class TestEquivalenceMatrix:
 
     def test_batch_kernel(self, model, reference):
         """type(model) is ScpgPowerModel, so a serial sweep takes the
-        compiled ``scpg-power`` kernel path."""
+        ``_power_points`` batch kernel path."""
         data = sweep(model, TABLE_I_FREQS, runner=Runner())
         _assert_identical(_flatten(data), reference)
 
     def test_batch_kernel_directly(self, model, reference):
-        from repro.runner import compile_kernel
-
-        kernel = compile_kernel(model)
         points = [(f, mode) for mode in MODES for f in TABLE_I_FREQS]
         feasible = [p for p in points if reference[p] is not None]
-        for point, breakdown in zip(feasible, kernel(feasible)):
+        for point, breakdown in zip(feasible,
+                                    model._power_points(feasible)):
             assert breakdown == reference[point], point
 
     def test_cold_then_warm_cache(self, model, reference, tmp_path):

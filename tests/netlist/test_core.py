@@ -221,6 +221,43 @@ class TestHierarchyAndFlatten:
         assert g.net("A").const_value == 1
         assert g.net("B").const_value == 0
 
+    def test_flattened_name_clash_rejected(self, lib):
+        """A top-level cell named like a flattened path must not silently
+        replace (or be replaced by) the submodule's instance."""
+        child = Module("child")
+        child.add_instance("u1", "INV_X1", {"A": child.add_input("a"),
+                                            "Y": child.add_output("y")},
+                           library=lib)
+        top = Module("top")
+        a = top.add_input("a")
+        top.add_instance("u_comb/u1", "INV_X1",
+                         {"A": a, "Y": top.add_output("z")}, library=lib)
+        top.add_instance("u_comb", child, {"a": a, "y": top.add_output("y")})
+        with pytest.raises(NetlistError, match="u_comb/u1"):
+            Design(top, lib).flatten()
+
+    def test_flattened_name_clash_from_verilog_rejected(self, lib):
+        from repro.netlist.verilog import parse_verilog
+
+        text = "\n".join([
+            "module child (a, y);",
+            "  input a;",
+            "  output y;",
+            "  INV_X1 u1 (.A(a), .Y(y));",
+            "endmodule",
+            "module top (a, y, z);",
+            "  input a;",
+            "  output y;",
+            "  output z;",
+            "  child u_comb (.a(a), .y(y));",
+            "  INV_X1 \\u_comb/u1  (.A(a), .Y(z));",
+            "endmodule",
+        ])
+        design = parse_verilog(text, lib, top="top")
+        assert len(list(design.top.instances())) == 2
+        with pytest.raises(NetlistError, match="u_comb/u1"):
+            design.flatten()
+
     def test_two_modules_same_name_rejected(self, lib):
         m1 = Module("dup")
         m2 = Module("dup")

@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import RunnerError
 from repro.runner import RunJournal, RunStats, SqliteStore, evaluate_grid
-from repro.runner import compile_kernel, read_journal
+from repro.runner import read_journal
 
 
 def _square(point):
@@ -180,7 +180,7 @@ class TestKernelParity:
     """The shipped kernels against their point-at-a-time references."""
 
     def test_power_sweep_parity(self, lib):
-        from repro.analysis.sweep import sweep
+        from repro.analysis.sweep import _batch_kernel, sweep
         from repro.scpg.power_model import Mode
         from repro.session import Session
 
@@ -195,10 +195,9 @@ class TestKernelParity:
             ref = sweep(pointwise, freqs)
             for mode in (Mode.NO_PG, Mode.SCPG, Mode.SCPG_MAX):
                 assert batch.results[mode] == ref.results[mode]
-            # The compiled kernel itself, called directly, equals the
+            # The batch kernel itself, called directly, equals the
             # per-point ``power()`` of the same model.
-            kernel = compile_kernel(model)
-            assert kernel.name == "scpg-power"
+            kernel = _batch_kernel(model)
             points = [(1e5, Mode.SCPG), (2e6, Mode.SCPG_MAX)]
             assert kernel(points) == [pointwise.power(f, mode)
                                       for f, mode in points]
@@ -208,7 +207,7 @@ class TestKernelParity:
 
     def test_subvt_sweep_parity(self, lib):
         from repro.session import Session
-        from repro.subvt.energy import energy_sweep
+        from repro.subvt.energy import _batch_kernel, energy_sweep
 
         s1 = Session(library=lib, store=None)
         s2 = Session(library=lib, store=None)
@@ -218,8 +217,7 @@ class TestKernelParity:
             pointwise = s2.design("counter16").subvt_model()
             pointwise.point = type(pointwise).point.__get__(pointwise)
             assert batch == energy_sweep(pointwise, steps=24)
-            kernel = compile_kernel(model)
-            assert kernel.name == "subvt-energy"
+            kernel = _batch_kernel(model)
             vdds = [0.25, 0.5]
             assert kernel(vdds) == [pointwise.point(v) for v in vdds]
         finally:

@@ -27,13 +27,7 @@ from repro.isa.programs import (
 )
 from repro.isa.trace import GateLevelCpu
 from repro.netlist.core import Module
-from repro.runner import compile_kernel, kernel_for
-from repro.sim.compiled import (
-    GateSimKernel,
-    bus_values,
-    compile_schedule,
-    schedule_for,
-)
+from repro.sim.compiled import bus_values, compile_schedule, schedule_for
 from repro.sim.logic import X
 
 from ..netlist.test_random_properties import CLOCKINGS, build_random_circuit
@@ -375,7 +369,6 @@ class TestEligibilityAndFallback:
         ok, why = schedule.vector_ready()
         assert schedule.soa is None and not ok
         assert "u1" in why and "pin B" in why
-        assert not GateSimKernel().applies(module)
         with pytest.raises(NetlistError, match="pin B"):
             schedule.evaluate([[0]])
 
@@ -387,7 +380,8 @@ class TestEligibilityAndFallback:
             schedule_for(module).run_vectors([{}])
 
     def test_evaluate_rejects_sequential(self, mult_module):
-        with pytest.raises(SimulationError, match="combinational-only"):
+        with pytest.raises(SimulationError,
+                           match="combinational-only.* flops"):
             schedule_for(mult_module).evaluate([[0]])
 
     def test_evaluate_rejects_wrong_width(self, lib):
@@ -420,47 +414,33 @@ class TestMemoisationAndPickle:
             restored.run_vectors([{"s": 1, "r": 1}])
 
 
-class TestGateSimKernel:
-    def test_registered_for_comb_modules(self, lib):
-        module = build_random_circuit(lib, 21)
-        kernel = kernel_for(module)
-        assert kernel is not None and kernel.name == "gate-sim"
+class TestCombinationalEvaluate:
+    """``schedule_for(module).evaluate`` as the gate-level batch kernel."""
 
-    def test_not_offered_for_sequential_modules(self, mult_module):
-        assert kernel_for(mult_module) is None
-
-    def test_compiled_kernel_matches_event_sim(self, lib):
+    def test_evaluate_matches_event_sim(self, lib):
         module = build_random_circuit(lib, 22)
-        kernel = compile_kernel(module, lib)
-        soa = kernel.context.soa
+        schedule = schedule_for(module)
+        soa = schedule.soa
         rng = random.Random(22)
         points = np.asarray(
             [[rng.getrandbits(1) for _ in soa.input_ports]
              for _ in range(6)], dtype=np.int8)
-        got = kernel(points)
+        got = schedule.evaluate(points)
         sim = Simulator(module)
         names = list(soa.input_ports)
         for row, out in zip(points, got):
             sim.set_inputs(dict(zip(names, (int(v) for v in row))))
             assert list(out) == [sim.value(n) for n in soa.output_ports]
 
-    def test_compiled_kernel_pickles_without_module(self, lib):
+    def test_pickled_schedule_evaluates_without_module(self, lib):
         module = build_random_circuit(lib, 23)
-        kernel = compile_kernel(module, lib)
-        clone = pickle.loads(pickle.dumps(kernel))
+        schedule = schedule_for(module)
+        kernel = pickle.loads(pickle.dumps(schedule.evaluate))
         assert not any(isinstance(v, Module)
-                       for v in vars(clone.context).values())
-        points = np.zeros((3, len(kernel.context.soa.input_ports)),
+                       for v in vars(kernel.__self__).values())
+        points = np.zeros((3, len(schedule.soa.input_ports)),
                           dtype=np.int8)
-        assert np.array_equal(clone(points), kernel(points))
-
-    def test_compile_rejects_sequential(self, mult_module):
-        with pytest.raises(SimulationError, match="flops"):
-            GateSimKernel().compile(mult_module)
-
-    def test_compile_rejects_feedback(self, lib):
-        with pytest.raises(SimulationError, match="gate-sim kernel"):
-            GateSimKernel().compile(build_latch(lib))
+        assert np.array_equal(kernel(points), schedule.evaluate(points))
 
 
 class TestXPropagation:

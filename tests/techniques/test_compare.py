@@ -2,14 +2,26 @@
 
 import pytest
 
-from repro.errors import RegistryError
+import repro.techniques as techniques_pkg
+from repro.errors import RegistryError, ReproError
+from repro.runner import evaluate_grid, read_journal
 from repro.scpg.power_model import Mode
 from repro.techniques import (
     DEFAULT_COMPARE_FREQS,
+    EligibilityReport,
+    Technique,
+    TechniqueBreakdown,
+    TechniqueModel,
     format_comparison,
+    register_technique,
     run_comparison,
 )
-from repro.techniques.compare import BaselineModel, compare_cache_key
+from repro.techniques.compare import (
+    BaselineModel,
+    _breakdown_point,
+    compare_cache_key,
+)
+from repro.techniques.scpg import ScpgTechnique
 
 FREQS = [1e4, 1e5, 1e6]
 
@@ -81,6 +93,97 @@ class TestRunComparison:
 
     def test_default_grid(self):
         assert DEFAULT_COMPARE_FREQS == (1e4, 1e5, 1e6, 5e6)
+
+
+class _PluginModel(TechniqueModel):
+    """A technique model defined outside the package: no batch method
+    of its own, so ``_power_points`` is the base per-point loop."""
+
+    technique = "plugin-xyz"
+
+    def __init__(self, e_cycle, leak, fmax_hz):
+        self.e_cycle, self.leak, self.fmax_hz = e_cycle, leak, fmax_hz
+
+    def fmax(self):
+        return self.fmax_hz
+
+    def breakdown(self, freq_hz):
+        self._check_freq(freq_hz)
+        return TechniqueBreakdown(
+            technique=self.technique, freq_hz=freq_hz,
+            p_dynamic=self.e_cycle * freq_hz, p_overhead=0.0,
+            p_leak=0.5 * self.leak)
+
+
+class _PluginTechnique(Technique):
+    name = "plugin-xyz"
+    paper = "a plugin defined by its user"
+
+    def check(self, design, clock_port="clk"):
+        return EligibilityReport(self.name)
+
+    def transform(self, design, **options):
+        return design
+
+    def sweep_model(self, transformed, *, library, e_cycle, base_leakage,
+                    base_sta, vdd=None):
+        return _PluginModel(e_cycle, base_leakage.total,
+                            1.0 / (base_sta.eval_delay + base_sta.setup))
+
+
+class TestBatchKernel:
+    """``run_comparison`` hands the runner each model's own
+    ``_power_points``; overrides of ``breakdown`` must still win."""
+
+    def test_instance_breakdown_override_honoured(self, mult_handle,
+                                                  monkeypatch):
+        build = ScpgTechnique.sweep_model
+        calls = []
+
+        def sweep_model(self, *args, **kwargs):
+            model = build(self, *args, **kwargs)
+
+            def breakdown(freq_hz):
+                calls.append(freq_hz)
+                return TechniqueBreakdown(
+                    technique="scpg", freq_hz=freq_hz, p_dynamic=1.0,
+                    p_overhead=0.0, p_leak=0.0)
+
+            model.breakdown = breakdown
+            return model
+
+        monkeypatch.setattr(ScpgTechnique, "sweep_model", sweep_model)
+        cmp = run_comparison(mult_handle, freqs=FREQS,
+                             techniques=["scpg"])
+        assert calls == FREQS
+        assert [b.total for b in cmp.entry("scpg").points] \
+            == [1.0] * len(FREQS)
+
+    def test_unregistered_model_batch_equals_per_point(self, tmp_path):
+        from repro.session import Session
+
+        freqs = [1e4, 1e6, 1e12]
+        journal = tmp_path / "journal.jsonl"
+        tech = register_technique(_PluginTechnique())
+        s = Session(store=None, journal=str(journal))
+        try:
+            handle = s.design("counter16")
+            cmp = run_comparison(handle, freqs=freqs,
+                                 techniques=["plugin-xyz"])
+            model = tech.sweep_model(
+                None, library=s.library, e_cycle=handle.switching()[0],
+                base_leakage=handle.leakage(), base_sta=handle.sta())
+        finally:
+            s.close()
+            del techniques_pkg._REGISTRY["plugin-xyz"]
+        per_point = evaluate_grid(_breakdown_point, freqs, context=model,
+                                  on_error=(ReproError,))
+        assert per_point[-1] is None
+        assert cmp.entry("plugin-xyz").points == per_point
+        batches = [e for e in read_journal(journal)
+                   if e["event"] == "batch_started"
+                   and e["label"] == "compare:counter16:plugin-xyz"]
+        assert len(batches) == 1
 
 
 class TestSessionFacade:

@@ -1,11 +1,14 @@
 """Repo-wide lint: the removed kernel-era, plugin-era and two-engine
 names stay gone.
 
-The unified Kernel API (``repro.runner.kernel``) replaced
-``ScpgPowerModel.power_axis`` / ``power_points``,
-``SubvtModel.points_axis`` and the ``batch_fn=`` keyword; the technique
-plugin framework (``repro.techniques``) replaced ``apply_scpg`` and
-``run_scpg_flow``.  The levelized engine (``repro.sim.compiled``) is the
+Each model's own batch method, passed to the runner as ``kernel=``,
+replaced ``ScpgPowerModel.power_axis`` / ``power_points``,
+``SubvtModel.points_axis`` and the ``batch_fn=`` keyword, and then the
+kernel registry itself (``repro.runner.kernel``: ``Kernel``,
+``CompiledKernel``, ``register_kernel``, ``kernel_for``,
+``compile_kernel``, ``register_model_kernel`` and the four registered
+``*Kernel`` classes); the technique plugin framework
+(``repro.techniques``) replaced ``apply_scpg`` and ``run_scpg_flow``.  The levelized engine (``repro.sim.compiled``) is the
 only gate-level simulator: the event engine lives on as the test oracle
 in ``tests/sim/``, so ``repro.sim.event`` / ``repro.sim.testbench``,
 ``CompiledSchedule.bind_module`` and the ``engine=`` switch of
@@ -39,6 +42,16 @@ DEPRECATED = {
     "CompiledSchedule.bind_module": re.compile(r"\.bind_module\("),
     "repro.sim.event / repro.sim.testbench": re.compile(
         r"\brepro\.sim\.(?:event|testbench)\b"),
+    # The batch-kernel registry: a model's batch method is the kernel.
+    "repro.runner.kernel": re.compile(r"\brunner\.kernel\b"),
+    "compile_kernel": re.compile(r"\bcompile_kernel\b"),
+    "kernel_for": re.compile(r"\bkernel_for\b"),
+    "register_kernel": re.compile(r"\bregister_kernel\b"),
+    "register_model_kernel": re.compile(r"\bregister_model_kernel\b"),
+    "CompiledKernel": re.compile(r"\bCompiledKernel\b"),
+    "ScpgPowerKernel / SubvtKernel / TechniquePowerKernel / "
+    "GateSimKernel": re.compile(
+        r"(?:GateSim|TechniquePower|ScpgPower|Subvt)Kernel\b"),
 }
 
 #: Removed keywords, matched across the lines of a whole call: removed
@@ -83,8 +96,9 @@ class TestNoDeprecatedCallers:
                     offenders.append("{}:{}: {}".format(
                         rel, lineno, line.strip()))
         assert not offenders, (
-            "{} was removed; use the Kernel API (repro.runner.kernel) "
-            "or the technique registry:\n{}".format(
+            "{} was removed; use sweep / energy_sweep, pass a model's "
+            "batch method as kernel=, or use the technique registry:"
+            "\n{}".format(
                 name, "\n".join(offenders)))
 
     @pytest.mark.parametrize("name", sorted(DEPRECATED_CALLS))
@@ -109,9 +123,13 @@ class TestNoDeprecatedCallers:
             assert (REPO / rel).is_file(), rel
 
     def test_the_package_no_longer_exposes_them(self):
+        import importlib.util
+
         import repro
         import repro.flows
+        import repro.runner
         import repro.scpg
+        import repro.techniques
         from repro.runner import core
         from repro.scpg.power_model import ScpgPowerModel
         from repro.subvt.energy import SubvtModel
@@ -125,6 +143,13 @@ class TestNoDeprecatedCallers:
             assert not hasattr(owner, name), name
         for fn in (core.evaluate_grid, core.Runner.run):
             assert "batch_fn" not in inspect.signature(fn).parameters
+        assert importlib.util.find_spec("repro.runner.kernel") is None
+        for owner, names in ((repro.runner, (
+                "Kernel", "CompiledKernel", "register_kernel", "kernel_for",
+                "compile_kernel")), (repro.techniques, (
+                "TechniquePowerKernel", "register_model_kernel"))):
+            for name in names:
+                assert not hasattr(owner, name), name
 
     def test_one_gate_level_simulator(self):
         import importlib.util
