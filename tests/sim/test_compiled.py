@@ -443,6 +443,25 @@ class TestCombinationalEvaluate:
         assert np.array_equal(kernel(points), schedule.evaluate(points))
 
 
+class TestGateSimKernel:
+    """The gate-level batch kernel as a worker receives it: a pickled
+    ``compile_schedule(module).evaluate`` keeps the schedule's refusals."""
+
+    def test_compile_rejects_sequential(self, mult_module):
+        kernel = pickle.loads(pickle.dumps(
+            compile_schedule(mult_module).evaluate))
+        with pytest.raises(SimulationError,
+                           match="combinational-only.* flops"):
+            kernel([[0]])
+
+    def test_compile_rejects_feedback(self, lib):
+        kernel = pickle.loads(pickle.dumps(
+            compile_schedule(build_latch(lib)).evaluate))
+        with pytest.raises(NetlistError,
+                           match="combinational loop.*n1, n2"):
+            kernel([[0, 0, 0]])
+
+
 class TestXPropagation:
     def test_x_inputs_do_not_count_toggles(self, lib):
         """known -> X and X -> known transitions are not toggles, in both

@@ -51,7 +51,7 @@ DEPRECATED = {
     "CompiledKernel": re.compile(r"\bCompiledKernel\b"),
     "ScpgPowerKernel / SubvtKernel / TechniquePowerKernel / "
     "GateSimKernel": re.compile(
-        r"(?:GateSim|TechniquePower|ScpgPower|Subvt)Kernel\b"),
+        r"\b(?:GateSim|TechniquePower|ScpgPower|Subvt)Kernel\b"),
 }
 
 #: Removed keywords, matched across the lines of a whole call: removed
