@@ -19,7 +19,7 @@ from ..errors import ScpgError
 from ..netlist.core import Design
 from ..netlist.stats import module_stats
 from ..power.leakage import leakage_power
-from ..runner import Runner, can_fingerprint, stable_hash
+from ..runner import Runner, stable_hash_or_none
 from ..scpg.power_model import Mode, ScpgPowerModel
 from .sweep import find_convergence
 
@@ -108,10 +108,10 @@ def scaling_study(library, widths=(8, 12, 16, 24, 32), runner=None):
     in the content-addressed cache keyed by the library's fingerprint.
     """
     runner = Runner() if runner is None else runner
-    cache_key = stable_hash("scaling-point", library) \
-        if can_fingerprint(library) else None
     points = runner.run(_width_point, [int(w) for w in widths],
-                        context=library, cache_key=cache_key)
+                        context=library,
+                        cache_key=stable_hash_or_none("scaling-point",
+                                                      library))
     study = ScalingStudy()
     study.points.extend(points)
     return study

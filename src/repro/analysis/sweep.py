@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ScpgError
-from ..runner import Runner, can_fingerprint, stable_hash
+from ..runner import Runner, stable_hash_or_none
 from ..scpg.power_model import Mode, ScpgPowerModel
 
 
@@ -68,9 +68,7 @@ def power_cache_key(model):
     ``None`` (caching disabled) for models without a content fingerprint
     -- a wrong key is worse than no cache.
     """
-    if not can_fingerprint(model):
-        return None
-    return stable_hash("scpg-power-point", model)
+    return stable_hash_or_none("scpg-power-point", model)
 
 
 def sweep(model, freqs, modes=(Mode.NO_PG, Mode.SCPG, Mode.SCPG_MAX),

@@ -23,10 +23,9 @@ through this package.  The public surface:
   compile-once cache (the compiled STA, switching, SCPG model table and
   simulation schedule, shared across grid points and processes);
 * :func:`fingerprint` / :func:`stable_hash` / :func:`module_fingerprint`
-  -- the canonical hashing primitives.
+  / :func:`stable_hash_or_none` -- the canonical hashing primitives.
 """
 
-from .artifacts import ARTIFACT_SCHEMA, ArtifactStore, CircuitArtifacts
 from .core import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
@@ -37,10 +36,10 @@ from .core import (
     resolve_workers,
 )
 from .fingerprint import (
-    can_fingerprint,
     fingerprint,
     module_fingerprint,
     stable_hash,
+    stable_hash_or_none,
 )
 from .instrument import RunStats
 from .journal import NULL_JOURNAL, RunJournal, read_journal
@@ -54,6 +53,10 @@ from .sqlite_store import (
     default_cache,
     open_store,
 )
+
+# Last: the bundle module imports the SCPG model table, and the SCPG
+# package imports this one back (through the analyses it uses).
+from .artifacts import ARTIFACT_SCHEMA, ArtifactStore, CircuitArtifacts
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -73,7 +76,6 @@ __all__ = [
     "RunStats",
     "Runner",
     "WorkerPool",
-    "can_fingerprint",
     "default_cache",
     "evaluate_grid",
     "fingerprint",
@@ -82,4 +84,5 @@ __all__ = [
     "read_journal",
     "resolve_workers",
     "stable_hash",
+    "stable_hash_or_none",
 ]

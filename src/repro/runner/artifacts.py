@@ -11,7 +11,8 @@ stores those forms together:
   SwitchedCapacitance` (activity estimate and priced per-net loads);
 * ``scpg`` -- the :class:`~repro.scpg.power_model.ScpgModelTable` of the
   SCPG transform (the transformed netlist's leakage lowering, nominal
-  timing, rail model and isolation count);
+  timing, rail model, isolation count and area overhead) -- also the
+  SCPG column of a technique comparison;
 * ``gate_sim`` -- the :class:`~repro.sim.compiled.CompiledSchedule`.
 
 Each is the owning module's own compiled form, not a copy of its
@@ -32,6 +33,10 @@ import time
 from dataclasses import dataclass
 
 from ..obs.trace import NULL_TRACER
+# At module level, so ``repro.runner.artifacts.ScpgModelTable`` names the
+# table a bundle stores (perfbench's layer ledger times ``build_model``
+# under ``scpg.model`` through this binding).
+from ..scpg.power_model import ScpgModelTable
 from .journal import NULL_JOURNAL
 
 #: Cache-key namespace (bump when the bundle's layout changes; a bundle
@@ -40,7 +45,8 @@ from .journal import NULL_JOURNAL
 #: ScpgModelTable (with a LeakageSoa) and the CompiledSchedule; no
 #: separate leakage table or domain partition.
 #: v5: the CompiledSchedule's lowering carries no net capacitances.
-ARTIFACT_SCHEMA = "circuit-artifacts-v5"
+#: v6: the ScpgModelTable carries the transform's area overhead.
+ARTIFACT_SCHEMA = "circuit-artifacts-v6"
 
 
 @dataclass
@@ -64,7 +70,6 @@ class CircuitArtifacts:
         header sizing -- and with it every downstream number -- matches.
         """
         from ..power.probabilistic import SwitchedCapacitance
-        from ..scpg.power_model import ScpgModelTable
         from ..scpg.transform import _apply_scpg
         from ..sim.compiled import schedule_for
         from ..sta.analysis import timing_for

@@ -12,7 +12,10 @@ module defines its own canonical form:
 * dataclasses canonicalise field-by-field;
 * any object may define ``__fingerprint__()`` returning a simpler
   structure to canonicalise in its place (models, libraries and modules
-  use this to describe their physics rather than their object graph).
+  use this to describe their physics rather than their object graph);
+* a :class:`Canonical` (made by :func:`canonical`) stands for a part
+  canonicalised earlier, so an owner can memoise a large part that
+  rarely changes and keys stay byte-identical to the unmemoised form.
 
 Anything else is rejected loudly -- a silently wrong cache key is the one
 failure mode a result cache must not have.
@@ -25,6 +28,21 @@ import hashlib
 from dataclasses import fields, is_dataclass
 
 from ..errors import RunnerError
+
+
+class Canonical:
+    """The canonical text of a part, emitted verbatim by ``_canon``."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+
+def canonical(obj):
+    """``obj`` canonicalised once, as a :class:`Canonical` to embed in a
+    ``__fingerprint__`` structure in its place."""
+    return Canonical(_canon(obj))
 
 
 def _canon(obj):
@@ -43,6 +61,8 @@ def _canon(obj):
         return "y:{}".format(obj.hex())
     if isinstance(obj, enum.Enum):
         return "e:{}.{}".format(type(obj).__qualname__, obj.name)
+    if type(obj) is Canonical:
+        return obj.text
     fp = getattr(obj, "__fingerprint__", None)
     if callable(fp):
         return "o:{}({})".format(type(obj).__qualname__, _canon(fp()))
@@ -78,13 +98,14 @@ def stable_hash(*parts):
     return fingerprint(tuple(parts))
 
 
-def can_fingerprint(obj):
-    """True when ``obj`` canonicalises (cheap way to gate caching)."""
+def stable_hash_or_none(*parts):
+    """:func:`stable_hash` of ``parts``, or ``None`` (caching disabled)
+    when one of them has no content fingerprint -- a wrong key is worse
+    than no cache."""
     try:
-        _canon(obj)
+        return stable_hash(*parts)
     except RunnerError:
-        return False
-    return True
+        return None
 
 
 def module_fingerprint(module):
@@ -93,8 +114,14 @@ def module_fingerprint(module):
     Two modules with the same ports, instances and connectivity map to the
     same digest; any edit -- a swapped cell, a rewired pin, a renamed port
     -- changes it.  Net identity is canonicalised through driver names so
-    auto-generated net names do not leak into the key.
+    auto-generated net names do not leak into the key.  The digest is
+    computed once per module generation (:meth:`~repro.netlist.core.
+    Module.derived`).
     """
+    return module.derived("fingerprint", _module_digest)
+
+
+def _module_digest(module):
     ports = sorted(
         (p.name, p.direction.name, p.net.name) for p in module.ports)
     insts = sorted(

@@ -394,8 +394,9 @@ class ScpgModelTable:
 
     ``leakage`` is the transformed netlist's
     :class:`~repro.netlist.soa.LeakageSoa`; the rest are the nominal SCPG
-    timing, the rail model, the header gate capacitance and the
-    isolation-cell count.  :meth:`build_model` is the one model
+    timing, the rail model, the header gate capacitance, the
+    isolation-cell count and the transform's area overhead (the figure a
+    technique comparison reports).  :meth:`build_model` is the one model
     constructor (:meth:`ScpgPowerModel.from_scpg_design` compiles a table
     and calls it), and the per-circuit artifact bundle stores the table
     so a bundle loaded from disk rebuilds the same model.
@@ -407,6 +408,7 @@ class ScpgModelTable:
     rail: object                # VirtualRailModel
     header_gate_cap: float
     n_iso: int
+    area_overhead_pct: float
 
     @classmethod
     def compile(cls, scpg_design):
@@ -418,6 +420,7 @@ class ScpgModelTable:
             rail=scpg_design.rail,
             header_gate_cap=scpg_design.headers.gate_cap,
             n_iso=len(scpg_design.iso_instances),
+            area_overhead_pct=scpg_design.area_overhead_pct,
         )
 
     def build_model(self, library, e_cycle, vdd=None, extra_alwayson=0.0):

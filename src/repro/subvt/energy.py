@@ -133,11 +133,9 @@ def _batch_kernel(model):
 
 
 def _model_cache_key(model):
-    from ..runner import can_fingerprint, stable_hash
+    from ..runner import stable_hash_or_none
 
-    if not can_fingerprint(model):
-        return None
-    return stable_hash("subvt-point", model)
+    return stable_hash_or_none("subvt-point", model)
 
 
 def energy_sweep(model, v_lo=0.15, v_hi=0.9, steps=76, runner=None):

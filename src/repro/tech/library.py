@@ -16,6 +16,7 @@ import enum
 from dataclasses import dataclass, field
 
 from ..errors import LibraryError
+from ..runner.fingerprint import canonical
 from .boolfunc import BoolExpr
 from .transistor import DeviceModel
 
@@ -242,6 +243,13 @@ class Library:
         #: these, so corner libraries (``with_devices``) shift correctly.
         self.ref_devices = dict(devices)
         self._cells = {}
+        self._cells_canon = None    # memo of __fingerprint__'s cell part
+
+    def __getstate__(self):
+        """Pickle without the fingerprint memo."""
+        state = dict(self.__dict__)
+        state["_cells_canon"] = None
+        return state
 
     # -- cell management ------------------------------------------------------
 
@@ -250,6 +258,7 @@ class Library:
         if cell.name in self._cells:
             raise LibraryError("duplicate cell {}".format(cell.name))
         self._cells[cell.name] = cell
+        self._cells_canon = None
         return cell
 
     def cell(self, name):
@@ -285,8 +294,15 @@ class Library:
         Covers everything the analyses read: the scalar parameters, every
         device flavour (current and characterisation reference) and every
         cell's full definition.  Cells and devices are dataclasses, so the
-        canonicaliser descends into them field by field.
+        canonicaliser descends into them field by field.  The cell part,
+        the bulk of it, is canonicalised once and reused until
+        :meth:`add_cell` (cells are read-only once added).
         """
+        if self._cells_canon is None:
+            names = sorted(self._cells)
+            self._cells_canon = (
+                canonical(names),
+                canonical([self._cells[name] for name in names]))
         return (
             "library-v1",
             self.name,
@@ -295,9 +311,7 @@ class Library:
             self.wire_cap_per_fanout,
             self.devices,
             self.ref_devices,
-            sorted(self._cells),
-            [self._cells[name] for name in sorted(self._cells)],
-        )
+        ) + self._cells_canon
 
     def __repr__(self):
         return "Library({}, {} cells, vdd_nom={}V)".format(

@@ -150,10 +150,18 @@ class Technique:
         A picklable snapshot of the transform, able to rebuild the
         power model without the netlist (the per-technique analogue of
         :class:`~repro.scpg.power_model.ScpgModelTable`).
+    ``compare_input(handle, e_cycle)``
+        What ``sweep_model`` builds a comparison column from: by
+        default :meth:`transform_for_compare` of the handle's design.
     ``sweep_model(transformed, *, library, e_cycle, base_leakage,
-    base_sta)``
+    base_sta, vdd)``
         The uniform :class:`TechniqueModel` used by
         ``Session.compare_techniques``.
+
+    A technique that declares a :attr:`version` has its comparison
+    column -- the model and the area overhead -- stored under a key
+    formed before any transform runs, so a repeated comparison reads
+    it back instead of rebuilding it.
     """
 
     #: Registry key (``repro compare --techniques <name>,...``).
@@ -161,6 +169,11 @@ class Technique:
 
     #: One-line citation of the scheme being reproduced.
     paper = ""
+
+    #: Code-version tag of the comparison column, part of its store key.
+    #: Bump it with any change to what the technique's ``check``,
+    #: transform or model compute; ``None`` never stores the column.
+    version = None
 
     def check(self, design, clock_port="clk"):
         raise NotImplementedError
@@ -174,6 +187,14 @@ class Technique:
         energy (SCPG/CBTSTC header sizing) override this to forward
         ``e_cycle``; the default ignores it."""
         return self.transform(design)
+
+    def compare_input(self, handle, e_cycle):
+        """The ``transformed`` argument of :meth:`sweep_model` for a
+        comparison of ``handle`` (a :class:`~repro.session.DesignHandle`);
+        its ``area_overhead_pct``, if any, is the column's.  A technique
+        whose model table the handle already holds returns that table
+        instead of transforming again."""
+        return self.transform_for_compare(handle.design, e_cycle)
 
     def artifact_table(self, transformed):
         raise NotImplementedError

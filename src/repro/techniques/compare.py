@@ -11,6 +11,13 @@ grid through the session's runner.  Each technique model's
 the same chunked dispatch / content-addressed cache as the SCPG sweeps,
 journalled under ``compare:<design>:<technique>`` labels.
 
+A session with a store also keeps each technique's *column* -- its
+model and area overhead -- under a key formed before anything is
+built: the design fingerprint (netlist + library), the technique's
+class and ``version`` tag, and the shared base figures.  A repeated
+comparison reads the columns back and runs no transform; only the
+grid points it has not seen are evaluated.
+
 The result is a :class:`TechniqueComparison`: per-technique Fmax, area
 overhead and per-frequency power breakdowns with savings against the
 shared baseline -- the cross-scheme analogue of the paper's Table I/II.
@@ -21,12 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ReproError
-from ..runner import can_fingerprint, stable_hash
+from ..runner import stable_hash, stable_hash_or_none
 from .base import TechniqueBreakdown, TechniqueModel
 
 #: Grid used when the caller gives no frequencies (spans the paper's
 #: measurement points up to near the designs' convergence region).
 DEFAULT_COMPARE_FREQS = (1e4, 1e5, 1e6, 5e6)
+
+#: Namespace of the column digests (bump when :class:`ColumnRecord`'s
+#: layout changes; a record filed under another digest is rebuilt).
+COLUMN_SCHEMA = "technique-column-v1"
 
 
 @dataclass
@@ -65,9 +76,48 @@ def _breakdown_point(model, freq_hz):
 def compare_cache_key(model):
     """Cache namespace for one technique model's breakdown evaluations
     (``None`` -- caching disabled -- without a content fingerprint)."""
-    if not can_fingerprint(model):
+    return stable_hash_or_none("technique-power-point", model)
+
+
+@dataclass
+class ColumnRecord:
+    """One technique's stored comparison column, with the digest of the
+    inputs it was built from."""
+
+    column: str
+    model: TechniqueModel
+    area_overhead_pct: float
+
+
+def _column_inputs(handle, e_cycle, base_leakage, base_sta, vdd):
+    """What every column of one comparison is built from, besides the
+    technique: the design fingerprint (netlist + library), the base
+    design's switched energy, leakage and timing, and the supply."""
+    return (handle.fingerprint, e_cycle, base_leakage, base_sta.eval_delay,
+            base_sta.setup, vdd)
+
+
+def _column_digest(tech, inputs):
+    """Digest of one technique's column, formed from the comparison's
+    ``inputs`` before any transform runs; ``None`` (build it, store
+    nothing) without a store or for a technique with no ``version``."""
+    if inputs is None or tech.version is None:
         return None
-    return stable_hash("technique-power-point", model)
+    cls = type(tech)
+    return stable_hash(COLUMN_SCHEMA, cls.__module__, cls.__qualname__,
+                       tech.version, inputs)
+
+
+def _stored_column(store, column):
+    """The record filed under ``column``, or ``None`` to build it: no
+    key, an absent or corrupt entry, or a record of another digest."""
+    if column is None:
+        return None
+    found, record = store.lookup(store.key_for(column))
+    if found and isinstance(record, ColumnRecord) \
+            and record.column == column:
+        return record
+    return None
 
 
 @dataclass
@@ -190,13 +240,27 @@ def run_comparison(handle, freqs=None, techniques=None, vdd=None):
 
     out = TechniqueComparison(design=handle.name, freqs=freqs,
                               baseline=baseline)
+    store = runner.cache
+    inputs = None if store is None else _column_inputs(
+        handle, e_cycle, base_leakage, base_sta, vdd)
     for name in names:
         tech = lookup(name)
-        _eligible(tech, design)
-        transformed = tech.transform_for_compare(design, e_cycle)
-        model = tech.sweep_model(
-            transformed, library=lib, e_cycle=e_cycle,
-            base_leakage=base_leakage, base_sta=base_sta, vdd=vdd)
+        column = _column_digest(tech, inputs)
+        record = _stored_column(store, column)
+        if record is None:
+            _eligible(tech, design)
+            transformed = tech.compare_input(handle, e_cycle)
+            record = ColumnRecord(
+                column=column,
+                model=tech.sweep_model(
+                    transformed, library=lib, e_cycle=e_cycle,
+                    base_leakage=base_leakage, base_sta=base_sta,
+                    vdd=vdd),
+                area_overhead_pct=getattr(transformed,
+                                          "area_overhead_pct", 0.0))
+            if column is not None:
+                store.writeback(store.key_for(column), record)
+        model = record.model
         points = evaluate(model,
                           "compare:{}:{}".format(handle.name, name))
         savings = [
@@ -205,8 +269,7 @@ def run_comparison(handle, freqs=None, techniques=None, vdd=None):
         ]
         out.entries.append(ComparisonEntry(
             technique=name, paper=tech.paper, fmax_hz=model.fmax(),
-            area_overhead_pct=getattr(transformed, "area_overhead_pct",
-                                      0.0),
+            area_overhead_pct=record.area_overhead_pct,
             points=points, savings_pct=savings))
     return out
 

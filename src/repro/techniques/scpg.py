@@ -55,9 +55,12 @@ class ScpgCompareModel(TechniqueModel):
         return _to_breakdown(self.model.power(freq_hz, self.mode))
 
     def _power_points(self, freqs):
-        # ``_freq_batch`` bypasses ``breakdown``: a subclass or an
-        # instance override of it takes the per-point loop instead.
-        if type(self) is not ScpgCompareModel or "breakdown" in vars(self):
+        # ``_freq_batch`` bypasses ``breakdown`` and the inner model's
+        # ``power``: a subclass or an instance override of either takes
+        # the per-point loop instead.
+        if type(self) is not ScpgCompareModel or "breakdown" in vars(self) \
+                or type(self.model) is not ScpgPowerModel \
+                or "power" in vars(self.model):
             return super()._power_points(freqs)
         values = self.model._freq_batch(list(freqs), self.mode)
         return [_to_breakdown(b) for b in values]
@@ -68,6 +71,7 @@ class ScpgTechnique(Technique):
 
     name = "scpg"
     paper = "Sub-clock power gating (DATE 2011)"
+    version = "scpg-column-v1"
 
     def check(self, design, clock_port="clk"):
         return common_checks(self.name, design, clock_port=clock_port)
@@ -81,6 +85,12 @@ class ScpgTechnique(Technique):
     def transform_for_compare(self, design, e_cycle):
         return self.transform(design, energy_per_cycle=e_cycle)
 
+    def compare_input(self, handle, e_cycle):
+        """The :class:`~repro.scpg.power_model.ScpgModelTable` of the
+        handle's artifact bundle: the bundle ran this same transform with
+        the same vectorless ``e_cycle``."""
+        return handle.artifacts().scpg
+
     def implement(self, design_builder, library, **options):
         """The full Fig. 5 implementation flow (synthesis, centred
         floorplan, CTS, routing) with a baseline comparison; see
@@ -92,20 +102,17 @@ class ScpgTechnique(Technique):
     def artifact_table(self, transformed):
         return ScpgModelTable.compile(transformed)
 
-    def power_model(self, transformed, e_cycle, vdd=None,
-                    base_leakage=None):
-        """An :class:`~repro.scpg.power_model.ScpgPowerModel` for the
-        transformed design, with the unmodified design's base leakage
-        wired in when supplied."""
-        model = ScpgPowerModel.from_scpg_design(transformed, e_cycle,
-                                                vdd=vdd)
-        if base_leakage is not None:
-            model.leak_comb_base = base_leakage.combinational
-            model.leak_alwayson_base = base_leakage.always_on
-        return model
-
     def sweep_model(self, transformed, *, library, e_cycle, base_leakage,
                     base_sta, vdd=None):
-        model = self.power_model(transformed, e_cycle, vdd=vdd,
-                                 base_leakage=base_leakage)
+        """The comparison model from an
+        :class:`~repro.scpg.power_model.ScpgModelTable` (or an
+        :class:`~repro.scpg.transform.ScpgDesign`, compiled to one), with
+        the unmodified design's base leakage wired in -- the construction
+        :meth:`~repro.scpg.power_model.ScpgPowerModel.from_scpg_design`
+        runs."""
+        table = transformed if isinstance(transformed, ScpgModelTable) \
+            else self.artifact_table(transformed)
+        model = table.build_model(library, e_cycle, vdd=vdd)
+        model.leak_comb_base = base_leakage.combinational
+        model.leak_alwayson_base = base_leakage.always_on
         return ScpgCompareModel(model)

@@ -1,6 +1,8 @@
 """Content fingerprints: the identity layer under the result cache."""
 
+import dataclasses
 import enum
+import pickle
 from dataclasses import dataclass
 
 import pytest
@@ -8,12 +10,14 @@ import pytest
 from repro.circuits.registry import build
 from repro.errors import RunnerError
 from repro.runner import (
-    can_fingerprint,
     fingerprint,
     module_fingerprint,
     stable_hash,
+    stable_hash_or_none,
 )
+from repro.runner.fingerprint import _canon
 from repro.scpg.power_model import Mode
+from repro.tech.scl90 import build_scl90
 
 
 @dataclass
@@ -56,18 +60,19 @@ class TestFingerprint:
 
         assert fingerprint(Model("a")) == fingerprint(Model("a"))
         assert fingerprint(Model("a")) != fingerprint(Model("b"))
-        assert can_fingerprint(Model("a"))
+        assert stable_hash_or_none(Model("a")) is not None
 
     def test_unfingerprintable_raises(self):
         with pytest.raises(RunnerError):
             fingerprint(object())
-        assert not can_fingerprint(object())
-        assert not can_fingerprint(lambda x: x)
+        assert stable_hash_or_none(object()) is None
+        assert stable_hash_or_none("ns", lambda x: x) is None
 
     def test_stable_hash_mixes_parts(self):
         assert stable_hash("ns", 1) == stable_hash("ns", 1)
         assert stable_hash("ns", 1) != stable_hash("ns", 2)
         assert stable_hash("ns", 1) != stable_hash("other", 1)
+        assert stable_hash_or_none("ns", 1) == stable_hash("ns", 1)
 
 
 class TestModuleFingerprint:
@@ -97,3 +102,34 @@ class TestModuleFingerprint:
             X = 1
 
         assert fingerprint(A.X) != fingerprint(B.X)
+
+
+class TestLibraryFingerprint:
+    @staticmethod
+    def unmemoised(lib):
+        """The library's canonical text as built without the memo."""
+        names = sorted(lib._cells)
+        return "o:Library({})".format(_canon((
+            "library-v1", lib.name, lib.vdd_nom, lib.temp_c,
+            lib.wire_cap_per_fanout, lib.devices, lib.ref_devices, names,
+            [lib.cell(name) for name in names])))
+
+    def test_memo_is_byte_identical(self):
+        lib = build_scl90()
+        assert _canon(lib) == self.unmemoised(lib)
+        assert _canon(lib) == self.unmemoised(lib)   # from the memo
+
+    def test_add_cell_changes_memoised_fingerprint(self):
+        lib = build_scl90()
+        before = fingerprint(lib)
+        lib.add_cell(dataclasses.replace(lib.cell("INV_X1"),
+                                         name="INV_X1_SPARE"))
+        assert fingerprint(lib) != before
+        assert _canon(lib) == self.unmemoised(lib)
+
+    def test_pickle_drops_the_memo(self):
+        lib = build_scl90()
+        digest = fingerprint(lib)
+        copy = pickle.loads(pickle.dumps(lib))
+        assert copy._cells_canon is None
+        assert fingerprint(copy) == digest

@@ -1,5 +1,8 @@
 """Cross-technique comparison through the Session facade."""
 
+import copy
+import types
+
 import pytest
 
 import repro.techniques as techniques_pkg
@@ -158,6 +161,32 @@ class TestBatchKernel:
         assert calls == FREQS
         assert [b.total for b in cmp.entry("scpg").points] \
             == [1.0] * len(FREQS)
+
+    @pytest.mark.parametrize("override", ["instance", "subclass"])
+    def test_inner_model_power_override_honoured(self, override):
+        from repro.scpg.power_model import ScpgPowerModel
+        from repro.session import Session
+        from repro.techniques.scpg import ScpgCompareModel
+
+        s = Session(store=None)
+        try:
+            plain = s.design("counter16").power_model()
+        finally:
+            s.close()
+
+        def doubled(self, freq_hz, mode, duty=None):
+            return ScpgPowerModel.power(self, 2.0 * freq_hz, mode, duty)
+
+        patched = copy.copy(plain)
+        if override == "instance":
+            patched.power = types.MethodType(doubled, patched)
+        else:
+            patched.__class__ = type("Doubled", (ScpgPowerModel,),
+                                     {"power": doubled})
+        model = ScpgCompareModel(patched)
+        points = model._power_points([1e5])
+        assert points == [model.breakdown(1e5)]
+        assert points != ScpgCompareModel(plain)._power_points([1e5])
 
     def test_unregistered_model_batch_equals_per_point(self, tmp_path):
         from repro.session import Session
