@@ -152,7 +152,7 @@ class Technique:
         :class:`~repro.scpg.power_model.ScpgModelTable`).
     ``compare_input(handle, e_cycle)``
         What ``sweep_model`` builds a comparison column from: by
-        default :meth:`transform_for_compare` of the handle's design.
+        default the transform of the handle's design.
     ``sweep_model(transformed, *, library, e_cycle, base_leakage,
     base_sta, vdd)``
         The uniform :class:`TechniqueModel` used by
@@ -170,9 +170,11 @@ class Technique:
     #: One-line citation of the scheme being reproduced.
     paper = ""
 
-    #: Code-version tag of the comparison column, part of its store key.
-    #: Bump it with any change to what the technique's ``check``,
-    #: transform or model compute; ``None`` never stores the column.
+    #: Version tag of the comparison column, part of its store key.
+    #: Declaring one says the column depends only on the key's inputs:
+    #: the design, the base figures, the supply and the source code
+    #: (digested automatically).  Bump it when the column comes to
+    #: depend on anything else; ``None`` never stores the column.
     version = None
 
     def check(self, design, clock_port="clk"):
@@ -181,20 +183,15 @@ class Technique:
     def transform(self, design, **options):
         raise NotImplementedError
 
-    def transform_for_compare(self, design, e_cycle):
-        """Transform with the comparison's shared switched-energy
-        estimate.  Techniques that size hardware from the per-cycle
-        energy (SCPG/CBTSTC header sizing) override this to forward
-        ``e_cycle``; the default ignores it."""
-        return self.transform(design)
-
     def compare_input(self, handle, e_cycle):
         """The ``transformed`` argument of :meth:`sweep_model` for a
-        comparison of ``handle`` (a :class:`~repro.session.DesignHandle`);
-        its ``area_overhead_pct``, if any, is the column's.  A technique
-        whose model table the handle already holds returns that table
-        instead of transforming again."""
-        return self.transform_for_compare(handle.design, e_cycle)
+        comparison of ``handle`` (a :class:`~repro.session.DesignHandle`)
+        with the shared switched-energy estimate ``e_cycle``; its
+        ``area_overhead_pct``, if any, is the column's.  The default
+        transforms the handle's design and ignores ``e_cycle``; CBTSTC
+        forwards it to its header sizing, and SCPG returns the model
+        table the handle's artifact bundle already holds."""
+        return self.transform(handle.design)
 
     def artifact_table(self, transformed):
         raise NotImplementedError

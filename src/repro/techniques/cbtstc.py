@@ -330,8 +330,8 @@ class CbtstcTechnique(Technique):
             e_cycle_est=energy_per_cycle,
         )
 
-    def transform_for_compare(self, design, e_cycle):
-        return self.transform(design, energy_per_cycle=e_cycle)
+    def compare_input(self, handle, e_cycle):
+        return self.transform(handle.design, energy_per_cycle=e_cycle)
 
     def artifact_table(self, transformed):
         return CbtstcTable.compile(transformed)

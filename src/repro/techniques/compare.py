@@ -14,9 +14,10 @@ journalled under ``compare:<design>:<technique>`` labels.
 A session with a store also keeps each technique's *column* -- its
 model and area overhead -- under a key formed before anything is
 built: the design fingerprint (netlist + library), the technique's
-class and ``version`` tag, and the shared base figures.  A repeated
-comparison reads the columns back and runs no transform; only the
-grid points it has not seen are evaluated.
+class and ``version`` tag, the package source and artifact schema, and
+the shared base figures.  A repeated comparison reads the columns back
+and runs no transform; only the grid points it has not seen are
+evaluated.
 
 The result is a :class:`TechniqueComparison`: per-technique Fmax, area
 overhead and per-frequency power breakdowns with savings against the
@@ -25,10 +26,14 @@ shared baseline -- the cross-scheme analogue of the paper's Table I/II.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from ..errors import ReproError
-from ..runner import stable_hash, stable_hash_or_none
+from ..runner import ARTIFACT_SCHEMA, stable_hash, stable_hash_or_none
 from .base import TechniqueBreakdown, TechniqueModel
 
 #: Grid used when the caller gives no frequencies (spans the paper's
@@ -38,6 +43,9 @@ DEFAULT_COMPARE_FREQS = (1e4, 1e5, 1e6, 5e6)
 #: Namespace of the column digests (bump when :class:`ColumnRecord`'s
 #: layout changes; a record filed under another digest is rebuilt).
 COLUMN_SCHEMA = "technique-column-v1"
+
+#: Root of the package whose source is part of every column key.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 
 @dataclass
@@ -97,15 +105,49 @@ def _column_inputs(handle, e_cycle, base_leakage, base_sta, vdd):
             base_sta.setup, vdd)
 
 
+def _source_digest(root):
+    """SHA-256 over every ``.py`` file under ``root``: relative path and
+    content digest, in path order (``None`` when there are none)."""
+    root = Path(root)
+    files = sorted(root.rglob("*.py"))
+    if not files:
+        return None
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update("{}\0{}\n".format(
+            path.relative_to(root).as_posix(),
+            hashlib.sha256(path.read_bytes()).hexdigest()).encode())
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _code_digest(module_name):
+    """The code a technique's column is built by: the package source
+    (every engine a transform can reach), plus the technique's own
+    module when it lives outside the package.  Read once per process;
+    ``None`` when some of that source cannot be read."""
+    package = _source_digest(PACKAGE_ROOT)
+    if module_name.partition(".")[0] == __name__.partition(".")[0]:
+        return package
+    path = getattr(sys.modules.get(module_name), "__file__", None)
+    if package is None or path is None or not path.endswith(".py"):
+        return None
+    return package + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def _column_digest(tech, inputs):
     """Digest of one technique's column, formed from the comparison's
     ``inputs`` before any transform runs; ``None`` (build it, store
-    nothing) without a store or for a technique with no ``version``."""
+    nothing) without a store, for a technique with no ``version`` or
+    for one whose source cannot be read."""
     if inputs is None or tech.version is None:
         return None
     cls = type(tech)
+    code = _code_digest(cls.__module__)
+    if code is None:
+        return None
     return stable_hash(COLUMN_SCHEMA, cls.__module__, cls.__qualname__,
-                       tech.version, inputs)
+                       tech.version, code, ARTIFACT_SCHEMA, inputs)
 
 
 def _stored_column(store, column):

@@ -82,9 +82,6 @@ class ScpgTechnique(Technique):
         ``energy_per_cycle``, ``rail_params``, ...)."""
         return _apply_scpg(design, **options)
 
-    def transform_for_compare(self, design, e_cycle):
-        return self.transform(design, energy_per_cycle=e_cycle)
-
     def compare_input(self, handle, e_cycle):
         """The :class:`~repro.scpg.power_model.ScpgModelTable` of the
         handle's artifact bundle: the bundle ran this same transform with
@@ -102,16 +99,14 @@ class ScpgTechnique(Technique):
     def artifact_table(self, transformed):
         return ScpgModelTable.compile(transformed)
 
-    def sweep_model(self, transformed, *, library, e_cycle, base_leakage,
+    def sweep_model(self, table, *, library, e_cycle, base_leakage,
                     base_sta, vdd=None):
         """The comparison model from an
-        :class:`~repro.scpg.power_model.ScpgModelTable` (or an
-        :class:`~repro.scpg.transform.ScpgDesign`, compiled to one), with
-        the unmodified design's base leakage wired in -- the construction
+        :class:`~repro.scpg.power_model.ScpgModelTable` (what
+        :meth:`compare_input` returns), with the unmodified design's base
+        leakage wired in -- the construction
         :meth:`~repro.scpg.power_model.ScpgPowerModel.from_scpg_design`
         runs."""
-        table = transformed if isinstance(transformed, ScpgModelTable) \
-            else self.artifact_table(transformed)
         model = table.build_model(library, e_cycle, vdd=vdd)
         model.leak_comb_base = base_leakage.combinational
         model.leak_alwayson_base = base_leakage.always_on

@@ -2,7 +2,7 @@
 what a repeated comparison skips."""
 
 import dataclasses
-import hashlib
+import shutil
 import sqlite3
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,10 +15,13 @@ from repro.session import Session
 from repro.tech.scl90 import build_scl90
 from repro.techniques import technique
 from repro.techniques.cbtstc import CbtstcTechnique
+from repro.techniques import compare
 from repro.techniques.compare import (
     ColumnRecord,
+    _code_digest,
     _column_digest,
     _column_inputs,
+    _source_digest,
 )
 from repro.techniques.lector import LectorTechnique
 from repro.techniques.scpg import ScpgTechnique
@@ -28,29 +31,15 @@ DESIGN = "counter16"
 FREQS = [1e4, 1e5, 1e6]
 TECHNIQUES = (CbtstcTechnique, LectorTechnique, ScpgTechnique)
 
-#: Each built-in technique's column version, next to the SHA-256 of the
-#: modules that build its stored column (technique adapter, transform,
-#: model construction).  Editing one of them without bumping the
-#: technique's ``version`` would let a store serve columns the new code
-#: no longer builds: bump the version, then re-pin the digest.
-PINNED = {
-    "scpg": ("scpg-column-v1", {
-        "techniques/scpg.py":
-            "d46cc736fe934c53414de1c5439d140388069badab0b685b0b5dd8973338a96e",
-        "scpg/transform.py":
-            "553ea6b4cb431f136a547a22f52dff03dec13a67d70732d17f7fefd0dfadf649",
-        "scpg/power_model.py":
-            "42fabbc6c74738ee0c7ae9fcb8af7a00443da8b7fe644b5adcab469f0cf0b6ae",
-    }),
-    "cbtstc": ("cbtstc-column-v1", {
-        "techniques/cbtstc.py":
-            "394a7795dfef2a04052359263d245d8ff90f4c68872eeecc9e15fad06e86416d",
-    }),
-    "lector": ("lector-column-v1", {
-        "techniques/lector.py":
-            "8ba9a4e978d4a7103aa1c4fb050eb2ca9992222f16b7f17923b110f2679ff6a1",
-    }),
-}
+#: Modules outside the technique adapters whose code reaches a stored
+#: column: header and cluster sizing, activity, rail model, device and
+#: library scaling, area overhead, leakage, and the transforms.
+ENGINES = (
+    "power/headers.py", "power/probabilistic.py", "power/rails.py",
+    "power/leakage.py", "tech/transistor.py", "tech/library.py",
+    "netlist/stats.py", "scpg/transform.py", "scpg/power_model.py",
+    "techniques/cbtstc.py", "techniques/lector.py",
+)
 
 
 def _hex(comparison):
@@ -139,7 +128,8 @@ class TestColumnKey:
             _column_inputs(handle or base.handle, e_cycle or base.e_cycle,
                            leakage or base.leakage, sta or base.sta, vdd))
 
-    def test_each_key_part_changes_the_key(self, base, tmp_path):
+    def test_each_key_part_changes_the_key(self, base, tmp_path,
+                                           monkeypatch):
         class Renamed(ScpgTechnique):
             pass
 
@@ -168,8 +158,17 @@ class TestColumnKey:
         other_lib = self.digest(base, handle=other.design(DESIGN))
         other.close()
 
+        with monkeypatch.context() as m:
+            m.setattr(compare, "_code_digest", lambda module: "0" * 64)
+            code = self.digest(base)
+        with monkeypatch.context() as m:
+            m.setattr(compare, "ARTIFACT_SCHEMA", "circuit-artifacts-v0")
+            schema = self.digest(base)
+
         keys = {
             "base": self.digest(base),
+            "code": code,
+            "artifact schema": schema,
             "netlist edit": after,
             "library": other_lib,
             "technique": self.digest(base, tech=Renamed()),
@@ -253,12 +252,48 @@ class TestRepeatedComparison:
                 if name == "scpg"].count("sweep_model") == 2
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_column_version_pinned_to_its_code(name):
-    version, files = PINNED[name]
-    digests = {path: hashlib.sha256((SRC / path).read_bytes()).hexdigest()
-               for path in files}
-    assert technique(name).version == version
-    assert digests == files, (
-        "the code building the {} column changed: bump {}.version, then "
-        "re-pin these digests".format(name, type(technique(name)).__name__))
+class TestCodeDigest:
+    @pytest.fixture
+    def package(self, tmp_path):
+        root = tmp_path / "repro"
+        shutil.copytree(SRC, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return root
+
+    def test_every_engine_edit_changes_the_digest(self, package):
+        digests = [_source_digest(package)]
+        for path in ENGINES:
+            with open(package / path, "a") as fh:
+                fh.write("# edited\n")
+            digests.append(_source_digest(package))
+        (package / "power" / "new_engine.py").write_text("X = 1\n")
+        digests.append(_source_digest(package))
+        assert len(set(digests)) == len(ENGINES) + 2
+
+    def test_package_digest_matches_the_source(self, package):
+        assert _code_digest("repro.techniques.scpg") \
+            == _code_digest("repro.techniques.lector") \
+            == _source_digest(package) == _source_digest(SRC)
+
+    def test_technique_outside_the_package(self, base_inputs):
+        class Outside(ScpgTechnique):
+            pass
+
+        assert Outside.__module__ == __name__
+        here = _code_digest(__name__)
+        assert here is not None
+        assert here != _code_digest("repro.techniques.scpg")
+        # No readable source: nothing is stored.
+        Outside.__module__ = "module_with_no_source"
+        assert _code_digest(Outside.__module__) is None
+        assert _column_digest(Outside(), base_inputs) is None
+
+    @pytest.fixture
+    def base_inputs(self):
+        s = Session(store=None)
+        try:
+            h = s.design(DESIGN)
+            return _column_inputs(h, h.switching()[0], h.leakage(),
+                                  h.sta(), None)
+        finally:
+            s.close()
