@@ -78,13 +78,6 @@ def _load_library(args):
     return _session(args).library
 
 
-def _resolve_design(name, library):
-    """Deprecated shim: use :func:`repro.circuits.registry.resolve`."""
-    from .circuits import registry
-
-    return registry.resolve(name, library)
-
-
 def _out(args, text):
     if getattr(args, "out", None):
         with open(args.out, "w") as f:

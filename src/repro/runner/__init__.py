@@ -12,9 +12,9 @@ through this package.  The public surface:
   surviving across grids;
 * :class:`SqliteStore` -- the content-addressed result store, keyed by
   stable fingerprints of (design netlist, library parameters, operating
-  point, mode) in one WAL-mode SQLite file that many processes share
-  safely -- what ``Session(store=...)`` and the :mod:`repro.serve` job
-  service ride;
+  point, mode) and of the package source, in one WAL-mode SQLite file
+  that many processes share safely -- what ``Session(store=...)`` and
+  the :mod:`repro.serve` job service ride;
 * :class:`CachedEvaluator` -- point-at-a-time caching for search loops;
 * :class:`RunStats` -- per-run counters and stage wall-clocks;
 * :class:`RunJournal` / :func:`read_journal` -- append-only JSONL event
@@ -56,10 +56,9 @@ from .sqlite_store import (
 
 # Last: the bundle module imports the SCPG model table, and the SCPG
 # package imports this one back (through the analyses it uses).
-from .artifacts import ARTIFACT_SCHEMA, ArtifactStore, CircuitArtifacts
+from .artifacts import ArtifactStore, CircuitArtifacts
 
 __all__ = [
-    "ARTIFACT_SCHEMA",
     "ArtifactStore",
     "CACHE_ENV",
     "CACHE_SCHEMA",

@@ -20,7 +20,8 @@ arithmetic, so a bundle answers exactly what the module answers.  None
 of them keeps a ``Net`` or ``Instance``, so a bundle pickles.
 
 Bundles are keyed by the owning handle's content fingerprint (netlist +
-library), so editing the circuit or the library *changes the key* and
+library), and the store salts every key with the package source, so
+editing the circuit, the library or the code *changes the key* and
 stale bundles are simply never read again.  An :class:`ArtifactStore`
 memoises bundles in-process and shares them across processes through the
 same :class:`~repro.runner.sqlite_store.SqliteStore` the point results
@@ -39,21 +40,10 @@ from ..obs.trace import NULL_TRACER
 from ..scpg.power_model import ScpgModelTable
 from .journal import NULL_JOURNAL
 
-#: Cache-key namespace (bump when the bundle's layout changes; a bundle
-#: filed under another schema is ignored and rebuilt).
-#: v4: the bundle stores TimingAnalysis, SwitchedCapacitance,
-#: ScpgModelTable (with a LeakageSoa) and the CompiledSchedule; no
-#: separate leakage table or domain partition.
-#: v5: the CompiledSchedule's lowering carries no net capacitances.
-#: v6: the ScpgModelTable carries the transform's area overhead.
-ARTIFACT_SCHEMA = "circuit-artifacts-v6"
-
-
 @dataclass
 class CircuitArtifacts:
     """One circuit's compiled analyses, ready to pickle."""
 
-    schema: str = ARTIFACT_SCHEMA
     fingerprint: str = ""
     design_name: str = ""
     timing: object = None       # TimingAnalysis
@@ -122,7 +112,7 @@ class ArtifactStore:
         """On-disk cache key for one fingerprint (``None`` uncached)."""
         if self.cache is None:
             return None
-        return self.cache.key_for(ARTIFACT_SCHEMA, fingerprint)
+        return self.cache.key_for("circuit-artifacts", fingerprint)
 
     def get(self, fingerprint, builder):
         """The bundle for ``fingerprint``, building (and storing) on miss.
@@ -139,7 +129,6 @@ class ArtifactStore:
         if key is not None:
             found, value = self.cache.lookup(key)
             if found and isinstance(value, CircuitArtifacts) \
-                    and value.schema == ARTIFACT_SCHEMA \
                     and value.fingerprint == fingerprint:
                 self._memo[fingerprint] = value
                 self._record_hit(fingerprint, "disk")

@@ -19,15 +19,23 @@ module defines its own canonical form:
 
 Anything else is rejected loudly -- a silently wrong cache key is the one
 failure mode a result cache must not have.
+
+:func:`code_digest` stamps the package source, which the store mixes
+into every key: content alone does not say which code computed a value.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 from ..errors import RunnerError
+
+#: Root of the package whose source :func:`code_digest` covers.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 
 class Canonical:
@@ -133,3 +141,31 @@ def _module_digest(module):
         (net.name, net.const_value) for net in module.nets()
         if net.is_const)
     return stable_hash("module-v1", module.name, ports, insts, consts)
+
+
+def source_digest(root):
+    """SHA-256 over every ``.py`` file under ``root``: relative path and
+    content digest, in path order (``OSError`` when there are none)."""
+    root = Path(root)
+    files = sorted(root.rglob("*.py"))
+    if not files:
+        raise FileNotFoundError("no .py files under {}".format(root))
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update("{}\0{}\n".format(
+            path.relative_to(root).as_posix(),
+            hashlib.sha256(path.read_bytes()).hexdigest()).encode())
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest():
+    """:func:`source_digest` of the package: the code every stored value
+    was computed by.  Read once per process, on first use; a package
+    whose source cannot be read raises :class:`RunnerError` naming its
+    root (a key that covers no code must never be formed)."""
+    try:
+        return source_digest(PACKAGE_ROOT)
+    except OSError as exc:
+        raise RunnerError("cannot read the package source under {}: {}"
+                          .format(PACKAGE_ROOT, exc)) from exc

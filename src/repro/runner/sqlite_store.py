@@ -1,12 +1,14 @@
 """The content-addressed result store: one SQLite database file.
 
 Every entry is keyed by a :mod:`~repro.runner.fingerprint` digest of what
-was evaluated, so the store never needs a dependency graph: editing the
-design or the library changes the key, and the stale entry is simply
-never looked up again.  Entries are disposable -- deleting the file only
-costs recomputation.  Explicit invalidation (:meth:`SqliteStore.
-invalidate`, :meth:`SqliteStore.clear`) exists for operators who want
-the space back or distrust an entry.
+was evaluated and of the package source that evaluated it
+(:func:`~repro.runner.fingerprint.code_digest`), so the store never
+needs a dependency graph: editing the design, the library or the code
+changes the key, and the stale entry is simply never looked up again.
+Entries are disposable -- deleting the file only costs recomputation.
+Explicit invalidation (:meth:`SqliteStore.invalidate`,
+:meth:`SqliteStore.clear`) exists for operators who want the space back
+or distrust an entry.
 
 Why SQLite:
 
@@ -40,10 +42,9 @@ import threading
 import time
 
 from ..errors import RunnerError
-from .fingerprint import stable_hash
+from .fingerprint import code_digest, stable_hash
 
-#: Bump when the key format changes; old entries become unreachable
-#: instead of being misread.
+#: Namespace of every entry key, beside the package's code digest.
 CACHE_SCHEMA = "repro-cache-v1"
 
 #: Environment variable naming the directory that holds the default
@@ -79,8 +80,6 @@ class SqliteStore:
     path:
         Database file (created on first open; its parent directory is
         created when missing).
-    salt:
-        Extra key component; defaults to :data:`CACHE_SCHEMA`.
     timeout:
         Seconds a writer waits on SQLite's lock before giving up
         (forwarded as ``busy_timeout``); generous by default because
@@ -93,9 +92,8 @@ class SqliteStore:
     :class:`~repro.errors.RunnerError` naming the path.
     """
 
-    def __init__(self, path, salt=CACHE_SCHEMA, timeout=30.0):
+    def __init__(self, path, timeout=30.0):
         self.path = str(path)
-        self.salt = salt
         self.timeout = float(timeout)
         self.hits = 0
         self.misses = 0
@@ -165,8 +163,12 @@ class SqliteStore:
     # -- the store interface ---------------------------------------------------
 
     def key_for(self, *parts):
-        """Derive an entry key from canonicalisable ``parts``."""
-        return stable_hash(self.salt, *parts)
+        """Derive an entry key from canonicalisable ``parts``, salted
+        with :data:`CACHE_SCHEMA` and the package's
+        :func:`~repro.runner.fingerprint.code_digest` (which raises
+        :class:`~repro.errors.RunnerError` when the source is
+        unreadable: no key may cover no code)."""
+        return stable_hash(CACHE_SCHEMA, code_digest(), *parts)
 
     def lookup(self, key):
         """``(hit, value)`` for ``key``; counts the hit or the (absent or
@@ -272,7 +274,7 @@ class SqliteStore:
             self.path, self.hits, self.misses)
 
 
-def open_store(spec, salt=CACHE_SCHEMA):
+def open_store(spec):
     """A store from a user-facing spec.
 
     ``Session(store=...)``, ``Runner(cache=...)`` and ``repro --cache`` /
@@ -282,17 +284,17 @@ def open_store(spec, salt=CACHE_SCHEMA):
     """
     if isinstance(spec, SqliteStore):
         return spec
-    return SqliteStore(os.path.expanduser(str(spec)), salt=salt)
+    return SqliteStore(os.path.expanduser(str(spec)))
 
 
 def default_cache(env=os.environ):
     """The store in the directory named by ``REPRO_CACHE_DIR`` (one
     :data:`STORE_FILE` inside it), or ``None`` when unset.
 
-    Caching is opt-in for library users: results silently surviving code
-    edits would be surprising as a default.  The schema salt protects
-    against format drift, not against every model change, so the operator
-    chooses when a persistent directory is appropriate.
+    Caching is opt-in for library users, who choose where a persistent
+    file may grow.  Its entries cannot outlive the code that computed
+    them: every key covers the package source, so after any edit the
+    store recomputes instead of serving an old result.
     """
     root = env.get(CACHE_ENV, "").strip()
     if not root or root.lower() in ("0", "off", "none"):

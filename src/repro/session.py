@@ -281,6 +281,7 @@ class DesignHandle:
         self._scpg = None
         self._sta = None
         self._switching = None
+        self._leakage = None
         self._power_model = None
         self._subvt_model = None
         self._artifacts = None
@@ -369,11 +370,18 @@ class DesignHandle:
         return self._switching
 
     def leakage(self, vdd=None):
-        """Leakage power report at ``vdd`` (default nominal)."""
+        """Leakage power report at ``vdd`` (memoised at the nominal
+        supply)."""
         from .power.leakage import leakage_power
 
-        return leakage_power(self.design.top, self.session.library,
-                             vdd=_check_vdd(vdd))
+        vdd = _check_vdd(vdd)
+        if vdd is not None:
+            return leakage_power(self.design.top, self.session.library,
+                                 vdd=vdd)
+        if self._leakage is None:
+            self._leakage = leakage_power(self.design.top,
+                                          self.session.library)
+        return self._leakage
 
     def leakage_axis(self, vdds, temp_c=None):
         """One leakage report per supply in ``vdds`` (``None`` entries

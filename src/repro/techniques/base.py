@@ -158,10 +158,11 @@ class Technique:
         The uniform :class:`TechniqueModel` used by
         ``Session.compare_techniques``.
 
-    A technique that declares a :attr:`version` has its comparison
-    column -- the model and the area overhead -- stored under a key
-    formed before any transform runs, so a repeated comparison reads
-    it back instead of rebuilding it.
+    A session with a store keeps each technique's comparison column --
+    the model and the area overhead -- under a key formed before any
+    transform runs (the design, the base figures, the supply, the
+    technique's class and the source code), so a repeated comparison
+    reads it back instead of rebuilding it.
     """
 
     #: Registry key (``repro compare --techniques <name>,...``).
@@ -169,13 +170,6 @@ class Technique:
 
     #: One-line citation of the scheme being reproduced.
     paper = ""
-
-    #: Version tag of the comparison column, part of its store key.
-    #: Declaring one says the column depends only on the key's inputs:
-    #: the design, the base figures, the supply and the source code
-    #: (digested automatically).  Bump it when the column comes to
-    #: depend on anything else; ``None`` never stores the column.
-    version = None
 
     def check(self, design, clock_port="clk"):
         raise NotImplementedError

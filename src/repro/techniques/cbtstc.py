@@ -220,7 +220,6 @@ class CbtstcTechnique(Technique):
 
     name = "cbtstc"
     paper = "Cluster-based tunable sleep transistor cells (arXiv 1310.3203)"
-    version = "cbtstc-column-v1"
 
     def check(self, design, clock_port="clk"):
         # CBTSTC's sleep control is activity-driven, not clock-derived.

@@ -214,7 +214,6 @@ class LectorTechnique(Technique):
 
     name = "lector"
     paper = "LECTOR leakage-control transistors (arXiv 1805.07409)"
-    version = "lector-column-v1"
 
     def check(self, design, clock_port="clk"):
         # LECTOR needs no sleep/clock control at all.

@@ -71,7 +71,6 @@ class ScpgTechnique(Technique):
 
     name = "scpg"
     paper = "Sub-clock power gating (DATE 2011)"
-    version = "scpg-column-v1"
 
     def check(self, design, clock_port="clk"):
         return common_checks(self.name, design, clock_port=clock_port)

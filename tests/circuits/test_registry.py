@@ -114,9 +114,3 @@ class TestRegistry:
             assert registry.is_registered("noop_probe")
         finally:
             registry.unregister_design("noop_probe")
-
-    def test_cli_shim_still_resolves(self, lib):
-        from repro.cli import _resolve_design
-
-        design = _resolve_design("counter16", lib)
-        assert design.top.name == "counter16"

@@ -21,8 +21,8 @@ from repro.netlist.soa import leakage_soa_for
 from repro.power.leakage import LeakageReport, leakage_power
 from repro.power.probabilistic import SwitchedCapacitance, \
     estimate_activity, vectorless_switching
+from repro.runner import sqlite_store
 from repro.runner import (
-    ARTIFACT_SCHEMA,
     ArtifactStore,
     CircuitArtifacts,
     SqliteStore,
@@ -255,12 +255,13 @@ class TestArtifactStore:
 # -- fingerprint invalidation -------------------------------------------------
 
 class TestInvalidation:
-    def test_circuit_change_changes_the_key(self, session, lib):
+    def test_circuit_change_changes_the_key(self, session, lib, tmp_path):
         fp_counter = session.design("counter16").fingerprint
         fp_lfsr = session.design("lfsr16").fingerprint
         assert fp_counter != fp_lfsr
-        assert stable_hash(ARTIFACT_SCHEMA, fp_counter) \
-            != stable_hash(ARTIFACT_SCHEMA, fp_lfsr)
+        store = ArtifactStore(cache=SqliteStore(tmp_path / "s.sqlite"))
+        assert store.key_for(fp_counter) != store.key_for(fp_lfsr)
+        store.cache.close()
 
     def test_netlist_edit_changes_the_key(self, toy_design, lib):
         from repro.runner import module_fingerprint
@@ -352,22 +353,30 @@ class TestSessionArtifacts:
         try:
             assert s.artifacts.cache is None
             bundle = s.design("counter16").artifacts()
-            assert bundle.schema == ARTIFACT_SCHEMA
+            assert isinstance(bundle, CircuitArtifacts)
             assert s.design("counter16").artifacts() is bundle
             assert s.stats.artifact_hits == 1
         finally:
             s.close()
 
-    def test_bundle_from_an_older_schema_is_rebuilt(self, lib, tmp_path):
-        store = SqliteStore(tmp_path / "store.sqlite")
-        s = Session(library=lib, store=store)
+    def test_bundle_under_another_code_digest_is_not_read(
+            self, lib, tmp_path, monkeypatch):
+        path = tmp_path / "store.sqlite"
+        with monkeypatch.context() as m:
+            m.setattr(sqlite_store, "code_digest", lambda: "0" * 64)
+            old = Session(library=lib, store=str(path))
+            try:
+                old_bundle = old.design("counter16").artifacts()
+            finally:
+                old.close()
+        s = Session(library=lib, store=str(path))
         try:
-            h = s.design("counter16")
-            stale = CircuitArtifacts(schema="circuit-artifacts-v3",
-                                     fingerprint=h.fingerprint)
-            store.put(s.artifacts.key_for(h.fingerprint), stale)
-            assert h.artifacts().schema == ARTIFACT_SCHEMA
+            bundle = s.design("counter16").artifacts()
+            assert bundle is not old_bundle
             assert s.stats.artifact_misses == 1
+            assert s.stats.artifact_hits == 0
+            # Both bundles stay on file, each under its own code's key.
+            assert len(s.runner.cache) == 2
         finally:
             s.close()
 

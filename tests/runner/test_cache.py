@@ -203,11 +203,6 @@ class TestResultCache:
         monkeypatch.setattr(cache, "_execute", refuse)
         assert cache.writeback(cache.key_for("k"), 7) is False
 
-    def test_salt_partitions_keys(self, tmp_path):
-        a = SqliteStore(tmp_path / "s.sqlite", salt="v1")
-        b = SqliteStore(tmp_path / "s.sqlite", salt="v2")
-        assert a.key_for("k") != b.key_for("k")
-
     def test_key_depends_on_all_parts(self, cache):
         assert cache.key_for("a", "b") != cache.key_for("a", "c")
         assert cache.key_for("a", "b") != cache.key_for("ab")

@@ -3,21 +3,39 @@
 import dataclasses
 import enum
 import pickle
+import shutil
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
 from repro.circuits.registry import build
 from repro.errors import RunnerError
 from repro.runner import (
+    ArtifactStore,
+    SqliteStore,
     fingerprint,
     module_fingerprint,
+    sqlite_store,
     stable_hash,
     stable_hash_or_none,
 )
-from repro.runner.fingerprint import _canon
+from repro.runner.fingerprint import _canon, code_digest, source_digest
 from repro.scpg.power_model import Mode
 from repro.tech.scl90 import build_scl90
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: Modules whose code reaches a stored value without being the caller's
+#: own: header and cluster sizing, activity, rail model, device and
+#: library scaling, area overhead, leakage, and the transforms.
+ENGINES = (
+    "power/headers.py", "power/probabilistic.py", "power/rails.py",
+    "power/leakage.py", "tech/transistor.py", "tech/library.py",
+    "netlist/stats.py", "scpg/transform.py", "scpg/power_model.py",
+    "techniques/cbtstc.py", "techniques/lector.py",
+)
 
 
 @dataclass
@@ -133,3 +151,73 @@ class TestLibraryFingerprint:
         copy = pickle.loads(pickle.dumps(lib))
         assert copy._cells_canon is None
         assert fingerprint(copy) == digest
+
+
+class TestCodeDigest:
+    @pytest.fixture
+    def package(self, tmp_path):
+        root = tmp_path / "repro"
+        shutil.copytree(SRC, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return root
+
+    def test_every_engine_edit_changes_the_digest(self, package):
+        digests = [source_digest(package)]
+        for path in ENGINES:
+            with open(package / path, "a") as fh:
+                fh.write("# edited\n")
+            digests.append(source_digest(package))
+        (package / "power" / "new_engine.py").write_text("X = 1\n")
+        digests.append(source_digest(package))
+        assert len(set(digests)) == len(ENGINES) + 2
+
+    def test_package_digest_matches_the_source(self, package):
+        assert code_digest() == source_digest(package) \
+            == source_digest(SRC)
+
+    def test_code_digest_changes_every_store_key(self, tmp_path,
+                                                 monkeypatch):
+        """Point results, artifact bundles and technique columns (every
+        key the store derives) move to new keys when the code does."""
+        path = tmp_path / "s.sqlite"
+
+        def keys():
+            store = SqliteStore(path)
+            try:
+                return (store.key_for("sweep", fingerprint(1e5)),
+                        ArtifactStore(cache=store).key_for("fp"),
+                        store.key_for("0" * 64))
+            finally:
+                store.close()
+
+        before = keys()
+        assert keys() == before
+        monkeypatch.setattr(sqlite_store, "code_digest", lambda: "1" * 64)
+        after = keys()
+        assert all(a != b for a, b in zip(before, after))
+
+    @pytest.fixture
+    def fresh_digest(self):
+        code_digest.cache_clear()
+        yield
+        code_digest.cache_clear()
+
+    @pytest.mark.parametrize("fault", ["empty", "unreadable"])
+    def test_unreadable_source_refuses_every_key(
+            self, fault, tmp_path, monkeypatch, fresh_digest):
+        # ``repro.runner.fingerprint`` is the function of that name.
+        module = sys.modules["repro.runner.fingerprint"]
+        monkeypatch.setattr(module, "PACKAGE_ROOT", tmp_path)
+        if fault == "unreadable":
+            (tmp_path / "engine.py").write_text("X = 1\n")
+
+            def refuse(self):
+                raise PermissionError(13, "Permission denied", str(self))
+
+            monkeypatch.setattr(Path, "read_bytes", refuse)
+        store = SqliteStore(tmp_path / "s.sqlite")
+        try:
+            with pytest.raises(RunnerError, match=str(tmp_path)):
+                store.key_for("k")
+        finally:
+            store.close()

@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import RunnerError
 from repro.runner import CACHE_SCHEMA, SqliteStore, open_store, stable_hash
+from repro.runner.fingerprint import code_digest
 
 #: The fork start method matches the runner's own worker model and keeps
 #: the spawned writers cheap.
@@ -97,18 +98,12 @@ class TestInterfaceConformance:
         assert store.writeback(store.key_for("k"), lambda: 1) is False
         assert store.key_for("k") not in store
 
-    def test_salt_partitions_keys(self, tmp_path):
-        a = SqliteStore(tmp_path / "s.sqlite", salt="v1")
-        b = SqliteStore(tmp_path / "s.sqlite", salt="v2")
-        assert a.key_for("k") != b.key_for("k")
-        a.close(), b.close()
-
     def test_same_keys_as_directory_store(self, tmp_path):
-        # Keys are the digests the retired directory store derived
-        # (same CACHE_SCHEMA salt), so key stability survives the move.
+        # The key format: the parts, salted with the namespace and the
+        # package's code digest.
         sql = SqliteStore(tmp_path / "s.sqlite")
         assert sql.key_for("a", 1, 2.5) \
-            == stable_hash(CACHE_SCHEMA, "a", 1, 2.5)
+            == stable_hash(CACHE_SCHEMA, code_digest(), "a", 1, 2.5)
         sql.close()
 
     def test_foreign_schema_fails_loudly(self, tmp_path):

@@ -2,57 +2,44 @@
 what a repeated comparison skips."""
 
 import dataclasses
-import shutil
 import sqlite3
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from repro.netlist.verilog import write_verilog
-from repro.runner import open_store
+from repro.runner import open_store, sqlite_store
 from repro.session import Session
 from repro.tech.scl90 import build_scl90
 from repro.techniques import technique
 from repro.techniques.cbtstc import CbtstcTechnique
-from repro.techniques import compare
 from repro.techniques.compare import (
     ColumnRecord,
-    _code_digest,
     _column_digest,
     _column_inputs,
-    _source_digest,
+    _module_source,
 )
 from repro.techniques.lector import LectorTechnique
 from repro.techniques.scpg import ScpgTechnique
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 DESIGN = "counter16"
 FREQS = [1e4, 1e5, 1e6]
 TECHNIQUES = (CbtstcTechnique, LectorTechnique, ScpgTechnique)
 
-#: Modules outside the technique adapters whose code reaches a stored
-#: column: header and cluster sizing, activity, rail model, device and
-#: library scaling, area overhead, leakage, and the transforms.
-ENGINES = (
-    "power/headers.py", "power/probabilistic.py", "power/rails.py",
-    "power/leakage.py", "tech/transistor.py", "tech/library.py",
-    "netlist/stats.py", "scpg/transform.py", "scpg/power_model.py",
-    "techniques/cbtstc.py", "techniques/lector.py",
-)
-
 
 def _hex(comparison):
     """The comparison's JSON form with every float as ``float.hex``."""
-    def conv(value):
-        if isinstance(value, float):
-            return value.hex()
-        if isinstance(value, dict):
-            return {k: conv(v) for k, v in value.items()}
-        if isinstance(value, list):
-            return [conv(v) for v in value]
-        return value
-    return conv(comparison.as_dict())
+    return _hex_floats(comparison.as_dict())
+
+
+def _hex_floats(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _hex_floats(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_hex_floats(v) for v in value]
+    return value
 
 
 @pytest.fixture
@@ -128,13 +115,10 @@ class TestColumnKey:
             _column_inputs(handle or base.handle, e_cycle or base.e_cycle,
                            leakage or base.leakage, sta or base.sta, vdd))
 
-    def test_each_key_part_changes_the_key(self, base, tmp_path,
-                                           monkeypatch):
+    def test_each_key_part_changes_the_key(self, base, tmp_path):
         class Renamed(ScpgTechnique):
             pass
 
-        bumped = ScpgTechnique()
-        bumped.version = "scpg-column-v999"
         sta = base.sta
 
         # A netlist edit, on a private copy of the design.
@@ -158,21 +142,11 @@ class TestColumnKey:
         other_lib = self.digest(base, handle=other.design(DESIGN))
         other.close()
 
-        with monkeypatch.context() as m:
-            m.setattr(compare, "_code_digest", lambda module: "0" * 64)
-            code = self.digest(base)
-        with monkeypatch.context() as m:
-            m.setattr(compare, "ARTIFACT_SCHEMA", "circuit-artifacts-v0")
-            schema = self.digest(base)
-
         keys = {
             "base": self.digest(base),
-            "code": code,
-            "artifact schema": schema,
             "netlist edit": after,
             "library": other_lib,
             "technique": self.digest(base, tech=Renamed()),
-            "version": self.digest(base, tech=bumped),
             "vdd": self.digest(base, vdd=0.5),
             "e_cycle": self.digest(base, e_cycle=base.e_cycle * 1.5),
             "leakage": self.digest(base, leakage=dataclasses.replace(
@@ -188,13 +162,7 @@ class TestColumnKey:
     def test_key_is_deterministic(self, base):
         assert self.digest(base) == self.digest(base, tech=ScpgTechnique())
 
-    def test_no_version_or_no_store_means_no_key(self, base):
-        class Unversioned(ScpgTechnique):
-            version = None
-
-        inputs = _column_inputs(base.handle, base.e_cycle, base.leakage,
-                                base.sta, None)
-        assert _column_digest(Unversioned(), inputs) is None
+    def test_no_store_means_no_key(self, base):
         assert _column_digest(technique("scpg"), None) is None
 
 
@@ -245,6 +213,40 @@ class TestRepeatedComparison:
                 if hook == "sweep_model"] == ["cbtstc"]
         assert _hex(again) == cold
 
+    def test_code_edit_recomputes_everything(self, store_path, cold, built,
+                                             monkeypatch):
+        """A stored result never outlives the code that computed it: the
+        table's points, the bundle and the columns are all recomputed
+        under another code digest, and read back under the same one."""
+        def ask():
+            s = Session(store=store_path)
+            try:
+                h = s.design(DESIGN)
+                table = [dataclasses.asdict(row) for row in h.table(FREQS)]
+                answer = (_hex(s.compare_techniques(h, freqs=FREQS)),
+                          _hex_floats(table))
+                return answer, s.stats
+            finally:
+                s.close()
+
+        first, stats = ask()
+        points = stats.points
+        del built[:]
+        same, stats = ask()
+        assert built == []
+        assert (stats.evaluated, stats.cache_hits) == (0, points)
+        assert stats.artifact_misses == 0
+        assert same == first
+        assert first[0] == cold
+
+        monkeypatch.setattr(sqlite_store, "code_digest", lambda: "1" * 64)
+        edited, stats = ask()
+        assert (stats.evaluated, stats.cache_hits) == (points, 0)
+        assert stats.artifact_misses == 1
+        assert {name for name, hook in built
+                if hook == "sweep_model"} == {"scpg", "cbtstc", "lector"}
+        assert edited == first
+
     def test_storeless_session_builds_every_time(self, cold, built):
         assert _hex(_compare(None)[0]) == cold
         assert _hex(_compare(None)[0]) == cold
@@ -253,39 +255,21 @@ class TestRepeatedComparison:
 
 
 class TestCodeDigest:
-    @pytest.fixture
-    def package(self, tmp_path):
-        root = tmp_path / "repro"
-        shutil.copytree(SRC, root,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        return root
-
-    def test_every_engine_edit_changes_the_digest(self, package):
-        digests = [_source_digest(package)]
-        for path in ENGINES:
-            with open(package / path, "a") as fh:
-                fh.write("# edited\n")
-            digests.append(_source_digest(package))
-        (package / "power" / "new_engine.py").write_text("X = 1\n")
-        digests.append(_source_digest(package))
-        assert len(set(digests)) == len(ENGINES) + 2
-
-    def test_package_digest_matches_the_source(self, package):
-        assert _code_digest("repro.techniques.scpg") \
-            == _code_digest("repro.techniques.lector") \
-            == _source_digest(package) == _source_digest(SRC)
+    """The package source reaches every column through the store's key
+    (``tests/runner/test_fingerprint.py``); a technique defined outside
+    the package adds its own module's source."""
 
     def test_technique_outside_the_package(self, base_inputs):
         class Outside(ScpgTechnique):
             pass
 
         assert Outside.__module__ == __name__
-        here = _code_digest(__name__)
-        assert here is not None
-        assert here != _code_digest("repro.techniques.scpg")
+        assert _module_source("repro.techniques.scpg") == ""
+        assert len(_module_source(__name__)) == 64
+        assert _column_digest(Outside(), base_inputs) is not None
         # No readable source: nothing is stored.
         Outside.__module__ = "module_with_no_source"
-        assert _code_digest(Outside.__module__) is None
+        assert _module_source(Outside.__module__) is None
         assert _column_digest(Outside(), base_inputs) is None
 
     @pytest.fixture

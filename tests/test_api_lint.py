@@ -13,6 +13,11 @@ only gate-level simulator: the event engine lives on as the test oracle
 in ``tests/sim/``, so ``repro.sim.event`` / ``repro.sim.testbench``,
 ``CompiledSchedule.bind_module`` and the ``engine=`` switch of
 ``GateLevelCpu`` / ``cosimulate`` / ``DesignHandle.cosim`` are gone.
+The store salts every key with the package's code digest, which
+replaced the hand-bumped ``ARTIFACT_SCHEMA`` and ``COLUMN_SCHEMA``
+tags, the per-technique ``version`` opt-in and the ``salt=`` keyword of
+``SqliteStore`` / ``open_store``; ``repro.circuits.registry.resolve``
+replaced the CLI's ``_resolve_design`` shim.
 Their deprecation shims are deleted, so no module may define, re-export
 or call the old names again -- and the package must not expose them.
 """
@@ -52,6 +57,10 @@ DEPRECATED = {
     "ScpgPowerKernel / SubvtKernel / TechniquePowerKernel / "
     "GateSimKernel": re.compile(
         r"\b(?:GateSim|TechniquePower|ScpgPower|Subvt)Kernel\b"),
+    # Hand-bumped key tags: the store's code digest covers the code.
+    "ARTIFACT_SCHEMA": re.compile(r"\bARTIFACT_SCHEMA\b"),
+    "COLUMN_SCHEMA": re.compile(r"\bCOLUMN_SCHEMA\b"),
+    "repro.cli._resolve_design": re.compile(r"\b_resolve_design\b"),
 }
 
 #: Removed keywords, matched across the lines of a whole call: removed
@@ -60,6 +69,9 @@ DEPRECATED_CALLS = {
     "engine= of GateLevelCpu / cosimulate / .cosim": re.compile(
         r"(?:\bGateLevelCpu|\bcosimulate|\.cosim)\s*\("
         r"(?:[^()]|\([^()]*\))*?\bengine\s*="),
+    "salt= of SqliteStore / open_store": re.compile(
+        r"\b(?:SqliteStore|open_store)\s*\("
+        r"(?:[^()]|\([^()]*\))*?\bsalt\s*="),
 }
 
 #: The only file allowed to spell the removed names: this lint.
@@ -96,10 +108,8 @@ class TestNoDeprecatedCallers:
                     offenders.append("{}:{}: {}".format(
                         rel, lineno, line.strip()))
         assert not offenders, (
-            "{} was removed; use sweep / energy_sweep, pass a model's "
-            "batch method as kernel=, or use the technique registry:"
-            "\n{}".format(
-                name, "\n".join(offenders)))
+            "{} was removed (the module docstring names what replaced "
+            "it):\n{}".format(name, "\n".join(offenders)))
 
     @pytest.mark.parametrize("name", sorted(DEPRECATED_CALLS))
     def test_no_in_repo_call_with_removed_keyword(self, name):
@@ -115,8 +125,8 @@ class TestNoDeprecatedCallers:
                 offenders.append("{}:{}: {}".format(
                     rel, lineno, match.group(0).splitlines()[0].strip()))
         assert not offenders, (
-            "{} was removed; the compiled engine is the only one:\n{}"
-            .format(name, "\n".join(offenders)))
+            "{} was removed (the module docstring names what replaced "
+            "it):\n{}".format(name, "\n".join(offenders)))
 
     def test_allowlist_entries_exist(self):
         for rel in ALLOWED:
@@ -126,6 +136,7 @@ class TestNoDeprecatedCallers:
         import importlib.util
 
         import repro
+        import repro.cli
         import repro.flows
         import repro.runner
         import repro.scpg
@@ -139,10 +150,16 @@ class TestNoDeprecatedCallers:
                             (SubvtModel, "points_axis"),
                             (repro, "apply_scpg"),
                             (repro.scpg, "apply_scpg"),
-                            (repro.flows, "run_scpg_flow")):
+                            (repro.flows, "run_scpg_flow"),
+                            (repro.runner, "ARTIFACT_SCHEMA"),
+                            (repro.cli, "_resolve_design")):
             assert not hasattr(owner, name), name
         for fn in (core.evaluate_grid, core.Runner.run):
             assert "batch_fn" not in inspect.signature(fn).parameters
+        for fn in (repro.runner.SqliteStore, repro.runner.open_store):
+            assert "salt" not in inspect.signature(fn).parameters
+        assert not hasattr(repro.techniques.Technique, "version")
+        assert not hasattr(repro.runner.CircuitArtifacts, "schema")
         assert importlib.util.find_spec("repro.runner.kernel") is None
         for owner, names in ((repro.runner, (
                 "Kernel", "CompiledKernel", "register_kernel", "kernel_for",

@@ -35,6 +35,29 @@ class TestSession:
         handle = session.design("counter16")
         assert handle.design is handle.design
 
+    def test_handle_memoises_nominal_leakage(self, session, monkeypatch):
+        from repro.power import leakage
+
+        calls = []
+        walk = leakage.leakage_power
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("vdd"))
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(leakage, "leakage_power", counted)
+        handle = session.design("counter16")
+        nominal = handle.leakage()
+        handle.power_model()
+        handle.subvt_model()
+        session.compare_techniques(handle, freqs=[1e5],
+                                   techniques=["lector"])
+        assert handle.leakage() is nominal
+        assert calls == [None]
+        # An explicit supply is evaluated every time.
+        assert handle.leakage(vdd=0.5) is not handle.leakage(vdd=0.5)
+        assert calls == [None, 0.5, 0.5]
+
     def test_families_match_database(self, session):
         from repro.circuits.generators import available_families
 
