@@ -8,7 +8,13 @@ import threading
 
 import pytest
 
-from repro.runner import CACHE_ENV, STORE_FILE, SqliteStore, default_cache
+from repro.runner import (
+    CACHE_ENV,
+    STORE_FILE,
+    SqliteStore,
+    default_cache,
+    sqlite_store,
+)
 
 
 @pytest.fixture()
@@ -202,6 +208,16 @@ class TestResultCache:
 
         monkeypatch.setattr(cache, "_execute", refuse)
         assert cache.writeback(cache.key_for("k"), 7) is False
+
+    def test_salt_partitions_keys(self, tmp_path, monkeypatch):
+        # The code digest salts every key: one store file read by two
+        # package sources shares no key between them.
+        a = SqliteStore(tmp_path / "s.sqlite")
+        key = a.key_for("k")
+        monkeypatch.setattr(sqlite_store, "code_digest", lambda: "1" * 64)
+        b = SqliteStore(tmp_path / "s.sqlite")
+        assert b.key_for("k") != key
+        a.close(), b.close()
 
     def test_key_depends_on_all_parts(self, cache):
         assert cache.key_for("a", "b") != cache.key_for("a", "c")

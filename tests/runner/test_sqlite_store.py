@@ -11,7 +11,13 @@ import threading
 import pytest
 
 from repro.errors import RunnerError
-from repro.runner import CACHE_SCHEMA, SqliteStore, open_store, stable_hash
+from repro.runner import (
+    CACHE_SCHEMA,
+    SqliteStore,
+    open_store,
+    sqlite_store,
+    stable_hash,
+)
 from repro.runner.fingerprint import code_digest
 
 #: The fork start method matches the runner's own worker model and keeps
@@ -97,6 +103,14 @@ class TestInterfaceConformance:
     def test_writeback_swallows_unpicklable_values(self, store):
         assert store.writeback(store.key_for("k"), lambda: 1) is False
         assert store.key_for("k") not in store
+
+    def test_salt_partitions_keys(self, tmp_path, monkeypatch):
+        a = SqliteStore(tmp_path / "s.sqlite")
+        key = a.key_for("k")
+        monkeypatch.setattr(sqlite_store, "code_digest", lambda: "1" * 64)
+        b = SqliteStore(tmp_path / "s.sqlite")
+        assert b.key_for("k") != key
+        a.close(), b.close()
 
     def test_same_keys_as_directory_store(self, tmp_path):
         # The key format: the parts, salted with the namespace and the
