@@ -12,9 +12,9 @@ the workload vehicle and to harvest toggle traces for the power study:
   ``read_bus`` / ``set_inputs`` dict traffic);
 * **compiled** -- the same protocol on the compiled engine:
   ``GateLevelCpu.run`` predicts each window of cycles with the pipeline
-  model (:mod:`repro.isa.pipeline`), settles the window as
-  ``(cycles, nets)`` matrices and keeps what the netlist confirms by
-  induction, with the :class:`~repro.sim.compiled.ClosedLoopStepper`
+  model (:mod:`repro.isa.pipeline`), settles the window as one
+  net-major ``(nets, cycles)`` matrix and keeps what the netlist
+  confirms by induction, with the :class:`~repro.sim.compiled.ClosedLoopStepper`
   taking any cycle the prediction misses.
 
 Wall-clocks are best-of-``REPS``; the compiled side is also timed cold

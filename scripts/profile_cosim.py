@@ -5,9 +5,9 @@ Runs the same workload as ``benchmarks/test_cosim_speedup.py`` -- the
 M0-lite core executing CRC-32 to HALT through the batched
 ``GateLevelCpu.run``: pipeline-model prediction
 (:mod:`repro.isa.pipeline`), whole windows of cycles settled as
-``(cycles, nets)`` matrices and confirmed by induction, and the
-:class:`~repro.sim.compiled.ClosedLoopStepper` for any cycle a window
-misses -- under :mod:`cProfile` and writes two artifacts:
+net-major ``(nets, cycles)`` matrices and confirmed by induction, and
+the :class:`~repro.sim.compiled.ClosedLoopStepper` for any cycle a
+window misses -- under :mod:`cProfile` and writes two artifacts:
 
 * a binary ``.prof`` dump (``--prof``), loadable with ``snakeviz`` or
   ``python -m pstats`` for interactive digging;
@@ -46,7 +46,7 @@ def build_cpu(crc_rounds, group_size):
     from repro.tech.scl90 import build_scl90
 
     module = registry.build("m0lite", build_scl90())
-    # Warm the compiled schedule (its row programs and window cones)
+    # Warm the compiled schedule (its fan-out cone programs)
     # outside the profile, then build the CPU that will actually run
     # under it.
     warm = GateLevelCpu(module, crc32_program(crc_rounds),

@@ -128,7 +128,6 @@ class GateLevelCpu:
         self._trace = ActivityTrace()
         self._group_base = np.zeros(soa.n_nets, dtype=np.int64)
         self._cycles_in_group = 0
-        self._names_arr = np.asarray(soa.net_names, dtype=object)
         self._layout = FlopLayout.for_soa(soa)
         self._program_words = np.asarray(self.program, dtype=np.int64)
         self._reset()
@@ -193,7 +192,7 @@ class GateLevelCpu:
         if self._cycles_in_group >= self.group_size:
             self._flush_group()
         if self._record_states:
-            self._states.append(st.state_row())
+            self._states.append(st.state_row()[np.newaxis])
 
     def _flush_group(self):
         """Close the current toggle group (no-op when empty)."""
@@ -201,16 +200,9 @@ class GateLevelCpu:
             return
         soa = self._stepper.soa
         counts = self._stepper.toggle_counts
-        delta = counts - self._group_base
-        nz = np.nonzero(delta)[0]
-        self._trace.groups.append(GroupActivity(
-            index=len(self._trace.groups),
-            cycles=self._cycles_in_group,
-            total_toggles=int(delta.sum()),
-            nets=soa.non_const_nets,
-            toggles=dict(zip(self._names_arr[nz].tolist(),
-                             delta[nz].tolist())),
-        ))
+        self._trace.groups.append(GroupActivity.from_counts(
+            len(self._trace.groups), self._cycles_in_group,
+            soa.non_const_nets, soa.net_names, counts - self._group_base))
         self._group_base = counts.copy()
         self._cycles_in_group = 0
 
@@ -249,17 +241,18 @@ class GateLevelCpu:
         the netlist confirmed (and committed, exactly as :meth:`step`
         would have).
 
-        Row ``k`` of the window is the model's start state of cycle
-        ``k``, settled through the netlist; each row then runs the clock
-        pulse and both memory feeds, with the feed words computed from
-        the batched ``iaddr`` / ``daddr`` rows and the stores of the
-        settled start rows.  Cycle ``k`` is confirmed by induction: row
-        0 equals the stepper's state, and the start row of cycle ``k``
-        equals the computed end row of cycle ``k - 1`` -- so the end row
-        of every confirmed cycle is what stepping would have reached.  A
-        cycle whose store would fault, or whose store differs from the
-        model's, ends the confirmed prefix; so does the cycle after the
-        halt latch rises.
+        The window is one net-major ``(nets, cycles)`` matrix: column
+        ``k`` is the model's start state of cycle ``k``, settled through
+        the netlist; each column then runs the clock pulse and both
+        memory feeds, with the feed words computed from the batched
+        ``iaddr`` / ``daddr`` columns and the stores of the settled
+        start columns.  Cycle ``k`` is confirmed by induction: column 0
+        equals the stepper's state, and the start column of cycle ``k``
+        equals the computed end column of cycle ``k - 1`` -- so the end
+        column of every confirmed cycle is what stepping would have
+        reached.  A cycle whose store would fault, or whose store
+        differs from the model's, ends the confirmed prefix; so does the
+        cycle after the halt latch rises.
         """
         st = self._stepper
         state = st._state
@@ -273,10 +266,10 @@ class GateLevelCpu:
         m = len(window)
         if not m:
             return 0
-        rows = np.repeat(state[np.newaxis, :], m, axis=0)
-        rows[:, layout.q_cols] = layout.unpack(window.fields)
-        rows[:, self._idata.index] = self._idata.bits(window.idata)
-        rows[:, self._drdata.index] = self._drdata.bits(window.drdata)
+        starts = np.repeat(state[:, np.newaxis], m, axis=1)
+        starts[layout.q_cols] = layout.unpack(window.fields).T
+        starts[self._idata.index] = self._idata.bits(window.idata)
+        starts[self._drdata.index] = self._drdata.bits(window.drdata)
 
         program = self._program_words
         stores = []
@@ -289,11 +282,11 @@ class GateLevelCpu:
             return words
 
         def load_words(values):
-            # ``rows`` are settled by now: their stores commit as each
+            # ``starts`` are settled by now: their stores commit as each
             # cycle begins, ahead of that cycle's drdata feed.
-            dwrite = (rows[:, self._dwrite_idx] == 1).tolist()
-            addr, addr_ok = self._daddr.read_rows(rows)
-            data, data_ok = self._dwdata.read_rows(rows)
+            dwrite = (starts[self._dwrite_idx] == 1).tolist()
+            addr, addr_ok = self._daddr.read_rows(starts)
+            data, data_ok = self._dwdata.read_rows(starts)
             daddr, known = self._daddr.read_rows(values)
             memory = dict(self.memory)
             words = [0] * m
@@ -312,18 +305,18 @@ class GateLevelCpu:
             return np.asarray(words, dtype=np.int64)
 
         end, toggles = st.settle_window(
-            rows, ((self._idata, fetch_words), (self._drdata, load_words)))
+            starts, ((self._idata, fetch_words), (self._drdata, load_words)))
 
         good = np.empty(m, dtype=bool)
-        good[0] = np.array_equal(rows[0], state)
-        good[1:] = (rows[1:] == end[:-1]).all(axis=1)
+        good[0] = np.array_equal(starts[:, 0], state)
+        good[1:] = (starts[:, 1:] == end[:, :-1]).all(axis=0)
         good[len(stores):] = False
         for k, store in enumerate(stores):
             if store != window.stores[k]:
                 good[k:] = False
                 break
         done = m if good.all() else int(np.argmin(good))
-        halts = np.flatnonzero(end[:done, self._halted_idx] == 1)
+        halts = np.flatnonzero(end[self._halted_idx, :done] == 1)
         if len(halts):
             done = int(halts[0]) + 1
 
@@ -334,14 +327,14 @@ class GateLevelCpu:
         while k < done:
             take = min(done - k,
                        max(1, self.group_size - self._cycles_in_group))
-            st.adopt(end[k + take - 1],
-                     None if toggles is None else toggles[k:k + take])
+            st.adopt(end[:, k + take - 1],
+                     None if toggles is None else toggles[:, k:k + take])
             k += take
             self._cycles_in_group += take
             if self._cycles_in_group >= self.group_size:
                 self._flush_group()
         if self._record_states:
-            self._states.extend(end[:done].copy())
+            self._states.append(end[:, :done].T.copy())
         self.cycles += done
         self._batched += done
         return done
@@ -401,7 +394,7 @@ class GateLevelCpu:
         if not self._states:
             n = len(self.state_net_names)
             return np.zeros((0, n), dtype=np.int8)
-        return np.asarray(self._states, dtype=np.int8)
+        return np.concatenate(self._states)
 
 
 @dataclass

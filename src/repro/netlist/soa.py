@@ -5,33 +5,34 @@ integer-indexed arrays: every net becomes an index into a value vector,
 every combinational (instance, output pin) pair becomes one *gate entry*
 with an ``int8`` ternary truth table in a shared flat table array, and
 the entries are ranked into dependency levels
-(:func:`repro.netlist.traverse.levels_for`) and grouped by arity so a
-whole level evaluates as one batched table lookup::
+(:func:`repro.netlist.traverse.levels_for`).  Each level is one
+:class:`Level`, a padded operand table, so a whole level of a
+net-major ``(nets, rows)`` value matrix settles as one fused gather::
 
-    keys = V[:, in_idx] @ pow3          # (B, gates) ternary codes
-    V[:, out_idx] = tables[base + keys] # one gather per (level, arity)
+    keys = base + sum_k V[cols[k]] * 3**k   # (gates, rows) ternary codes
+    V[out] = tables[keys]                   # one gather per level
 
-Two further lowered forms serve the closed-loop paths:
+A *program* is a list of levels: :attr:`SoaNetlist.levels` is the full
+schedule, and :meth:`SoaNetlist.cone` cuts the program of a fan-out cone
+(a clock net, an input bus, the flop outputs), so a phase that perturbs
+few nets settles only what they reach.  :meth:`SoaNetlist.settle` runs
+any program over any number of rows; a single row ``r`` settles as
+``r[:, None]``.
 
-* :meth:`SoaNetlist.pack_levels` merges a level list into
-  :class:`RowOp` *row programs* -- every level collapses into one
-  padded-arity gather (operand columns weighted ``3**k``, padding
-  weighted ``0``), which is what makes settling a **single** value row
-  cheap enough for cycle-at-a-time reactive stepping
-  (:class:`repro.sim.compiled.ClosedLoopStepper`);
-* :func:`lower_leakage` walks the cell instances once into a
-  :class:`LeakageSoa` -- per-instance base-leakage arrays plus, for
-  every cell with Liberty-style ``leakage_states``, a dense state table
-  indexed by the packed ternary code of its input-pin values -- so
-  state-dependent leakage over a whole co-sim trace is one gather per
-  cell group instead of a per-cycle netlist walk
-  (:func:`repro.power.leakage.state_leakage_trace`).
+:func:`lower_leakage` walks the cell instances once into a
+:class:`LeakageSoa` -- per-instance base-leakage arrays plus, for every
+cell with Liberty-style ``leakage_states``, a dense state table indexed
+by the packed ternary code of its input-pin values -- so state-dependent
+leakage over a whole co-sim trace is one gather per cell group instead
+of a per-cycle netlist walk
+(:func:`repro.power.leakage.state_leakage_trace`).
 
 The lowered form holds only names, indices and arrays -- no ``Net`` /
 ``Instance`` / ``Cell`` references -- so it pickles into the artifact
-cache and ships to worker processes unchanged.  Combinational feedback
-makes a levelized schedule impossible, and an unconnected gate input
-has no value to gather; :func:`lower_soa` then raises
+cache and ships to worker processes unchanged; a level pickles as its
+``int32`` operand table alone (see :meth:`Level.fused`).  Combinational
+feedback makes a levelized schedule impossible, and an unconnected gate
+input has no value to gather; :func:`lower_soa` then raises
 :class:`~repro.errors.NetlistError`, which every simulation entry point
 re-raises (see :mod:`repro.sim.compiled`).
 """
@@ -47,50 +48,56 @@ from ..tech.library import CellKind
 from ..sim.logic import X, compile_cell
 from .traverse import connectivity_for, level_rows
 
-
-@dataclass
-class CombGroup:
-    """One (level, arity) batch of gate entries.
-
-    ``in_idx`` is ``(gates, arity)``; ``pow3`` encodes the operand order
-    of :class:`~repro.sim.logic.CompiledCell` (operand ``k`` weighted
-    ``3**k``); ``table_base`` offsets each gate's truth table inside the
-    shared flat table array.
-    """
-
-    arity: int
-    in_idx: np.ndarray
-    out_idx: np.ndarray
-    table_base: np.ndarray
-    pow3: np.ndarray
-    #: Per-operand contiguous column views of ``in_idx`` (gather order).
-    in_cols: list = field(default_factory=list)
+#: Operand slot of :attr:`Level.cols` that a narrower gate leaves empty.
+PAD = -1
 
 
 @dataclass
-class RowOp:
-    """One merged level of a packed *row program*.
+class Level:
+    """One dependency level of a settle program: its gates, whatever
+    their arity, padded to the widest.
 
-    Every gate of the level -- whatever its arity -- is padded to the
-    level's maximum arity ``A``: ``cols`` is ``(A, gates)`` operand net
-    indices (pads point at net 0), ``weights`` is ``(A, gates)`` ternary
-    weights (``3**k`` for real operands, ``0`` for pads, so pads
-    contribute nothing to the table key), ``base`` the per-gate table
-    offsets and ``out`` the output net indices.  A whole level then
-    settles as ``row[out] = tables[base + sum_k row[cols[k]]*weights[k]]``
-    -- one fused gather per level instead of one per (level, arity)
-    group, which is what a single-row reactive step needs.
+    ``cols`` is ``(A, gates)`` ``int32`` operand net indices (operand
+    ``k`` in :class:`~repro.sim.logic.CompiledCell` order, weighted
+    ``3**k``; :data:`PAD` past a gate's arity), ``base`` each gate's
+    truth-table offset in :attr:`SoaNetlist.tables` and ``out`` its
+    output net.  A tie cell is all pads: its key is ``base``.
     """
 
     cols: np.ndarray
-    weights: np.ndarray
     base: np.ndarray
     out: np.ndarray
 
-    def __post_init__(self):
-        # Flattened operand indices: one ndarray.take per level beats
-        # ``A`` separate gathers (fewer trips through numpy dispatch).
-        self.flat_cols = np.ascontiguousarray(self.cols.reshape(-1))
+    def fused(self, key):
+        """``(cols, weights, base, out)``, the gather form
+        :meth:`SoaNetlist.settle` runs, with keys of dtype ``key``: the
+        operand indices with pads reading net 0, their ``3**k`` weights
+        (``0`` for pads, which then add nothing to the key) and ``base``
+        as a ``(gates, 1)`` column.  Derived on first use and kept out
+        of the pickle."""
+        memo = self.__dict__.get("_fused")
+        if memo is None or memo[1].dtype != key:
+            pad = self.cols == PAD
+            pow3 = 3 ** np.arange(len(self.cols))[:, None]
+            memo = self._fused = (
+                np.where(pad, 0, self.cols).astype(np.intp),
+                np.where(pad, 0, pow3).astype(key)[:, :, None],
+                self.base.astype(key)[:, None],
+                self.out.astype(np.intp))
+        return memo
+
+    def select(self, keep):
+        """The level cut to the gates of boolean mask ``keep``, its
+        padding trimmed to their widest arity."""
+        cols = self.cols[:, keep]
+        arity = int((cols != PAD).sum(axis=0).max(initial=0))
+        return Level(np.ascontiguousarray(cols[:arity]), self.base[keep],
+                     self.out[keep])
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_fused", None)
+        return state
 
 
 @dataclass
@@ -106,8 +113,8 @@ class SoaNetlist:
     #: Port name -> net index, in declaration order.
     input_ports: dict = field(default_factory=dict)
     output_ports: dict = field(default_factory=dict)
-    #: Levelized evaluation schedule: ``levels[L]`` is a list of
-    #: :class:`CombGroup` whose inputs are all settled by level ``L``.
+    #: The full settle program: one :class:`Level` per dependency
+    #: level, each reading only nets settled by the levels before it.
     levels: list = field(default_factory=list)
     tables: np.ndarray = None
     #: Sequential rows: pin net indices with ``-1`` for absent pins.
@@ -127,6 +134,11 @@ class SoaNetlist:
     def n_seq(self):
         return len(self.seq_names)
 
+    @property
+    def key_dtype(self):
+        """The truth-table key dtype: ``int16`` while every key fits."""
+        return np.int16 if self.tables.size < 2 ** 15 else np.int32
+
     def initial_values(self):
         """The pre-simulation value vector: all-X except constants."""
         values = np.full(self.n_nets, X, dtype=np.int8)
@@ -134,136 +146,50 @@ class SoaNetlist:
             values[self.const_idx] = self.const_val
         return values
 
-    def subschedule(self, sources):
-        """Levels filtered to the transitive fanout of ``sources``.
+    def cone(self, sources):
+        """The program of the transitive fan-out of ``sources`` (net
+        indices; negative ones are ignored).
 
-        Returns a ``levels``-shaped list usable with :meth:`eval_comb`:
-        only gates whose fan-in cone reaches a source net are kept, so a
+        Only gates whose fan-in cone reaches a source net are kept, so a
         phase that perturbs few nets (a clock edge, an input change)
         settles by evaluating just the affected cone.  Starting from a
         settled state this computes the same fixed point as a full pass.
         """
-        dirty = np.zeros(self.n_nets, dtype=bool)
-        for idx in sources:
-            if idx >= 0:
-                dirty[idx] = True
-        levels = []
+        # Slot ``n_nets`` stands for pads and absent pins: never dirty.
+        dirty = np.zeros(self.n_nets + 1, dtype=bool)
+        sources = np.asarray(sources, dtype=np.int64)
+        dirty[sources[sources >= 0]] = True
+        program = []
         for level in self.levels:
-            sub = []
-            for grp in level:
-                if grp.arity == 0:
-                    continue        # constants settle in the init pass
-                hit = dirty[grp.in_idx].any(axis=1)
-                if hit.all():
-                    sub.append(grp)
-                    dirty[grp.out_idx] = True
-                elif hit.any():
-                    keep = np.nonzero(hit)[0]
-                    in_idx = grp.in_idx[keep]
-                    cut = CombGroup(
-                        arity=grp.arity,
-                        in_idx=in_idx,
-                        out_idx=grp.out_idx[keep],
-                        table_base=grp.table_base[keep],
-                        pow3=grp.pow3,
-                        in_cols=[np.ascontiguousarray(in_idx[:, j])
-                                 for j in range(grp.arity)],
-                    )
-                    sub.append(cut)
-                    dirty[cut.out_idx] = True
-            if sub:
-                levels.append(sub)
-        return levels
-
-    def eval_comb(self, values, levels=None):
-        """Settle every combinational net of ``values`` in place.
-
-        ``values`` is ``(batch, n_nets)`` ``int8``; one pass evaluates
-        each level as batched truth-table gathers, so every net
-        transitions at most once -- the functional (hazard-free) fixed
-        point of the sources (ports, constants, flop outputs).
-        ``levels`` restricts the pass to a :meth:`subschedule`.
-        """
-        tables = self.tables
-        for level in (self.levels if levels is None else levels):
-            for grp in level:
-                if grp.arity == 0:
-                    values[:, grp.out_idx] = tables[grp.table_base]
-                    continue
-                cols = grp.in_cols
-                keys = grp.table_base + values[:, cols[0]]
-                for j in range(1, grp.arity):
-                    keys += values[:, cols[j]] * grp.pow3[j]
-                values[:, grp.out_idx] = tables[keys]
-
-    def pack_levels(self, levels=None):
-        """Merge a level list into a :class:`RowOp` row program.
-
-        ``levels`` defaults to the full schedule and also accepts a
-        :meth:`subschedule` result.  Constant (arity-0) gates fold in
-        with an all-pad column set, so their key degenerates to
-        ``base`` -- the init pass already settles them, re-evaluating is
-        idempotent.
-        """
-        ops = []
-        for level in (self.levels if levels is None else levels):
-            if not level:
+            hit = dirty[level.cols].any(axis=0)
+            if hit.all():
+                program.append(level)
+            elif hit.any():
+                program.append(level.select(hit))
+            else:
                 continue
-            total = sum(len(grp.out_idx) for grp in level)
-            if not total:
-                continue
-            max_arity = max(grp.arity for grp in level)
-            cols = np.zeros((max_arity, total), dtype=np.int64)
-            weights = np.zeros((max_arity, total), dtype=np.int64)
-            base = np.empty(total, dtype=np.int64)
-            out = np.empty(total, dtype=np.int64)
-            at = 0
-            for grp in level:
-                n = len(grp.out_idx)
-                for k in range(grp.arity):
-                    cols[k, at:at + n] = grp.in_idx[:, k]
-                    weights[k, at:at + n] = grp.pow3[k]
-                base[at:at + n] = grp.table_base
-                out[at:at + n] = grp.out_idx
-                at += n
-            ops.append(RowOp(cols=cols, weights=weights, base=base, out=out))
-        return ops
+            dirty[program[-1].out] = True
+        return program
 
-    def row_program(self):
-        """The full-schedule row program, packed once and memoised."""
-        ops = getattr(self, "_row_full", None)
-        if ops is None:
-            ops = self.pack_levels()
-            self._row_full = ops
-        return ops
+    def settle(self, values, program=None):
+        """Settle the combinational nets of ``values`` in place.
 
-    def eval_row(self, row, ops=None):
-        """Settle a single ``(n_nets,)`` value row in place.
-
-        The single-row counterpart of :meth:`eval_comb`: one fused
-        gather per merged level (``ops`` defaults to the memoised
-        :meth:`row_program`; pass a :meth:`pack_levels` of a
-        :meth:`subschedule` to settle only an affected cone).  Computes
-        the identical functional fixed point.
+        ``values`` is a net-major ``(n_nets, rows)`` ``int8`` matrix
+        (a single row ``r`` as ``r[:, None]``); each level of
+        ``program`` (default: the full :attr:`levels`) evaluates as one
+        fused gather over every row, so every net transitions at most
+        once -- the functional (hazard-free) fixed point of the sources
+        (ports, constants, flop outputs).  Pass a :meth:`cone` to settle
+        only what a change reaches.
         """
-        tables = self.tables
-        if ops is None:
-            ops = self.row_program()
-        for op in ops:
-            arity = op.cols.shape[0]
-            if arity == 0:
-                row[op.out] = tables[op.base]
-                continue
-            keys = (row.take(op.flat_cols).reshape(arity, -1)
-                    * op.weights).sum(axis=0)
-            keys += op.base
-            row.put(op.out, tables.take(keys))
-
-    def __getstate__(self):
-        """Drop lazily-packed row programs (rebuilt on demand)."""
-        state = dict(self.__dict__)
-        state.pop("_row_full", None)
-        return state
+        tables, key = self.tables, self.key_dtype
+        for level in self.levels if program is None else program:
+            cols, weights, base, out = level.fused(key)
+            # (A, gates, rows) operands -> (gates, rows) table keys.
+            keys = np.add.reduce(values.take(cols, axis=0) * weights,
+                                 axis=0, dtype=key)
+            keys += base
+            values[out] = tables.take(keys)
 
 
 @dataclass
@@ -477,19 +403,19 @@ def lower_soa(module):
         bases.append(len(flat_tables))
         flat_tables.extend(compile_cell(cell).tables[pin])
     soa.tables = np.asarray(flat_tables, dtype=np.int8)
-    bases = np.asarray(bases, dtype=np.int64)[kind]
-    soa.levels = [[] for _ in range(batches[-1][0] + 1 if batches else 0)]
+    bases = np.asarray(bases, dtype=np.int32)[kind]
+    out = out.astype(np.int32)
+    # One padded operand table per level ((level, arity) batches come
+    # in increasing order, so a level's batches are consecutive).
+    by_level = {}
     for level, arity, sel in batches:
-        in_idx = conn.in_net[row[sel], :arity].astype(np.int64)
-        soa.levels[level].append(CombGroup(
-            arity=arity,
-            in_idx=in_idx,
-            out_idx=out[sel],
-            table_base=bases[sel],
-            pow3=np.asarray([3 ** j for j in range(arity)], dtype=np.int64),
-            in_cols=[np.ascontiguousarray(in_idx[:, j])
-                     for j in range(arity)],
-        ))
+        by_level.setdefault(level, []).append((arity, sel))
+    for batch in by_level.values():
+        sel = np.concatenate([sel for _, sel in batch])
+        arity = batch[-1][0]
+        soa.levels.append(Level(
+            cols=np.ascontiguousarray(conn.in_net[row[sel], :arity].T),
+            base=bases[sel], out=out[sel]))
 
     # -- sequential rows -----------------------------------------------------
     seq = conn.seq_rows

@@ -12,21 +12,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 
-@dataclass
+
 class GroupActivity:
     """Activity of one vector group.
 
     ``switching_probability`` is the average per-net toggle rate per cycle
     (the paper's y-axis); ``toggles`` maps net name -> count for the power
-    engine.
+    engine.  A group the simulator records (:meth:`from_counts`) keeps
+    only the nonzero net indices and their counts, and builds the
+    mapping on its first read.
     """
 
-    index: int
-    cycles: int
-    total_toggles: int
-    nets: int
-    toggles: dict = field(default_factory=dict)
+    def __init__(self, index, cycles, total_toggles, nets, toggles=None):
+        self.index = index
+        self.cycles = cycles
+        self.total_toggles = total_toggles
+        self.nets = nets
+        self._toggles = {} if toggles is None else toggles
+        self._sparse = None
+
+    @classmethod
+    def from_counts(cls, index, cycles, nets, names, counts):
+        """The group of per-net toggle ``counts`` (net ``i`` is named
+        ``names[i]``), held as sparse arrays."""
+        hit = np.flatnonzero(counts)
+        group = cls(index, cycles, int(counts.sum()), nets)
+        group._toggles = None
+        group._sparse = (names, hit.astype(np.int32),
+                         counts[hit].astype(np.int32))
+        return group
+
+    @property
+    def toggles(self):
+        """Net name -> toggle count, nets without toggles left out."""
+        if self._toggles is None:
+            names, hit, counts = self._sparse
+            self._toggles = dict(zip([names[i] for i in hit.tolist()],
+                                     counts.tolist()))
+        return self._toggles
 
     @property
     def switching_probability(self):
@@ -34,6 +59,22 @@ class GroupActivity:
         if self.cycles == 0 or self.nets == 0:
             return 0.0
         return self.total_toggles / (self.cycles * self.nets)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        if self._sparse is not None:
+            state["_toggles"] = None        # rebuilt from the arrays
+        return state
+
+    def __eq__(self, other):
+        if not isinstance(other, GroupActivity):
+            return NotImplemented
+        return (self.index, self.cycles, self.total_toggles, self.nets,
+                self.toggles) == (other.index, other.cycles,
+                                  other.total_toggles, other.nets,
+                                  other.toggles)
+
+    __hash__ = None
 
 
 @dataclass

@@ -7,7 +7,11 @@ the repository's gate-level simulator: a whole workload of input vectors
 simulates as a handful of batched numpy passes instead of per-event
 Python dispatch.  Each clock cycle is three settled phases (inputs
 applied with the clock low, the rising edge, the falling edge), and
-every phase is a levelized sweep over a ``(cycles, nets)`` value matrix.
+every phase is a levelized sweep
+(:meth:`~repro.netlist.soa.SoaNetlist.settle`) over a net-major
+``(nets, cycles)`` value matrix: one row per net, so a level gathers its
+operands as whole rows.  The public results keep their cycle-major
+shapes (:attr:`CompiledRun.toggle_matrix` is ``(cycles, nets)``).
 
 Zero-delay semantics follow a generational event wave.  A phase's
 stimulus settles in one sweep; every flop with an event on its CK or RN
@@ -21,11 +25,12 @@ differences between consecutive settled sweeps, so every 0 <-> 1
 transition of the wave is counted exactly once.
 
 Cross-cycle state is resolved by fixed-point iteration: the cycle-``k``
-row starts from cycle ``k-1``'s settled end state, so each batched pass
-finalises at least one more cycle and a ``d``-deep pipeline converges in
-``d + 1`` passes.  ``tests/sim/event.py`` keeps an event-driven
-simulator as the differential oracle; the tests assert bit-identical
-toggles, activity groups, final values and state traces against it.
+column starts from cycle ``k-1``'s settled end state, so each batched
+pass finalises at least one more cycle and a ``d``-deep pipeline
+converges in ``d + 1`` passes.  ``tests/sim/event.py`` keeps an
+event-driven simulator as the differential oracle; the tests assert
+bit-identical toggles, activity groups, final values and state traces
+against it.
 
 A netlist with combinational feedback, or a gate input left open, has no
 levelized order: :func:`compile_schedule` still returns a schedule, but
@@ -36,15 +41,15 @@ Closed-loop workloads (a testbench that must *read* outputs each cycle
 to decide the next inputs -- the ISA co-simulator's memory protocol)
 cannot batch cycles at all, so :meth:`CompiledSchedule.stepper` exposes
 the same settled-phase machinery one cycle at a time: a
-:class:`ClosedLoopStepper` settles single value rows through merged
-packed row programs (:meth:`repro.netlist.soa.SoaNetlist.pack_levels`),
-skips applies whose values did not change, samples flops only on phases
-whose affected cone reaches a CK/RN pin, and accrues the identical
-consecutive-snapshot toggle diffs.  When the caller can predict each
-cycle's start state (the M0-lite pipeline model does),
-:meth:`ClosedLoopStepper.settle_window` settles a whole window of such
-cycles as ``(cycles, nets)`` matrices through the same phases, leaving
-the caller to confirm the prediction.
+:class:`ClosedLoopStepper` settles its single value row as a one-column
+matrix through the memoised fan-out cone of each change
+(:meth:`repro.netlist.soa.SoaNetlist.cone`), skips applies whose values
+did not change, samples flops only on phases whose cone reaches a CK/RN
+pin, and accrues the identical consecutive-snapshot toggle diffs.  When
+the caller can predict each cycle's start state (the M0-lite pipeline
+model does), :meth:`ClosedLoopStepper.settle_window` settles a whole
+window of such cycles as one ``(nets, cycles)`` matrix through the same
+phases, leaving the caller to confirm the prediction.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NetlistError, SimulationError
-from ..netlist.soa import lower_soa
+from ..netlist.soa import PAD, lower_soa
 from .activity import ActivityTrace, GroupActivity
 from .logic import X, to_ternary
 
@@ -74,11 +79,11 @@ def _accrue(counts, a, b):
     counts += mask
 
 
-def _set_columns(cols, value):
-    """A phase stimulus: drive columns ``cols`` of every row to
+def _set_nets(nets, value):
+    """A phase stimulus: drive nets ``nets`` of every column to
     ``value``."""
     def mutate(values):
-        values[:, cols] = value
+        values[nets] = value
     return mutate
 
 
@@ -92,7 +97,7 @@ class CompiledRun:
     trace: ActivityTrace = None
     #: Net name -> final settled value (clock low).
     final_values: dict = field(default_factory=dict)
-    #: Per-cycle per-net toggle matrix.
+    #: Per-cycle per-net toggle matrix, ``(cycles, nets)``.
     toggle_matrix: np.ndarray = None
 
     def toggle_snapshot(self):
@@ -108,13 +113,14 @@ class CompiledRun:
 
 
 class _FlopTable:
-    """Per-flop pin columns for the generational sampler: flops with Q,
+    """Per-flop pin nets for the generational sampler: flops with Q,
     CK and D nets (the rest can change nothing, or cannot run at all --
     see :meth:`CompiledSchedule.require`).
 
     ``sens`` holds every CK/RN pin net once; a generation's events are
-    the changes of those columns, so the sampler gathers ``(rows,
-    len(sens))`` slices instead of whole value matrices.
+    the changes of those nets, so the sampler gathers ``(len(sens),
+    columns)`` slices instead of whole value matrices.  Per-flop masks
+    are ``(flops, 1)`` columns, broadcasting over the matrix columns.
     """
 
     def __init__(self, soa):
@@ -125,26 +131,25 @@ class _FlopTable:
         ck = soa.seq_ck[rows]
         en = soa.seq_en[rows]
         rn = soa.seq_rn[rows]
-        self.has_en = en >= 0
-        self.en = np.where(self.has_en, en, 0)
-        self.has_rn = rn >= 0
+        self.has_en = (en >= 0)[:, np.newaxis]
+        self.en = np.where(en >= 0, en, 0)
+        self.has_rn = (rn >= 0)[:, np.newaxis]
         # sorted() over a set: np.unique would import numpy.ma.
         self.sens = np.asarray(
-            sorted(set(ck.tolist()) | set(rn[self.has_rn].tolist())),
+            sorted(set(ck.tolist()) | set(rn[rn >= 0].tolist())),
             dtype=np.int64)
         self.ck_pos = np.searchsorted(self.sens, ck)
-        self.rn_pos = np.searchsorted(self.sens,
-                                      np.where(self.has_rn, rn, ck))
+        self.rn_pos = np.searchsorted(self.sens, np.where(rn >= 0, rn, ck))
         # Oscillation guard: an acyclic chain of state-driven clocks and
         # resets takes at most two generations per flop.
         self.limit = 4 * (len(rows) + 2)
 
     def sample(self, old, new, values, wave):
-        """The Q columns after one generation's sampling, or ``None``
-        when no Q changes.
+        """The Q rows after one generation's sampling, or ``None`` when
+        no Q changes.
 
-        ``old`` / ``new`` are the ``sens`` columns before and at this
-        generation, ``values`` the current matrix (its Q columns are the
+        ``old`` / ``new`` are the ``sens`` rows before and at this
+        generation, ``values`` the current matrix (its Q rows are the
         held state) and ``wave`` the phase-start matrix.  A flop with an
         event on CK or RN samples: RN low or X dominates; otherwise a
         rising CK edge captures the phase-start D (EN == 0 holds, EN ==
@@ -153,19 +158,19 @@ class _FlopTable:
         """
         if np.array_equal(old, new):
             return None
-        ck_old = old[:, self.ck_pos]
-        ck_new = new[:, self.ck_pos]
+        ck_old = old[self.ck_pos]
+        ck_new = new[self.ck_pos]
         ck_ev = ck_old != ck_new
-        rn_new = new[:, self.rn_pos]
-        rn_ev = self.has_rn & (old[:, self.rn_pos] != rn_new)
+        rn_new = new[self.rn_pos]
+        rn_ev = self.has_rn & (old[self.rn_pos] != rn_new)
         active = ck_ev | rn_ev
         if not active.any():
             return None
-        held = values[:, self.q]
+        held = values[self.q]
         rising = ck_ev & (ck_old == 0) & (ck_new == 1)
         q_next = np.where(ck_ev & ~rising & (ck_new == X), X, held)
-        en = np.where(self.has_en, wave[:, self.en], 1)
-        d = np.where(en == X, X, wave[:, self.d])
+        en = np.where(self.has_en, wave[self.en], 1)
+        d = np.where(en == X, X, wave[self.d])
         q_next = np.where(rising & (en != 0), d, q_next)
         rn_now = np.where(self.has_rn, rn_new, 1)
         q_next = np.where(active & (rn_now == 0), 0, q_next)
@@ -186,8 +191,7 @@ class CompiledSchedule:
     """
 
     #: Memoised derived tables, rebuilt on demand after unpickling.
-    _MEMOS = ("_flops", "_fo_state", "_fo_sources", "_row_state",
-              "_row_inputs")
+    _MEMOS = ("_flops", "_cones")
 
     def __init__(self, soa=None, why=""):
         self.soa = soa
@@ -244,14 +248,14 @@ class CompiledSchedule:
         cells, then the logic settles as one wave, so a flop whose reset
         settles low clears (and a state-driven pin samples as usual)."""
         soa = self.soa
-        start = soa.initial_values()[np.newaxis, :].copy()
-        soa.eval_comb(start, [[grp for grp in level if grp.arity == 0]
-                              for level in soa.levels])
+        start = soa.initial_values()[:, np.newaxis]
+        for level in soa.levels:
+            tie = (level.cols == PAD).all(axis=0)
+            start[level.out[tie], 0] = soa.tables[level.base[tie]]
         values = start.copy()
-        soa.eval_comb(values)
-        return self._generations(
-            start, values, lambda v: None,
-            lambda v: soa.eval_comb(v, self._state_levels()))[-1][0]
+        soa.settle(values)
+        return self._generations(start, values, lambda v: None,
+                                 self._settle_state)[-1][:, 0]
 
     def _flop_table(self):
         """The memoised :class:`_FlopTable`, ``None`` without flops."""
@@ -265,15 +269,15 @@ class CompiledSchedule:
         """Settle one phase's stimulus generation by generation -- the
         one flop sampler every engine path uses.
 
-        ``start`` is the phase-start matrix, ``values`` the same
-        rows with the stimulus applied.  Generation ``g`` starts from
-        the values its events left: every flop with an event on a CK or
-        RN pin (a change since generation ``g - 1`` started) samples
-        (:meth:`_FlopTable.sample`), the changes settle in one sweep --
-        ``settle`` for the stimulus, ``settle_state`` for flop outputs
-        -- and only then do the sampled Qs update, as the next
-        generation's events.  A sweep that moves a CK or RN pin also
-        makes the next generation sample.
+        ``start`` is the phase-start ``(nets, columns)`` matrix,
+        ``values`` the same columns with the stimulus applied.
+        Generation ``g`` starts from the values its events left: every
+        flop with an event on a CK or RN pin (a change since generation
+        ``g - 1`` started) samples (:meth:`_FlopTable.sample`), the
+        changes settle in one sweep -- ``settle`` for the stimulus,
+        ``settle_state`` for flop outputs -- and only then do the
+        sampled Qs update, as the next generation's events.  A sweep
+        that moves a CK or RN pin also makes the next generation sample.
 
         Returns the settled matrix after each sweep; the last is the end
         state, and consecutive ones differ by at most one transition per
@@ -284,93 +288,69 @@ class CompiledSchedule:
             settle(values)
             return [values]
         sens = table.sens
-        old = start[:, sens]
-        rows = []
+        old = start[sens]
+        matrices = []
         sweep = settle
         for _ in range(table.limit):
-            new = values[:, sens]
+            new = values[sens]
             if sweep is not None:
                 sweep(values)
-                rows.append(values)
+                matrices.append(values)
             q_next = table.sample(old, new, values, start)
             old = new
             if q_next is not None:
                 values = values.copy()
-                values[:, table.q] = q_next
+                values[table.q] = q_next
                 sweep = settle_state
             elif sweep is not None and \
-                    not np.array_equal(values[:, sens], new):
+                    not np.array_equal(values[sens], new):
                 sweep = None        # derived CK/RN pins moved: sample
             else:
-                return rows
+                return matrices
         raise SimulationError(
             "simulation did not settle (oscillating state loop?) in "
             "module {}".format(self.soa.module_name))
 
-    def _phase(self, start, mutate, levels, sample=True):
-        """One settled phase over a ``(rows, nets)`` matrix: copy
+    def _settle_state(self, values):
+        """Settle the fan-out of every flop output."""
+        self.soa.settle(values, self._cone(None)[0])
+
+    def _phase(self, start, mutate, program, sample=True):
+        """One settled phase over a ``(nets, columns)`` matrix: copy
         ``start``, apply ``mutate``, settle the perturbed cone
-        (``levels``) and run the generations (skipped when ``sample`` is
-        False: the cone reaches no CK/RN pin).  Returns the settled
+        (``program``) and run the generations (skipped when ``sample``
+        is False: the cone reaches no CK/RN pin).  Returns the settled
         matrix after each sweep (see :meth:`_generations`)."""
         soa = self.soa
         values = start.copy()
         mutate(values)
         if not sample:
-            soa.eval_comb(values, levels)
+            soa.settle(values, program)
             return [values]
         return self._generations(
-            start, values, lambda v: soa.eval_comb(v, levels),
-            lambda v: soa.eval_comb(v, self._state_levels()))
+            start, values, lambda v: soa.settle(v, program),
+            self._settle_state)
 
-    def _state_levels(self):
-        """Subschedule for the fanout of every flop output."""
-        levels = getattr(self, "_fo_state", None)
-        if levels is None:
-            levels = self.soa.subschedule(self.soa.seq_q.tolist())
-            self._fo_state = levels
-        return levels
+    def _cone(self, sources):
+        """``(program, samples)`` for the fan-out cone of a tuple of
+        source nets -- every flop output when ``sources`` is ``None`` --
+        memoised per tuple (a clock net, an input bus).
 
-    def _fanout_levels(self, sources):
-        """Subschedule for the fanout of a tuple of source nets
-        (memoised per tuple: a clock net, an input bus)."""
-        cache = getattr(self, "_fo_sources", None)
-        if cache is None:
-            cache = self._fo_sources = {}
-        levels = cache.get(sources)
-        if levels is None:
-            levels = cache[sources] = self.soa.subschedule(list(sources))
-        return levels
-
-    def _row_state_prog(self):
-        """Packed row program for the flop-output fanout (memoised)."""
-        prog = getattr(self, "_row_state", None)
-        if prog is None:
-            prog = self._row_state = \
-                self.soa.pack_levels(self._state_levels())
-        return prog
-
-    def _row_apply_prog(self, idxs):
-        """``(packed cone program, needs-flop-sampling)`` for applying
-        the given net indices, memoised per index set.
-
-        Sampling is needed exactly when the apply can move a CK or RN
-        pin net: a generation samples only flops with an event there.
+        ``samples`` says whether the change can move a CK or RN pin
+        net: a generation samples only flops with an event there.
         """
-        cache = getattr(self, "_row_inputs", None)
-        if cache is None:
-            cache = self._row_inputs = {}
-        key = tuple(idxs)
-        entry = cache.get(key)
+        cones = self.__dict__.setdefault("_cones", {})
+        entry = cones.get(sources)
         if entry is None:
             soa = self.soa
-            prog = soa.pack_levels(soa.subschedule(list(key)))
-            affected = set(key)
-            for op in prog:
-                affected.update(op.out.tolist())
+            nets = soa.seq_q if sources is None else list(sources)
+            program = soa.cone(nets)
+            affected = set(np.asarray(nets).tolist())
+            for level in program:
+                affected.update(level.out.tolist())
             sens = set(soa.seq_ck[soa.seq_ck >= 0].tolist())
             sens |= set(soa.seq_rn[soa.seq_rn >= 0].tolist())
-            entry = cache[key] = (prog, bool(affected & sens))
+            entry = cones[sources] = (program, bool(affected & sens))
         return entry
 
     def stepper(self, clock="clk", record_toggles=True):
@@ -383,17 +363,16 @@ class CompiledSchedule:
         """Fixed-point batched replay of one chunk of cycles.
 
         ``state`` is the settled clock-low state entering the chunk;
-        returns ``(per-cycle toggle matrix, final state row)``.
+        returns ``(per-cycle toggles, final state)``, the toggles
+        net-major ``(nets, cycles)``.
         """
         soa = self.soa
         ncyc = len(vectors)
         n = soa.n_nets
         if ncyc == 0:
-            return np.zeros((0, n), dtype=np.int64), state
+            return np.zeros((n, 0), dtype=np.int64), state
 
         # Input stimulus with carry-forward for unspecified ports.
-        stim_cols = []
-        stim_idx = []
         prev = {name: int(state[idx])
                 for name, idx in soa.input_ports.items() if name != clock}
         series = {name: [] for name in prev}
@@ -410,25 +389,22 @@ class CompiledSchedule:
                 prev[name] = to_ternary(vec[name])
             for name, col in series.items():
                 col.append(prev[name])
-        for name, col in series.items():
-            stim_idx.append(soa.input_ports[name])
-            stim_cols.append(col)
-        stim_idx = np.asarray(stim_idx, dtype=np.int64)
-        stim = np.asarray(stim_cols, dtype=np.int8).T \
-            if stim_cols else np.zeros((ncyc, 0), dtype=np.int8)
+        stim_idx = tuple(soa.input_ports[name] for name in series)
+        stim = np.asarray(list(series.values()), dtype=np.int8)
 
         def apply_inputs(v):
-            if len(stim_idx):
-                v[:, stim_idx] = stim
+            if stim_idx:
+                v[list(stim_idx)] = stim
 
-        fo_inputs = soa.subschedule(stim_idx.tolist())
-        fo_clock = self._fanout_levels((clk_idx,))
-        prev_c = np.repeat(state[np.newaxis, :], ncyc, axis=0)
+        fo_inputs = self._cone(stim_idx)[0]
+        fo_clock = self._cone((clk_idx,))[0]
+        prev_c = np.repeat(state[:, np.newaxis], ncyc, axis=1)
         for _ in range(ncyc + 1):
             a = self._phase(prev_c, apply_inputs, fo_inputs)
-            b = self._phase(a[-1], _set_columns([clk_idx], 1), fo_clock)
-            c = self._phase(b[-1], _set_columns([clk_idx], 0), fo_clock)
-            rolled = np.vstack([state[np.newaxis, :], c[-1][:-1]])
+            b = self._phase(a[-1], _set_nets([clk_idx], 1), fo_clock)
+            c = self._phase(b[-1], _set_nets([clk_idx], 0), fo_clock)
+            rolled = np.concatenate([state[:, np.newaxis], c[-1][:, :-1]],
+                                    axis=1)
             if np.array_equal(rolled, prev_c):
                 break
             prev_c = rolled
@@ -437,10 +413,10 @@ class CompiledSchedule:
 
         tog = np.zeros(prev_c.shape, dtype=np.int64)
         before = prev_c
-        for row in a + b + c:
-            _accrue(tog, before, row)
-            before = row
-        return tog, c[-1][-1]
+        for matrix in a + b + c:
+            _accrue(tog, before, matrix)
+            before = matrix
+        return tog, c[-1][:, -1]
 
     # -- public API ----------------------------------------------------------
 
@@ -457,43 +433,37 @@ class CompiledSchedule:
         clk_idx = soa.input_ports[clock]
         vectors = list(vectors)
 
-        state = self._init[np.newaxis, :]
+        state = self._init[:, np.newaxis]
         pre = np.zeros(state.shape, dtype=np.int64)
         qcols = soa.seq_q[soa.seq_q >= 0]
-        for cols, value, levels in (
-                ([clk_idx], 0, self._fanout_levels((clk_idx,))),
-                (qcols, to_ternary(reset), self._state_levels())):
-            if not len(cols):
+        for nets, value, program in (
+                ([clk_idx], 0, self._cone((clk_idx,))[0]),
+                (qcols, to_ternary(reset), self._cone(None)[0])):
+            if not len(nets):
                 continue
-            for row in self._phase(state, _set_columns(cols, value),
-                                   levels):
-                _accrue(pre, state, row)
-                state = row
-        state = state[0]
+            for matrix in self._phase(state, _set_nets(nets, value),
+                                      program):
+                _accrue(pre, state, matrix)
+                state = matrix
+        state = state[:, 0]
 
-        per_cycle = []
+        per_chunk = []
         for at in range(0, len(vectors), _MAX_BATCH):
             tog, state = self._run_chunk(vectors[at:at + _MAX_BATCH], clock,
                                          clk_idx, state)
-            per_cycle.append(tog)
-        toggle_matrix = np.concatenate(per_cycle, axis=0) if per_cycle \
-            else np.zeros((0, soa.n_nets), dtype=np.int64)
-        counts = toggle_matrix.sum(axis=0) + pre[0]
+            per_chunk.append(tog)
+        toggles = np.concatenate(per_chunk, axis=1) if per_chunk \
+            else np.zeros((soa.n_nets, 0), dtype=np.int64)
+        counts = toggles.sum(axis=1) + pre[:, 0]
 
         trace = None
         if group_size is not None:
             trace = ActivityTrace()
             for start in range(0, len(vectors), group_size):
-                block = toggle_matrix[start:start + group_size]
-                sums = block.sum(axis=0)
-                nz = np.nonzero(sums)[0]
-                trace.groups.append(GroupActivity(
-                    index=len(trace.groups),
-                    cycles=block.shape[0],
-                    total_toggles=int(sums.sum()),
-                    nets=soa.non_const_nets,
-                    toggles={soa.net_names[i]: int(sums[i]) for i in nz},
-                ))
+                block = toggles[:, start:start + group_size]
+                trace.groups.append(GroupActivity.from_counts(
+                    len(trace.groups), block.shape[1], soa.non_const_nets,
+                    soa.net_names, block.sum(axis=1)))
 
         return CompiledRun(
             cycles=len(vectors),
@@ -502,7 +472,7 @@ class CompiledSchedule:
             trace=trace,
             final_values={name: int(state[i])
                           for i, name in enumerate(soa.net_names)},
-            toggle_matrix=toggle_matrix,
+            toggle_matrix=toggles.T,
         )
 
     def evaluate(self, points):
@@ -531,11 +501,11 @@ class CompiledSchedule:
             raise SimulationError(
                 "expected {} input columns, got {}".format(
                     len(in_idx), points.shape[1]))
-        values = np.repeat(self._init[np.newaxis, :], len(points), axis=0)
-        values[:, in_idx] = points
-        soa.eval_comb(values)
+        values = np.repeat(self._init[:, np.newaxis], len(points), axis=1)
+        values[in_idx] = points.T
+        soa.settle(values)
         out_idx = np.asarray(list(soa.output_ports.values()), dtype=np.int64)
-        return values[:, out_idx]
+        return values[out_idx].T
 
 
 def bus_values(name, width, value):
@@ -549,7 +519,7 @@ class BusView:
 
     Output views gather the current settled values in one take;
     input views drive a whole integer through the stepper's memoised
-    apply program -- no per-bit name formatting or dict traffic on the
+    apply cone -- no per-bit name formatting or dict traffic on the
     per-cycle path.
     """
 
@@ -573,11 +543,11 @@ class BusView:
                         "input port" if writable else "net", bit))
             idx.append(at)
         self._idx = np.asarray(idx, dtype=np.int64)
-        self._shifts = np.arange(width, dtype=np.int64)
-        self._pow2 = np.int64(1) << self._shifts
+        self._shifts = np.arange(width, dtype=np.int64)[:, np.newaxis]
+        self._pow2 = np.int64(1) << self._shifts[:, 0]
         if writable:
             self._prog, self._sample = \
-                stepper.schedule._row_apply_prog(tuple(idx))
+                stepper.schedule._cone(tuple(idx))
         else:
             self._prog = self._sample = None
 
@@ -601,19 +571,19 @@ class BusView:
         return self._idx.copy()
 
     def bits(self, words):
-        """The ``int8`` bits of an int (``(width,)``) or of an int array
-        (``(len, width)``), LSB first."""
+        """The ``int8`` bits of an int (``(width,)``) or, net-major, of
+        an int array (``(width, len)``), LSB first."""
         words = np.asarray(words, dtype=np.int64)
-        return ((words[..., np.newaxis] >> self._shifts) & 1).astype(
-            np.int8)
+        shifts = self._shifts if words.ndim else self._shifts[:, 0]
+        return ((words >> shifts) & 1).astype(np.int8)
 
     def read_rows(self, values):
-        """Batched :meth:`read` over a ``(rows, nets)`` value matrix:
-        ``(ints, known)``, where ``known`` is False on rows with an X bit
-        (their int is meaningless)."""
-        bits = values[:, self._idx]
-        known = ~(bits == X).any(axis=1)
-        return bits.astype(np.int64) @ self._pow2, known
+        """Batched :meth:`read` over the columns of a ``(nets, columns)``
+        value matrix: ``(ints, known)``, where ``known`` is False on
+        columns with an X bit (their int is meaningless)."""
+        bits = values[self._idx]
+        known = ~(bits == X).any(axis=0)
+        return self._pow2 @ bits.astype(np.int64), known
 
 
 class ClosedLoopStepper:
@@ -621,12 +591,11 @@ class ClosedLoopStepper:
 
     The standard protocol -- settled apply phases with the clock low,
     then :meth:`posedge` / :meth:`negedge` -- over a single ``(n_nets,)``
-    value row: the perturbed cone settles through a memoised packed row
-    program, flop sampling runs only when the cone can reach a CK/RN
-    pin, unchanged applies skip entirely, and every phase goes through
-    the batched engine's generational sampler
-    (:meth:`CompiledSchedule._generations`), so state and toggles match
-    a batched run of the same stimulus bit for bit.
+    value row, settled as a one-column matrix: the perturbed cone
+    settles through its memoised program, flop sampling runs only when
+    the cone can reach a CK/RN pin, unchanged applies skip entirely, and
+    every phase is a :meth:`CompiledSchedule._phase`, so state and
+    toggles match a batched run of the same stimulus bit for bit.
 
     This is the engine under :class:`repro.isa.trace.GateLevelCpu`;
     anything per-cycle-interactive can drive it directly via
@@ -644,14 +613,12 @@ class ClosedLoopStepper:
         self._state = schedule._init.copy()
         self.toggle_counts = np.zeros(soa.n_nets, dtype=np.int64)
         self.cycles = 0
-        state_prog = schedule._row_state_prog()
-        self._settle_state = lambda v: soa.eval_row(v[0], state_prog)
         self._programs = {}
         self._seq_rows = {name: row
                           for row, name in enumerate(soa.seq_names)}
         clk_idx = soa.input_ports[clock]
         self._clk_idx = np.asarray([clk_idx], dtype=np.int64)
-        self._clk_prog, _ = schedule._row_apply_prog((clk_idx,))
+        self._clk_prog, _ = schedule._cone((clk_idx,))
         self._clk_vals = (np.asarray([0], dtype=np.int8),
                           np.asarray([1], dtype=np.int8))
 
@@ -664,16 +631,12 @@ class ClosedLoopStepper:
         start = self._state
         if np.array_equal(start[idx], vals):
             return
-        soa = self.soa
-        row = start.copy()
-        row[idx] = vals
-        if sample:
-            rows = [r[0] for r in self.schedule._generations(
-                start[np.newaxis, :], row[np.newaxis, :],
-                lambda v: soa.eval_row(v[0], prog), self._settle_state)]
-        else:
-            soa.eval_row(row, prog)
-            rows = [row]
+
+        def mutate(values):
+            values[idx, 0] = vals
+
+        rows = [m[:, 0] for m in self.schedule._phase(
+            start[:, np.newaxis], mutate, prog, sample)]
         if self.record_toggles:
             for after in rows:
                 _accrue(self.toggle_counts, start, after)
@@ -694,7 +657,7 @@ class ClosedLoopStepper:
                         "module {} has no input port {}".format(
                             soa.module_name, name))
                 idx.append(at)
-            prog, sample = self.schedule._row_apply_prog(tuple(idx))
+            prog, sample = self.schedule._cone(tuple(idx))
             entry = self._programs[names] = (
                 np.asarray(idx, dtype=np.int64), prog, sample)
         idx, prog, sample = entry
@@ -724,48 +687,45 @@ class ClosedLoopStepper:
         self.negedge()
         self.cycles += 1
 
-    def settle_window(self, rows, feeds):
-        """Settle a window of independent cycles as ``(cycles, nets)``
-        matrices: the batched twin of driving each row through
-        :meth:`posedge`, :meth:`negedge` and one settled input phase per
-        feed.
+    def settle_window(self, starts, feeds):
+        """Settle a window of independent cycles as one net-major
+        ``(nets, cycles)`` matrix: the batched twin of driving each
+        column through :meth:`posedge`, :meth:`negedge` and one settled
+        input phase per feed.
 
-        ``rows`` are the cycles' start states -- sources (flop outputs,
-        input ports) right, everything else a don't-care -- and are
-        settled in place by one full pass.  ``feeds`` is a sequence of
-        ``(bus, words)``: after the clock pulse each writable
-        :class:`BusView` is driven, in order, with ``words(values)``, an
-        int per row computed from the phase-start matrix.  Every phase is
-        a :meth:`CompiledSchedule._phase`, so sampling and settling follow
+        Column ``k`` of ``starts`` is cycle ``k``'s start state --
+        sources (flop outputs, input ports) right, everything else a
+        don't-care -- and ``starts`` is settled in place by one full
+        pass.  ``feeds`` is a sequence of ``(bus, words)``: after the
+        clock pulse each writable :class:`BusView` is driven, in order,
+        with ``words(values)``, an int per column computed from the
+        phase-start matrix.  Every phase is a
+        :meth:`CompiledSchedule._phase`, so sampling and settling follow
         the stepper's rules exactly, and toggles are the same
         consecutive-snapshot diffs.
 
-        Returns ``(end rows, per-cycle toggles)``; the toggles are an
-        ``int8`` ``(cycles, nets)`` matrix, or ``None`` without
+        Returns ``(end states, per-cycle toggles)``, both ``(nets,
+        cycles)``; the toggles are ``int8``, or ``None`` without
         ``record_toggles``.  The stepper's own state is untouched (see
         :meth:`adopt`).
         """
         schedule = self.schedule
-        self.soa.eval_comb(rows)
-        clk = self._clk_idx
-        fo_clock = schedule._fanout_levels((int(clk[0]),))
+        self.soa.settle(starts)
 
         def drive(bus, words):
             def mutate(values):
-                values[:, bus._idx] = bus.bits(words(values))
+                values[bus._idx] = bus.bits(words(values))
             return mutate
 
-        phases = [(_set_columns(clk, 1), fo_clock, True),
-                  (_set_columns(clk, 0), fo_clock, True)]
-        phases += [(drive(bus, words),
-                    schedule._fanout_levels(tuple(bus._idx.tolist())),
-                    bus._sample)
+        phases = [(_set_nets(self._clk_idx, 1), self._clk_prog, True),
+                  (_set_nets(self._clk_idx, 0), self._clk_prog, True)]
+        phases += [(drive(bus, words), bus._prog, bus._sample)
                    for bus, words in feeds]
-        toggles = np.zeros(rows.shape, dtype=np.int8) \
+        toggles = np.zeros(starts.shape, dtype=np.int8) \
             if self.record_toggles else None
-        values = rows
-        for mutate, levels, sample in phases:
-            settled = schedule._phase(values, mutate, levels, sample)
+        values = starts
+        for mutate, program, sample in phases:
+            settled = schedule._phase(values, mutate, program, sample)
             if toggles is not None:
                 for after in settled:
                     _accrue(toggles, values, after)
@@ -774,13 +734,14 @@ class ClosedLoopStepper:
             del settled     # hold no more window-sized matrices than needed
         return values, toggles
 
-    def adopt(self, row, toggles=None):
-        """Take ``row`` -- a settled end row of :meth:`settle_window` --
-        as the current state, accruing ``toggles`` (per-cycle rows to sum,
-        as :meth:`settle_window` returns them) when recording."""
-        self._state = row.copy()
+    def adopt(self, state, toggles=None):
+        """Take ``state`` -- a settled end column of
+        :meth:`settle_window` -- as the current state, accruing
+        ``toggles`` (``(nets, cycles)`` columns to sum, as
+        :meth:`settle_window` returns them) when recording."""
+        self._state = state.copy()
         if toggles is not None and self.record_toggles:
-            self.toggle_counts += toggles.sum(axis=0)
+            self.toggle_counts += toggles.sum(axis=1)
 
     def force_flops(self, value=0):
         """Force every flop output to ``value`` as one settled phase:
@@ -792,7 +753,7 @@ class ClosedLoopStepper:
             return
         self._apply_indexed(qcols, np.full(len(qcols), to_ternary(value),
                                            dtype=np.int8),
-                            self.schedule._row_state_prog(), True)
+                            self.schedule._cone(None)[0], True)
 
     # -- accessors -----------------------------------------------------------
 

@@ -1,13 +1,16 @@
 """Activity recording and the Fig. 7 vector-grouping pipeline."""
 
+import pickle
 import random
 
 import pytest
 
-from repro.sim.activity import group_activity
+from repro.isa.programs import crc32_program, dhrystone_memory
+from repro.isa.trace import GateLevelCpu
+from repro.sim.activity import ActivityTrace, GroupActivity, group_activity
 from repro.sim.compiled import bus_values
 
-from .testbench import ClockedTestbench, GroupRecorder
+from .testbench import ClockedTestbench, EventCpu, GroupRecorder, event_run
 
 
 def _mult_vectors(rng, n, magnitude=0xFFFF):
@@ -88,3 +91,90 @@ class TestRecorder:
         rec.flush()
         rec.flush()
         assert len(rec.trace.groups) == 1
+
+
+def _fields(group):
+    return (group.index, group.cycles, group.total_toggles, group.nets,
+            group.switching_probability)
+
+
+@pytest.fixture(scope="module")
+def cosim_traces(m0_module):
+    """``(compiled, oracle)`` traces of one CRC-32 co-simulation."""
+    program, memory = crc32_program(1), dhrystone_memory()
+    gate = GateLevelCpu(m0_module, program, memory)
+    gate.run()
+    oracle = EventCpu(m0_module, program, memory)
+    oracle.run()
+    return gate.activity_trace(), oracle.activity_trace()
+
+
+class TestLazyToggles:
+    """Recorded groups keep sparse arrays and build ``toggles`` on the
+    first read; nothing a reader sees differs from the oracle's dicts."""
+
+    def test_cosim_groups_equal_oracle(self, cosim_traces):
+        trace, oracle = cosim_traces
+        assert len(trace.groups) == len(oracle.groups) > 10
+        for got, want in zip(trace.groups, oracle.groups):
+            assert got._sparse is not None
+            assert _fields(got) == _fields(want)
+            assert got.toggles == want.toggles
+            assert dict(got.toggles) == want.toggles
+            assert got == want
+
+    def test_vector_groups_equal_oracle(self, mult_module):
+        vectors = _mult_vectors(random.Random(8), 25)
+        trace = group_activity(mult_module, vectors, group_size=10)
+        oracle = event_run(mult_module, vectors, group_size=10).trace
+        assert [(_fields(g), dict(g.toggles)) for g in trace.groups] == \
+            [(_fields(g), g.toggles) for g in oracle.groups]
+
+    def test_mapping_built_once(self, mult_module):
+        trace = group_activity(mult_module,
+                               _mult_vectors(random.Random(9), 10))
+        group = trace.groups[0]
+        assert group._toggles is None
+        assert group.toggles is group.toggles
+        assert sum(group.toggles.values()) == group.total_toggles
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_trace_pickles(self, cosim_traces, read_first):
+        trace, oracle = cosim_traces
+        if read_first:
+            for group in trace.groups:
+                group.toggles
+        restored = pickle.loads(pickle.dumps(trace))
+        assert all(g._toggles is None for g in restored.groups)
+        assert restored.groups == oracle.groups
+        assert restored.series == oracle.series
+
+    def test_representatives_and_series_unchanged(self, cosim_traces):
+        trace, oracle = cosim_traces
+        assert trace.series == oracle.series
+        assert trace.average_switching_probability() == \
+            oracle.average_switching_probability()
+        got, want = trace.representative_groups(), \
+            oracle.representative_groups()
+        assert {k: g.index for k, g in got.items()} == \
+            {k: g.index for k, g in want.items()}
+        assert {k: g.toggles for k, g in got.items()} == \
+            {k: g.toggles for k, g in want.items()}
+
+    def test_dict_constructor(self, mult_module):
+        """The oracle's recorder still builds groups from a dict."""
+        tb = ClockedTestbench(mult_module)
+        tb.reset_flops()
+        rec = GroupRecorder(tb.sim, group_size=2)
+        for value in (5, 9):
+            tb.cycle(bus_values("a", 16, value))
+            rec.after_cycle()
+        group = rec.trace.groups[0]
+        assert group.toggles and sum(group.toggles.values()) == \
+            group.total_toggles
+        plain = GroupActivity(index=0, cycles=1, total_toggles=3, nets=4,
+                              toggles={"n1": 3})
+        assert plain.toggles == {"n1": 3}
+        assert GroupActivity(0, 1, 0, 4).toggles == {}
+        copy = pickle.loads(pickle.dumps(ActivityTrace(groups=[plain])))
+        assert copy.groups == [plain]

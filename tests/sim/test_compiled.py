@@ -407,6 +407,34 @@ class TestMemoisationAndPickle:
         assert_runs_identical(restored.run_vectors(vectors),
                               schedule.run_vectors(vectors))
 
+    #: Pickled ``CompiledSchedule`` sizes (bytes) of the lowering that
+    #: stored a weight matrix and a flat index copy per level.
+    OLD_PICKLE_BYTES = {"m0": 486_642, "mult": 68_578}
+
+    @pytest.mark.parametrize("name", ["m0", "mult"])
+    def test_pickle_is_slim_and_carries_no_memo(self, request, name):
+        """The schedule rides in every artifact bundle: after use it
+        pickles exactly as fresh -- no flop table, cone or fused gather
+        form -- and below the old lowering's size."""
+        module = request.getfixturevalue(name + "_module")
+        schedule = compile_schedule(module)
+        fresh = pickle.dumps(schedule)
+        if name == "m0":
+            stepper = schedule.stepper()
+            stepper.force_flops(0)
+            stepper.cycle({"rstn": 0})
+        else:
+            schedule.run_vectors(mult_vectors(4))
+        assert schedule._cones and any(
+            "_fused" in vars(level) for level in schedule.soa.levels)
+        warm = pickle.dumps(schedule)
+        assert warm == fresh
+        assert len(warm) <= self.OLD_PICKLE_BYTES[name]
+        restored = pickle.loads(warm)
+        assert not {"_flops", "_cones"} & set(vars(restored))
+        assert not any("_fused" in vars(level)
+                       for level in restored.soa.levels)
+
     def test_unpickled_latch_still_names_the_loop(self, lib):
         restored = pickle.loads(pickle.dumps(
             compile_schedule(build_latch(lib))))
