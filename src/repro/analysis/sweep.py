@@ -111,22 +111,22 @@ def find_convergence(model, mode=Mode.SCPG, f_lo=1e4, f_hi=None,
     runner = Runner() if runner is None else runner
     if f_hi is None:
         f_hi = model.feasible_fmax(mode)
-    breakdown = runner.evaluator(
-        lambda point: model.power(point[0], point[1]),
-        cache_key=power_cache_key(model))
+    with runner.evaluator(lambda point: model.power(point[0], point[1]),
+                          cache_key=power_cache_key(model)) as breakdown:
 
-    def saving(f):
-        return breakdown((f, Mode.NO_PG)).total - breakdown((f, mode)).total
+        def saving(f):
+            return breakdown((f, Mode.NO_PG)).total \
+                - breakdown((f, mode)).total
 
-    if saving(f_lo) <= 0:
-        raise ScpgError("no saving even at {:.3g} Hz".format(f_lo))
-    if saving(f_hi) > 0:
-        return None
-    lo, hi = f_lo, f_hi
-    while (hi - lo) / hi > tolerance:
-        mid = (lo + hi) / 2.0
-        if saving(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+        if saving(f_lo) <= 0:
+            raise ScpgError("no saving even at {:.3g} Hz".format(f_lo))
+        if saving(f_hi) > 0:
+            return None
+        lo, hi = f_lo, f_hi
+        while (hi - lo) / hi > tolerance:
+            mid = (lo + hi) / 2.0
+            if saving(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
     return (lo + hi) / 2.0

@@ -340,8 +340,8 @@ class GeneratorFamily:
 
 _FAMILIES = {}
 
-#: library -> {canonical DesignKey -> Module}; weak on the library so a
-#: dropped corner library releases its elaborations.
+#: library -> {canonical DesignKey -> (Module, generation at build)};
+#: weak on the library so a dropped corner library releases them.
 _ELABORATED = weakref.WeakKeyDictionary()
 
 
@@ -431,11 +431,21 @@ def elaborate(key, library, fresh=False):
         per_lib = _ELABORATED.setdefault(library, {})
     except TypeError:  # library without weakref support
         return fam.builder(library, **canon.params)
-    module = per_lib.get(canon)
-    if module is None:
+    entry = per_lib.get(canon)
+    if entry is None:
         module = fam.builder(library, **canon.params)
-        per_lib[canon] = module
-    return module
+        entry = per_lib[canon] = (module, module.generation)
+    return entry[0]
+
+
+def edited_since_elaboration(key, library):
+    """True when the memoised elaboration of the canonical ``key`` on
+    ``library`` was edited after it was built."""
+    try:
+        entry = _ELABORATED.get(library, {}).get(key)
+    except TypeError:  # library without weakref support
+        return False
+    return entry is not None and entry[0].generation != entry[1]
 
 
 def expand_family(name, **axes):

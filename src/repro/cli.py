@@ -16,6 +16,7 @@ writing Python:
 ``serve``        HTTP job API: sweeps as a service over a shared store
 ``subvt``        sub-threshold sweep and minimum-energy point
 ``report``       replay a run journal/trace into a timing + anomaly report
+``cache``        maintain the result store (``prune``: drop stale entries)
 ===============  ============================================================
 
 Designs are referenced by a registered name (``mult16``, ``m0lite``,
@@ -345,6 +346,21 @@ def cmd_report(args):
     return 0
 
 
+def cmd_cache(args):
+    from .runner import default_cache, open_store
+
+    path = args.store_path or args.cache
+    store = open_store(path) if path else default_cache()
+    if store is None:
+        raise ReproError("no result store: pass --cache PATH or set "
+                         "REPRO_CACHE_DIR")
+    try:
+        print("pruned {} entries from {}".format(store.prune(), store.path))
+    finally:
+        store.close()
+    return 0
+
+
 def cmd_serve(args):
     from .serve import SweepService, serve_forever
     from .session import Session
@@ -527,6 +543,14 @@ def build_parser():
                    "(default 3.0)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)
+
+    p = sub.add_parser("cache", help="maintain the result store")
+    p.add_argument("action", choices=("prune",), help="'prune' deletes "
+                   "the entries of other package-source versions")
+    p.add_argument("--cache", dest="store_path", metavar="PATH",
+                   help="the store file (default: the global --cache, "
+                   "else $REPRO_CACHE_DIR's)")
+    p.set_defaults(func=cmd_cache)
 
     return parser
 

@@ -40,6 +40,7 @@ re-raises (see :mod:`repro.sim.compiled`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,14 +101,27 @@ class Level:
         return state
 
 
+class _NetIndexed:
+    """``net_index`` (name -> index), derived from ``net_names`` on first
+    use and kept out of the pickle."""
+
+    @cached_property
+    def net_index(self):
+        return {name: i for i, name in enumerate(self.net_names)}
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("net_index", None)
+        return state
+
+
 @dataclass
-class SoaNetlist:
+class SoaNetlist(_NetIndexed):
     """A flat module lowered to struct-of-arrays form."""
 
     module_name: str = ""
     #: Net index space: ``net_names[i]`` is the name of net ``i``.
     net_names: list = field(default_factory=list)
-    net_index: dict = field(default_factory=dict)
     const_idx: np.ndarray = None
     const_val: np.ndarray = None
     #: Port name -> net index, in declaration order.
@@ -212,7 +226,7 @@ class StateLeakGroup:
 
 
 @dataclass
-class LeakageSoa:
+class LeakageSoa(_NetIndexed):
     """Per-instance leakage data lowered out of the netlist walk.
 
     ``base`` is each instance's state-independent cell leakage (at
@@ -231,7 +245,6 @@ class LeakageSoa:
     is_header: np.ndarray = None
     groups: list = field(default_factory=list)
     net_names: list = field(default_factory=list)
-    net_index: dict = field(default_factory=dict)
     const_idx: np.ndarray = None
     const_val: np.ndarray = None
     #: ``[(CellKind, instance index array)]`` in first-occurrence order.
@@ -330,8 +343,7 @@ def lower_leakage(module):
     types = conn.cell_types
     code = conn.cell_code
     lk = LeakageSoa(module_name=module.name, net_names=conn.net_names,
-                    net_index=conn.net_index, const_idx=conn.const_idx,
-                    const_val=conn.const_val)
+                    const_idx=conn.const_idx, const_val=conn.const_val)
     lk.inst_names = [inst.name for inst in conn.cells]
     lk.cell_names = [types[c].name for c in code.tolist()]
     lk.kinds = [types[c].kind for c in code.tolist()]
@@ -380,8 +392,7 @@ def lower_soa(module):
     """
     conn, rows, _ = level_rows(module)      # raises on loops / hierarchy
     soa = SoaNetlist(module_name=module.name, net_names=conn.net_names,
-                     net_index=conn.net_index, const_idx=conn.const_idx,
-                     const_val=conn.const_val)
+                     const_idx=conn.const_idx, const_val=conn.const_val)
     soa.non_const_nets = len(conn.net_names) - len(conn.const_idx)
     for port in module.input_ports():
         soa.input_ports[port.name] = conn.port_net[port.name]

@@ -5,13 +5,13 @@ through this package.  The public surface:
 
 * :func:`evaluate_grid` / :class:`Runner` -- fan a function over a grid of
   points with deterministic ordering, in-process or as chunks on a
-  worker pool, an optional content-addressed store with incremental
-  writeback, bounded retries with backoff, per-point timeouts, and
+  worker pool, an optional content-addressed store read and written in
+  batches, bounded retries with backoff, per-point timeouts, and
   worker-crash recovery;
 * :class:`WorkerPool` -- the reusable warm worker pool: one executor
   surviving across grids;
 * :class:`SqliteStore` -- the content-addressed result store, keyed by
-  stable fingerprints of (design netlist, library parameters, operating
+  stable fingerprints of (design identity, library parameters, operating
   point, mode) and of the package source, in one WAL-mode SQLite file
   that many processes share safely -- what ``Session(store=...)`` and
   the :mod:`repro.serve` job service ride;
@@ -21,7 +21,8 @@ through this package.  The public surface:
   log of everything a run did (the runner's black-box recorder);
 * :class:`ArtifactStore` / :class:`CircuitArtifacts` -- the per-circuit
   compile-once cache (the compiled STA, switching, SCPG model table and
-  simulation schedule, shared across grid points and processes);
+  simulation schedule, with the nominal leakage and timing, shared
+  across grid points and processes);
 * :func:`fingerprint` / :func:`stable_hash` / :func:`module_fingerprint`
   / :func:`stable_hash_or_none` -- the canonical hashing primitives.
 """

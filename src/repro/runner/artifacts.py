@@ -13,16 +13,18 @@ stores those forms together:
   SCPG transform (the transformed netlist's leakage lowering, nominal
   timing, rail model, isolation count and area overhead) -- also the
   SCPG column of a technique comparison;
-* ``gate_sim`` -- the :class:`~repro.sim.compiled.CompiledSchedule`.
+* ``gate_sim`` -- the :class:`~repro.sim.compiled.CompiledSchedule`;
+* ``leakage`` / ``sta`` -- the nominal leakage report and timing result.
 
-Each is the owning module's own compiled form, not a copy of its
-arithmetic, so a bundle answers exactly what the module answers.  None
-of them keeps a ``Net`` or ``Instance``, so a bundle pickles.
+Each is the owning module's own compiled form or result, not a copy of
+its arithmetic, so a bundle answers exactly what the module answers.
+None of them keeps a ``Net`` or ``Instance``, so a bundle pickles.
 
-Bundles are keyed by the owning handle's content fingerprint (netlist +
-library), and the store salts every key with the package source, so
-editing the circuit, the library or the code *changes the key* and
-stale bundles are simply never read again.  An :class:`ArtifactStore`
+Bundles are keyed by the owning handle's identity (design key or
+Verilog source, plus library: :attr:`repro.session.DesignHandle.
+fingerprint`), and the store salts every key with the package source,
+so asking about another circuit or library, or editing the code,
+*changes the key* and stale bundles are simply never read again.  An :class:`ArtifactStore`
 memoises bundles in-process and shares them across processes through the
 same :class:`~repro.runner.sqlite_store.SqliteStore` the point results
 use.
@@ -30,6 +32,7 @@ use.
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import dataclass
 
@@ -40,16 +43,44 @@ from ..obs.trace import NULL_TRACER
 from ..scpg.power_model import ScpgModelTable
 from .journal import NULL_JOURNAL
 
+class _UnpickledOnUse:
+    """A field a pickled bundle carries as bytes, unpickled on first
+    read (``timing`` is only needed off the nominal supply)."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None         # the dataclass default
+        value = obj.__dict__[self.slot]
+        if isinstance(value, bytes):
+            value = obj.__dict__[self.slot] = pickle.loads(value)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass
 class CircuitArtifacts:
     """One circuit's compiled analyses, ready to pickle."""
 
     fingerprint: str = ""
     design_name: str = ""
-    timing: object = None       # TimingAnalysis
+    timing: object = _UnpickledOnUse()      # TimingAnalysis
     switching: object = None    # SwitchedCapacitance
     scpg: object = None         # ScpgModelTable
     gate_sim: object = None     # CompiledSchedule
+    leakage: object = None      # LeakageReport, nominal supply
+    sta: object = None          # TimingResult, nominal supply
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        if not isinstance(state["_timing"], bytes):
+            state["_timing"] = pickle.dumps(
+                state["_timing"], protocol=pickle.HIGHEST_PROTOCOL)
+        return state
 
     @classmethod
     def build(cls, design, fingerprint="", name=""):
@@ -59,6 +90,7 @@ class CircuitArtifacts:
         ``energy_per_cycle`` the Session's default path feeds it, so
         header sizing -- and with it every downstream number -- matches.
         """
+        from ..power.leakage import leakage_power
         from ..power.probabilistic import SwitchedCapacitance
         from ..scpg.transform import _apply_scpg
         from ..sim.compiled import schedule_for
@@ -78,11 +110,13 @@ class CircuitArtifacts:
             switching=switching,
             scpg=ScpgModelTable.compile(scpg_design),
             gate_sim=schedule_for(top),
+            leakage=leakage_power(top, library),
+            sta=timing.run(),
         )
 
 
 class ArtifactStore:
-    """Fingerprint-keyed bundle store: in-process memo + on-disk cache.
+    """Identity-keyed bundle store: in-process memo + on-disk cache.
 
     Parameters
     ----------

@@ -30,11 +30,12 @@ how the work was scheduled:
   has landed; an in-process kernel call that raises falls back to the
   per-point loop.  Either way the poison's siblings lose nothing;
 * **caching** -- with a :class:`~repro.runner.sqlite_store.SqliteStore`
-  and a ``cache_key`` describing the heavy context, each point is looked
-  up before evaluation and **flushed back incrementally** as its result
-  arrives, so an abort, a hard error or a dead worker never loses paid
-  work.  Soft-error (infeasible) points are stored too, as an explicit
-  marker;
+  and a ``cache_key`` describing the heavy context, the grid is read
+  with one batched lookup and its misses are **written back per
+  batch** -- one transaction per in-process batch or landed pool chunk,
+  and a last one when the grid ends or aborts -- so a hard error or a
+  dead worker never loses paid work.  Soft-error (infeasible) points
+  are stored too, as an explicit marker;
 * **soft errors** -- exception types in ``on_error`` map to ``None``
   results (the convention the sweep code has always used for infeasible
   operating points); anything else propagates;
@@ -53,7 +54,8 @@ how the work was scheduled:
 journal, an optional warm pool and a
 :class:`~repro.runner.instrument.RunStats` into one reusable policy
 object; :class:`CachedEvaluator` is its point-at-a-time sibling for
-search loops (bisection, golden section) that cannot batch.
+search loops (bisection, golden section) that cannot batch, writing a
+search's new points in one transaction when the search ends.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from .fingerprint import fingerprint
 from .instrument import RunStats
 from .journal import NULL_JOURNAL, RunJournal
 from .pool import WorkerPool, _start_method, resolve_workers
-from .sqlite_store import open_store
+from .sqlite_store import STORE_ERRORS, open_store
 
 
 class _NoContext:
@@ -130,6 +132,19 @@ def _state_blob(state):
         return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
         return None
+
+
+def _write(cache, unsaved):
+    """Move the ``(key, value)`` pairs of ``unsaved`` to ``cache`` in one
+    transaction, best effort: a store-side problem must not fail the run
+    that paid for the points (they are then simply not stored)."""
+    if unsaved:
+        items = unsaved[:]
+        del unsaved[:]
+        try:
+            cache.put_many(items)
+        except STORE_ERRORS:
+            pass
 
 
 def _call(fn, context, point):
@@ -293,9 +308,9 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
     cache / cache_key:
         A :class:`~repro.runner.sqlite_store.SqliteStore` plus a digest
         of everything that defines the evaluation besides the point
-        itself.  Caching is skipped unless both are given.  Each result
-        is written back as it arrives, so an aborted run keeps
-        everything it paid for.
+        itself.  Caching is skipped unless both are given.  Results are
+        written back per batch or landed chunk, and when the grid ends
+        or aborts, so an aborted run keeps everything it paid for.
     on_error:
         Exception types that mean "this point is infeasible"; they yield
         ``None`` results instead of propagating.
@@ -334,8 +349,8 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
         The retry/timeout policy does not apply inside a kernel call
         (kernels are pure arithmetic) -- but a kernel that raises is
         routed around: the poison point is isolated and re-run through
-        ``fn`` under the full per-point policy.  Per-point store
-        writeback and journal events are preserved on every path.
+        ``fn`` under the full per-point policy.  Store writeback and
+        per-point journal events are preserved on every path.
     tracer:
         A :class:`~repro.obs.trace.Tracer` producing nested spans
         (``grid`` -> ``stage`` -> [``chunk`` | ``batch`` ->] ``point``
@@ -377,19 +392,19 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
         journal = NULL_JOURNAL
 
     results = [None] * len(points)
-    keys = [None] * len(points)
+    keys = None
     pending = []
+    run = None
     try:
         with tracer.span("grid", label=label,
                          points=len(points)) as grid_span:
             if use_cache:
                 with stats.stage("cache"), \
                         tracer.span("stage", stage="cache"):
-                    for index, point in enumerate(points):
-                        key = cache.key_for(cache_key,
-                                            fingerprint(point))
-                        keys[index] = key
-                        hit, value = cache.lookup(key)
+                    key_of = cache.key_maker(cache_key)
+                    keys = [key_of(point) for point in points]
+                    found = cache.lookup_many(keys)
+                    for index, (hit, value) in enumerate(found):
                         if hit:
                             stats.cache_hits += 1
                             if isinstance(value, str) \
@@ -399,18 +414,9 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
                             results[index] = value
                         else:
                             stats.cache_misses += 1
-                            pending.append((index, point))
+                            pending.append((index, points[index]))
             else:
                 pending = list(enumerate(points))
-
-            if use_cache:
-                def flush(index, soft):
-                    value = INFEASIBLE_MARKER if soft \
-                        else results[index]
-                    cache.writeback(keys[index], value)
-            else:
-                def flush(index, soft):
-                    pass
 
             nworkers = min(resolve_workers(workers),
                            max(len(pending), 1))
@@ -428,7 +434,8 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
                     run = _GridRun(fn, kernel, context,
                                    (on_error, retry_on, retries, backoff,
                                     timeout),
-                                   results, errored, stats, journal, flush,
+                                   results, errored, stats, journal,
+                                   cache if use_cache else None, keys,
                                    tracer, metrics, point_hist, label)
                     leftover = pending
                     if nworkers > 1:
@@ -440,6 +447,8 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
             journal.record("run_finish", label=label,
                            stats=stats.to_dict())
     finally:
+        if run is not None:
+            _write(cache, run.unsaved)
         if owns_journal:
             journal.close()
     return results
@@ -452,10 +461,12 @@ class _GridRun:
     """The state of one grid's evaluation and its two executors:
     :meth:`in_process` and :meth:`on_pool`.  Both fold every finished
     point through :meth:`_record_point`, so results, store writeback,
-    counters and journal lines do not depend on where a point ran."""
+    counters and journal lines do not depend on where a point ran.
+    Finished points wait in :attr:`unsaved` for the write after their
+    kernel batch or chunk (or when the grid ends or aborts)."""
 
     def __init__(self, fn, kernel, context, policy, results, errored,
-                 stats, journal, flush, tracer, metrics, point_hist,
+                 stats, journal, cache, keys, tracer, metrics, point_hist,
                  label):
         self.fn = fn
         self.kernel = kernel
@@ -465,7 +476,9 @@ class _GridRun:
         self.errored = errored
         self.stats = stats
         self.journal = journal
-        self.flush = flush
+        self.cache = cache
+        self.keys = keys
+        self.unsaved = []
         self.tracer = tracer
         self.metrics = metrics
         self.point_hist = point_hist
@@ -501,7 +514,9 @@ class _GridRun:
                        status="infeasible" if soft else "ok",
                        attempts=attempts, timeouts=ntimeouts,
                        elapsed=round(elapsed, 6))
-        self.flush(index, soft)
+        if self.cache is not None:
+            self.unsaved.append(
+                (self.keys[index], INFEASIBLE_MARKER if soft else value))
 
     def _record_shared(self, items, outcomes, elapsed, chunk_span=None):
         """Record the points of one kernel call or chunk; their
@@ -574,6 +589,7 @@ class _GridRun:
             outcomes = _kernel_outcomes(self.kernel, pts)
         elapsed = time.perf_counter() - start
         nsoft = self._record_shared(pending, outcomes, elapsed)
+        _write(self.cache, self.unsaved)
         self.journal.record("batch_finished", label=self.label,
                             points=len(pts), ok=len(pts) - nsoft,
                             infeasible=nsoft, elapsed=round(elapsed, 6))
@@ -755,6 +771,7 @@ class _GridRun:
             wait_hist.observe(wait_s)
         nsoft = self._record_shared(items, outcomes, elapsed,
                                     chunk_span=span)
+        _write(self.cache, self.unsaved)
         self.journal.record("chunk_finished", chunk=chunk_id,
                             points=len(items),
                             ok=sum(o[1] == "ok" for o in outcomes),
@@ -789,7 +806,9 @@ class CachedEvaluator:
 
     For search loops that cannot batch their points up front.  Results are
     memoised in process and, when the owning :class:`Runner` has a cache
-    and the evaluator a ``cache_key``, persisted like grid results.
+    and the evaluator a ``cache_key``, persisted like grid results: the
+    points a search evaluated are written in one transaction when it
+    leaves the evaluator's ``with`` block (or calls :meth:`flush`).
     Exceptions always propagate (a search loop must see infeasibility);
     cached infeasible markers are treated as misses for the same reason --
     on *both* ledgers, so ``stats.hit_rate`` and the cache's own counters
@@ -806,17 +825,20 @@ class CachedEvaluator:
         self.stats = RunStats() if stats is None else stats
         self.calls = 0
         self._memo = {}
+        self._key_of = None if self.cache is None \
+            else self.cache.key_maker(cache_key)
+        self.unsaved = []
 
     def __call__(self, point):
-        token = fingerprint(point)
+        # With a store the entry key doubles as the memo token.
+        token = fingerprint(point) if self.cache is None \
+            else self._key_of(point)
         self.stats.points += 1
         if token in self._memo:
             self.stats.cache_hits += 1
             return self._memo[token]
-        key = None
         if self.cache is not None:
-            key = self.cache.key_for(self.cache_key, token)
-            hit, value = self.cache.lookup(key)
+            hit, value = self.cache.lookup(token)
             if hit and isinstance(value, str) \
                     and value == INFEASIBLE_MARKER:
                 # The search loop must recompute, so the persisted
@@ -832,9 +854,19 @@ class CachedEvaluator:
         self.calls += 1
         self.stats.evaluated += 1
         self._memo[token] = value
-        if key is not None:
-            self.cache.put(key, value)
+        if self.cache is not None:
+            self.unsaved.append((token, value))
         return value
+
+    def flush(self):
+        """Write the points evaluated since the last flush."""
+        _write(self.cache, self.unsaved)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.flush()
 
 
 class Runner:
@@ -887,7 +919,8 @@ class Runner:
             pool=self.pool)
 
     def evaluator(self, fn, cache_key=None):
-        """A :class:`CachedEvaluator` sharing this runner's cache/stats."""
+        """A :class:`CachedEvaluator` sharing this runner's cache/stats
+        (a context manager: leaving it writes the search's points)."""
         return CachedEvaluator(fn, cache=self.cache, cache_key=cache_key,
                                stats=self.stats)
 

@@ -106,6 +106,19 @@ def stable_hash(*parts):
     return fingerprint(tuple(parts))
 
 
+def hashes_under(*parts):
+    """``item -> stable_hash(*parts, fingerprint(item))``, with ``parts``
+    canonicalised once (byte-identical keys)."""
+    head = "[" + "".join(_canon(part) + "," for part in parts)
+
+    def under(item):
+        token = hashlib.sha256(_canon(item).encode()).hexdigest()
+        return hashlib.sha256("{}s:64:{}]".format(head, token)
+                              .encode()).hexdigest()
+
+    return under
+
+
 def stable_hash_or_none(*parts):
     """:func:`stable_hash` of ``parts``, or ``None`` (caching disabled)
     when one of them has no content fingerprint -- a wrong key is worse

@@ -8,7 +8,11 @@ changes the key, and the stale entry is simply never looked up again.
 Entries are disposable -- deleting the file only costs recomputation.
 Explicit invalidation (:meth:`SqliteStore.invalidate`,
 :meth:`SqliteStore.clear`) exists for operators who want the space back
-or distrust an entry.
+or distrust an entry; :meth:`SqliteStore.prune` (``repro cache prune``)
+drops the rows filed under any other code digest, which each row records.
+Reads and writes are batched (:meth:`SqliteStore.lookup_many`,
+:meth:`SqliteStore.put_many`); the single-key calls are one-element
+batches.
 
 Why SQLite:
 
@@ -17,9 +21,9 @@ Why SQLite:
   pointed at the same store) read concurrently while writers serialise
   through SQLite's own locking, with a ``busy_timeout`` instead of
   "database is locked" errors under load;
-* **crash recovery is SQLite's** -- a process killed mid-``put`` leaves
-  a WAL journal that the next opener replays or rolls back; committed
-  entries survive, torn ones vanish;
+* **crash recovery is SQLite's** -- a process killed mid-``put_many``
+  leaves a WAL journal that the next opener replays or rolls back;
+  committed batches survive, torn ones vanish;
 * **content-addressed, multi-tenant dedupe** -- two tenants sweeping
   overlapping grids share entries byte-for-byte, and per-job hit/miss
   deltas measure exactly how much work one tenant saved another.
@@ -42,7 +46,7 @@ import threading
 import time
 
 from ..errors import RunnerError
-from .fingerprint import code_digest, stable_hash
+from .fingerprint import code_digest, hashes_under, stable_hash
 
 #: Namespace of every entry key, beside the package's code digest.
 CACHE_SCHEMA = "repro-cache-v1"
@@ -56,8 +60,15 @@ CACHE_ENV = "REPRO_CACHE_DIR"
 STORE_FILE = "results.sqlite"
 
 #: Bump when the table layout changes; a mismatched file fails loudly at
-#: open instead of being misread.
+#: open instead of being misread (the ``digest`` column is added in place).
 SQLITE_SCHEMA = "repro-sqlite-store-v1"
+
+#: Keys per ``SELECT ... IN``: the bound-parameter limit of SQLite builds
+#: older than 3.32.
+MAX_PARAMS = 999
+
+#: What a store-side write failure raises (disk full, a locked file).
+STORE_ERRORS = (OSError, sqlite3.Error)
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -67,7 +78,8 @@ CREATE TABLE IF NOT EXISTS meta (
 CREATE TABLE IF NOT EXISTS entries (
     key     TEXT PRIMARY KEY,
     value   BLOB NOT NULL,
-    created REAL NOT NULL
+    created REAL NOT NULL,
+    digest  TEXT NOT NULL DEFAULT ''
 );
 """
 
@@ -84,6 +96,10 @@ class SqliteStore:
         Seconds a writer waits on SQLite's lock before giving up
         (forwarded as ``busy_timeout``); generous by default because
         serve-path writers genuinely contend.
+
+    Every row records the code digest it was written under; pruning the
+    others is explicit, never done on open, because two checkouts may
+    share one store.
 
     Connections are per-thread (SQLite objects must not cross threads);
     separate processes open their own stores on the same file and
@@ -141,6 +157,13 @@ class SqliteStore:
                     "INSERT OR IGNORE INTO meta(name, value) "
                     "VALUES('schema', ?)", (SQLITE_SCHEMA,))
                 conn.commit()
+            elif row[0] == SQLITE_SCHEMA:
+                try:    # a file from before rows recorded their digest
+                    conn.execute("ALTER TABLE entries ADD COLUMN "
+                                 "digest TEXT NOT NULL DEFAULT ''")
+                except sqlite3.OperationalError as exc:
+                    if "duplicate column" not in str(exc):
+                        raise
         except sqlite3.Error as exc:
             conn.close()
             raise RunnerError("cannot open result store {}: {}".format(
@@ -170,28 +193,48 @@ class SqliteStore:
         unreadable: no key may cover no code)."""
         return stable_hash(CACHE_SCHEMA, code_digest(), *parts)
 
+    def key_maker(self, *parts):
+        """``item -> key_for(*parts, fingerprint(item))``, with the
+        salted prefix canonicalised once (for the many points of one
+        grid or search)."""
+        return hashes_under(CACHE_SCHEMA, code_digest(), *parts)
+
+    def lookup_many(self, keys):
+        """``[(hit, value)]``, one per key of ``keys`` in order; counts
+        each hit or (absent or corrupt) miss.  A repeated key reads as
+        often as it is given, as successive :meth:`lookup` calls would."""
+        keys = list(keys)
+        distinct = list(dict.fromkeys(keys))
+        conn = self._conn()
+        rows = {}
+        for lo in range(0, len(distinct), MAX_PARAMS):
+            part = distinct[lo:lo + MAX_PARAMS]
+            rows.update(conn.execute(
+                "SELECT key, value FROM entries WHERE key IN ({})".format(
+                    ",".join("?" * len(part))), part))
+        out = []
+        for key in keys:
+            data = rows.get(key)
+            if data is None:
+                self.absent += 1
+            else:
+                try:
+                    out.append((True, pickle.loads(data)))
+                    self.hits += 1
+                    continue
+                except Exception:
+                    # Corrupt bytes can raise nearly anything: a miss,
+                    # and the row is deleted for the next writer to fix.
+                    del rows[key]
+                    self._drop_if_unchanged(key, data)
+                    self.corrupt += 1
+            self.misses += 1
+            out.append((False, None))
+        return out
+
     def lookup(self, key):
-        """``(hit, value)`` for ``key``; counts the hit or the (absent or
-        corrupt) miss."""
-        row = self._conn().execute(
-            "SELECT value FROM entries WHERE key=?", (key,)).fetchone()
-        if row is None:
-            self.misses += 1
-            self.absent += 1
-            return False, None
-        data = row[0]
-        try:
-            value = pickle.loads(data)
-        except Exception:
-            # Unpickling corrupt bytes can raise nearly anything; the
-            # entry degrades to a miss and is deleted so the next writer
-            # repairs it and the next reader takes the cheap absent path.
-            self._drop_if_unchanged(key, data)
-            self.misses += 1
-            self.corrupt += 1
-            return False, None
-        self.hits += 1
-        return True, value
+        """``(hit, value)`` for ``key``: :meth:`lookup_many` of one."""
+        return self.lookup_many((key,))[0]
 
     def get(self, key, default=None):
         """Value for ``key`` or ``default``; counts the hit or miss."""
@@ -209,33 +252,47 @@ class SqliteStore:
         self.hits -= 1
         self.misses += 1
 
+    def put_many(self, items):
+        """Store every ``(key, value)`` of ``items`` in one transaction
+        (last writer wins) under the current code digest; returns the
+        number written.  Values that will not pickle are skipped; a
+        store-side failure raises one of :data:`STORE_ERRORS`."""
+        digest = code_digest()
+        now = time.time()
+        rows = []
+        for key, value in items:
+            try:
+                blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            except (pickle.PicklingError, TypeError, AttributeError):
+                continue
+            rows.append((key, sqlite3.Binary(blob), now, digest))
+        if rows:
+            self._execute(
+                "INSERT INTO entries(key, value, created, digest) "
+                "VALUES(?, ?, ?, ?) ON CONFLICT(key) DO UPDATE SET "
+                "value=excluded.value, created=excluded.created, "
+                "digest=excluded.digest", rows)
+            self.puts += len(rows)
+        return len(rows)
+
     def put(self, key, value):
-        """Store ``value`` under ``key`` (transactional, last writer
-        wins)."""
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        self._execute(
-            "INSERT INTO entries(key, value, created) VALUES(?, ?, ?) "
-            "ON CONFLICT(key) DO UPDATE SET value=excluded.value, "
-            "created=excluded.created",
-            (key, sqlite3.Binary(blob), time.time()))
-        self.puts += 1
+        """Store ``value`` under ``key``: :meth:`put_many` of one;
+        ``True`` when it was written."""
+        return self.put_many(((key, value),)) == 1
 
     def writeback(self, key, value):
-        """Best-effort incremental :meth:`put` -- never fails the run.
-
-        The runner flushes each result as it arrives so an abort or a
-        pool crash cannot lose paid work; a store-side problem (disk
-        full, a locked file, an unpicklable value -- pickle raises
-        ``AttributeError`` for local objects) must therefore degrade to
-        "this point isn't stored" rather than kill the sweep it exists to
-        protect.  Returns ``True`` when the entry was persisted.
-        """
+        """Best-effort :meth:`put`: a store-side problem degrades to
+        "not stored" rather than fail the run; ``True`` when stored."""
         try:
-            self.put(key, value)
-        except (OSError, sqlite3.Error, pickle.PicklingError, TypeError,
-                AttributeError):
+            return self.put(key, value)
+        except STORE_ERRORS:
             return False
-        return True
+
+    def prune(self):
+        """Drop every entry filed under another code digest (a current
+        writer's rows are never among them); returns the number."""
+        return self._execute("DELETE FROM entries WHERE digest != ?",
+                             (code_digest(),))
 
     def invalidate(self, key):
         """Drop one entry; returns True when it existed."""
@@ -254,11 +311,13 @@ class SqliteStore:
             (key, observed)) > 0
 
     def _execute(self, sql, params=()):
+        """One statement (once per row for a list of rows) in one
+        transaction; returns the rows changed."""
         conn = self._conn()
-        with self._lock:
-            cursor = conn.execute(sql, params)
-            conn.commit()
-            return cursor.rowcount
+        with self._lock, conn:
+            run = conn.executemany if isinstance(params, list) \
+                else conn.execute
+            return run(sql, params).rowcount
 
     def __len__(self):
         return self._conn().execute(

@@ -22,6 +22,8 @@ facade; the lower-level modules (``repro.analysis``, ``repro.subvt``,
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 from .errors import SupplyError
 from .runner import DEFAULT_BACKOFF, DEFAULT_RETRIES, ArtifactStore, \
@@ -267,6 +269,8 @@ class DesignHandle:
     Everything heavyweight -- the netlist, the SCPG transform, the STA
     run, the derived power models -- is computed at most once per handle;
     grid evaluations route through the session's runner (workers + cache).
+    A handle is keyed on the question asked (:attr:`fingerprint`), so a
+    warm store answers it without building the netlist.
     """
 
     def __init__(self, session, name, params):
@@ -278,10 +282,9 @@ class DesignHandle:
         self.name = name if isinstance(name, str) else str(name)
         self.params = dict(params)
         self._design = None
+        self._generation = None
         self._scpg = None
-        self._sta = None
         self._switching = None
-        self._leakage = None
         self._power_model = None
         self._subvt_model = None
         self._artifacts = None
@@ -296,14 +299,36 @@ class DesignHandle:
 
             self._design = registry.resolve(
                 self._spec, self.session.library, **self.params)
+            self._generation = self._design.top.generation
         return self._design
 
     @property
     def fingerprint(self):
-        """Content digest of (netlist, library) for cache keys."""
-        return stable_hash("design-v1",
-                           module_fingerprint(self.design.top),
+        """Digest of (design identity, library) for cache keys: the
+        canonical :class:`~repro.circuits.generators.DesignKey` of an
+        alias, key or spec string, or a Verilog file's bytes; the
+        netlist only for an ad-hoc builder or a module edited after
+        elaboration (:func:`~repro.runner.fingerprint.module_fingerprint`).
+        """
+        return stable_hash("design-v2", self._identity(),
                            self.session.library)
+
+    def _identity(self):
+        from .circuits import registry
+        from .circuits.generators import edited_since_elaboration
+
+        spec, library = self._spec, self.session.library
+        if self._design is None \
+                or self._design.top.generation == self._generation:
+            key = registry.design_key(spec, **self.params)
+            if key is not None:
+                if not edited_since_elaboration(key, library):
+                    return key
+            elif not self.params and isinstance(spec, str) \
+                    and not registry.is_registered(spec) \
+                    and os.path.isfile(spec):
+                return ("verilog", Path(spec).read_bytes())
+        return module_fingerprint(self.design.top)
 
     def netlist(self):
         """The design as structural Verilog text."""
@@ -327,7 +352,7 @@ class DesignHandle:
     def artifacts(self):
         """This design's :class:`~repro.runner.artifacts.CircuitArtifacts`
         bundle: its compiled STA, switching, SCPG model table and
-        simulation schedule.
+        simulation schedule, and its nominal leakage and timing.
 
         Served from the session's :class:`~repro.runner.artifacts.
         ArtifactStore` -- in-process memo first, then the session's
@@ -336,12 +361,12 @@ class DesignHandle:
         if self._artifacts is None:
             from .runner.artifacts import CircuitArtifacts
 
-            design = self.design
             fp = self.fingerprint
             self._artifacts = self.session.artifacts.get(
                 fp,
                 lambda: CircuitArtifacts.build(
-                    design, fingerprint=fp, name=design.top.name))
+                    self.design, fingerprint=fp,
+                    name=self.design.top.name))
         return self._artifacts
 
     # -- analyses -------------------------------------------------------------
@@ -350,14 +375,10 @@ class DesignHandle:
     # supply and raises SupplyError for a non-finite or non-positive one.
 
     def sta(self, vdd=None):
-        """Timing analysis result (memoised at the nominal supply)."""
-        vdd = _check_vdd(vdd)
-        timing = self.artifacts().timing
-        if vdd is not None:
-            return timing.run(vdd)
-        if self._sta is None:
-            self._sta = timing.run()
-        return self._sta
+        """Timing analysis result (the bundle's at the nominal supply)."""
+        if _check_vdd(vdd) is None:
+            return self.artifacts().sta
+        return self.artifacts().timing.run(vdd)
 
     def switching(self, vdd=None):
         """Vectorless ``(e_cycle, by_net)`` switching estimate."""
@@ -370,18 +391,14 @@ class DesignHandle:
         return self._switching
 
     def leakage(self, vdd=None):
-        """Leakage power report at ``vdd`` (memoised at the nominal
+        """Leakage power report at ``vdd`` (the bundle's at the nominal
         supply)."""
         from .power.leakage import leakage_power
 
-        vdd = _check_vdd(vdd)
-        if vdd is not None:
-            return leakage_power(self.design.top, self.session.library,
-                                 vdd=vdd)
-        if self._leakage is None:
-            self._leakage = leakage_power(self.design.top,
-                                          self.session.library)
-        return self._leakage
+        if _check_vdd(vdd) is None:
+            return self.artifacts().leakage
+        return leakage_power(self.design.top, self.session.library,
+                             vdd=vdd)
 
     def leakage_axis(self, vdds, temp_c=None):
         """One leakage report per supply in ``vdds`` (``None`` entries

@@ -14,6 +14,7 @@ higher supply, exactly the Fig. 9 vs Fig. 10 contrast.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from ..errors import PowerError
@@ -164,25 +165,24 @@ def minimum_energy_point(model, v_lo=0.15, v_hi=0.9, tolerance=1e-3,
     cache, so repeated searches over the same model are warm no-ops.
     """
     if runner is None:
-        point = model.point
+        search = nullcontext(model.point)
     else:
-        evaluator = runner.evaluator(
-            lambda vdd: model.point(vdd),
-            cache_key=_model_cache_key(model))
-        point = evaluator
-    phi = (5 ** 0.5 - 1) / 2.0
-    lo, hi = v_lo, v_hi
-    a = hi - phi * (hi - lo)
-    b = lo + phi * (hi - lo)
-    ea = point(a).energy
-    eb = point(b).energy
-    while hi - lo > tolerance:
-        if ea < eb:
-            hi, b, eb = b, a, ea
-            a = hi - phi * (hi - lo)
-            ea = point(a).energy
-        else:
-            lo, a, ea = a, b, eb
-            b = lo + phi * (hi - lo)
-            eb = point(b).energy
-    return point((lo + hi) / 2.0)
+        search = runner.evaluator(lambda vdd: model.point(vdd),
+                                  cache_key=_model_cache_key(model))
+    with search as point:
+        phi = (5 ** 0.5 - 1) / 2.0
+        lo, hi = v_lo, v_hi
+        a = hi - phi * (hi - lo)
+        b = lo + phi * (hi - lo)
+        ea = point(a).energy
+        eb = point(b).energy
+        while hi - lo > tolerance:
+            if ea < eb:
+                hi, b, eb = b, a, ea
+                a = hi - phi * (hi - lo)
+                ea = point(a).energy
+            else:
+                lo, a, ea = a, b, eb
+                b = lo + phi * (hi - lo)
+                eb = point(b).energy
+        return point((lo + hi) / 2.0)

@@ -13,11 +13,12 @@ journalled under ``compare:<design>:<technique>`` labels.
 
 A session with a store also keeps each technique's *column* -- its
 model and area overhead -- under a key formed before anything is
-built: the design fingerprint (netlist + library), the technique's
-class, and the shared base figures (the store adds the package source
-to every key).  A repeated comparison reads the columns
-back and runs no transform; only the grid points it has not seen are
-evaluated.
+built: the design's identity (its design key or Verilog source, plus
+the library), the technique's class, and the shared base figures (the
+store adds the package source to every key).  The base figures come
+from the design's artifact bundle, so a repeated comparison reads the
+bundle and the columns back, builds no netlist and runs no transform;
+only the grid points it has not seen are evaluated.
 
 The result is a :class:`TechniqueComparison`: per-technique Fmax, area
 overhead and per-frequency power breakdowns with savings against the
@@ -92,7 +93,7 @@ class ColumnRecord:
 
 def _column_inputs(handle, e_cycle, base_leakage, base_sta, vdd):
     """What every column of one comparison is built from, besides the
-    technique: the design fingerprint (netlist + library), the base
+    technique: the design fingerprint (identity + library), the base
     design's switched energy, leakage and timing, and the supply."""
     return (handle.fingerprint, e_cycle, base_leakage, base_sta.eval_delay,
             base_sta.setup, vdd)
@@ -234,7 +235,6 @@ def run_comparison(handle, freqs=None, techniques=None, vdd=None):
     names = list(available_techniques() if techniques is None
                  else techniques)
 
-    design = handle.design
     e_cycle, _ = handle.switching()
     base_leakage = handle.leakage()
     base_sta = handle.sta()
@@ -267,7 +267,7 @@ def run_comparison(handle, freqs=None, techniques=None, vdd=None):
         column = _column_digest(tech, inputs)
         record = _stored_column(store, column)
         if record is None:
-            _eligible(tech, design)
+            _eligible(tech, handle.design)
             transformed = tech.compare_input(handle, e_cycle)
             record = ColumnRecord(
                 column=column,

@@ -125,6 +125,30 @@ def _events(path):
     return [e["event"] for e in read_journal(path)]
 
 
+def _count_writes(store, monkeypatch):
+    """A list that gains one entry per non-empty ``put_many`` call."""
+    writes = []
+    real = store.put_many
+
+    def counted(items):
+        items = list(items)
+        if items:
+            writes.append(len(items))
+        return real(items)
+
+    monkeypatch.setattr(store, "put_many", counted)
+    return writes
+
+
+def _at_most_one_write_per_batch(writes, journal):
+    """Store writes: at most one per landed chunk or kernel batch, plus
+    the grid's closing write (the in-process per-point loop's one)."""
+    events = _events(journal)
+    batches = events.count("chunk_finished") \
+        + events.count("batch_finished")
+    assert len(writes) <= batches + 1
+
+
 @pytest.mark.parametrize("executor,grid", PATHS)
 class TestRaisingPoint:
     def test_soft_poison_isolated_siblings_exact(self, executor, grid,
@@ -138,8 +162,9 @@ class TestRaisingPoint:
         assert stats.evaluated == len(POINTS)
 
     def test_hard_poison_propagates_and_keeps_siblings(
-            self, executor, grid, pool, store, tmp_path):
+            self, executor, grid, pool, store, tmp_path, monkeypatch):
         journal = tmp_path / "journal.jsonl"
+        writes = _count_writes(store, monkeypatch)
         with pytest.raises(RuntimeError, match="poison"):
             _run(executor, grid, _poisoned, _poisoned_kernel, pool,
                  retries=0, cache=store, cache_key="poison",
@@ -155,13 +180,18 @@ class TestRaisingPoint:
         failed = [e for e in read_journal(journal)
                   if e["event"] == "point_failed"]
         assert [e["index"] for e in failed] == [POINTS.index(POISON)]
+        _at_most_one_write_per_batch(writes, journal)
+        if executor == "in-process":
+            assert writes == [len(kept)]
 
 
 @pytest.mark.parametrize("grid", GRIDS)
 class TestKilledWorker:
     def test_salvaged_requeued_and_the_pool_restarts(self, grid, pool,
-                                                     store, tmp_path):
+                                                     store, tmp_path,
+                                                     monkeypatch):
         journal = tmp_path / "journal.jsonl"
+        writes = _count_writes(store, monkeypatch)
         stats = RunStats()
         start = time.perf_counter()
         got = _run("pool", grid, _victim, _victim_kernel, pool,
@@ -176,6 +206,8 @@ class TestKilledWorker:
         assert "requeue_serial" in events
         # Every point -- salvaged or requeued -- reached the store.
         assert len(store) == len(POINTS)
+        assert sum(writes) == len(POINTS)
+        _at_most_one_write_per_batch(writes, journal)
         # The pool shed its broken executor and serves the next grid.
         assert not pool.alive
         again = _run("pool", grid, _value, _healthy_kernel, pool)

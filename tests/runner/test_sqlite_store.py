@@ -14,6 +14,7 @@ from repro.errors import RunnerError
 from repro.runner import (
     CACHE_SCHEMA,
     SqliteStore,
+    fingerprint,
     open_store,
     sqlite_store,
     stable_hash,
@@ -361,3 +362,174 @@ class TestSessionIntegration:
         with pytest.raises(TypeError, match="cache"):
             Session(store=str(tmp_path / "s.sqlite"),
                     cache=str(tmp_path / "c"))
+
+
+class TestBatched:
+    """``lookup_many`` / ``put_many``: the store's one read path and one
+    write path."""
+
+    def test_lookup_many_crosses_the_parameter_chunk(self, store):
+        n = 2500
+        assert n > 2 * sqlite_store.MAX_PARAMS
+        keys = [store.key_for("k", i) for i in range(n)]
+        assert store.put_many((key, i) for i, key in enumerate(keys)
+                              if i % 3) == n - len(range(0, n, 3))
+        asked = keys + keys[:10]          # duplicates read twice
+        found = store.lookup_many(asked)
+        assert found == [(bool(i % 3), i if i % 3 else None)
+                         for i in list(range(n)) + list(range(10))]
+        hits = sum(hit for hit, _ in found)
+        assert (store.hits, store.absent, store.corrupt) \
+            == (hits, len(asked) - hits, 0)
+
+    def test_keys_of_a_grid_match_key_for(self, store):
+        points = [0.5, (1e6, "scpg"), {"vdd": 0.3}, None]
+        key_of = store.key_maker("ns", 7)
+        assert [key_of(p) for p in points] \
+            == [store.key_for("ns", 7, fingerprint(p)) for p in points]
+
+    def test_corrupt_row_among_good_ones(self, store):
+        keys = [store.key_for("k", i) for i in range(5)]
+        store.put_many((key, i) for i, key in enumerate(keys))
+        _corrupt_row(store.path, keys[2], b"torn")
+        drops = []
+        real_drop = store._drop_if_unchanged
+        store._drop_if_unchanged = \
+            lambda key, data: (drops.append((key, bytes(data))),
+                               real_drop(key, data))[1]
+        found = store.lookup_many(keys + [keys[2]])
+        assert found == [(True, 0), (True, 1), (False, None), (True, 3),
+                         (True, 4), (False, None)]
+        assert (store.corrupt, store.absent, store.hits) == (1, 1, 4)
+        assert drops == [(keys[2], b"torn")]
+        assert len(store) == 4
+
+    def test_put_many_skips_an_unpicklable_value(self, store):
+        keys = [store.key_for("k", i) for i in range(3)]
+        written = store.put_many([(keys[0], 0), (keys[1], lambda: 1),
+                                  (keys[2], 2)])
+        assert written == 2 and store.puts == 2
+        assert store.lookup_many(keys) == [(True, 0), (False, None),
+                                           (True, 2)]
+
+    def test_put_many_is_one_transaction(self, store, monkeypatch):
+        statements = []
+        real = store._execute
+        monkeypatch.setattr(store, "_execute", lambda sql, params=():
+                            (statements.append(sql), real(sql, params))[1])
+        store.put_many((store.key_for("k", i), i) for i in range(50))
+        assert len(statements) == 1
+        assert store.put_many([]) == 0
+        assert len(statements) == 1
+
+
+def _rows_by_digest(path):
+    conn = sqlite3.connect(str(path))
+    try:
+        return dict(conn.execute(
+            "SELECT digest, COUNT(*) FROM entries GROUP BY digest"))
+    finally:
+        conn.close()
+
+
+class TestDigestAndPrune:
+    def test_rows_record_the_code_digest(self, store):
+        store.put(store.key_for("k"), 1)
+        assert _rows_by_digest(store.path) == {code_digest(): 1}
+
+    def test_old_file_gains_the_column_in_place(self, tmp_path):
+        path = tmp_path / "old.sqlite"
+        conn = sqlite3.connect(str(path))
+        conn.executescript(
+            "CREATE TABLE meta (name TEXT PRIMARY KEY, value TEXT NOT "
+            "NULL); CREATE TABLE entries (key TEXT PRIMARY KEY, value "
+            "BLOB NOT NULL, created REAL NOT NULL);")
+        conn.execute("INSERT INTO meta VALUES('schema', ?)",
+                     (sqlite_store.SQLITE_SCHEMA,))
+        conn.execute("INSERT INTO entries VALUES('old', ?, 0)",
+                     (pickle.dumps("kept"),))
+        conn.commit()
+        conn.close()
+        store = SqliteStore(path)
+        assert store.get("old") == "kept"
+        store.put(store.key_for("new"), 2)
+        assert _rows_by_digest(path) == {"": 1, code_digest(): 1}
+        assert store.prune() == 1
+        assert len(store) == 1
+        store.close()
+
+    def test_prune_drops_only_other_digests(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.sqlite"
+        with monkeypatch.context() as m:
+            m.setattr(sqlite_store, "code_digest", lambda: "0" * 64)
+            old = SqliteStore(path)
+            old.put_many((old.key_for("k", i), i) for i in range(7))
+            old.close()
+        store = SqliteStore(path)
+        current = [store.key_for("k", i) for i in range(3)]
+        store.put_many((key, i) for i, key in enumerate(current))
+        assert len(store) == 10
+        assert store.prune() == 7
+        assert store.prune() == 0
+        assert store.lookup_many(current) == [(True, 0), (True, 1),
+                                              (True, 2)]
+        store.close()
+
+    def test_prune_racing_a_writer_keeps_every_current_row(self, tmp_path):
+        # Fault injection: another process writes current-digest rows
+        # (one transaction per batch) while this one prunes in a loop;
+        # no current row may be lost, and every foreign row goes.
+        path = tmp_path / "raced.sqlite"
+        conn = sqlite3.connect(str(path))
+        SqliteStore(path).close()
+        conn.executemany(
+            "INSERT INTO entries(key, value, created, digest) "
+            "VALUES(?, ?, 0, 'stale')",
+            [("stale-{}".format(i), pickle.dumps(i)) for i in range(200)])
+        conn.commit()
+        conn.close()
+
+        def writer(path, failures):
+            try:
+                mine = SqliteStore(path, timeout=60.0)
+                for batch in range(40):
+                    mine.put_many((mine.key_for("w", batch, i), i)
+                                  for i in range(25))
+                mine.close()
+            except Exception as exc:
+                failures.put(repr(exc))
+
+        failures = _mp.Queue()
+        proc = _mp.Process(target=writer, args=(str(path), failures))
+        proc.start()
+        pruner = SqliteStore(path, timeout=60.0)
+        pruned = 0
+        while proc.is_alive():
+            pruned += pruner.prune()
+        proc.join(timeout=120)
+        pruned += pruner.prune()
+        assert proc.exitcode == 0
+        assert failures.empty(), failures.get()
+        assert pruned == 200
+        keys = [pruner.key_for("w", b, i)
+                for b in range(40) for i in range(25)]
+        assert all(hit for hit, _ in pruner.lookup_many(keys))
+        assert len(pruner) == 1000
+        pruner.close()
+
+    def test_cli_prune(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "s.sqlite"
+        with monkeypatch.context() as m:
+            m.setattr(sqlite_store, "code_digest", lambda: "0" * 64)
+            old = SqliteStore(path)
+            old.put(old.key_for("k"), 1)
+            old.close()
+        assert main(["cache", "prune", "--cache", str(path)]) == 0
+        assert "pruned 1 entries" in capsys.readouterr().out
+        assert main(["--cache", str(path), "cache", "prune"]) == 0
+        assert "pruned 0 entries" in capsys.readouterr().out
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        assert main(["cache", "prune"]) == 1
+        assert "no result store" in capsys.readouterr().err

@@ -247,6 +247,20 @@ class TestRepeatedComparison:
                 if hook == "sweep_model"} == {"scpg", "cbtstc", "lector"}
         assert edited == first
 
+        # The first digest's rows are unreachable now: a prune drops
+        # exactly them, and the edited code's answers stay readable.
+        store = open_store(store_path)
+        total = len(store)
+        assert 0 < store.prune() < total
+        assert len(store) == total // 2
+        store.close()
+        del built[:]
+        again, stats = ask()
+        assert (stats.evaluated, stats.cache_hits) == (0, points)
+        assert stats.artifact_misses == 0
+        assert built == []
+        assert again == first
+
     def test_storeless_session_builds_every_time(self, cold, built):
         assert _hex(_compare(None)[0]) == cold
         assert _hex(_compare(None)[0]) == cold
