@@ -63,12 +63,10 @@ def evaluate_width(library, width):
     """One :class:`ScalingPoint` for a ``width x width`` multiplier."""
     from ..techniques import technique
 
-    key = DesignKey("multiplier", n=width)
-    design = Design(elaborate(key, library, fresh=True), library)
+    design = Design(elaborate(DesignKey("multiplier", n=width), library,
+                              fresh=True), library)
     e_cycle = _estimate_e_cycle(design.top, library)
-    scpg = technique("scpg").transform(
-        Design(elaborate(key, library, fresh=True), library),
-        energy_per_cycle=e_cycle)
+    scpg = technique("scpg").transform(design, energy_per_cycle=e_cycle)
     model = ScpgPowerModel.from_scpg_design(scpg, e_cycle)
     base = leakage_power(design.top, library)
     model.leak_comb_base = base.combinational

@@ -45,16 +45,17 @@ class ScpgFlowResult:
         return "\n".join(lines)
 
 
-def _run_scpg_flow(design_builder, library, clock="clk", header_size=None,
+def _run_scpg_flow(design, library, clock="clk", header_size=None,
                    energy_per_cycle=None, centred=True):
     """Implement a design with SCPG and a baseline for comparison.
 
     Parameters
     ----------
-    design_builder:
-        Zero-argument callable returning a fresh flat
-        :class:`~repro.netlist.core.Design` (the flow implements two
-        copies: SCPG and baseline; a builder avoids aliasing).
+    design:
+        Flat :class:`~repro.netlist.core.Design`, left unedited (a memoised
+        elaboration will do): the baseline flow edits a
+        :meth:`~repro.netlist.core.Design.copy` in place, and the SCPG
+        transform builds new modules.
     library:
         Cell library.
     clock:
@@ -70,12 +71,12 @@ def _run_scpg_flow(design_builder, library, clock="clk", header_size=None,
     steps = []
 
     # Baseline first (its area is the overhead reference).
-    baseline = run_traditional_flow(design_builder(), clock)
+    baseline = run_traditional_flow(design.copy(), clock)
 
     # SCPG steps 1+2.
     step12 = StepReport("scpg-split-and-isolate")
     scpg = _apply_scpg(
-        design_builder(), clock_port=clock, header_size=header_size,
+        design, clock_port=clock, header_size=header_size,
         energy_per_cycle=energy_per_cycle,
     )
     step12.metrics.update(

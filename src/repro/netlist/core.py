@@ -14,6 +14,7 @@ into a single module with ``/``-separated instance names.
 from __future__ import annotations
 
 import enum
+import itertools
 
 from ..errors import NetlistError
 from ..tech.library import Library, PinDirection
@@ -230,13 +231,16 @@ class Module:
                 self._uid += 1
                 if name not in self._nets:
                     break
+        net = self._new_net(name)
+        self.generation += 1
+        return net
+
+    def _new_net(self, name):
         if name in self._nets:
             raise NetlistError(
                 "module {} already has net {}".format(self.name, name)
             )
-        net = Net(name, self)
-        self._nets[name] = net
-        self.generation += 1
+        net = self._nets[name] = Net(name, self)
         return net
 
     def const(self, value):
@@ -335,6 +339,31 @@ class Module:
         self.generation += 1
         return inst
 
+    def copy(self):
+        """A private copy of this module: nets, ports, instances, drivers,
+        load order, constants and auto-naming mirrored, so every analysis
+        of the copy equals the original's.  Submodules are shared; editing
+        the copy leaves this module and its derived caches alone."""
+        out = Module(self.name)
+        out._uid = self._uid
+        net_of = {}
+        _copy_nets(out, self._nets.values(), net_of)
+        out.ports = [Port(p.name, p.direction, out, net_of[p.net])
+                     for p in self.ports]
+        out._port_index = {p.name: p for p in out.ports}
+        image_of = dict(zip(self.ports, out.ports))  # ports and instances
+        image_of.update(zip(self._instances.values(), _copy_instances(
+            out, self._instances.values(), net_of, wire=False)))
+        for net, image in net_of.items():
+            driver = net.driver
+            if driver is not None:
+                image.driver = (image_of[driver[0]], driver[1]) \
+                    if type(driver) is tuple else image_of[driver]
+            image.loads = [(image_of[load[0]], load[1])
+                           if type(load) is tuple else image_of[load]
+                           for load in net.loads]
+        return out
+
     # -- queries --------------------------------------------------------------
 
     def net(self, name):
@@ -425,60 +454,96 @@ class Design:
                 self.modules[sub.name] = sub
                 self._register_submodules(sub)
 
+    def copy(self):
+        """A private copy of this design for in-place editors: the top
+        module is :meth:`Module.copy`-ed, submodules are shared."""
+        return Design(self.top.copy(), self.library)
+
     def flatten(self, name=None):
         """Return a new single-module :class:`Design` with the hierarchy
         expanded.  Instance and internal net names are prefixed with their
         path (``u_comb/u1``)."""
         flat = Module(name or self.top.name + "_flat")
-        net_map = {}
+        net_of = {}
         for port in self.top.ports:
-            new_net = flat.add_port(port.name, port.direction).net
-            net_map[id(port.net)] = new_net
-        self._flatten_into(flat, self.top, "", net_map)
+            net_of[port.net] = flat.add_port(port.name, port.direction).net
+        self._flatten_into(flat, self.top, "", net_of)
         return Design(flat, self.library)
 
-    def _flatten_into(self, flat, module, prefix, net_map):
-        # Create images of all internal nets not already mapped.
-        for net in module.nets():
-            if id(net) in net_map:
+    def _flatten_into(self, flat, module, prefix, net_of):
+        _copy_nets(flat, module._nets.values(), net_of, prefix)
+        for is_cell, group in itertools.groupby(
+                module._instances.values(), key=lambda i: i.is_cell):
+            if is_cell:
+                _copy_instances(flat, group, net_of, prefix)
                 continue
-            if net.is_const:
-                net_map[id(net)] = flat.const(net.const_value)
-            else:
-                net_map[id(net)] = flat.add_net(prefix + net.name)
-        for inst in module.instances():
-            if inst.is_cell:
-                name = prefix + inst.name
-                if name in flat._instances:
-                    raise NetlistError(
-                        "flattening {}: two instances flatten to {}".format(
-                            self.top.name, name))
-                new = Instance(name, flat, cell=inst.cell)
-                flat._instances[name] = new
-                for pin_name, net in inst.connections.items():
-                    target = net_map[id(net)]
-                    new.connections[pin_name] = target
-                    if inst._pin_is_output(pin_name):
-                        target._set_driver((new, pin_name))
-                    else:
-                        target.loads.append((new, pin_name))
-            else:
-                sub = inst.submodule
+            for inst in group:
                 sub_prefix = prefix + inst.name + "/"
-                sub_map = dict()
-                # Bind submodule port nets to the nets of this level.
-                for port in sub.ports:
+                # Bind submodule port nets to the nets of this level; an
+                # unconnected port gets a private net image.
+                sub_map = {}
+                for port in inst.submodule.ports:
                     outer = inst.connections.get(port.name)
-                    if outer is None:
-                        # Unconnected port: give it a private net image.
-                        sub_map[id(port.net)] = flat.add_net(
-                            sub_prefix + port.name
-                        )
-                    else:
-                        sub_map[id(port.net)] = net_map[id(outer)]
-                self._flatten_into(flat, sub, sub_prefix, sub_map)
+                    sub_map[port.net] = (
+                        flat._new_net(sub_prefix + port.name)
+                        if outer is None else net_of[outer])
+                self._flatten_into(flat, inst.submodule, sub_prefix,
+                                   sub_map)
 
     def __repr__(self):
         return "Design(top={}, {} modules)".format(
             self.top.name, len(self.modules)
         )
+
+
+# -- the bulk copier (Module.copy, Design.flatten, split_combinational and
+# remap_cells): identity maps from source nets to images, connections,
+# drivers and loads written directly -- no connect, no per-pin lookup.
+
+
+def _copy_nets(dst, nets, net_of, prefix=""):
+    """Give each of ``nets`` missing from ``net_of`` an image in ``dst``:
+    ``dst``'s constant net for a constant, else a new net named
+    ``prefix + name``."""
+    for net in nets:
+        if net not in net_of:
+            net_of[net] = (
+                dst._new_net(prefix + net.name) if net.const_value is None
+                else dst.const(net.const_value))
+
+
+def _copy_instances(dst, instances, net_of, prefix="", cell_map=None,
+                    wire=True):
+    """Images of ``instances`` in ``dst``, named ``prefix + name``, cells
+    swapped by name per ``cell_map``, connected through ``net_of`` (a
+    constant missing from it maps to ``dst``'s at first use).  ``wire``
+    (cells only) sets drivers and appends loads in instance order;
+    otherwise the caller writes them."""
+    taken = dst._instances
+    images = []
+    for inst in instances:
+        cell = inst.cell
+        if cell_map and cell is not None:
+            cell = cell_map.get(cell.name, cell)
+        name = prefix + inst.name
+        if name in taken:
+            raise NetlistError("module {} already has instance {}".format(
+                dst.name, name))
+        image = taken[name] = Instance(name, dst, cell, inst.submodule)
+        images.append(image)
+        if not wire:
+            image.connections = {pin: net_of[net]
+                                 for pin, net in inst.connections.items()}
+            continue
+        outs = cell.output_names
+        conns = image.connections
+        for pin, net in inst.connections.items():
+            target = net_of.get(net)
+            if target is None:
+                target = net_of[net] = dst.const(net.const_value)
+            conns[pin] = target
+            if pin in outs:
+                target._set_driver((image, pin))
+            else:
+                target.loads.append((image, pin))
+    return images

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from ..errors import NetlistError
 from ..tech.library import CellKind
-from .core import Design, Module
+from .core import Design, Module, _copy_instances, _copy_nets
 
 _PORT_SANITIZE_RE = re.compile(r"[^A-Za-z0-9_]")
 
@@ -78,16 +78,15 @@ def split_combinational(design, comb_name=None, instance_name="u_comb"):
     """
     src = design.top
     lib = design.library
+    moved_kinds = (CellKind.COMBINATIONAL, CellKind.BUFFER,
+                   CellKind.ISOLATION, CellKind.TIE)
+    comb_insts, keep_insts = [], []
     for inst in src.instances():
         if not inst.is_cell:
             raise NetlistError("split requires a flat design; flatten first")
-
-    moved_kinds = (CellKind.COMBINATIONAL, CellKind.BUFFER,
-                   CellKind.ISOLATION, CellKind.TIE)
-    comb_insts = [i for i in src.cell_instances() if i.cell.kind in moved_kinds]
-    keep_insts = [i for i in src.cell_instances()
-                  if i.cell.kind not in moved_kinds]
-    comb_ids = set(id(i) for i in comb_insts)
+        (comb_insts if inst.cell.kind in moved_kinds
+         else keep_insts).append(inst)
+    in_comb = set(comb_insts)
 
     comb = Module(comb_name or src.name + "_comb")
     top = Module(src.name)
@@ -95,88 +94,53 @@ def split_combinational(design, comb_name=None, instance_name="u_comb"):
     # Classify every net by which side touches it.
     boundary_inputs = []
     boundary_outputs = []
-    comb_net_map = {}   # id(orig net) -> net in comb module
-    top_net_map = {}    # id(orig net) -> net in top module
+    comb_net_map = {}   # orig net -> net in comb module
+    top_net_map = {}    # orig net -> net in top module
     used_port_names = set()
 
     for port in src.ports:
-        new = top.add_port(port.name, port.direction)
-        top_net_map[id(port.net)] = new.net
-
-    def side_of_driver(net):
-        if net.is_const:
-            return "const"
-        d = net.driver
-        if d is None:
-            return "none"
-        if isinstance(d, tuple):
-            return "comb" if id(d[0]) in comb_ids else "top"
-        return "top"  # input port
-
-    def sides_of_loads(net):
-        sides = set()
-        for load in net.loads:
-            if isinstance(load, tuple):
-                sides.add("comb" if id(load[0]) in comb_ids else "top")
-            else:
-                sides.add("top")  # output port
-        return sides
+        top_net_map[port.net] = top.add_port(port.name, port.direction).net
 
     for net in src.nets():
         if net.is_const:
             continue
-        drv = side_of_driver(net)
-        loads = sides_of_loads(net)
-        is_top_port = src.has_port(net.name)
-        touches_comb = drv == "comb" or "comb" in loads
-        touches_top = drv == "top" or "top" in loads or is_top_port
+        # The driver is a gate on one side, an input port (top) or none.
+        d = net.driver
+        driven_in_comb = type(d) is tuple and d[0] in in_comb
+        touches_comb = driven_in_comb
+        touches_top = (d is not None and not driven_in_comb) \
+            or src.has_port(net.name)
+        for load in net.loads:  # a gate on one side or an output port
+            if type(load) is tuple and load[0] in in_comb:
+                touches_comb = True
+            else:
+                touches_top = True
 
+        # A boundary net becomes a child port and a parent-side net; nets
+        # touching neither side (fully dangling) are dropped.
         if touches_comb and not touches_top:
-            comb_net_map[id(net)] = comb.add_net(net.name)
-        elif touches_top and not touches_comb:
-            if id(net) not in top_net_map:
-                top_net_map[id(net)] = top.add_net(net.name)
-        elif touches_comb and touches_top:
-            # Boundary: create a child port and a parent-side net.
+            comb_net_map[net] = comb._new_net(net.name)
+        elif touches_comb:
             pname = _sanitize(net.name, used_port_names)
-            if drv == "comb":
-                comb_net_map[id(net)] = comb.add_output(pname)
+            if driven_in_comb:
+                comb_net_map[net] = comb.add_output(pname)
                 boundary_outputs.append((net.name, pname))
             else:
-                comb_net_map[id(net)] = comb.add_input(pname)
+                comb_net_map[net] = comb.add_input(pname)
                 boundary_inputs.append((net.name, pname))
-            if id(net) not in top_net_map:
-                top_net_map[id(net)] = top.add_net(net.name)
-        # Nets touching neither side (fully dangling) are dropped.
+        if touches_top and net not in top_net_map:
+            top_net_map[net] = top._new_net(net.name)
 
-    def image(module, mapping, net):
-        if net.is_const:
-            return module.const(net.const_value)
-        return mapping[id(net)]
-
-    for inst in comb_insts:
-        conns = {
-            pin: image(comb, comb_net_map, net)
-            for pin, net in inst.connections.items()
-        }
-        comb.add_instance(inst.name, inst.cell, conns)
-
-    for inst in keep_insts:
-        conns = {
-            pin: image(top, top_net_map, net)
-            for pin, net in inst.connections.items()
-        }
-        top.add_instance(inst.name, inst.cell, conns)
+    _copy_instances(comb, comb_insts, comb_net_map)
+    _copy_instances(top, keep_insts, top_net_map)
 
     # Instantiate the child, binding each boundary port to the parent net.
-    bindings = {}
-    for orig_name, pname in boundary_inputs + boundary_outputs:
-        bindings[pname] = top.net(orig_name)
-    comb_instance = top.add_instance(instance_name, comb, bindings)
+    comb_instance = top.add_instance(instance_name, comb, {
+        pname: top.net(orig_name)
+        for orig_name, pname in boundary_inputs + boundary_outputs})
 
-    new_design = Design(top, lib)
     return SplitResult(
-        design=new_design,
+        design=Design(top, lib),
         top=top,
         comb=comb,
         comb_instance=comb_instance,
@@ -190,45 +154,35 @@ def remap_cells(module, cell_map, name=None):
 
     ``cell_map`` maps original cell *names* to replacement
     :class:`~repro.tech.library.Cell` objects with the *same pin
-    interface*; unmapped cells are kept as-is.  Ports, nets and
-    connectivity are
-    copied one-to-one, so analyses on the result line up net-for-net
-    with the original.  This is the workhorse of variant-library
-    techniques (e.g. LECTOR leakage-control-transistor insertion, which
-    swaps each combinational cell for its LCT variant).
+    interface* (checked once per mapped cell: differing input or output
+    pin names raise :class:`~repro.errors.NetlistError`); unmapped cells
+    are kept as-is.  Ports, nets and connectivity are copied one-to-one,
+    so analyses on the result line up net-for-net with the original.
+    This is the workhorse of variant-library techniques (e.g. LECTOR
+    leakage-control-transistor insertion, which swaps each combinational
+    cell for its LCT variant).
     """
-    src = module
-    for inst in src.instances():
+    cells = {}
+    for inst in module.instances():
         if not inst.is_cell:
             raise NetlistError(
                 "remap_cells requires a flat module; flatten first")
+        cells[inst.cell.name] = inst.cell
+    for cell_name, cell in cells.items():
+        new = cell_map.get(cell_name, cell)
+        if (new.input_names, new.output_names) != (cell.input_names,
+                                                   cell.output_names):
+            raise NetlistError("remap_cells: {} lacks the pin interface of "
+                               "{}".format(new.name, cell.name))
 
-    out = Module(name or src.name)
+    out = Module(name or module.name)
     net_map = {}
-    for port in src.ports:
-        new = out.add_port(port.name, port.direction)
-        net_map[id(port.net)] = new.net
-    for net in src.nets():
-        if net.is_const or id(net) in net_map:
-            continue
-        net_map[id(net)] = out.add_net(net.name)
-
-    def image(net):
-        if net.is_const:
-            return out.const(net.const_value)
-        return net_map[id(net)]
-
-    for inst in src.cell_instances():
-        cell = cell_map.get(inst.cell.name, inst.cell)
-        conns = {pin: image(net) for pin, net in inst.connections.items()}
-        out.add_instance(inst.name, cell, conns)
+    for port in module.ports:
+        net_map[port.net] = out.add_port(port.name, port.direction).net
+    # Constants map at their first use, after the other nets.
+    _copy_nets(out, [n for n in module.nets() if not n.is_const], net_map)
+    _copy_instances(out, module.instances(), net_map, cell_map=cell_map)
     return out
-
-
-def clone_flat_module(module, name=None):
-    """A structural copy of a flat ``module`` (same cells, fresh
-    nets/instances) -- :func:`remap_cells` with an identity map."""
-    return remap_cells(module, {}, name=name)
 
 
 def insert_buffer(module, net, buf_cell, name=None):

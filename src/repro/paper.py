@@ -3,8 +3,10 @@
 :func:`multiplier_study` and :func:`cortex_m0_study` run the full
 reproduction pipeline for one test design:
 
-1. generate the netlist (:mod:`repro.circuits`);
-2. implement it twice through the flows (baseline and SCPG, incl. CTS);
+1. elaborate the netlist once (:mod:`repro.circuits`; the memoised,
+   read-only elaboration);
+2. implement it twice through the flows (baseline and SCPG, incl. CTS),
+   neither of which edits the elaboration;
 3. measure switched energy per cycle with the gate-level simulator (random
    operands for the multiplier; the Dhrystone-lite workload, grouped per
    10 vectors with representative max/min/avg groups, for the M0-lite --
@@ -114,16 +116,15 @@ def _measure_multiplier_energy(module, library, vectors, seed):
 def multiplier_study(fast=False, seed=2011):
     """Case study 1: the 16-bit parallel multiplier."""
     library = build_scl90()
+    design = registry.resolve("mult16", library)
 
     # Quick pre-pass on the raw netlist: the header IR-drop sizing needs a
     # realistic switched-energy figure (the paper sizes sleep transistors
     # "from synthesis and simulation").
     e_sizing, _ = _measure_multiplier_energy(
-        registry.build("mult16", library), library, vectors=60, seed=seed)
+        design.top, library, vectors=60, seed=seed)
 
-    flow_result = _run_scpg_flow(
-        lambda: Design(registry.build("mult16", library), library),
-        library, energy_per_cycle=e_sizing)
+    flow_result = _run_scpg_flow(design, library, energy_per_cycle=e_sizing)
     base_flow = flow_result.baseline
 
     # Final measurement on the implemented baseline (clock tree included).
@@ -153,14 +154,12 @@ def _run_dhrystone(module, library, iterations=None):
 def cortex_m0_study(fast=False):
     """Case study 2: the M0-lite processor running Dhrystone-lite."""
     library = build_scl90()
+    design = registry.resolve("m0lite", library)
 
     # Sizing pre-pass (short workload on the raw core).
-    _, e_sizing = _run_dhrystone(registry.build("m0lite", library),
-                                 library, iterations=4)
+    _, e_sizing = _run_dhrystone(design.top, library, iterations=4)
 
-    flow_result = _run_scpg_flow(
-        lambda: Design(registry.build("m0lite", library), library),
-        library, energy_per_cycle=e_sizing)
+    flow_result = _run_scpg_flow(design, library, energy_per_cycle=e_sizing)
     base_flow = flow_result.baseline
 
     iterations = 4 if fast else None  # None -> paper-matched ~3700 cycles

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from ..errors import TechniqueError
 from ..netlist.core import Design
 from ..netlist.stats import module_stats
-from ..netlist.transform import clone_flat_module
 from ..netlist.traverse import levelize
 from ..netlist.validate import validate_module
 from ..power.headers import DEFAULT_IR_BUDGET, peak_current
@@ -311,7 +310,7 @@ class CbtstcTechnique(Technique):
         # The transformed netlist: a structural copy plus one TSTC
         # instance per cluster, all slept from one control input (the
         # per-cluster activity detectors live in the model).
-        top = clone_flat_module(top_src)
+        top = top_src.copy()
         sleep_net = top.add_input(sleep_port)
         for cluster in clusters:
             top.add_instance(

@@ -87,13 +87,14 @@ class ScpgTechnique(Technique):
         the same vectorless ``e_cycle``."""
         return handle.artifacts().scpg
 
-    def implement(self, design_builder, library, **options):
+    def implement(self, design, library, **options):
         """The full Fig. 5 implementation flow (synthesis, centred
-        floorplan, CTS, routing) with a baseline comparison; see
+        floorplan, CTS, routing) of the flat ``design`` with a baseline
+        comparison; ``design`` is left unedited.  See
         :func:`repro.flows.scpg_flow._run_scpg_flow`."""
         from ..flows.scpg_flow import _run_scpg_flow
 
-        return _run_scpg_flow(design_builder, library, **options)
+        return _run_scpg_flow(design, library, **options)
 
     def artifact_table(self, transformed):
         return ScpgModelTable.compile(transformed)

@@ -76,10 +76,9 @@ class TestScpgFlow:
         from repro.circuits.multiplier import build_mult16
         from repro.techniques import technique
 
-        centred = technique("scpg").implement(
-            lambda: Design(build_mult16(lib), lib), lib, centred=True)
-        corner = technique("scpg").implement(
-            lambda: Design(build_mult16(lib), lib), lib, centred=False)
+        design = Design(build_mult16(lib), lib)
+        centred = technique("scpg").implement(design, lib, centred=True)
+        corner = technique("scpg").implement(design, lib, centred=False)
         c_plan = centred.flow.metrics["floorplan"]
         k_plan = corner.flow.metrics["floorplan"]
         # Corner placement halves the shared perimeter: more congestion.

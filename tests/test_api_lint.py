@@ -17,7 +17,8 @@ The store salts every key with the package's code digest, which
 replaced the hand-bumped ``ARTIFACT_SCHEMA`` and ``COLUMN_SCHEMA``
 tags, the per-technique ``version`` opt-in and the ``salt=`` keyword of
 ``SqliteStore`` / ``open_store``; ``repro.circuits.registry.resolve``
-replaced the CLI's ``_resolve_design`` shim.
+replaced the CLI's ``_resolve_design`` shim; ``Module.copy`` replaced
+``repro.netlist.transform.clone_flat_module``.
 Their deprecation shims are deleted, so no module may define, re-export
 or call the old names again -- and the package must not expose them.
 """
@@ -61,6 +62,7 @@ DEPRECATED = {
     "ARTIFACT_SCHEMA": re.compile(r"\bARTIFACT_SCHEMA\b"),
     "COLUMN_SCHEMA": re.compile(r"\bCOLUMN_SCHEMA\b"),
     "repro.cli._resolve_design": re.compile(r"\b_resolve_design\b"),
+    "clone_flat_module": re.compile(r"\bclone_flat_module\b"),
 }
 
 #: Removed keywords, matched across the lines of a whole call: removed
