@@ -15,8 +15,8 @@ Observability (both spellings work; the flags require running pytest
 the env vars work from anywhere):
 
 * ``--stats-json PATH`` / ``REPRO_BENCH_STATS_JSON=PATH`` -- dump the
-  shared runner's counters and stage timings as JSON when the session
-  ends (CI uploads this as a build artifact);
+  shared runner's counters as JSON when the session ends (CI uploads
+  this as a build artifact);
 * ``--journal PATH`` / ``REPRO_BENCH_JOURNAL=PATH`` -- append the JSONL
   run journal of every grid the shared runner executed;
 * ``--trace-out PATH`` / ``REPRO_BENCH_TRACE=PATH`` -- append the

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ScpgError
+from ..obs.trace import layer
 from ..runner import Runner, stable_hash_or_none
 from ..scpg.power_model import Mode, ScpgPowerModel
 
@@ -71,6 +72,7 @@ def power_cache_key(model):
     return stable_hash_or_none("scpg-power-point", model)
 
 
+@layer("analysis.self")
 def sweep(model, freqs, modes=(Mode.NO_PG, Mode.SCPG, Mode.SCPG_MAX),
           runner=None, label="sweep"):
     """Evaluate ``model`` across ``freqs`` for each mode.
@@ -94,6 +96,7 @@ def sweep(model, freqs, modes=(Mode.NO_PG, Mode.SCPG, Mode.SCPG_MAX),
     return out
 
 
+@layer("analysis.self")
 def find_convergence(model, mode=Mode.SCPG, f_lo=1e4, f_hi=None,
                      tolerance=1e-3, runner=None):
     """Frequency where ``mode`` stops saving power versus No-PG.

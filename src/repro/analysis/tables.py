@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..obs.trace import layer
 from ..scpg.power_model import Mode
 from .sweep import sweep
 
@@ -32,6 +33,7 @@ class TableRowResult:
     saving_scpgmax_pct: float
 
 
+@layer("analysis.self")
 def build_table(model, freqs, runner=None, label="sweep"):
     """Evaluate the model on a frequency grid; returns
     ``list[TableRowResult]``.

@@ -39,6 +39,7 @@ import weakref
 
 from ..errors import GeneratorError, RegistryError
 from ..netlist.core import Module
+from ..obs.trace import layer
 
 __all__ = [
     "DesignKey",
@@ -414,6 +415,7 @@ def canonical_key(key):
     return family(key.family).key(**key.params)
 
 
+@layer("circuits.elaborate")
 def elaborate(key, library, fresh=False):
     """The :class:`~repro.netlist.core.Module` for ``key`` on ``library``.
 

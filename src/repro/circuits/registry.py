@@ -33,6 +33,7 @@ import os
 from dataclasses import dataclass, field
 
 from ..errors import RegistryError
+from ..obs.trace import layer
 from .generators import DesignKey, _source_site, canonical_key, \
     elaborate, has_family, looks_like_key
 
@@ -180,6 +181,7 @@ def _rename_params(e, params):
     return {e.renames.get(k, k): v for k, v in params.items()}
 
 
+@layer("circuits.elaborate")
 def build(name, library, **params):
     """Build design ``name`` on ``library``; returns the top Module.
 

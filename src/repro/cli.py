@@ -31,13 +31,14 @@ warm pool of worker processes, ``--cache PATH`` reuses the
 content-addressed result store in the SQLite file PATH
 (``--no-cache`` disables it, default honours ``REPRO_CACHE_DIR``; the
 same file keeps each design's compiled artifact bundle), ``--stats``
-prints the runner's counters and stage timings to stderr,
-``--stats-json PATH`` writes the same counters as JSON,
-``--journal PATH`` appends a JSONL event log of every grid point the
-command evaluated, ``--trace PATH`` appends nested trace spans
-(grid/stage/point/attempt) as JSONL, and ``--metrics PATH`` writes a
-Prometheus text exposition of the run's metrics on exit -- stdout stays
-byte-identical to the serial, uncached, untraced output.
+prints the runner's counters to stderr, ``--stats-json PATH`` writes
+the same counters as JSON, ``--journal PATH`` appends a JSONL event log
+of every grid point the command evaluated, ``--trace PATH`` appends the
+command's timings as one tree of JSONL spans (the command, its grids,
+stages, points and attempts, and the layer spans below them), and
+``--metrics PATH`` writes a Prometheus text exposition of the run's
+metrics on exit -- stdout stays byte-identical to the serial, uncached,
+untraced output.
 """
 
 from __future__ import annotations
@@ -414,19 +415,20 @@ def build_parser():
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result store")
     parser.add_argument("--stats", action="store_true",
-                        help="print runner counters and stage timings "
-                        "to stderr")
+                        help="print the runner's counters to stderr "
+                        "(counters only: --trace carries the timings)")
     parser.add_argument("--journal", metavar="PATH",
                         help="append a JSONL run journal (point "
                         "started/finished/retried, crashes, timings) "
                         "to PATH")
     parser.add_argument("--stats-json", metavar="PATH",
-                        help="write the runner's counters and stage "
-                        "timings to PATH as JSON on exit")
+                        help="write the runner's counters to PATH as "
+                        "JSON on exit")
     parser.add_argument("--trace", metavar="PATH",
-                        help="append JSONL trace spans (grid/stage/"
-                        "point/attempt, with parent ids and monotonic "
-                        "timings) to PATH")
+                        help="append the command's timings to PATH as "
+                        "one tree of JSONL spans (command, grid/stage/"
+                        "point/attempt and the layers below them); "
+                        "'repro report PATH' prints self-time per span")
     parser.add_argument("--metrics", metavar="PATH",
                         help="write a Prometheus text exposition of the "
                         "run's counters/gauges/histograms to PATH on "
@@ -535,7 +537,7 @@ def build_parser():
     p.set_defaults(func=cmd_subvt)
 
     p = sub.add_parser("report", help="replay a run journal/trace into "
-                       "per-stage timings, hit ratios and anomaly flags")
+                       "per-span timings, hit ratios and anomaly flags")
     p.add_argument("journal_file", help="JSONL journal (--journal) or "
                    "trace (--trace) file to replay")
     p.add_argument("--straggler-k", type=float, default=3.0,
@@ -560,6 +562,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.trace and args.func is not cmd_serve:
+            with _session(args).tracer.span("command",
+                                            command=args.command):
+                return args.func(args)
         return args.func(args)
     except ReproError as exc:
         print("error: {}".format(exc), file=sys.stderr)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..netlist.stats import module_stats
+from ..obs.trace import layer
 from ..scpg.transform import _apply_scpg
 from .base import FlowResult, StepReport
 from .cts import synthesize_clock_tree
@@ -45,6 +46,7 @@ class ScpgFlowResult:
         return "\n".join(lines)
 
 
+@layer("flows.implement")
 def _run_scpg_flow(design, library, clock="clk", header_size=None,
                    energy_per_cycle=None, centred=True):
     """Implement a design with SCPG and a baseline for comparison.

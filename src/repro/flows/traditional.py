@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from ..netlist.stats import module_stats
+from ..obs.trace import layer
 from ..sta.analysis import TimingAnalysis
 from .base import FlowResult
 from .cts import synthesize_clock_tree
@@ -11,6 +12,7 @@ from .route import estimate_routing
 from .synthesis import synthesize
 
 
+@layer("flows.implement")
 def run_traditional_flow(design, clock="clk"):
     """Implement a flat ``design`` traditionally; returns a
     :class:`~repro.flows.base.FlowResult` whose ``flat`` has the clock tree

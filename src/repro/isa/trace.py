@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import IsaError, SimulationError
+from ..obs.trace import layer
 from ..sim.activity import ActivityTrace, GroupActivity
 from ..sim.compiled import schedule_for
 from ..sim.logic import X
@@ -206,6 +207,7 @@ class GateLevelCpu:
         self._group_base = counts.copy()
         self._cycles_in_group = 0
 
+    @layer("isa.cosim")
     def run(self, max_cycles=100_000):
         """Run until ``halted`` rises; returns cycles taken.
 

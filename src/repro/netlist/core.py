@@ -17,6 +17,7 @@ import enum
 import itertools
 
 from ..errors import NetlistError
+from ..obs.trace import layer
 from ..tech.library import Library, PinDirection
 
 
@@ -459,6 +460,7 @@ class Design:
         module is :meth:`Module.copy`-ed, submodules are shared."""
         return Design(self.top.copy(), self.library)
 
+    @layer("netlist.flatten")
     def flatten(self, name=None):
         """Return a new single-module :class:`Design` with the hierarchy
         expanded.  Instance and internal net names are prefixed with their

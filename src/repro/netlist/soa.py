@@ -45,6 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import NetlistError
+from ..obs.trace import layer
 from ..tech.library import CellKind
 from ..sim.logic import X, compile_cell
 from .traverse import connectivity_for, level_rows
@@ -331,6 +332,7 @@ def _leak_table(cell):
     return k, table
 
 
+@layer("netlist.lower_leakage")
 def lower_leakage(module):
     """Lower ``module``'s cell instances into a :class:`LeakageSoa`.
 
@@ -382,6 +384,7 @@ def leakage_soa_for(module):
     return module.derived("leakage_soa", lower_leakage)
 
 
+@layer("netlist.lower_soa")
 def lower_soa(module):
     """Lower a flat ``module`` into a :class:`SoaNetlist`.
 

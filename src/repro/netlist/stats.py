@@ -73,25 +73,25 @@ def module_stats(module):
                             for sub, generation in subs):
         stats = ModuleStats(module.name)
         subs = []
-        _accumulate(module, stats, subs)
+        kinds = {}
+        _accumulate(module, stats, subs, kinds)
+        for name, count in stats.by_cell.items():
+            kind_field = _KIND_FIELD[kinds[name]]
+            setattr(stats, kind_field, getattr(stats, kind_field) + count)
+        stats.cells = sum(stats.by_cell.values())
         stats.nets = len(module.nets())
         slot[:] = stats, tuple((sub, sub.generation) for sub in subs)
     return stats
 
 
-def _accumulate(module, stats, subs):
+def _accumulate(module, stats, subs, kinds):
     for inst in module.instances():
         if not inst.is_cell:
             subs.append(inst.submodule)
-            _accumulate(inst.submodule, stats, subs)
+            _accumulate(inst.submodule, stats, subs, kinds)
             continue
         cell = inst.cell
-        stats.cells += 1
         stats.area += cell.area
         stats.leakage_nominal += cell.leakage
         stats.by_cell[cell.name] += 1
-        setattr(
-            stats,
-            _KIND_FIELD[cell.kind],
-            getattr(stats, _KIND_FIELD[cell.kind]) + 1,
-        )
+        kinds[cell.name] = cell.kind

@@ -22,6 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ..errors import NetlistError
+from ..obs.trace import layer
 from ..tech.library import CellKind
 
 #: Kinds evaluated combinationally (gates, buffers, isolation, clock
@@ -245,6 +246,7 @@ def connectivity_for(module):
     return module.derived("connectivity", Connectivity)
 
 
+@layer("netlist.levelize")
 def topological_instances(module):
     """``(order, level_of)``: combinational instances in evaluation
     (topological) order, and each one's logic level (longest distance,

@@ -3,14 +3,14 @@
 Three dependency-free layers over the runner's raw record:
 
 * :mod:`repro.obs.trace` -- :class:`Tracer` produces nested spans
-  (grid -> stage -> point -> attempt) with monotonic timings and
-  pluggable sinks; :data:`NULL_TRACER` is the free-when-off default the
-  runner always calls through;
+  (grid -> stage -> point -> attempt -> the :func:`layer` spans) with
+  monotonic timings and pluggable sinks; :data:`NULL_TRACER` is the
+  free-when-off default the runner always calls through;
 * :mod:`repro.obs.metrics` -- :class:`MetricsRegistry` of counters,
   gauges and histograms with Prometheus text exposition; subsumes
   :class:`~repro.runner.instrument.RunStats` via ``fill_from_stats``;
 * :mod:`repro.obs.report` -- replay a JSONL journal/trace back into a
-  per-grid, per-stage report with anomaly flags (``repro report``).
+  per-grid, per-span report with anomaly flags (``repro report``).
 
 Wired through ``evaluate_grid``/``Runner`` (``tracer=``/``metrics=``),
 ``Session`` (``trace=``/``metrics=``) and the CLI (``--trace``,

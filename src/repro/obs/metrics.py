@@ -190,8 +190,8 @@ class Histogram:
 
 
 #: RunStats counter -> (metric name, help).  Everything RunStats.to_dict
-#: emits (minus the derived hit_rate and the stages dict, which map to a
-#: gauge and a labelled counter family below) must appear here --
+#: emits (minus the derived hit_rate and workers, which map to gauges
+#: below) must appear here --
 #: the registry's contract is to *subsume* the stats, not sample them.
 _STATS_COUNTERS = (
     ("points", "repro_points_total", "grid points requested"),
@@ -272,10 +272,6 @@ class MetricsRegistry:
             art_hits / art_total if art_total else 0.0)
         self.gauge("repro_workers", "widest worker pool used").set(
             data.get("workers", 1))
-        for stage, seconds in sorted(data.get("stages", {}).items()):
-            self.counter("repro_stage_seconds_total",
-                         "wall-clock spent per runner stage",
-                         stage=stage).set(seconds)
         if cache is not None:
             self.counter("repro_cache_store_puts_total",
                          "entries written to the result cache").set(

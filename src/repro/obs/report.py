@@ -4,10 +4,10 @@
 the append-only record a run left behind -- :class:`~repro.runner.
 journal.RunJournal` events, :class:`~repro.obs.trace.Tracer` span lines,
 or one file carrying both -- and answers the operator questions the raw
-stream cannot: where did the time go per grid and per stage, what were
-the cache and artifact hit ratios, and did anything behave anomalously
-(straggler points, retry storms, cold-cache runs, crashes, hard
-failures).
+stream cannot: where did the time go per grid, per stage and per layer
+(the self-time of every span name), what were the cache and artifact
+hit ratios, and did anything behave anomalously (straggler points,
+retry storms, cold-cache runs, crashes, hard failures).
 
 The parser is deliberately forgiving, like :func:`~repro.runner.journal.
 read_journal`: unknown events are ignored, truncated files (a run killed
@@ -54,6 +54,38 @@ def load_events(source):
         if f is not source:
             f.close()
     return events
+
+
+def self_times(spans):
+    """``{(label, name): [spans, seconds]}`` of self-time over span lines.
+
+    A span's self-time is its elapsed time minus its direct children's,
+    so nested spans are charged once and the rows of a serial run sum to
+    its root spans' wall-clock; overlapping pool chunks can outlast their
+    parent, which is then clamped at zero.  A ``stage`` span's row is its
+    stage under its ``grid`` span's label; any other row is ``"-"`` and
+    the span name.
+    """
+    children, labels = {}, {}
+    for span in spans:
+        parent = span.get("parent")
+        if parent is not None:
+            children[parent] = children.get(parent, 0.0) \
+                + (span.get("elapsed") or 0.0)
+        if span.get("name") == "grid":
+            labels[span.get("id")] = span.get("label")
+    rows = {}
+    for span in spans:
+        if span.get("name") == "stage":
+            key = (labels.get(span.get("parent")) or "(all)",
+                   span.get("stage", "?"))
+        else:
+            key = ("-", span.get("name", "?"))
+        row = rows.setdefault(key, [0, 0.0])
+        row[0] += 1
+        row[1] += max(0.0, (span.get("elapsed") or 0.0)
+                      - children.get(span.get("id"), 0.0))
+    return rows
 
 
 def percentile(values, q):
@@ -136,7 +168,6 @@ class JournalReport:
         self.artifact_hits = 0
         self.artifact_misses = 0
         self.artifact_builds = []      # (design, elapsed)
-        self.final_stats = None        # last run_finish stats dict
         self.spans = []                # raw span lines
         self._parse(events)
 
@@ -162,19 +193,17 @@ class JournalReport:
                     current.finished = True
                     self.grids.append(current)
                     current = None
-                stats = ev.get("stats")
-                if isinstance(stats, dict):
-                    self.final_stats = stats
             elif name == "span":
                 self.spans.append(ev)
+            elif name == "artifact_hit":
+                self.artifact_hits += 1
+            elif name == "artifact_miss":
+                self.artifact_misses += 1
+            elif name == "artifact_built":
+                self.artifact_builds.append(
+                    (ev.get("design", "?"), ev.get("elapsed", 0.0)))
             elif current is None:
-                if name == "artifact_hit":
-                    self.artifact_hits += 1
-                elif name == "artifact_miss":
-                    self.artifact_misses += 1
-                elif name == "artifact_built":
-                    self.artifact_builds.append(
-                        (ev.get("design", "?"), ev.get("elapsed", 0.0)))
+                continue
             elif name == "point_finished":
                 current.elapsed.append(ev.get("elapsed", 0.0))
                 current.indices.append(ev.get("index", -1))
@@ -203,13 +232,6 @@ class JournalReport:
                 current.bisects += 1
             elif name == "chunk_failed":
                 current.poisoned += 1
-            elif name == "artifact_hit":
-                self.artifact_hits += 1
-            elif name == "artifact_miss":
-                self.artifact_misses += 1
-            elif name == "artifact_built":
-                self.artifact_builds.append(
-                    (ev.get("design", "?"), ev.get("elapsed", 0.0)))
         if current is not None:
             self.grids.append(current)
 
@@ -221,33 +243,6 @@ class JournalReport:
         for grid in self.grids:
             out.setdefault(grid.label or "(unlabelled)", []).append(grid)
         return out
-
-    def stage_seconds(self):
-        """``{(label, stage): seconds}`` from span lines, or the final
-        journalled stats' stage totals under the label ``"(all)"``.
-
-        Stage spans are joined to their parent grid spans through the
-        span ids, so per-design labels survive into the stage table when
-        a trace was recorded alongside the journal.
-        """
-        if self.spans:
-            grids = {s.get("id"): s for s in self.spans
-                     if s.get("name") == "grid"}
-            totals = {}
-            for span in self.spans:
-                if span.get("name") != "stage":
-                    continue
-                parent = grids.get(span.get("parent"))
-                label = (parent or {}).get("label") or "(all)"
-                key = (label, span.get("stage", "?"))
-                totals[key] = totals.get(key, 0.0) \
-                    + (span.get("elapsed") or 0.0)
-            if totals:
-                return totals
-        if self.final_stats:
-            return {("(all)", stage): seconds for stage, seconds
-                    in self.final_stats.get("stages", {}).items()}
-        return {}
 
     def anomalies(self):
         """Every flagged finding, stable order (see :class:`Anomaly`)."""
@@ -361,18 +356,19 @@ class JournalReport:
                         * 1e3,
                         (max(elapsed) if elapsed else 0.0) * 1e3))
 
-        stages = self.stage_seconds()
-        if stages:
-            total = sum(stages.values()) or 1.0
+        timings = self_times(self.spans)
+        if timings:
+            total = sum(seconds for _, seconds in timings.values()) or 1.0
             lines.append("")
-            lines.append("stage timings")
-            lines.append("{:<24} {:<14} {:>10} {:>7}".format(
-                "label", "stage", "seconds", "share"))
-            lines.append("-" * 58)
-            for (label, stage), seconds in sorted(
-                    stages.items(), key=lambda kv: -kv[1]):
-                lines.append("{:<24} {:<14} {:>10.4f} {:>6.1f}%".format(
-                    label[:24], stage, seconds, 100.0 * seconds / total))
+            lines.append("timings (self-time per span)")
+            lines.append("{:<24} {:<22} {:>7} {:>10} {:>7}".format(
+                "label", "span", "spans", "seconds", "share"))
+            lines.append("-" * 74)
+            for (label, name), (count, seconds) in sorted(
+                    timings.items(), key=lambda kv: -kv[1][1]):
+                lines.append("{:<24} {:<22} {:>7} {:>10.4f} {:>6.1f}%"
+                             .format(label[:24], name[:22], count, seconds,
+                                     100.0 * seconds / total))
 
         lines.append("")
         lines.append("caches")

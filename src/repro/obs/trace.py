@@ -1,9 +1,11 @@
-"""Nested tracing spans for the runner/session stack.
+"""Nested tracing spans for the runner/session stack and every layer.
 
 A :class:`Tracer` turns a run into a tree of timed spans -- ``grid``
 spans containing ``stage`` spans containing ``point`` spans containing
-``attempt`` spans -- each with a monotonic start offset, an elapsed
-wall-clock, a parent id and arbitrary attributes.  Where the
+``attempt`` spans, and below them the layer spans that :func:`layer`
+opens at each layer's entry points (``netlist.levelize``, ``sta.run``,
+...) -- each with a monotonic start offset, an elapsed wall-clock, a
+parent id and arbitrary attributes.  Where the
 :class:`~repro.runner.journal.RunJournal` answers "what happened, in
 order", spans answer "*where did the time go*, and inside what".
 
@@ -35,10 +37,47 @@ the parent records an externally-timed span via :meth:`Tracer.record`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import os
 import threading
 import time
+
+
+class _OpenSpans(threading.local):
+    """The spans open on this thread, innermost last, of every tracer."""
+
+    def __init__(self):
+        self.stack = []
+
+
+_open = _OpenSpans()
+
+
+# A forked child inherits its parent's open spans; tracing under them
+# would reuse the parent's span ids and write into its sinks.
+os.register_at_fork(after_in_child=lambda: _open.stack.clear())
+
+
+def layer(name):
+    """Decorate a layer entry point: each call runs inside a span ``name``
+    on the tracer owning the innermost open span of the calling thread.
+
+    With no span open (or in a forked worker) the call goes straight
+    through, at the cost of one thread-local read.  A call made while a
+    span of the same name is innermost stays inside that span.
+    """
+    def decorate(fn):
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            stack = _open.stack
+            if not stack or stack[-1].name == name:
+                return fn(*args, **kwargs)
+            with stack[-1].tracer.span(name):
+                return fn(*args, **kwargs)
+        return traced
+    return decorate
 
 
 class Span:
@@ -75,6 +114,8 @@ class Span:
             return
         self._done = True
         self.elapsed = self.tracer._now() - self.start
+        if self in _open.stack:
+            _open.stack.remove(self)
         self.tracer._emit(self)
 
     def to_dict(self):
@@ -96,7 +137,6 @@ class Span:
         return self
 
     def __exit__(self, *exc):
-        self.tracer._pop(self)
         self.finish()
         return False
 
@@ -140,10 +180,10 @@ class Tracer:
         and (optionally) a ``close()``.  See :class:`MemorySink`,
         :class:`JsonlSink`, :class:`JournalSink`.
 
-    Nesting is tracked per thread (a thread-local stack), so one tracer
-    may be shared the way the journal is; span ids are unique across
-    threads.  The parent of an opened span is whatever span is open in
-    the same thread -- exactly the lexical ``with`` nesting.
+    Nesting is tracked per thread, so one tracer may be shared the way
+    the journal is; span ids are unique across threads.  A span's parent
+    is the innermost open span of the same tracer in the same thread --
+    the lexical ``with`` nesting, even where two tracers interleave.
     """
 
     enabled = True
@@ -155,23 +195,17 @@ class Tracer:
         self.spans = 0
         self._ids = itertools.count(1)
         self._epoch = time.perf_counter()
-        self._local = threading.local()
 
     # -- internals ---------------------------------------------------------
 
     def _now(self):
         return time.perf_counter() - self._epoch
 
-    def _stack(self):
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def _pop(self, span):
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
+    def _parent_id(self):
+        for span in reversed(_open.stack):
+            if span.tracer is self:
+                return span.span_id
+        return None
 
     def _emit(self, span):
         self.spans += 1
@@ -183,11 +217,9 @@ class Tracer:
 
     def span(self, name, **attrs):
         """Open a nested span; use as a context manager."""
-        stack = self._stack()
-        parent = stack[-1].span_id if stack else None
-        span = Span(self, name, next(self._ids), parent, self._now(),
-                    attrs)
-        stack.append(span)
+        span = Span(self, name, next(self._ids), self._parent_id(),
+                    self._now(), attrs)
+        _open.stack.append(span)
         return span
 
     def record(self, name, elapsed, parent_id=None, **attrs):
@@ -202,8 +234,7 @@ class Tracer:
         have produced.
         """
         if parent_id is None:
-            stack = self._stack()
-            parent_id = stack[-1].span_id if stack else None
+            parent_id = self._parent_id()
         span = Span(self, name, next(self._ids), parent_id,
                     self._now() - elapsed, attrs)
         span._done = True
@@ -297,6 +328,7 @@ class JsonlSink:
 
     def __init__(self, path):
         self.path = str(path)
+        self.events = 0            # lines written
         self._lock = threading.Lock()
         self._file = None
 
@@ -307,6 +339,7 @@ class JsonlSink:
                 self._file = open(self.path, "a")
             self._file.write(text + "\n")
             self._file.flush()
+            self.events += 1
 
     def close(self):
         with self._lock:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import PowerError
+from ..obs.trace import layer
 from ..sta.delay import net_caps
 
 #: Default hazard multiplier for functional (zero-delay) toggle counts.
@@ -56,6 +57,7 @@ class DynamicReport:
         ).format(self.vdd, self.freq_hz, self.energy_per_cycle, self.power)
 
 
+@layer("power.dynamic")
 def dynamic_power(module, library, toggles, cycles, vdd=None, freq_hz=1e6,
                   glitch_factor=DEFAULT_GLITCH_FACTOR):
     """Compute a :class:`DynamicReport` from per-net toggle counts.

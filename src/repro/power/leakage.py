@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..netlist.soa import leakage_soa_for
+from ..obs.trace import layer
 from ..tech.library import CellKind
 
 #: Kinds whose leakage the SCPG header can gate away.
@@ -62,6 +63,7 @@ class LeakageReport:
         return self.by_kind.get(CellKind.HEADER, 0.0)
 
     @classmethod
+    @layer("power.leakage")
     def from_soa(cls, lk, library, vdd=None, state=None, temp_c=None):
         """The report of a :class:`~repro.netlist.soa.LeakageSoa` at
         ``vdd`` (default nominal); ``state`` is an optional packed
@@ -113,6 +115,7 @@ def _leakage_totals(lk, library, vdd, states, temp_c, by_cell=True):
     return _left_fold(vals), kinds, cells
 
 
+@layer("power.leakage")
 def leakage_power(module, library, vdd=None, state=None, temp_c=None):
     """Compute the :class:`LeakageReport` of a flat ``module``.
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import PowerError
 from ..netlist.traverse import level_rows
+from ..obs.trace import layer
 from ..sim.logic import compile_cell
 from ..sta.delay import net_caps
 
@@ -201,6 +202,7 @@ class SwitchedCapacitance:
                 rows.append((net.name, cap, d))
         return cls(rows=rows)
 
+    @layer("power.switching")
     def evaluate(self, library, vdd=None):
         """``(e_cycle, by_net)`` at ``vdd`` (default nominal)."""
         vdd = library.vdd_nom if vdd is None else vdd
@@ -214,6 +216,7 @@ class SwitchedCapacitance:
         return e_cycle, by_net
 
 
+@layer("power.switching")
 def vectorless_switching(module, library, vdd=None):
     """Vectorless per-cycle switched energy: ``(e_cycle, by_net)``.
 

@@ -16,7 +16,7 @@ through this package.  The public surface:
   that many processes share safely -- what ``Session(store=...)`` and
   the :mod:`repro.serve` job service ride;
 * :class:`CachedEvaluator` -- point-at-a-time caching for search loops;
-* :class:`RunStats` -- per-run counters and stage wall-clocks;
+* :class:`RunStats` -- per-run counters;
 * :class:`RunJournal` / :func:`read_journal` -- append-only JSONL event
   log of everything a run did (the runner's black-box recorder);
 * :class:`ArtifactStore` / :class:`CircuitArtifacts` -- the per-circuit

@@ -47,8 +47,9 @@ how the work was scheduled:
   results bit-identical to an all-serial run;
 * **observability** -- a :class:`~repro.runner.journal.RunJournal`
   records every point finished/retried, every chunk
-  submitted/finished/bisected, crashes and stage totals as append-only
-  JSONL; traces nest ``chunk`` spans between ``stage`` and ``point``.
+  submitted/finished/bisected, crashes and the run's counters as
+  append-only JSONL; traces nest ``chunk`` spans between ``stage`` and
+  ``point``.
 
 :class:`Runner` bundles a worker count, a store, a retry policy, a
 journal, an optional warm pool and a
@@ -399,8 +400,7 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
         with tracer.span("grid", label=label,
                          points=len(points)) as grid_span:
             if use_cache:
-                with stats.stage("cache"), \
-                        tracer.span("stage", stage="cache"):
+                with tracer.span("stage", stage="cache"):
                     key_of = cache.key_maker(cache_key)
                     keys = [key_of(point) for point in points]
                     found = cache.lookup_many(keys)
@@ -429,8 +429,7 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
                           pending=len(pending), workers=nworkers)
             errored = set()
             if pending:
-                with stats.stage("evaluate"), \
-                        tracer.span("stage", stage="evaluate"):
+                with tracer.span("stage", stage="evaluate"):
                     run = _GridRun(fn, kernel, context,
                                    (on_error, retry_on, retries, backoff,
                                     timeout),

@@ -33,6 +33,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from ..errors import RunnerError
+from ..obs.trace import layer
 
 #: Root of the package whose source :func:`code_digest` covers.
 PACKAGE_ROOT = Path(__file__).resolve().parents[1]
@@ -96,6 +97,7 @@ def _canon(obj):
             type(obj).__qualname__))
 
 
+@layer("runner.fingerprint")
 def fingerprint(obj):
     """Hex digest of the canonical form of ``obj``."""
     return hashlib.sha256(_canon(obj).encode()).hexdigest()

@@ -1,23 +1,21 @@
-"""Per-run instrumentation: what the runner did and where the time went.
+"""Per-run instrumentation: what the runner did.
 
 A :class:`RunStats` accumulates across every grid the owning runner
 executes -- points seen, points actually evaluated, cache hits/misses,
-infeasible points, retries/timeouts/worker crashes, and wall-clock per
-stage -- so a report can print one honest summary line for a whole
-figure regeneration, and ``to_dict()`` can ship the same numbers to a
-``--stats-json`` file or a CI artifact.
+infeasible points, retries/timeouts/worker crashes -- so a report can
+print one honest summary line for a whole figure regeneration, and
+``to_dict()`` can ship the same numbers to a ``--stats-json`` file or a
+CI artifact.  Where the time went is in the spans (:mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 
 @dataclass
 class RunStats:
-    """Counters and stage timings for one runner (or one run)."""
+    """Counters for one runner (or one run)."""
 
     points: int = 0           # grid points requested
     evaluated: int = 0        # points actually computed (not cache/memo)
@@ -30,51 +28,6 @@ class RunStats:
     artifact_hits: int = 0    # per-circuit artifact bundles served from cache
     artifact_misses: int = 0  # bundles that had to be built
     workers: int = 1          # widest worker pool used
-    stages: dict = field(default_factory=dict)   # stage name -> seconds
-    #: Open-stage child-time accumulators (reentrancy bookkeeping only;
-    #: excluded from equality, merge and to_dict).
-    _active: list = field(default_factory=list, repr=False, compare=False)
-
-    @contextmanager
-    def stage(self, name):
-        """Accumulate wall-clock spent in the ``with`` body under ``name``.
-
-        Stages attribute **self time**: when stages nest, the inner
-        stage's wall-clock is charged to the inner bucket only, never
-        double-counted into the enclosing one -- so the buckets of any
-        nesting always sum to the outermost stage's wall-clock.  The
-        manager is reentrant (a stage may nest under itself, as a
-        recursive analysis does) but, like the rest of RunStats, not
-        thread-safe.
-        """
-        start = time.perf_counter()
-        self._active.append(0.0)
-        try:
-            yield self
-        finally:
-            total = time.perf_counter() - start
-            child_time = self._active.pop()
-            self.stages[name] = self.stages.get(name, 0.0) \
-                + total - child_time
-            if self._active:
-                self._active[-1] += total
-
-    def merge(self, other):
-        """Fold ``other`` into this one (workers takes the max)."""
-        self.points += other.points
-        self.evaluated += other.evaluated
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.infeasible += other.infeasible
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.crashes += other.crashes
-        self.artifact_hits += other.artifact_hits
-        self.artifact_misses += other.artifact_misses
-        self.workers = max(self.workers, other.workers)
-        for name, seconds in other.stages.items():
-            self.stages[name] = self.stages.get(name, 0.0) + seconds
-        return self
 
     @property
     def hit_rate(self):
@@ -83,22 +36,9 @@ class RunStats:
         return self.cache_hits / lookups if lookups else 0.0
 
     def to_dict(self):
-        """All counters and stage timings as plain JSON-serialisable data."""
-        return {
-            "points": self.points,
-            "evaluated": self.evaluated,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "hit_rate": self.hit_rate,
-            "infeasible": self.infeasible,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "crashes": self.crashes,
-            "artifact_hits": self.artifact_hits,
-            "artifact_misses": self.artifact_misses,
-            "workers": self.workers,
-            "stages": dict(self.stages),
-        }
+        """All counters, and the derived ``hit_rate``, as plain
+        JSON-serialisable data."""
+        return dict(asdict(self), hit_rate=self.hit_rate)
 
     def render(self, prefix="runner"):
         """A compact multi-line summary (safe for stderr/report footers)."""
@@ -116,7 +56,4 @@ class RunStats:
             lines.append(
                 "{}: {} artifact hits, {} artifact misses".format(
                     prefix, self.artifact_hits, self.artifact_misses))
-        for name in sorted(self.stages):
-            lines.append("{}:   {:<13} {:.3f} s".format(
-                prefix, name, self.stages[name]))
         return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 A :class:`RunJournal` is the runner's black-box recorder.  Every event --
 a grid starting, a point being submitted, finished, retried or declared
-infeasible, a pool crash, the stage-timing summary -- is appended to one
+infeasible, a pool crash, the run's counters -- is appended to one
 file as a single JSON object per line, flushed immediately, so an
 aborted or wedged run leaves a complete record up to the moment it died.
 
@@ -26,9 +26,10 @@ their timings back through the result tuple), so lines never interleave.
 
 from __future__ import annotations
 
-import json
-import threading
 import time
+
+from ..obs.report import load_events
+from ..obs.trace import JsonlSink
 
 #: Event names a journal may contain (documentation, not enforcement).
 EVENTS = (
@@ -64,8 +65,9 @@ EVENTS = (
 )
 
 
-class RunJournal:
-    """Append-only JSONL event log for runner executions.
+class RunJournal(JsonlSink):
+    """Append-only JSONL event log for runner executions: a
+    :class:`~repro.obs.trace.JsonlSink` whose lines are stamped events.
 
     Parameters
     ----------
@@ -75,30 +77,11 @@ class RunJournal:
         whole session of runs.
     """
 
-    def __init__(self, path):
-        self.path = str(path)
-        self._lock = threading.Lock()
-        self._file = None
-        self.events = 0
-
     def record(self, event, **fields):
         """Append one event line (flushed immediately)."""
         line = {"t": time.time(), "event": event}
         line.update(fields)
-        text = json.dumps(line, sort_keys=True, default=repr)
-        with self._lock:
-            if self._file is None:
-                self._file = open(self.path, "a")
-            self._file.write(text + "\n")
-            self._file.flush()
-            self.events += 1
-
-    def close(self):
-        """Close the underlying file (recording may reopen it)."""
-        with self._lock:
-            if self._file is not None:
-                self._file.close()
-                self._file = None
+        self.emit(line)
 
     def __enter__(self):
         return self
@@ -143,14 +126,4 @@ def read_journal(path):
     skipped rather than raising: the journal exists to debug failures, so
     reading one must not fail.
     """
-    events = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError:
-                continue
-    return events
+    return load_events(str(path))

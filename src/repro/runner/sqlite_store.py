@@ -46,6 +46,7 @@ import threading
 import time
 
 from ..errors import RunnerError
+from ..obs.trace import layer
 from .fingerprint import code_digest, hashes_under, stable_hash
 
 #: Namespace of every entry key, beside the package's code digest.
@@ -199,6 +200,7 @@ class SqliteStore:
         grid or search)."""
         return hashes_under(CACHE_SCHEMA, code_digest(), *parts)
 
+    @layer("runner.store_get")
     def lookup_many(self, keys):
         """``[(hit, value)]``, one per key of ``keys`` in order; counts
         each hit or (absent or corrupt) miss.  A repeated key reads as
@@ -252,6 +254,7 @@ class SqliteStore:
         self.hits -= 1
         self.misses += 1
 
+    @layer("runner.store_put")
     def put_many(self, items):
         """Store every ``(key, value)`` of ``items`` in one transaction
         (last writer wins) under the current code digest; returns the

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from ..errors import ScpgError
 from ..netlist.soa import LeakageSoa, leakage_soa_for
+from ..obs.trace import layer
 from ..power.leakage import LeakageReport
 from ..sta.constraints import ClockSpec
 from .clocking import scpg_feasible
@@ -144,6 +145,7 @@ class ScpgPowerModel:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
+    @layer("scpg.model")
     def from_scpg_design(cls, scpg_design, e_cycle, vdd=None,
                          extra_alwayson=0.0):
         """Build the model from an :class:`~repro.scpg.transform.ScpgDesign`
@@ -423,6 +425,7 @@ class ScpgModelTable:
             area_overhead_pct=scpg_design.area_overhead_pct,
         )
 
+    @layer("scpg.model")
     def build_model(self, library, e_cycle, vdd=None, extra_alwayson=0.0):
         """The :class:`ScpgPowerModel` at ``vdd`` (default nominal) for a
         base-design switched energy ``e_cycle`` characterised at nominal.

@@ -32,6 +32,7 @@ from ..netlist.core import Design
 from ..netlist.stats import module_stats
 from ..netlist.transform import split_combinational
 from ..netlist.validate import validate_module
+from ..obs.trace import layer
 from ..power.dynamic import DEFAULT_GLITCH_FACTOR
 from ..power.headers import HeaderNetwork, size_header_network
 from ..power.probabilistic import SwitchedCapacitance
@@ -106,6 +107,7 @@ class ScpgDesign:
         return 100.0 * (self.area - self.base_area) / self.base_area
 
 
+@layer("scpg.transform")
 def _apply_scpg(design, clock_port="clk", header_size=None,
                 energy_per_cycle=None, rail_params=None,
                 glitch_factor=DEFAULT_GLITCH_FACTOR,

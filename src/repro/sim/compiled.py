@@ -60,6 +60,7 @@ import numpy as np
 
 from ..errors import NetlistError, SimulationError
 from ..netlist.soa import PAD, lower_soa
+from ..obs.trace import layer
 from .activity import ActivityTrace, GroupActivity
 from .logic import X, to_ternary
 
@@ -420,6 +421,7 @@ class CompiledSchedule:
 
     # -- public API ----------------------------------------------------------
 
+    @layer("sim.vectors")
     def run_vectors(self, vectors, clock="clk", reset=0, group_size=None):
         """Simulate a clocked workload; returns a :class:`CompiledRun`.
 
@@ -791,6 +793,7 @@ class ClosedLoopStepper:
         self.toggle_counts[:] = 0
 
 
+@layer("sim.compile")
 def compile_schedule(module):
     """Compile ``module`` into a :class:`CompiledSchedule`.
 

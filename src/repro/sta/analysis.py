@@ -19,6 +19,7 @@ from weakref import ref
 
 from ..errors import TimingError
 from ..netlist.traverse import level_rows
+from ..obs.trace import layer
 from .delay import net_loads
 
 
@@ -143,6 +144,7 @@ class TimingAnalysis:
         #: inst_name -> (in_idx, ...) for critical-path tracing.
         self.trace_inputs = {name: ins for name, ins, _ in self.steps}
 
+    @layer("sta.run")
     def run(self, vdd=None):
         """Compute a :class:`TimingResult` at ``vdd`` (default nominal)."""
         lib = self.library

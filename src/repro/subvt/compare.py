@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..obs.trace import layer
 from ..scpg.budget import solve_max_frequency
 from ..scpg.power_model import Mode
 from .energy import minimum_energy_point
@@ -45,6 +46,7 @@ class SubvtComparison:
         )
 
 
+@layer("subvt.self")
 def compare_with_scpg(subvt_model, scpg_model, mode=Mode.SCPG,
                       budget=None, runner=None):
     """Run the §IV comparison.

@@ -18,6 +18,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from ..errors import PowerError
+from ..obs.trace import layer
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,7 @@ def _model_cache_key(model):
     return stable_hash_or_none("subvt-point", model)
 
 
+@layer("subvt.self")
 def energy_sweep(model, v_lo=0.15, v_hi=0.9, steps=76, runner=None):
     """Sweep the supply; returns a list of :class:`EnergyPoint`.
 
@@ -157,6 +159,7 @@ def energy_sweep(model, v_lo=0.15, v_hi=0.9, steps=76, runner=None):
                       kernel=_batch_kernel(model))
 
 
+@layer("subvt.self")
 def minimum_energy_point(model, v_lo=0.15, v_hi=0.9, tolerance=1e-3,
                          runner=None):
     """Golden-section search for the minimum-energy supply voltage.

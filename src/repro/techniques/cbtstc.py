@@ -35,6 +35,7 @@ from ..netlist.core import Design
 from ..netlist.stats import module_stats
 from ..netlist.traverse import levelize
 from ..netlist.validate import validate_module
+from ..obs.trace import layer
 from ..power.headers import DEFAULT_IR_BUDGET, peak_current
 from ..power.leakage import GATABLE_KINDS
 from ..power.probabilistic import activity_for, vectorless_switching
@@ -225,6 +226,7 @@ class CbtstcTechnique(Technique):
         return common_checks(self.name, design, clock_port=clock_port,
                              needs_clock=False)
 
+    @layer("techniques.transform")
     def transform(self, design, cluster_size=DEFAULT_CLUSTER_SIZE,
                   ir_budget=DEFAULT_IR_BUDGET, sleep_port="tstc_sleep",
                   energy_per_cycle=None):
@@ -334,6 +336,7 @@ class CbtstcTechnique(Technique):
     def artifact_table(self, transformed):
         return CbtstcTable.compile(transformed)
 
+    @layer("techniques.model")
     def sweep_model(self, transformed, *, library, e_cycle, base_leakage,
                     base_sta, vdd=None):
         return self.artifact_table(transformed).build_model(

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from ..netlist.core import Design
 from ..netlist.stats import module_stats
 from ..netlist.transform import remap_cells
+from ..obs.trace import layer
 from ..power.leakage import leakage_power
 from ..power.probabilistic import vectorless_switching
 from ..sta.analysis import timing_for
@@ -220,6 +221,7 @@ class LectorTechnique(Technique):
         return common_checks(self.name, design, clock_port=clock_port,
                              needs_clock=False)
 
+    @layer("techniques.transform")
     def transform(self, design, **options):
         """Swap every eligible gate for its ``_LCT`` twin; returns a
         :class:`LectorDesign` bound to the variant library."""
@@ -247,6 +249,7 @@ class LectorTechnique(Technique):
     def artifact_table(self, transformed):
         return LectorTable.compile(transformed)
 
+    @layer("techniques.model")
     def sweep_model(self, transformed, *, library, e_cycle, base_leakage,
                     base_sta, vdd=None):
         return self.artifact_table(transformed).build_model(

@@ -9,6 +9,7 @@ entry points because the adapter delegates to the same code.
 
 from __future__ import annotations
 
+from ..obs.trace import layer
 from ..scpg.power_model import Mode, ScpgModelTable, ScpgPowerModel
 from ..scpg.transform import _apply_scpg
 from .base import (
@@ -75,6 +76,7 @@ class ScpgTechnique(Technique):
     def check(self, design, clock_port="clk"):
         return common_checks(self.name, design, clock_port=clock_port)
 
+    @layer("techniques.transform")
     def transform(self, design, **options):
         """Apply SCPG; see :func:`repro.scpg.transform._apply_scpg` for
         the options (``clock_port``, ``header_size``,
@@ -99,6 +101,7 @@ class ScpgTechnique(Technique):
     def artifact_table(self, transformed):
         return ScpgModelTable.compile(transformed)
 
+    @layer("techniques.model")
     def sweep_model(self, table, *, library, e_cycle, base_leakage,
                     base_sta, vdd=None):
         """The comparison model from an

@@ -1,8 +1,12 @@
 """Gate-count / area / leakage roll-ups."""
 
+from collections import Counter
+
 import pytest
 
-from repro.netlist.stats import module_stats
+from repro.circuits import generators
+from repro.netlist.core import Design
+from repro.netlist.stats import _KIND_FIELD, module_stats
 
 
 class TestModuleStats:
@@ -66,3 +70,44 @@ class TestModuleStats:
     def test_str(self, toy_design):
         text = str(module_stats(toy_design.top))
         assert "3 cells" in text
+
+
+def _per_instance(module):
+    """``(by_cell, by_kind)`` counted one instance at a time."""
+    by_cell, by_kind = Counter(), Counter()
+    for inst in module.instances():
+        if not inst.is_cell:
+            cells, kinds = _per_instance(inst.submodule)
+            by_cell.update(cells)
+            by_kind.update(kinds)
+            continue
+        by_cell[inst.cell.name] += 1
+        by_kind[inst.cell.kind] += 1
+    return by_cell, by_kind
+
+
+def _same_counts(module):
+    stats = module_stats(module)
+    by_cell, by_kind = _per_instance(module)
+    assert stats.by_cell == by_cell
+    assert stats.cells == sum(by_cell.values())
+    for kind, name in _KIND_FIELD.items():
+        assert getattr(stats, name) == by_kind[kind], name
+
+
+class TestKindCounts:
+    """Kinds are counted once per distinct cell after the walk; the
+    totals must match a count made instance by instance."""
+
+    @pytest.mark.parametrize("name", generators.available_families())
+    def test_every_family(self, lib, name):
+        _same_counts(generators.elaborate(generators.family(name).key(),
+                                          lib))
+
+    def test_flat_scpg_m0lite(self, lib, m0_module):
+        from repro.scpg.transform import _apply_scpg
+
+        scpg = _apply_scpg(Design(m0_module.copy(), lib))
+        assert module_stats(scpg.flat.top).header_cells > 0
+        _same_counts(scpg.flat.top)
+        _same_counts(scpg.design.top)     # the hierarchical roll-up

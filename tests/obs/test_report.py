@@ -11,6 +11,7 @@ from repro.obs.report import (
     load_events,
     percentile,
     render_report,
+    self_times,
 )
 
 
@@ -27,7 +28,7 @@ def _grid_events(label="sweep", elapsed=(), cache=None, cached=0,
     events.extend(extra)
     if finished:
         events.append({"t": 0.0, "event": "run_finish", "label": label,
-                       "stats": {"stages": {"evaluate": sum(elapsed)}}})
+                       "stats": {"evaluated": len(elapsed)}})
     return events
 
 
@@ -112,10 +113,6 @@ class TestParsing:
 
 
 class TestStageSeconds:
-    def test_falls_back_to_journalled_stats(self):
-        report = JournalReport(_grid_events(elapsed=(0.25, 0.25)))
-        assert report.stage_seconds() == {("(all)", "evaluate"): 0.5}
-
     def test_spans_join_stages_to_grid_labels(self):
         events = [
             {"event": "span", "name": "grid", "id": 1, "parent": None,
@@ -125,10 +122,47 @@ class TestStageSeconds:
             {"event": "span", "name": "stage", "id": 3, "parent": 1,
              "start": 0.4, "elapsed": 0.6, "stage": "evaluate"},
         ]
-        totals = JournalReport(events).stage_seconds()
-        assert totals[("sweep:mult16", "cache")] == pytest.approx(0.4)
+        totals = self_times(JournalReport(events).spans)
+        assert totals[("sweep:mult16", "cache")] \
+            == [1, pytest.approx(0.4)]
         assert totals[("sweep:mult16", "evaluate")] \
-            == pytest.approx(0.6)
+            == [1, pytest.approx(0.6)]
+        assert totals[("-", "grid")] == [1, pytest.approx(0.0)]
+
+    def test_layer_rows_are_self_time_per_span_name(self):
+        events = [
+            {"event": "span", "name": "command", "id": 1, "parent": None,
+             "elapsed": 1.0},
+            {"event": "span", "name": "sta.run", "id": 2, "parent": 1,
+             "elapsed": 0.5},
+            {"event": "span", "name": "netlist.levelize", "id": 3,
+             "parent": 2, "elapsed": 0.2},
+            {"event": "span", "name": "netlist.levelize", "id": 4,
+             "parent": 1, "elapsed": 0.1},
+        ]
+        assert self_times(events) == {
+            ("-", "command"): [1, pytest.approx(0.4)],
+            ("-", "sta.run"): [1, pytest.approx(0.3)],
+            ("-", "netlist.levelize"): [2, pytest.approx(0.3)]}
+        text = render_report(events)
+        assert "timings (self-time per span)" in text
+        row = [line for line in text.splitlines()
+               if "netlist.levelize" in line][0]
+        assert row.split()[2] == "2"            # two spans in the row
+
+    def test_parallel_children_clamp_parent_at_zero(self):
+        """Pool chunks overlap, so their sum can outlast the stage."""
+        events = [
+            {"event": "span", "name": "stage", "id": 1, "parent": None,
+             "elapsed": 1.0, "stage": "evaluate"},
+            {"event": "span", "name": "chunk", "id": 2, "parent": 1,
+             "elapsed": 0.8},
+            {"event": "span", "name": "chunk", "id": 3, "parent": 1,
+             "elapsed": 0.8},
+        ]
+        totals = self_times(events)
+        assert totals[("(all)", "evaluate")] == [1, 0.0]
+        assert totals[("-", "chunk")] == [2, pytest.approx(1.6)]
 
 
 class TestAnomalies:
@@ -196,11 +230,16 @@ class TestRender:
     def test_report_sections(self):
         events = _grid_events("sweep:mult16", elapsed=(0.01,) * 99
                               + (0.5,), cache=True)
+        events.append({"event": "span", "name": "stage", "id": 2,
+                       "parent": 1, "elapsed": 1.49, "stage": "evaluate"})
+        events.append({"event": "span", "name": "grid", "id": 1,
+                       "parent": None, "elapsed": 1.5,
+                       "label": "sweep:mult16"})
         text = render_report(events)
         assert "journal report: 1 grid run(s), 100 points" in text
         assert "per-grid breakdown" in text
         assert "sweep:mult16" in text
-        assert "stage timings" in text
+        assert "timings (self-time per span)" in text
         assert "result cache" in text
         assert "[straggler]" in text
         assert "[cold-cache]" in text

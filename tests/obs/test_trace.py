@@ -1,4 +1,5 @@
-"""Tracer/span semantics: nesting, timing, sinks, the no-op path."""
+"""Tracer/span semantics: nesting, timing, sinks, the no-op path, and
+the layer spans opened under whichever tracer is innermost."""
 
 import json
 import threading
@@ -9,8 +10,18 @@ from repro.obs.trace import (
     JsonlSink,
     MemorySink,
     Tracer,
+    layer,
 )
 from repro.runner import RunJournal, read_journal
+
+
+@layer("sta.run")
+def _layered(x):
+    return 2 * x
+
+
+def _point(x):
+    return _layered(x) + 1
 
 
 class TestSpans:
@@ -189,3 +200,83 @@ class TestSinks:
         tracer.close()
         assert sink._file is None
         tracer.close()               # idempotent
+
+
+class TestLayer:
+    def test_no_open_span_calls_straight_through(self):
+        tracer = Tracer(MemorySink())
+        with tracer.span("grid"):
+            pass
+        assert _layered(3) == 6              # after the span closed
+        with NULL_TRACER.span("grid"):      # the no-op tracer opens none
+            assert _layered(3) == 6
+        assert tracer.spans == 1
+
+    def test_opens_span_on_innermost_tracer(self):
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        with tracer.span("grid") as grid:
+            assert _point(3) == 7
+        layered, _ = sink.lines
+        assert layered["name"] == "sta.run"
+        assert layered["parent"] == grid.span_id
+
+    def test_same_name_nesting_stays_in_one_span(self):
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        with tracer.span("sta.run"):
+            _layered(1)
+        assert [line["name"] for line in sink.lines] == ["sta.run"]
+
+    def test_finished_span_leaves_the_open_stack(self):
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        tracer.span("dangling").finish()    # finished, never exited
+        _layered(1)
+        assert len(sink.lines) == 1
+
+    def test_interleaved_tracers_keep_separate_parent_chains(self):
+        """A Session tracer inside a benchmark ledger's span, or the other
+        way round: each span's parent is the innermost open span of its
+        own tracer, and a layer span goes to the innermost tracer."""
+        sink_a, sink_b = MemorySink(), MemorySink()
+        a, b = Tracer(sink_a), Tracer(sink_b)
+        with a.span("a1") as a1:
+            with b.span("b1") as b1:
+                with a.span("a2") as a2:
+                    _layered(1)
+                    with b.span("b2") as b2:
+                        _layered(1)
+                        b.record("point", 0.0)
+        assert b1.parent_id is None
+        assert a2.parent_id == a1.span_id
+        assert b2.parent_id == b1.span_id
+        a_layer = [l for l in sink_a.lines if l["name"] == "sta.run"]
+        b_layer = [l for l in sink_b.lines if l["name"] == "sta.run"]
+        assert [l["parent"] for l in a_layer] == [a2.span_id]
+        assert [l["parent"] for l in b_layer] == [b2.span_id]
+        point = [l for l in sink_b.lines if l["name"] == "point"][0]
+        assert point["parent"] == b2.span_id
+        for sink in (sink_a, sink_b):
+            ids = {l["id"] for l in sink.lines}
+            assert all(l["parent"] in ids for l in sink.lines
+                       if l["parent"] is not None)
+
+    def test_forked_workers_never_emit(self, tmp_path):
+        """Pool workers fork with the grid's spans open; a layer call in
+        a worker must not trace on its copy of the parent's tracer."""
+        from repro import Session
+
+        path = tmp_path / "trace.jsonl"
+        session = Session(trace=str(path), workers=2)
+        try:
+            got = session.runner.run(_point, list(range(8)), label="fork")
+        finally:
+            session.close()
+        assert got == [2 * x + 1 for x in range(8)]
+        spans = [json.loads(line) for line in path.read_text().splitlines()]
+        ids = [span["id"] for span in spans]
+        assert len(ids) == len(set(ids))
+        assert all(span["parent"] in set(ids) for span in spans
+                   if span["parent"] is not None)
+        assert "grid" in {span["name"] for span in spans}

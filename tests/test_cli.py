@@ -176,7 +176,8 @@ class TestObservabilityFlags:
         stats = json.loads(path.read_text())
         assert stats["points"] > 0
         assert stats["crashes"] == 0
-        assert "stages" in stats
+        # counters only: the timings travel in the trace
+        assert all(isinstance(v, (int, float)) for v in stats.values())
 
     def test_journal_written(self, tmp_path, capsys):
         from repro.runner import read_journal
@@ -221,6 +222,10 @@ class TestObservabilityFlags:
         assert {"grid", "stage"} <= names
         assert "batch" in names or "point" in names
         assert all(s["event"] == "span" for s in spans)
+        # one root span per command: the whole run is one tree
+        (root,) = [s for s in spans if s["parent"] is None]
+        assert root["name"] == "command"
+        assert root["command"] == "subvt"
 
     def test_metrics_written(self, tmp_path, capsys):
         path = tmp_path / "metrics.prom"
@@ -282,8 +287,21 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "journal report:" in out
         assert "per-grid breakdown" in out
-        assert "stage timings" in out
+        assert "timings" not in out       # a journal carries no spans
         assert "result cache" in out
+
+    def test_report_over_traced_command_lists_layers(self, tmp_path,
+                                                     capsys):
+        trace = tmp_path / "trace.jsonl"
+        assert main(["--no-cache", "--trace", str(trace),
+                     "sta", "counter16"]) == 0
+        capsys.readouterr()
+        assert main(["report", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "timings (self-time per span)" in out
+        rows = {line.split()[1] for line in out.splitlines()
+                if line.startswith("- ")}
+        assert {"command", "netlist.levelize", "sta.run"} <= rows
 
     def test_report_straggler_k_and_out(self, tmp_path, capsys):
         import json
