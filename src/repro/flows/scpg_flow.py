@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from ..netlist.stats import module_stats
 from ..obs.trace import layer
-from ..scpg.transform import _apply_scpg
+from ..scpg.transform import _apply_scpg, flatten_linted
 from .base import FlowResult, StepReport
 from .cts import synthesize_clock_tree
 from .floorplan import plan_design
@@ -104,8 +104,8 @@ def _run_scpg_flow(design, library, clock="clk", header_size=None,
     cts, step = synthesize_clock_tree(top, library, clock)
     steps.append(step)
 
-    flat = scpg.design.flatten()
-    scpg.flat = flat  # refresh: post-synthesis/post-CTS netlist
+    flat = flatten_linted(scpg.design)
+    scpg.flat = flat  # the post-synthesis/post-CTS netlist
 
     routing, step = estimate_routing(flat.top, library)
     steps.append(step)

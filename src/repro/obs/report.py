@@ -234,6 +234,45 @@ class JournalReport:
                 current.poisoned += 1
         if current is not None:
             self.grids.append(current)
+        if not self.grids:
+            self.grids = self._grids_from_spans()
+
+    def _grids_from_spans(self):
+        """Grid records from the ``grid`` spans of a trace without
+        journal events.  Every ``point`` span under a grid is one of its
+        evaluated points, and a ``batch`` span's points share its
+        elapsed time evenly, as the journal records them."""
+        parents = {span.get("id"): span.get("parent") for span in self.spans}
+        grids = {span.get("id"): GridRecord(
+            label=span.get("label"), points=span.get("points", 0),
+            cached=span.get("cached", 0), pending=span.get("pending", 0),
+            workers=span.get("workers", 1), finished=True)
+            for span in self.spans if span.get("name") == "grid"}
+        for span in self.spans:
+            name = span.get("name")
+            if name not in ("point", "batch"):
+                continue
+            grid_id = span.get("parent")
+            while grid_id is not None and grid_id not in grids:
+                grid_id = parents.get(grid_id)
+            grid = grids.get(grid_id)
+            if grid is None:
+                continue
+            elapsed = span.get("elapsed") or 0.0
+            if name == "batch":
+                points = span.get("points", 0)
+                grid.elapsed += [elapsed / points] * points
+                grid.indices += [-1] * points
+            elif span.get("status") == "failed":
+                grid.failed.append(span)
+            else:
+                grid.elapsed.append(elapsed)
+                grid.indices.append(span.get("index", -1))
+                if span.get("status") == "infeasible":
+                    grid.infeasible += 1
+                else:
+                    grid.ok += 1
+        return list(grids.values())
 
     # -- aggregation -------------------------------------------------------
 

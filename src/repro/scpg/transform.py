@@ -54,7 +54,9 @@ class ScpgDesign:
     design:
         The hierarchical SCPG design (always-on top + gated child).
     flat:
-        Flattened copy for simulation and sign-off analyses.
+        Flattened copy for simulation and sign-off analyses: built from
+        ``design`` and linted on first read (see :func:`flatten_linted`).
+        The SCPG flow sets it to its post-CTS netlist.
     base:
         The original (pre-SCPG) flat design for comparisons.
     comb_module:
@@ -78,7 +80,6 @@ class ScpgDesign:
     """
 
     design: Design
-    flat: Design
     base: Design
     comb_module: object
     headers: HeaderNetwork
@@ -90,6 +91,18 @@ class ScpgDesign:
     upf: str = ""
     iso_instances: list = field(default_factory=list)
     boundary_outputs: list = field(default_factory=list)
+    _flat: Design = field(default=None, init=False, repr=False,
+                          compare=False)
+
+    @property
+    def flat(self):
+        if self._flat is None:
+            self._flat = flatten_linted(self.design)
+        return self._flat
+
+    @flat.setter
+    def flat(self, value):
+        self._flat = value
 
     @property
     def area(self):
@@ -105,6 +118,14 @@ class ScpgDesign:
     def area_overhead_pct(self):
         """SCPG area overhead in percent (paper: 3.9% / 6.6%)."""
         return 100.0 * (self.area - self.base_area) / self.base_area
+
+
+def flatten_linted(design):
+    """``design.flatten()``, raising a
+    :class:`~repro.errors.NetlistError` that names every lint error."""
+    flat = design.flatten()
+    validate_module(flat.top).raise_if_errors()
+    return flat
 
 
 @layer("scpg.transform")
@@ -185,8 +206,6 @@ def _apply_scpg(design, clock_port="clk", header_size=None,
         header_names.append(name)
 
     new_design = Design(top, lib)
-    flat = new_design.flatten()
-    validate_module(flat.top).raise_if_errors()
 
     timing = timing_from_sta(
         sta, rail, network,
@@ -212,7 +231,6 @@ def _apply_scpg(design, clock_port="clk", header_size=None,
 
     result = ScpgDesign(
         design=new_design,
-        flat=flat,
         base=design,
         comb_module=comb,
         headers=network,

@@ -21,8 +21,8 @@ class GroupActivity:
     ``switching_probability`` is the average per-net toggle rate per cycle
     (the paper's y-axis); ``toggles`` maps net name -> count for the power
     engine.  A group the simulator records (:meth:`from_counts`) keeps
-    only the nonzero net indices and their counts, and builds the
-    mapping on its first read.
+    one count per net in the narrowest unsigned dtype that holds its
+    largest count, and builds the mapping on its first read.
     """
 
     def __init__(self, index, cycles, total_toggles, nets, toggles=None):
@@ -31,26 +31,26 @@ class GroupActivity:
         self.total_toggles = total_toggles
         self.nets = nets
         self._toggles = {} if toggles is None else toggles
-        self._sparse = None
+        self._dense = None
 
     @classmethod
     def from_counts(cls, index, cycles, nets, names, counts):
         """The group of per-net toggle ``counts`` (net ``i`` is named
-        ``names[i]``), held as sparse arrays."""
-        hit = np.flatnonzero(counts)
+        ``names[i]``), held as one dense array."""
+        peak = int(counts.max()) if len(counts) else 0
         group = cls(index, cycles, int(counts.sum()), nets)
         group._toggles = None
-        group._sparse = (names, hit.astype(np.int32),
-                         counts[hit].astype(np.int32))
+        group._dense = (names, counts.astype(np.min_scalar_type(peak)))
         return group
 
     @property
     def toggles(self):
         """Net name -> toggle count, nets without toggles left out."""
         if self._toggles is None:
-            names, hit, counts = self._sparse
+            names, counts = self._dense
+            hit = np.flatnonzero(counts)
             self._toggles = dict(zip([names[i] for i in hit.tolist()],
-                                     counts.tolist()))
+                                     counts[hit].tolist()))
         return self._toggles
 
     @property
@@ -62,8 +62,8 @@ class GroupActivity:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        if self._sparse is not None:
-            state["_toggles"] = None        # rebuilt from the arrays
+        if self._dense is not None:
+            state["_toggles"] = None        # rebuilt from the array
         return state
 
     def __eq__(self, other):

@@ -165,6 +165,63 @@ class TestStageSeconds:
         assert totals[("-", "chunk")] == [2, pytest.approx(1.6)]
 
 
+class TestTraceOnly:
+    """A trace without journal events reports its grids from the
+    ``grid`` spans."""
+
+    def test_grid_rows_from_spans(self):
+        spans = [
+            {"event": "span", "name": "point", "id": 3, "parent": 2,
+             "elapsed": 0.2, "index": 0, "status": "ok"},
+            {"event": "span", "name": "point", "id": 4, "parent": 2,
+             "elapsed": 0.4, "index": 1, "status": "infeasible"},
+            {"event": "span", "name": "stage", "id": 2, "parent": 1,
+             "elapsed": 0.7, "stage": "evaluate"},
+            {"event": "span", "name": "grid", "id": 1, "parent": None,
+             "start": 0.0, "elapsed": 0.8, "label": "a", "points": 3,
+             "cached": 1, "pending": 2, "workers": 1},
+            {"event": "span", "name": "batch", "id": 6, "parent": 5,
+             "elapsed": 0.3, "points": 3},
+            {"event": "span", "name": "grid", "id": 5, "parent": None,
+             "start": 1.0, "elapsed": 0.4, "label": "b", "points": 3,
+             "cached": 0, "pending": 3, "workers": 1},
+        ]
+        report = JournalReport(spans)
+        a, b = report.grids
+        assert (a.label, a.points, a.cached, a.evaluated) == ("a", 3, 1, 2)
+        assert (a.ok, a.infeasible, a.indices) == (1, 1, [0, 1])
+        assert (b.label, b.points, b.evaluated) == ("b", 3, 3)
+        assert b.total_s == pytest.approx(0.3)
+        assert a.finished and b.finished
+        assert report.anomalies() == []
+
+    def test_journal_events_win_over_spans(self):
+        events = _grid_events("sweep", elapsed=(0.1,))
+        events.append({"event": "span", "name": "grid", "id": 1,
+                       "parent": None, "elapsed": 0.2, "label": "sweep",
+                       "points": 1, "cached": 0, "pending": 1})
+        (grid,) = JournalReport(events).grids
+        assert grid.evaluated == 1
+
+    def test_traced_table_1(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace = tmp_path / "trace.jsonl"
+        assert main(["--no-cache", "--trace", str(trace),
+                     "table", "1", "--fast"]) == 0
+        capsys.readouterr()
+        report = JournalReport(load_events(str(trace)))
+        (grid,) = report.grids
+        assert grid.label == "sweep" and grid.points > 0
+        assert grid.evaluated == grid.points
+        text = report.render()
+        assert "journal report: 1 grid run(s), {} points (0 cached, {} " \
+            "evaluated)".format(grid.points, grid.points) in text
+        assert "per-grid breakdown" in text
+        assert "result cache : 0/{} points served".format(grid.points) \
+            in text
+
+
 class TestAnomalies:
     def test_straggler_flagged_over_k_times_p95(self):
         elapsed = [0.01] * 99 + [0.5]

@@ -3,9 +3,14 @@
 import pickle
 import random
 
+import numpy as np
 import pytest
 
-from repro.isa.programs import crc32_program, dhrystone_memory
+from repro.isa.programs import (
+    crc32_program,
+    dhrystone_memory,
+    dhrystone_program,
+)
 from repro.isa.trace import GateLevelCpu
 from repro.sim.activity import ActivityTrace, GroupActivity, group_activity
 from repro.sim.compiled import bus_values
@@ -110,14 +115,15 @@ def cosim_traces(m0_module):
 
 
 class TestLazyToggles:
-    """Recorded groups keep sparse arrays and build ``toggles`` on the
+    """Recorded groups keep one dense count array and build ``toggles`` on the
     first read; nothing a reader sees differs from the oracle's dicts."""
 
     def test_cosim_groups_equal_oracle(self, cosim_traces):
         trace, oracle = cosim_traces
         assert len(trace.groups) == len(oracle.groups) > 10
         for got, want in zip(trace.groups, oracle.groups):
-            assert got._sparse is not None
+            names, counts = got._dense
+            assert counts.dtype == np.uint8 and len(counts) == len(names)
             assert _fields(got) == _fields(want)
             assert got.toggles == want.toggles
             assert dict(got.toggles) == want.toggles
@@ -178,3 +184,70 @@ class TestLazyToggles:
         assert GroupActivity(0, 1, 0, 4).toggles == {}
         copy = pickle.loads(pickle.dumps(ActivityTrace(groups=[plain])))
         assert copy.groups == [plain]
+
+
+def _sparse_twin(index, cycles, nets, names, counts):
+    """The group as the int32 sparse form recorded it: the nonzero net
+    indices and their counts, read back into a mapping."""
+    hit = np.flatnonzero(counts).astype(np.int32)
+    toggles = dict(zip([names[i] for i in hit.tolist()],
+                       counts[hit].astype(np.int32).tolist()))
+    return GroupActivity(index, cycles, int(counts.sum()), nets, toggles)
+
+
+@pytest.fixture
+def sparse_twins(monkeypatch):
+    """Every group recorded through ``from_counts``, also built in the
+    sparse form."""
+    twins = []
+    real = GroupActivity.from_counts.__func__
+
+    def record(cls, *args):
+        twins.append(_sparse_twin(*args))
+        return real(cls, *args)
+
+    monkeypatch.setattr(GroupActivity, "from_counts", classmethod(record))
+    return twins
+
+
+class TestDenseGroups:
+    """A dense group reads exactly like the int32 sparse form."""
+
+    @staticmethod
+    def _check(groups, twins):
+        assert len(groups) == len(twins) > 1
+        for got, want in zip(groups, twins):
+            assert got._dense[1].dtype == np.uint8
+            assert got.toggles == want.toggles
+            assert got.total_toggles == want.total_toggles
+            assert got.switching_probability == want.switching_probability
+            assert got == want
+        restored = pickle.loads(pickle.dumps(ActivityTrace(groups=groups)))
+        assert restored.groups == twins
+        assert [g.switching_probability for g in restored.groups] == \
+            [g.switching_probability for g in twins]
+
+    def test_m0_dhrystone_trace(self, m0_module, sparse_twins):
+        gate = GateLevelCpu(m0_module, dhrystone_program(4),
+                            dhrystone_memory())
+        gate.run()
+        self._check(gate.activity_trace().groups, sparse_twins)
+
+    def test_mult16_vector_trace(self, mult_module, sparse_twins):
+        trace = group_activity(mult_module,
+                               _mult_vectors(random.Random(10), 45))
+        self._check(trace.groups, sparse_twins)
+
+    def test_wide_counts_round_trip(self):
+        names = ["a", "b", "c", "d"]
+        counts = np.array([0, 300, 7, 70000], dtype=np.int64)
+        group = GroupActivity.from_counts(0, 40000, 4, names, counts)
+        assert group._dense[1].dtype == np.uint32
+        want = {"b": 300, "c": 7, "d": 70000}
+        assert group.toggles == want and group.total_toggles == 70307
+        restored = pickle.loads(pickle.dumps(group))
+        assert restored._dense[1].dtype == np.uint32
+        assert restored._toggles is None and restored.toggles == want
+        assert restored == group
+        narrow = GroupActivity.from_counts(1, 2, 4, names, counts // 200)
+        assert narrow._dense[1].dtype == np.uint16
