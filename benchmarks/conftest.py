@@ -17,11 +17,10 @@ the env vars work from anywhere):
 * ``--stats-json PATH`` / ``REPRO_BENCH_STATS_JSON=PATH`` -- dump the
   shared runner's counters as JSON when the session ends (CI uploads
   this as a build artifact);
-* ``--journal PATH`` / ``REPRO_BENCH_JOURNAL=PATH`` -- append the JSONL
-  run journal of every grid the shared runner executed;
 * ``--trace-out PATH`` / ``REPRO_BENCH_TRACE=PATH`` -- append the
-  JSONL trace spans of every grid the shared runner executed (pytest
-  owns the plain ``--trace`` spelling);
+  JSONL trace spans of every grid the shared runner executed -- the
+  run's record, which ``repro report`` replays (pytest owns the plain
+  ``--trace`` spelling);
 * ``--metrics-out PATH`` / ``REPRO_BENCH_METRICS=PATH`` -- write the
   shared runner's metrics in Prometheus text exposition at session end.
 """
@@ -38,8 +37,6 @@ def pytest_addoption(parser):
     group = parser.getgroup("repro")
     group.addoption("--stats-json", default=None, metavar="PATH",
                     help="write the shared runner's stats as JSON")
-    group.addoption("--journal", default=None, metavar="PATH",
-                    help="append the shared runner's JSONL journal")
     group.addoption("--trace-out", default=None, metavar="PATH",
                     help="append the shared runner's JSONL trace spans")
     group.addoption("--metrics-out", default=None, metavar="PATH",
@@ -83,11 +80,8 @@ def runner(pytestconfig):
     tracer = Tracer(JsonlSink(trace_path)) if trace_path else None
     registry = MetricsRegistry() if metrics_path else None
     runner = Runner(workers=workers, cache=default_cache(),
-                    journal=_option(pytestconfig, "--journal",
-                                    "REPRO_BENCH_JOURNAL"),
                     tracer=tracer, metrics=registry)
     yield runner
-    runner.close()
     if tracer is not None:
         tracer.close()
         emit("Runner trace", "wrote {} ({} spans)".format(

@@ -20,8 +20,9 @@ Acceptance (ISSUE): chunked is >= 1.5x faster than per-point on >= 2
 workers.  The measurement is emitted as a ``repro-bench-sweep-v2``
 JSON section (``REPRO_BENCH_PARBATCH_JSON=path``) for
 ``scripts/check_bench_regression.py``; set
-``REPRO_BENCH_PARBATCH_JOURNAL=path`` to keep the chunk-level run
-journal (CI uploads it as a build artifact).
+``REPRO_BENCH_PARBATCH_TRACE=path`` to keep the chunk-level run trace
+(CI replays it with ``repro report`` and uploads it as a build
+artifact).
 """
 
 import importlib
@@ -44,7 +45,7 @@ REPS = 3
 MIN_SPEEDUP = 1.5
 
 _ENV_OUT = "REPRO_BENCH_PARBATCH_JSON"
-_ENV_JOURNAL = "REPRO_BENCH_PARBATCH_JOURNAL"
+_ENV_TRACE = "REPRO_BENCH_PARBATCH_TRACE"
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +93,9 @@ def test_parallel_batch_speedup(lib):
         per_point.close()
 
     # Parallel batch: chunked kernel dispatch on the session's warm pool.
-    journal = os.environ.get(_ENV_JOURNAL, "").strip() or None
+    trace = os.environ.get(_ENV_TRACE, "").strip() or None
     chunked = Session(library=lib, store=None, workers=WORKERS,
-                      journal=journal)
+                      trace=trace)
     try:
         chunked_s, chunked_out = _best_of(chunked, REPS)
         assert chunked.pool is not None and chunked.pool.alive
@@ -134,8 +135,8 @@ def test_parallel_batch_speedup(lib):
         with open(out_path, "w") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
-    if journal:
-        emit("Chunk journal", "wrote {}".format(journal))
+    if trace:
+        emit("Chunk trace", "wrote {}".format(trace))
 
     assert speedup >= MIN_SPEEDUP, (
         "chunked dispatch speedup {:.2f}x below the {}x acceptance "

@@ -48,8 +48,7 @@ from .circuits.registry import available_designs, register_design
 from .errors import ReproError
 from .netlist.core import Design, Module
 from .paper import CaseStudy, cortex_m0_study, multiplier_study
-from .runner import RunJournal, Runner, RunStats, SqliteStore, \
-    evaluate_grid
+from .runner import Runner, RunStats, SqliteStore, evaluate_grid
 from .scpg import Mode, ScpgPowerModel
 from .session import DesignHandle, Session
 from .tech import build_scl90
@@ -73,7 +72,6 @@ __all__ = [
     "DesignHandle",
     "Runner",
     "RunStats",
-    "RunJournal",
     "SqliteStore",
     "evaluate_grid",
     "register_design",

@@ -12,8 +12,8 @@ and/or reuse the content-addressed result cache.  Sweeps and convergence
 searches share one cache namespace -- a convergence search after a sweep
 of the same model re-reads the sweep's points instead of recomputing
 them.  The runner's fault-tolerance policy (``retry_on`` / ``retries`` /
-``timeout``) and its JSONL journal apply here too: sweep grids are
-journalled under the label ``"sweep"``.  The defaults (no runner) keep
+``timeout``) and its tracer apply here too: sweep grids are traced
+under the label ``"sweep"``.  The defaults (no runner) keep
 the historical serial, uncached behaviour with identical results.
 """
 
@@ -79,7 +79,7 @@ def sweep(model, freqs, modes=(Mode.NO_PG, Mode.SCPG, Mode.SCPG_MAX),
 
     Infeasible (frequency, mode) points come back as ``None``, exactly as
     the serial implementation always produced them.  ``label`` names the
-    grid in the journal/trace (``DesignHandle.sweep`` passes
+    grid in the trace (``DesignHandle.sweep`` passes
     ``"sweep:<design>"`` so replay reports break down per design).
     """
     runner = Runner() if runner is None else runner

@@ -40,7 +40,7 @@ def build_table(model, freqs, runner=None, label="sweep"):
 
     ``runner`` (a :class:`repro.runner.Runner`) supplies workers and the
     result cache for the underlying sweep; ``label`` names the grid in
-    the journal/trace.
+    the trace.
     """
     data = sweep(model, freqs, runner=runner, label=label)
     rows = []

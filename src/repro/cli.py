@@ -15,7 +15,7 @@ writing Python:
 ``designs``      browse the design database; elaborate or sweep a family
 ``serve``        HTTP job API: sweeps as a service over a shared store
 ``subvt``        sub-threshold sweep and minimum-energy point
-``report``       replay a run journal/trace into a timing + anomaly report
+``report``       replay a run trace into a timing + anomaly report
 ``cache``        maintain the result store (``prune``: drop stale entries)
 ===============  ============================================================
 
@@ -32,10 +32,10 @@ content-addressed result store in the SQLite file PATH
 (``--no-cache`` disables it, default honours ``REPRO_CACHE_DIR``; the
 same file keeps each design's compiled artifact bundle), ``--stats``
 prints the runner's counters to stderr, ``--stats-json PATH`` writes
-the same counters as JSON, ``--journal PATH`` appends a JSONL event log
-of every grid point the command evaluated, ``--trace PATH`` appends the
-command's timings as one tree of JSONL spans (the command, its grids,
-stages, points and attempts, and the layer spans below them), and
+the same counters as JSON, ``--trace PATH`` appends the command's
+record as one tree of JSONL spans (the command, its grids, stages,
+chunks, points and attempts with their statuses, and the layer spans
+below them), and
 ``--metrics PATH`` writes a Prometheus text exposition of the run's
 metrics on exit -- stdout stays byte-identical to the serial, uncached,
 untraced output.
@@ -59,7 +59,6 @@ def _session(args):
             liberty=getattr(args, "liberty", None) or None,
             workers=getattr(args, "workers", None),
             store=_store_spec(args),
-            journal=getattr(args, "journal", None) or None,
             trace=getattr(args, "trace", None) or None,
             metrics=bool(getattr(args, "metrics", None)))
     return args._session_obj
@@ -342,7 +341,7 @@ def cmd_designs(args):
 def cmd_report(args):
     from .obs.report import render_report
 
-    _out(args, render_report(args.journal_file,
+    _out(args, render_report(args.trace_file,
                              straggler_k=args.straggler_k))
     return 0
 
@@ -417,18 +416,14 @@ def build_parser():
     parser.add_argument("--stats", action="store_true",
                         help="print the runner's counters to stderr "
                         "(counters only: --trace carries the timings)")
-    parser.add_argument("--journal", metavar="PATH",
-                        help="append a JSONL run journal (point "
-                        "started/finished/retried, crashes, timings) "
-                        "to PATH")
     parser.add_argument("--stats-json", metavar="PATH",
                         help="write the runner's counters to PATH as "
                         "JSON on exit")
     parser.add_argument("--trace", metavar="PATH",
-                        help="append the command's timings to PATH as "
+                        help="append the command's record to PATH as "
                         "one tree of JSONL spans (command, grid/stage/"
-                        "point/attempt and the layers below them); "
-                        "'repro report PATH' prints self-time per span")
+                        "chunk/point/attempt and the layers below them); "
+                        "'repro report PATH' replays it")
     parser.add_argument("--metrics", metavar="PATH",
                         help="write a Prometheus text exposition of the "
                         "run's counters/gauges/histograms to PATH on "
@@ -528,7 +523,7 @@ def build_parser():
                    "any other process pointed at the same file); "
                    "default: the --cache store")
     p.add_argument("--spool", metavar="DIR",
-                   help="directory for per-job JSONL journals "
+                   help="directory for per-job JSONL records "
                    "(default: a temp directory)")
     p.set_defaults(func=cmd_serve)
 
@@ -536,10 +531,10 @@ def build_parser():
     p.add_argument("design")
     p.set_defaults(func=cmd_subvt)
 
-    p = sub.add_parser("report", help="replay a run journal/trace into "
-                       "per-span timings, hit ratios and anomaly flags")
-    p.add_argument("journal_file", help="JSONL journal (--journal) or "
-                   "trace (--trace) file to replay")
+    p = sub.add_parser("report", help="replay a run trace into per-grid "
+                       "and per-span timings, hit ratios and anomaly flags")
+    p.add_argument("trace_file", help="JSONL trace (--trace) or serve "
+                   "job record to replay")
     p.add_argument("--straggler-k", type=float, default=3.0,
                    help="flag points slower than K x the grid's p95 "
                    "(default 3.0)")

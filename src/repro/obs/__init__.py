@@ -1,15 +1,17 @@
-"""Observability: tracing spans, a metrics registry, journal replay.
+"""Observability: tracing spans, a metrics registry, trace replay.
 
-Three dependency-free layers over the runner's raw record:
+Three dependency-free layers:
 
 * :mod:`repro.obs.trace` -- :class:`Tracer` produces nested spans
   (grid -> stage -> point -> attempt -> the :func:`layer` spans) with
   monotonic timings and pluggable sinks; :data:`NULL_TRACER` is the
-  free-when-off default the runner always calls through;
+  free-when-off default the runner always calls through.  Spans are the
+  runner's one record of a run: statuses, retries, chunk bisections
+  and crashes ride on them as attributes;
 * :mod:`repro.obs.metrics` -- :class:`MetricsRegistry` of counters,
   gauges and histograms with Prometheus text exposition; subsumes
   :class:`~repro.runner.instrument.RunStats` via ``fill_from_stats``;
-* :mod:`repro.obs.report` -- replay a JSONL journal/trace back into a
+* :mod:`repro.obs.report` -- replay a JSONL trace back into a
   per-grid, per-span report with anomaly flags (``repro report``).
 
 Wired through ``evaluate_grid``/``Runner`` (``tracer=``/``metrics=``),
@@ -33,7 +35,6 @@ from .report import (
 )
 from .trace import (
     NULL_TRACER,
-    JournalSink,
     JsonlSink,
     MemorySink,
     Span,
@@ -47,7 +48,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JournalReport",
-    "JournalSink",
     "JsonlSink",
     "MemorySink",
     "MetricsRegistry",

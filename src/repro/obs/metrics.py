@@ -257,7 +257,8 @@ class MetricsRegistry:
         previous snapshot.
 
         Duck-typed: anything with a ``to_dict()`` in the RunStats shape
-        works, so replayed journal stats can be exported the same way.
+        works, so stats read back from a ``--stats-json`` file can be
+        exported the same way.
         """
         data = stats.to_dict() if hasattr(stats, "to_dict") else dict(stats)
         for stats_key, name, help in _STATS_COUNTERS:

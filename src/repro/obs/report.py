@@ -1,19 +1,23 @@
-"""Journal/trace replay: turn a run's JSONL record into a report.
+"""Trace replay: turn a run's JSONL record into a report.
 
 ``repro report run.jsonl`` (and :func:`render_report` underneath) reads
-the append-only record a run left behind -- :class:`~repro.runner.
-journal.RunJournal` events, :class:`~repro.obs.trace.Tracer` span lines,
-or one file carrying both -- and answers the operator questions the raw
-stream cannot: where did the time go per grid, per stage and per layer
-(the self-time of every span name), what were the cache and artifact
-hit ratios, and did anything behave anomalously (straggler points,
-retry storms, cold-cache runs, crashes, hard failures).
+the :class:`~repro.obs.trace.Tracer` span lines a run left behind (a
+``--trace`` file, a serve job's journal) and answers the operator
+questions the raw stream cannot: where did the time go per grid, per
+stage and per layer (the self-time of every span name), what were the
+cache and artifact hit ratios, and did anything behave anomalously
+(straggler points, retry storms, cold-cache runs, chunk bisections,
+crashes, timeouts, hard failures, runs killed mid-grid).
 
-The parser is deliberately forgiving, like :func:`~repro.runner.journal.
-read_journal`: unknown events are ignored, truncated files (a run killed
-mid-write) produce a partial report flagged ``aborted`` rather than an
-error, and journals written before a field existed degrade to "unknown"
-instead of guessing.  Stdlib only -- this module must import without the
+One parser builds every section from the spans.  A grid is the window
+between its ``grid`` span's opening line (``elapsed: null``) and its
+closing line; the ``point``, ``batch`` and ``chunk`` spans in between
+belong to the innermost open grid.  The parser is deliberately
+forgiving: lines it does not know (job lifecycle lines, non-objects,
+spans with a non-numeric ``elapsed``) are skipped, and a truncated file
+(a run killed mid-write) produces a partial report whose unclosed grids
+are flagged ``aborted``, naming the point that was in flight, rather
+than an error.  Stdlib only -- this module must import without the
 runner so the obs package stays dependency-free.
 """
 
@@ -32,13 +36,14 @@ RETRY_STORM_FRACTION = 0.05
 
 
 def load_events(source):
-    """Event dicts from a JSONL path (or pass a list through unchanged).
+    """Line dicts from a JSONL path or file object (a list of dicts
+    passes through).
 
-    Unparseable lines are skipped, mirroring ``read_journal`` -- a
+    Torn lines and lines that are not JSON objects are skipped -- a
     report over a crashed run's record must not itself crash.
     """
     if not isinstance(source, (str, bytes)) and not hasattr(source, "read"):
-        return list(source)
+        return [event for event in source if isinstance(event, dict)]
     events = []
     f = source if hasattr(source, "read") else open(source)
     try:
@@ -47,13 +52,24 @@ def load_events(source):
             if not line:
                 continue
             try:
-                events.append(json.loads(line))
+                event = json.loads(line)
             except ValueError:
                 continue
+            if isinstance(event, dict):
+                events.append(event)
     finally:
         if f is not source:
             f.close()
     return events
+
+
+def _elapsed(line):
+    """A closed span line's seconds; ``None`` for an opening line or a
+    value that is not a number."""
+    value = line.get("elapsed")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    return None
 
 
 def self_times(spans):
@@ -64,14 +80,15 @@ def self_times(spans):
     its root spans' wall-clock; overlapping pool chunks can outlast their
     parent, which is then clamped at zero.  A ``stage`` span's row is its
     stage under its ``grid`` span's label; any other row is ``"-"`` and
-    the span name.
+    the span name.  Opening lines and lines without a numeric
+    ``elapsed`` are skipped.
     """
+    spans = [span for span in spans if _elapsed(span) is not None]
     children, labels = {}, {}
     for span in spans:
         parent = span.get("parent")
         if parent is not None:
-            children[parent] = children.get(parent, 0.0) \
-                + (span.get("elapsed") or 0.0)
+            children[parent] = children.get(parent, 0.0) + _elapsed(span)
         if span.get("name") == "grid":
             labels[span.get("id")] = span.get("label")
     rows = {}
@@ -83,7 +100,7 @@ def self_times(spans):
             key = ("-", span.get("name", "?"))
         row = rows.setdefault(key, [0, 0.0])
         row[0] += 1
-        row[1] += max(0.0, (span.get("elapsed") or 0.0)
+        row[1] += max(0.0, _elapsed(span)
                       - children.get(span.get("id"), 0.0))
     return rows
 
@@ -99,14 +116,14 @@ def percentile(values, q):
 
 @dataclass
 class GridRecord:
-    """One ``run_start`` .. ``run_finish`` window of the journal."""
+    """One ``grid`` span: its opening line .. its closing line."""
 
     label: str = None
     points: int = 0
     cached: int = 0
     pending: int = 0
     workers: int = 1
-    cache: bool = None          # None: journal predates the field
+    cache: bool = None          # None: the grid never closed
     elapsed: list = field(default_factory=list)
     indices: list = field(default_factory=list)
     ok: int = 0
@@ -115,14 +132,17 @@ class GridRecord:
     timeouts: int = 0
     crashes: int = 0
     requeued: int = 0
-    failed: list = field(default_factory=list)
-    batches: int = 0
+    failed: list = field(default_factory=list)     # failed point spans
     chunks: int = 0
-    per_chunk: int = None       # None: not a pool run (or old journal)
+    per_chunk: int = None       # None: not a pool run
     chunk_elapsed: list = field(default_factory=list)
     bisects: int = 0
     poisoned: int = 0
     finished: bool = False
+    status: str = None          # "ok" | "failed" once closed
+    error: str = None
+    inflight: dict = field(default_factory=dict)   # open point id -> index
+    span_id: int = None
 
     @property
     def evaluated(self):
@@ -147,6 +167,48 @@ class GridRecord:
             if t > threshold
         ]
 
+    def close(self, line):
+        """Fold in the grid's closing line."""
+        self.finished = True
+        self.inflight.clear()
+        for name in ("label", "points", "cached", "pending", "workers",
+                     "cache", "crashes", "requeued", "chunks",
+                     "per_chunk", "status", "error"):
+            if name in line:
+                setattr(self, name, line[name])
+
+    def add(self, name, line, elapsed):
+        """Fold in one ``point``, ``batch`` or ``chunk`` span."""
+        status = line.get("status")
+        if name == "point":
+            self.inflight.pop(line.get("id"), None)
+            self.retries += line.get("attempts", 0)
+            self.timeouts += line.get("timeouts", 0)
+            if status == "failed":
+                self.failed.append(line)
+                return
+            self.elapsed.append(elapsed)
+            self.indices.append(line.get("index", -1))
+            if status == "infeasible":
+                self.infeasible += 1
+            else:
+                self.ok += 1
+        elif name == "batch" and status != "failed":
+            # A kernel call's points share its time evenly; a failed
+            # call's points re-run as point spans.
+            points = line.get("points", 0)
+            self.elapsed += [elapsed / points] * points
+            self.indices += [-1] * points
+            self.infeasible += line.get("infeasible", 0)
+            self.ok += points - line.get("infeasible", 0)
+        elif name == "chunk":
+            if status == "bisected":
+                self.bisects += 1
+            elif status == "poison":
+                self.poisoned += 1
+            else:
+                self.chunk_elapsed.append(elapsed)
+
 
 @dataclass
 class Anomaly:
@@ -160,119 +222,66 @@ class Anomaly:
 
 
 class JournalReport:
-    """Parsed + aggregated view of one journal/trace event stream."""
+    """Parsed + aggregated view of one trace's span lines."""
 
     def __init__(self, events, straggler_k=DEFAULT_STRAGGLER_K):
         self.straggler_k = straggler_k
         self.grids = []
         self.artifact_hits = 0
-        self.artifact_misses = 0
         self.artifact_builds = []      # (design, elapsed)
-        self.spans = []                # raw span lines
+        self.spans = []                # closed span lines
         self._parse(events)
+
+    @property
+    def artifact_misses(self):
+        return len(self.artifact_builds)
 
     # -- parsing -----------------------------------------------------------
 
     def _parse(self, events):
-        current = None
-        for ev in events:
-            name = ev.get("event")
-            if name == "run_start":
-                if current is not None:
-                    self.grids.append(current)   # aborted predecessor
-                current = GridRecord(
-                    label=ev.get("label"),
-                    points=ev.get("points", 0),
-                    cached=ev.get("cached", 0),
-                    pending=ev.get("pending", 0),
-                    workers=ev.get("workers", 1),
-                    cache=ev.get("cache"),
-                )
-            elif name == "run_finish":
-                if current is not None:
-                    current.finished = True
-                    self.grids.append(current)
-                    current = None
-            elif name == "span":
-                self.spans.append(ev)
+        open_grids = []                # innermost last
+        for line in events:
+            if not isinstance(line, dict) or line.get("event") != "span":
+                continue
+            name = line.get("name")
+            if line.get("elapsed") is None:         # an opening line
+                if name == "grid":
+                    grid = GridRecord(label=line.get("label"),
+                                      points=line.get("points", 0),
+                                      span_id=line.get("id"))
+                    open_grids.append(grid)
+                    self.grids.append(grid)
+                elif name == "point" and open_grids:
+                    open_grids[-1].inflight[line.get("id")] = \
+                        line.get("index")
+                continue
+            elapsed = _elapsed(line)
+            if elapsed is None:
+                continue
+            self.spans.append(line)
+            if name == "grid":
+                self._close_grid(open_grids, line)
             elif name == "artifact_hit":
                 self.artifact_hits += 1
-            elif name == "artifact_miss":
-                self.artifact_misses += 1
-            elif name == "artifact_built":
+            elif name == "artifact_build":
                 self.artifact_builds.append(
-                    (ev.get("design", "?"), ev.get("elapsed", 0.0)))
-            elif current is None:
-                continue
-            elif name == "point_finished":
-                current.elapsed.append(ev.get("elapsed", 0.0))
-                current.indices.append(ev.get("index", -1))
-                if ev.get("status") == "infeasible":
-                    current.infeasible += 1
-                else:
-                    current.ok += 1
-                current.retries += ev.get("attempts", 0)
-                current.timeouts += ev.get("timeouts", 0)
-            elif name == "point_failed":
-                current.failed.append(ev)
-                current.retries += ev.get("attempts", 0)
-                current.timeouts += ev.get("timeouts", 0)
-            elif name == "pool_crashed":
-                current.crashes += 1
-            elif name == "requeue_serial":
-                current.requeued += ev.get("points", 0)
-            elif name == "batch_started":
-                current.batches += 1
-            elif name == "chunks_planned":
-                current.chunks += ev.get("chunks", 0)
-                current.per_chunk = ev.get("per_chunk")
-            elif name == "chunk_finished":
-                current.chunk_elapsed.append(ev.get("elapsed", 0.0))
-            elif name == "chunk_bisected":
-                current.bisects += 1
-            elif name == "chunk_failed":
-                current.poisoned += 1
-        if current is not None:
-            self.grids.append(current)
-        if not self.grids:
-            self.grids = self._grids_from_spans()
+                    (line.get("design", "?"), elapsed))
+            elif name in ("point", "batch", "chunk") and open_grids:
+                open_grids[-1].add(name, line, elapsed)
 
-    def _grids_from_spans(self):
-        """Grid records from the ``grid`` spans of a trace without
-        journal events.  Every ``point`` span under a grid is one of its
-        evaluated points, and a ``batch`` span's points share its
-        elapsed time evenly, as the journal records them."""
-        parents = {span.get("id"): span.get("parent") for span in self.spans}
-        grids = {span.get("id"): GridRecord(
-            label=span.get("label"), points=span.get("points", 0),
-            cached=span.get("cached", 0), pending=span.get("pending", 0),
-            workers=span.get("workers", 1), finished=True)
-            for span in self.spans if span.get("name") == "grid"}
-        for span in self.spans:
-            name = span.get("name")
-            if name not in ("point", "batch"):
-                continue
-            grid_id = span.get("parent")
-            while grid_id is not None and grid_id not in grids:
-                grid_id = parents.get(grid_id)
-            grid = grids.get(grid_id)
-            if grid is None:
-                continue
-            elapsed = span.get("elapsed") or 0.0
-            if name == "batch":
-                points = span.get("points", 0)
-                grid.elapsed += [elapsed / points] * points
-                grid.indices += [-1] * points
-            elif span.get("status") == "failed":
-                grid.failed.append(span)
-            else:
-                grid.elapsed.append(elapsed)
-                grid.indices.append(span.get("index", -1))
-                if span.get("status") == "infeasible":
-                    grid.infeasible += 1
-                else:
-                    grid.ok += 1
-        return list(grids.values())
+    def _close_grid(self, open_grids, line):
+        """Close the innermost open grid with this span id (grids left
+        open inside it were killed); a closing line without an opening
+        one still counts as a grid."""
+        for depth in range(len(open_grids) - 1, -1, -1):
+            if open_grids[depth].span_id == line.get("id"):
+                grid = open_grids[depth]
+                del open_grids[depth:]
+                break
+        else:
+            grid = GridRecord(span_id=line.get("id"))
+            self.grids.append(grid)
+        grid.close(line)
 
     # -- aggregation -------------------------------------------------------
 
@@ -322,16 +331,24 @@ class JournalReport:
                     "timeouts",
                     "{} run {}: {} attempt(s) hit the per-point "
                     "timeout".format(label, n, grid.timeouts)))
-            for ev in grid.failed:
+            for line in grid.failed:
                 out.append(Anomaly(
                     "hard-failure",
                     "{} run {}: point {} failed: {}".format(
-                        label, n, ev.get("index"), ev.get("error"))))
+                        label, n, line.get("index"), line.get("error"))))
+            if grid.status == "failed" and not grid.failed:
+                out.append(Anomaly(
+                    "hard-failure",
+                    "{} run {}: grid failed: {}".format(label, n,
+                                                        grid.error)))
             if not grid.finished:
+                inflight = "".join(
+                    "; point {} in flight".format(index)
+                    for index in grid.inflight.values())
                 out.append(Anomaly(
                     "aborted",
-                    "{} run {}: no run_finish recorded (killed "
-                    "mid-run?)".format(label, n)))
+                    "{} run {}: the grid span never closed (killed "
+                    "mid-run?){}".format(label, n, inflight)))
         return out
 
     # -- rendering ---------------------------------------------------------

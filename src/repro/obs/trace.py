@@ -5,9 +5,10 @@ spans containing ``stage`` spans containing ``point`` spans containing
 ``attempt`` spans, and below them the layer spans that :func:`layer`
 opens at each layer's entry points (``netlist.levelize``, ``sta.run``,
 ...) -- each with a monotonic start offset, an elapsed wall-clock, a
-parent id and arbitrary attributes.  Where the
-:class:`~repro.runner.journal.RunJournal` answers "what happened, in
-order", spans answer "*where did the time go*, and inside what".
+parent id and arbitrary attributes.  Spans are the runner's one record
+of a run: what happened (a point's status, a chunk's bisection, a pool
+crash) rides on them as attributes, so they answer both "what
+happened" and "*where did the time go*, and inside what".
 
 Design constraints, in priority order:
 
@@ -17,22 +18,24 @@ Design constraints, in priority order:
   test_obs_overhead.py`` holds this under 2 % of a sweep point;
 * **no dependencies** -- stdlib only, importable from anywhere in the
   package without cycles;
-* **journal-compatible output** -- a serialised span is one flat JSON
-  object with ``t`` and ``event`` fields like every journal line, so
-  spans can interleave with journal events in one JSONL file
-  (:class:`JournalSink`) or live in their own (:class:`JsonlSink`) and
-  the same replay tooling (:mod:`repro.obs.report`) reads both.
+* **flat JSONL lines** -- a serialised span is one flat JSON object
+  with ``t`` and ``event`` (``"span"``) fields, so other line types
+  (the serve layer's job lifecycle lines) can share its file and
+  :mod:`repro.obs.report` skips what it does not know.
 
 Span timing uses ``time.perf_counter`` (monotonic): ``start`` is the
 offset in seconds from the owning tracer's epoch, so spans from one
 tracer order and nest consistently even if the wall clock steps.
-``t`` (wall time at emission) exists only for interleaving with journal
-lines.  Spans are emitted on *exit*, children before parents -- replay
-rebuilds the tree from ids, not from file order.
+``t`` is the wall time at emission.  Spans are emitted on *exit*,
+children before parents -- replay rebuilds the tree from ids, not from
+file order.  A span opened with ``announce=True`` (the runner's ``grid``
+spans and in-process ``point`` spans) also writes a line when it opens,
+with ``elapsed: null``, so a run killed inside it still leaves a record
+of what was in flight.
 
 Only the parent process traces: fork-pool workers report their timings
-back through the result tuple (like they always did for the journal) and
-the parent records an externally-timed span via :meth:`Tracer.record`.
+back through the result tuple and the parent records an
+externally-timed span via :meth:`Tracer.record`.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ class Span:
         self.tracer._emit(self)
 
     def to_dict(self):
-        """The journal-schema line for this span (see module docstring)."""
+        """The JSONL line for this span (see module docstring)."""
         line = {
             "t": time.time(),
             "event": "span",
@@ -177,11 +180,11 @@ class Tracer:
     ----------
     sinks:
         One sink or a list of sinks; each needs an ``emit(line_dict)``
-        and (optionally) a ``close()``.  See :class:`MemorySink`,
-        :class:`JsonlSink`, :class:`JournalSink`.
+        and (optionally) a ``close()``.  See :class:`MemorySink` and
+        :class:`JsonlSink`.
 
-    Nesting is tracked per thread, so one tracer may be shared the way
-    the journal is; span ids are unique across threads.  A span's parent
+    Nesting is tracked per thread, so one tracer may be shared by
+    threads; span ids are unique across threads.  A span's parent
     is the innermost open span of the same tracer in the same thread --
     the lexical ``with`` nesting, even where two tracers interleave.
     """
@@ -215,11 +218,20 @@ class Tracer:
 
     # -- public surface ----------------------------------------------------
 
-    def span(self, name, **attrs):
-        """Open a nested span; use as a context manager."""
+    def span(self, name, announce=False, **attrs):
+        """Open a nested span; use as a context manager.
+
+        ``announce`` also writes the span's line now, with ``elapsed:
+        null`` and the attributes known so far (not counted in
+        :attr:`spans`); the line written on exit completes it.
+        """
         span = Span(self, name, next(self._ids), self._parent_id(),
                     self._now(), attrs)
         _open.stack.append(span)
+        if announce:
+            line = span.to_dict()
+            for sink in self.sinks:
+                sink.emit(line)
         return span
 
     def record(self, name, elapsed, parent_id=None, **attrs):
@@ -319,11 +331,13 @@ class MemorySink:
 
 
 class JsonlSink:
-    """Appends span lines to a JSONL file (one object per line, flushed).
+    """Appends lines to a JSONL file (one object per line, flushed, so
+    a killed run leaves every line written before it died).
 
-    The format matches the run journal's line-per-event schema, so
-    ``repro report`` accepts a trace file, a journal, or a concatenation
-    of both.
+    The file is opened on the first line and appended to, never
+    truncated; :meth:`close` may be followed by more lines (the file
+    reopens).  Writes are serialised under a lock, so one sink can be
+    shared by threads.  ``repro report`` replays the file.
     """
 
     def __init__(self, path):
@@ -350,23 +364,3 @@ class JsonlSink:
     def __repr__(self):
         return "JsonlSink({!r})".format(self.path)
 
-
-class JournalSink:
-    """Interleaves spans into an existing run journal.
-
-    Every span becomes a ``"span"`` journal event written under the
-    journal's own lock, so one JSONL file carries the full record --
-    events *and* timing tree -- with no torn lines.
-    """
-
-    def __init__(self, journal):
-        self.journal = journal
-
-    def emit(self, line):
-        fields = dict(line)
-        fields.pop("t", None)
-        fields.pop("event", None)
-        self.journal.record("span", **fields)
-
-    def __repr__(self):
-        return "JournalSink({!r})".format(self.journal)

@@ -16,9 +16,8 @@ through this package.  The public surface:
   that many processes share safely -- what ``Session(store=...)`` and
   the :mod:`repro.serve` job service ride;
 * :class:`CachedEvaluator` -- point-at-a-time caching for search loops;
-* :class:`RunStats` -- per-run counters;
-* :class:`RunJournal` / :func:`read_journal` -- append-only JSONL event
-  log of everything a run did (the runner's black-box recorder);
+* :class:`RunStats` -- per-run counters (what a run did is recorded
+  by tracer spans, see :mod:`repro.obs.trace`);
 * :class:`ArtifactStore` / :class:`CircuitArtifacts` -- the per-circuit
   compile-once cache (the compiled STA, switching, SCPG model table and
   simulation schedule, with the nominal leakage and timing, shared
@@ -43,7 +42,6 @@ from .fingerprint import (
     stable_hash_or_none,
 )
 from .instrument import RunStats
-from .journal import NULL_JOURNAL, RunJournal, read_journal
 from .pool import WorkerPool
 from .sqlite_store import (
     CACHE_ENV,
@@ -68,8 +66,6 @@ __all__ = [
     "DEFAULT_BACKOFF",
     "DEFAULT_RETRIES",
     "INFEASIBLE_MARKER",
-    "NULL_JOURNAL",
-    "RunJournal",
     "SQLITE_SCHEMA",
     "STORE_FILE",
     "SqliteStore",
@@ -81,7 +77,6 @@ __all__ = [
     "fingerprint",
     "module_fingerprint",
     "open_store",
-    "read_journal",
     "resolve_workers",
     "stable_hash",
     "stable_hash_or_none",

@@ -33,7 +33,6 @@ use.
 from __future__ import annotations
 
 import pickle
-import time
 from dataclasses import dataclass
 
 from ..obs.trace import NULL_TRACER
@@ -41,7 +40,7 @@ from ..obs.trace import NULL_TRACER
 # table a bundle stores (perfbench's layer ledger times ``build_model``
 # under ``scpg.model`` through this binding).
 from ..scpg.power_model import ScpgModelTable
-from .journal import NULL_JOURNAL
+
 
 class _UnpickledOnUse:
     """A field a pickled bundle carries as bytes, unpickled on first
@@ -127,18 +126,15 @@ class ArtifactStore:
     stats:
         Optional :class:`~repro.runner.instrument.RunStats`; ``get``
         increments ``artifact_hits`` / ``artifact_misses``.
-    journal:
-        Optional :class:`~repro.runner.journal.RunJournal`; records
-        ``artifact_hit`` / ``artifact_miss`` / ``artifact_built``.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; every cache-missed
-        build is wrapped in an ``artifact_build`` span.
+        build is wrapped in an ``artifact_build`` span, and every hit is
+        a zero-length ``artifact_hit`` span (``source`` memory or disk).
     """
 
-    def __init__(self, cache=None, stats=None, journal=None, tracer=None):
+    def __init__(self, cache=None, stats=None, tracer=None):
         self.cache = cache
         self.stats = stats
-        self.journal = journal if journal is not None else NULL_JOURNAL
         self.tracer = NULL_TRACER if tracer is None else tracer
         self._memo = {}
 
@@ -169,26 +165,20 @@ class ArtifactStore:
                 return value
         if self.stats is not None:
             self.stats.artifact_misses += 1
-        self.journal.record("artifact_miss", fingerprint=fingerprint[:16])
-        start = time.perf_counter()
         with self.tracer.span(
                 "artifact_build", fingerprint=fingerprint[:16]) as span:
             bundle = builder()
             span.set(design=bundle.design_name)
-        elapsed = time.perf_counter() - start
         self._memo[fingerprint] = bundle
         if key is not None:
             self.cache.writeback(key, bundle)
-        self.journal.record(
-            "artifact_built", fingerprint=fingerprint[:16],
-            design=bundle.design_name, elapsed=elapsed)
         return bundle
 
     def _record_hit(self, fingerprint, source):
         if self.stats is not None:
             self.stats.artifact_hits += 1
-        self.journal.record(
-            "artifact_hit", fingerprint=fingerprint[:16], source=source)
+        self.tracer.record("artifact_hit", 0.0,
+                           fingerprint=fingerprint[:16], source=source)
 
     def __repr__(self):
         return "ArtifactStore(memo={}, cache={!r})".format(

@@ -25,7 +25,7 @@ how the work was scheduled:
   State that can neither be inherited nor pickled runs in-process with
   identical results;
 * **poison isolation** -- a chunk that raises is bisected and
-  resubmitted until the poison point is isolated, journaled, and re-run
+  resubmitted until the poison point is isolated, recorded, and re-run
   in the parent under the per-point policy after every healthy chunk
   has landed; an in-process kernel call that raises falls back to the
   per-point loop.  Either way the poison's siblings lose nothing;
@@ -45,14 +45,17 @@ how the work was scheduled:
   hanging the run: completed chunks are salvaged, the pool restarts and
   the remainder is re-run in-process, so the sweep still returns
   results bit-identical to an all-serial run;
-* **observability** -- a :class:`~repro.runner.journal.RunJournal`
-  records every point finished/retried, every chunk
-  submitted/finished/bisected, crashes and the run's counters as
-  append-only JSONL; traces nest ``chunk`` spans between ``stage`` and
-  ``point``.
+* **observability** -- tracer spans are the run's one record: a
+  ``grid`` span (its cache use, dispatch plan, crash and requeue
+  counts and final ``status``), ``stage`` spans, ``batch`` and
+  ``chunk`` spans (``status`` ok, bisected or poison), and one
+  ``point`` span per evaluated point (status, attempts, timeouts,
+  error).  The ``grid`` span and the in-process ``point`` span also
+  write a line when they open, so a killed run's trace shows what was
+  in flight.
 
 :class:`Runner` bundles a worker count, a store, a retry policy, a
-journal, an optional warm pool and a
+tracer, an optional warm pool and a
 :class:`~repro.runner.instrument.RunStats` into one reusable policy
 object; :class:`CachedEvaluator` is its point-at-a-time sibling for
 search loops (bisection, golden section) that cannot batch, writing a
@@ -76,7 +79,6 @@ from ..errors import PointTimeoutError, RunnerError
 from ..obs.trace import NULL_TRACER
 from .fingerprint import fingerprint
 from .instrument import RunStats
-from .journal import NULL_JOURNAL, RunJournal
 from .pool import WorkerPool, _start_method, resolve_workers
 from .sqlite_store import STORE_ERRORS, open_store
 
@@ -190,14 +192,14 @@ def _eval_point(fn, context, point, on_error, retry_on, retries, backoff,
 
     Returns the outcome ``(value, status, attempts, timeouts)`` where
     ``status`` is ``"ok"``, ``"soft"`` (infeasible) or ``"hard"``
-    (``value`` is the exception, re-raised by :func:`_record_point` after
-    the counters and journal have seen it), ``attempts`` is the number of
-    *extra* attempts paid and ``timeouts`` how many attempts the alarm
-    cut short.  Exceptions outside ``retry_on``/``on_error`` -- and
-    retryable ones once retries are exhausted, unless they also appear in
-    ``on_error`` -- are the hard ones.  ``tracer`` (in-process only;
-    workers always pass the no-op default) gets one ``attempt`` span per
-    try.
+    (``value`` is the exception, re-raised by
+    :meth:`_GridRun._record_point` after the counters and the trace have
+    seen it), ``attempts`` is the number of *extra* attempts paid and
+    ``timeouts`` how many attempts the alarm cut short.  Exceptions
+    outside ``retry_on``/``on_error`` -- and retryable ones once retries
+    are exhausted, unless they also appear in ``on_error`` -- are the
+    hard ones.  ``tracer`` (in-process only; workers always pass the
+    no-op default) gets one ``attempt`` span per try.
     """
     caught = None
     attempts = 0
@@ -282,9 +284,8 @@ def _chunk_points(npending, nworkers):
 def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
                   cache=None, cache_key=None, on_error=(), stats=None,
                   retry_on=(), retries=DEFAULT_RETRIES,
-                  backoff=DEFAULT_BACKOFF, timeout=None, journal=None,
-                  label=None, kernel=None, tracer=None, metrics=None,
-                  pool=None):
+                  backoff=DEFAULT_BACKOFF, timeout=None, label=None,
+                  kernel=None, tracer=None, metrics=None, pool=None):
     """Evaluate ``fn`` over ``points``; returns results in point order.
 
     Parameters
@@ -328,11 +329,8 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
         Per-point wall-clock bound in seconds (best effort; see
         :class:`~repro.errors.PointTimeoutError`).  Timed-out attempts
         are retried like ``retry_on`` failures.
-    journal:
-        A :class:`~repro.runner.journal.RunJournal` (or a path -- opened
-        and closed for this run) receiving JSONL events for every point.
     label:
-        Short name for this grid in the journal (``"sweep"``,
+        Short name for this grid in the trace (``"sweep"``,
         ``"energy_sweep"``, ...).
     kernel:
         Optional batch kernel ``kernel(pending_points)`` -- usually a
@@ -351,11 +349,13 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
         (kernels are pure arithmetic) -- but a kernel that raises is
         routed around: the poison point is isolated and re-run through
         ``fn`` under the full per-point policy.  Store writeback and
-        per-point journal events are preserved on every path.
+        the per-point counts are preserved on every path.
     tracer:
         A :class:`~repro.obs.trace.Tracer` producing nested spans
-        (``grid`` -> ``stage`` -> [``chunk`` | ``batch`` ->] ``point``
-        -> ``attempt``).  Defaults to the no-op
+        (``grid`` -> ``stage`` -> [``chunk`` ->] ``point`` ->
+        ``attempt``, or ``stage`` -> ``batch`` for one kernel call),
+        the run's only record (see ``docs/api.md`` for every span's
+        attributes).  Defaults to the no-op
         :data:`~repro.obs.trace.NULL_TRACER`, whose cost is held under
         2 % of a sweep point by ``benchmarks/test_obs_overhead.py``.
     metrics:
@@ -386,19 +386,13 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
             "repro_point_seconds",
             "wall-clock per evaluated grid point")
 
-    owns_journal = isinstance(journal, (str, os.PathLike))
-    if owns_journal:
-        journal = RunJournal(journal)
-    elif journal is None:
-        journal = NULL_JOURNAL
-
     results = [None] * len(points)
     keys = None
     pending = []
     run = None
-    try:
-        with tracer.span("grid", label=label,
-                         points=len(points)) as grid_span:
+    with tracer.span("grid", announce=True, label=label,
+                     points=len(points)) as grid_span:
+        try:
             if use_cache:
                 with tracer.span("stage", stage="cache"):
                     key_of = cache.key_maker(cache_key)
@@ -421,11 +415,8 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
             nworkers = min(resolve_workers(workers),
                            max(len(pending), 1))
             stats.workers = max(stats.workers, nworkers)
-            journal.record("run_start", label=label, points=len(points),
-                           cached=len(points) - len(pending),
-                           pending=len(pending), workers=nworkers,
-                           cache=use_cache)
-            grid_span.set(cached=len(points) - len(pending),
+            grid_span.set(cache=use_cache,
+                          cached=len(points) - len(pending),
                           pending=len(pending), workers=nworkers)
             errored = set()
             if pending:
@@ -433,9 +424,10 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
                     run = _GridRun(fn, kernel, context,
                                    (on_error, retry_on, retries, backoff,
                                     timeout),
-                                   results, errored, stats, journal,
+                                   results, errored, stats,
                                    cache if use_cache else None, keys,
-                                   tracer, metrics, point_hist, label)
+                                   tracer, grid_span, metrics,
+                                   point_hist, label)
                     leftover = pending
                     if nworkers > 1:
                         leftover = run.on_pool(pending, nworkers, pool)
@@ -443,30 +435,41 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
                         run.in_process(leftover)
                 stats.evaluated += len(pending)
                 stats.infeasible += len(errored)
-            journal.record("run_finish", label=label,
-                           stats=stats.to_dict())
-    finally:
-        if run is not None:
-            _write(cache, run.unsaved)
-        if owns_journal:
-            journal.close()
+            grid_span.set(status="ok")
+        except BaseException as exc:
+            grid_span.set(status="failed", error=repr(exc))
+            raise
+        finally:
+            if run is not None:
+                _write(cache, run.unsaved)
     return results
 
 
 _SPAN_STATUS = {"ok": "ok", "soft": "infeasible", "hard": "failed"}
 
 
+def _point_attrs(outcome):
+    """The attributes of a finished point's span."""
+    value, status, attempts, ntimeouts = outcome
+    attrs = {"status": _SPAN_STATUS[status], "attempts": attempts,
+             "timeouts": ntimeouts}
+    if status == "hard":
+        attrs["error"] = repr(value)
+    return attrs
+
+
 class _GridRun:
     """The state of one grid's evaluation and its two executors:
     :meth:`in_process` and :meth:`on_pool`.  Both fold every finished
-    point through :meth:`_record_point`, so results, store writeback,
-    counters and journal lines do not depend on where a point ran.
-    Finished points wait in :attr:`unsaved` for the write after their
-    kernel batch or chunk (or when the grid ends or aborts)."""
+    point through :meth:`_record_point`, so results, store writeback and
+    counters do not depend on where a point ran.  Finished points wait
+    in :attr:`unsaved` for the write after their kernel batch or chunk
+    (or when the grid ends or aborts).  Dispatch facts (chunk plan,
+    crashes, requeues) go on the grid's span, ``grid_span``."""
 
     def __init__(self, fn, kernel, context, policy, results, errored,
-                 stats, journal, cache, keys, tracer, metrics, point_hist,
-                 label):
+                 stats, cache, keys, tracer, grid_span, metrics,
+                 point_hist, label):
         self.fn = fn
         self.kernel = kernel
         self.context = context
@@ -474,11 +477,11 @@ class _GridRun:
         self.results = results
         self.errored = errored
         self.stats = stats
-        self.journal = journal
         self.cache = cache
         self.keys = keys
         self.unsaved = []
         self.tracer = tracer
+        self.grid_span = grid_span
         self.metrics = metrics
         self.point_hist = point_hist
         self.label = label
@@ -488,59 +491,45 @@ class _GridRun:
 
     # -- recording -------------------------------------------------------------
 
-    def _record_point(self, index, outcome, elapsed):
+    def _record_point(self, index, outcome):
         """Fold one finished point into the run state.
 
         Hard failures are re-raised here -- *after* the retry/timeout
-        counters and the journal have recorded them, so an aborted run's
-        stats and black box still tell the truth.
+        counters have counted them (and the point's span has recorded
+        them), so an aborted run's stats and trace still tell the truth.
         """
         value, status, attempts, ntimeouts = outcome
-        stats, journal = self.stats, self.journal
+        stats = self.stats
         stats.retries += attempts
         stats.timeouts += ntimeouts
         if status == "hard":
-            journal.record("point_failed", index=index, attempts=attempts,
-                           timeouts=ntimeouts, error=repr(value))
             raise value
         self.results[index] = value
         soft = status == "soft"
         if soft:
             self.errored.add(index)
-        if attempts:
-            journal.record("point_retried", index=index, attempts=attempts)
-        journal.record("point_finished", index=index,
-                       status="infeasible" if soft else "ok",
-                       attempts=attempts, timeouts=ntimeouts,
-                       elapsed=round(elapsed, 6))
         if self.cache is not None:
             self.unsaved.append(
                 (self.keys[index], INFEASIBLE_MARKER if soft else value))
 
     def _record_shared(self, items, outcomes, elapsed, chunk_span=None):
-        """Record the points of one kernel call or chunk; their
-        ``elapsed`` is the call's wall-clock split evenly, since points
-        are not timed individually inside it.  A chunk's points also get
+        """Record the points of one kernel call or chunk; each point's
+        latency is the call's wall-clock split evenly, since points are
+        not timed individually inside it.  A chunk's points also get
         spans under ``chunk_span``, and its hard failures are deferred
-        to :attr:`failed`.  Returns the infeasible count."""
+        to :attr:`failed`."""
         share = round(elapsed / len(items), 6) if items else 0.0
         parent = getattr(chunk_span, "span_id", None)
-        nsoft = 0
         for (index, _), outcome in zip(items, outcomes):
-            status = outcome[1]
-            nsoft += status == "soft"
             if chunk_span is not None:
                 self.tracer.record("point", share, parent_id=parent,
-                                   index=index,
-                                   status=_SPAN_STATUS[status],
-                                   attempts=outcome[2])
+                                   index=index, **_point_attrs(outcome))
             if self.point_hist is not None:
                 self.point_hist.observe(share)
-            if status == "hard" and chunk_span is not None:
-                self.failed.append((index, outcome, share))
+            if outcome[1] == "hard" and chunk_span is not None:
+                self.failed.append((index, outcome))
                 continue
-            self._record_point(index, outcome, share)
-        return nsoft
+            self._record_point(index, outcome)
 
     # -- in-process executor ---------------------------------------------------
 
@@ -556,42 +545,39 @@ class _GridRun:
             self._run_batch(pending)
         except RunnerError:
             raise
-        except Exception as exc:
-            self.journal.record("batch_failed", label=self.label,
-                                points=len(pending), error=repr(exc))
+        except Exception:
             self._run_serial(pending)
 
     def _run_serial(self, pending):
         tracer = self.tracer
         for index, point in pending:
-            self.journal.record("point_started", index=index)
             start = time.perf_counter()
-            with tracer.span("point", index=index) as span:
+            with tracer.span("point", announce=True, index=index) as span:
                 outcome = _eval_point(self.fn, self.context, point,
                                       *self.policy, tracer)
-                span.set(status=_SPAN_STATUS[outcome[1]],
-                         attempts=outcome[2])
-            elapsed = time.perf_counter() - start
+                span.set(**_point_attrs(outcome))
             if self.point_hist is not None:
-                self.point_hist.observe(elapsed)
-            self._record_point(index, outcome, elapsed)
+                self.point_hist.observe(time.perf_counter() - start)
+            self._record_point(index, outcome)
 
     def _run_batch(self, pending):
-        """All of ``pending`` through one kernel call.  The trace gets
-        one ``batch`` span for the call; the journal one
-        ``point_finished`` line per point."""
+        """All of ``pending`` through one kernel call, traced as one
+        ``batch`` span carrying the call's ok/infeasible counts (or
+        ``status="failed"`` and the error when the kernel raised)."""
         pts = [point for _, point in pending]
-        self.journal.record("batch_started", label=self.label,
-                            points=len(pts))
         start = time.perf_counter()
-        with self.tracer.span("batch", label=self.label, points=len(pts)):
-            outcomes = _kernel_outcomes(self.kernel, pts)
-        elapsed = time.perf_counter() - start
-        nsoft = self._record_shared(pending, outcomes, elapsed)
+        with self.tracer.span("batch", label=self.label,
+                              points=len(pts)) as span:
+            try:
+                outcomes = _kernel_outcomes(self.kernel, pts)
+            except Exception as exc:
+                span.set(status="failed", error=repr(exc))
+                raise
+            nsoft = sum(outcome[1] == "soft" for outcome in outcomes)
+            span.set(status="ok", ok=len(pts) - nsoft, infeasible=nsoft)
+        self._record_shared(pending, outcomes,
+                            time.perf_counter() - start)
         _write(self.cache, self.unsaved)
-        self.journal.record("batch_finished", label=self.label,
-                            points=len(pts), ok=len(pts) - nsoft,
-                            infeasible=nsoft, elapsed=round(elapsed, 6))
 
     # -- pool executor ---------------------------------------------------------
 
@@ -647,7 +633,6 @@ class _GridRun:
             _FORK_LOCK.release()
 
     def _dispatch(self, pending, pool, warm, epoch, blob):
-        journal = self.journal
         executor = pool.executor()
         nworkers = pool.workers
         size = 1 if self.kernel is None \
@@ -668,11 +653,9 @@ class _GridRun:
         ids = itertools.count(1)
         backlog = deque((next(ids), pending[lo:lo + size])
                         for lo in range(0, len(pending), size))
-        nchunks = len(backlog)
-        journal.record("chunks_planned", label=self.label,
-                       points=len(pending), chunks=nchunks,
-                       per_chunk=size, workers=nworkers, warm=warm)
         limit = MAX_INFLIGHT_PER_WORKER * nworkers
+        self.grid_span.set(chunks=len(backlog), per_chunk=size, warm=warm,
+                           method=pool.method, inflight_limit=limit)
         inflight = {}
         poisoned = []
         peak = 0
@@ -687,9 +670,6 @@ class _GridRun:
                                           (items, epoch, blob))
                     backlog.popleft()
                     inflight[fut] = (chunk_id, items, time.perf_counter())
-                    journal.record("chunk_submitted", chunk=chunk_id,
-                                   points=len(items), first=items[0][0],
-                                   last=items[-1][0])
                 peak = max(peak, len(inflight))
                 ready, _ = wait(list(inflight),
                                 return_when=FIRST_COMPLETED)
@@ -701,8 +681,8 @@ class _GridRun:
                         inflight[fut] = (chunk_id, items, submit_t)
                         raise
                     except Exception as exc:
-                        self._split(chunk_id, items, exc, ids, backlog,
-                                    poisoned)
+                        self._split(chunk_id, items, submit_t, exc, ids,
+                                    backlog, poisoned)
                         continue
                     self._record_chunk(chunk_id, items, outcomes, elapsed,
                                        submit_t, wait_hist, chunk_hist)
@@ -710,48 +690,40 @@ class _GridRun:
             leftover = self._salvage(inflight, backlog, wait_hist,
                                      chunk_hist)
             self.stats.crashes += 1
-            journal.record("pool_crashed", workers=nworkers,
-                           completed=len(pending) - len(leftover)
-                           - len(poisoned),
-                           remaining=len(leftover) + len(poisoned))
+            self.grid_span.set(crashes=1, inflight_peak=peak,
+                               requeued=len(leftover) + len(poisoned))
             pool.restart()
             self._finish(poisoned)
-            if leftover:
-                journal.record("requeue_serial", points=len(leftover))
             return leftover
-        journal.record("pool_finished", workers=nworkers,
-                       method=pool.method, points=len(pending),
-                       chunks=nchunks, inflight_peak=peak,
-                       inflight_limit=limit)
-        if poisoned:
-            journal.record("requeue_serial", points=len(poisoned))
+        self.grid_span.set(inflight_peak=peak, requeued=len(poisoned))
         self._finish(poisoned)
         return []
 
     def _finish(self, poisoned):
         """Re-run the isolated points in-process, then raise the first
-        deferred worker failure (after the journal has seen it)."""
+        deferred worker failure (after its span has recorded it)."""
         if poisoned:
             self._run_serial(sorted(poisoned))
-        for index, outcome, elapsed in sorted(self.failed,
-                                              key=lambda f: f[0]):
-            self._record_point(index, outcome, elapsed)
+        for index, outcome in sorted(self.failed, key=lambda f: f[0]):
+            self._record_point(index, outcome)
 
-    def _split(self, chunk_id, items, exc, ids, backlog, poisoned):
+    def _split(self, chunk_id, items, submit_t, exc, ids, backlog,
+               poisoned):
         """A chunk raised: isolate a single point as poison, or bisect
-        and put both halves at the front of the backlog."""
+        and put both halves at the front of the backlog.  Either way
+        the chunk's span records it, timed from submission."""
+        attrs = dict(chunk=chunk_id, points=len(items), error=repr(exc))
         if len(items) == 1:
-            self.journal.record("chunk_failed", chunk=chunk_id,
-                                index=items[0][0], error=repr(exc))
             poisoned.append(items[0])
-            return
-        mid = len(items) // 2
-        left, right = next(ids), next(ids)
-        self.journal.record("chunk_bisected", chunk=chunk_id,
-                            points=len(items), into=[left, right],
-                            error=repr(exc))
-        backlog.appendleft((right, items[mid:]))
-        backlog.appendleft((left, items[:mid]))
+            attrs.update(status="poison", index=items[0][0])
+        else:
+            mid = len(items) // 2
+            left, right = next(ids), next(ids)
+            backlog.appendleft((right, items[mid:]))
+            backlog.appendleft((left, items[:mid]))
+            attrs.update(status="bisected", into=[left, right])
+        self.tracer.record("chunk", time.perf_counter() - submit_t,
+                           **attrs)
 
     def _record_chunk(self, chunk_id, items, outcomes, elapsed, submit_t,
                       wait_hist=None, chunk_hist=None):
@@ -763,19 +735,14 @@ class _GridRun:
         at zero (clock jitter must not produce negative waits)."""
         wait_s = max(time.perf_counter() - submit_t - elapsed, 0.0)
         span = self.tracer.record("chunk", elapsed, chunk=chunk_id,
-                                  points=len(items), wait=round(wait_s, 6))
+                                  points=len(items), status="ok",
+                                  wait=round(wait_s, 6))
         if chunk_hist is not None:
             chunk_hist.observe(elapsed)
         if wait_hist is not None:
             wait_hist.observe(wait_s)
-        nsoft = self._record_shared(items, outcomes, elapsed,
-                                    chunk_span=span)
+        self._record_shared(items, outcomes, elapsed, chunk_span=span)
         _write(self.cache, self.unsaved)
-        self.journal.record("chunk_finished", chunk=chunk_id,
-                            points=len(items),
-                            ok=sum(o[1] == "ok" for o in outcomes),
-                            infeasible=nsoft, elapsed=round(elapsed, 6),
-                            wait=round(wait_s, 6))
 
     def _salvage(self, inflight, backlog, wait_hist, chunk_hist):
         """After a pool crash: record every chunk whose result arrived,
@@ -869,26 +836,24 @@ class CachedEvaluator:
 
 
 class Runner:
-    """One execution policy -- workers, cache, retries, journal, stats --
+    """One execution policy -- workers, cache, retries, tracer, stats --
     reused across runs.
 
     ``cache`` may be a :class:`~repro.runner.sqlite_store.SqliteStore`,
-    the path of its database file, or ``None`` (no caching); ``journal``
-    a :class:`~repro.runner.journal.RunJournal` or a path (opened once,
-    shared by every run).  ``retry_on`` / ``retries`` / ``backoff`` /
-    ``timeout`` set the fault-tolerance policy every grid run under this
-    runner inherits.  ``pool`` may be a
-    :class:`~repro.runner.pool.WorkerPool` whose warm workers serve
-    every parallel grid (the runner does not own it -- whoever built the
-    pool closes it).  All grids and evaluators created through one
-    runner accumulate into the same :class:`RunStats`, so a report can
-    summarise a whole figure regeneration in one line.
+    the path of its database file, or ``None`` (no caching); ``tracer``
+    a :class:`~repro.obs.trace.Tracer` shared by every run.
+    ``retry_on`` / ``retries`` / ``backoff`` / ``timeout`` set the
+    fault-tolerance policy every grid run under this runner inherits.
+    ``pool`` may be a :class:`~repro.runner.pool.WorkerPool` whose warm
+    workers serve every parallel grid (the runner does not own it --
+    whoever built the pool closes it).  All grids and evaluators created
+    through one runner accumulate into the same :class:`RunStats`, so a
+    report can summarise a whole figure regeneration in one line.
     """
 
     def __init__(self, workers=None, cache=None, stats=None, retry_on=(),
                  retries=DEFAULT_RETRIES, backoff=DEFAULT_BACKOFF,
-                 timeout=None, journal=None, tracer=None, metrics=None,
-                 pool=None):
+                 timeout=None, tracer=None, metrics=None, pool=None):
         self.workers = workers
         if isinstance(cache, (str, os.PathLike)):
             cache = open_store(cache)
@@ -898,9 +863,6 @@ class Runner:
         self.retries = retries
         self.backoff = backoff
         self.timeout = timeout
-        if isinstance(journal, (str, os.PathLike)):
-            journal = RunJournal(journal)
-        self.journal = journal
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.metrics = metrics
         self.pool = pool
@@ -913,7 +875,7 @@ class Runner:
             cache=self.cache, cache_key=cache_key, on_error=on_error,
             stats=self.stats, retry_on=self.retry_on,
             retries=self.retries, backoff=self.backoff,
-            timeout=self.timeout, journal=self.journal, label=label,
+            timeout=self.timeout, label=label,
             kernel=kernel, tracer=self.tracer, metrics=self.metrics,
             pool=self.pool)
 
@@ -922,12 +884,6 @@ class Runner:
         (a context manager: leaving it writes the search's points)."""
         return CachedEvaluator(fn, cache=self.cache, cache_key=cache_key,
                                stats=self.stats)
-
-    def close(self):
-        """Flush and close the journal, if any (idempotent).  The pool,
-        when one was passed in, belongs to its creator and stays warm."""
-        if self.journal is not None:
-            self.journal.close()
 
     def __repr__(self):
         return "Runner(workers={!r}, cache={!r})".format(

@@ -159,7 +159,7 @@ def _apply_scpg(design, clock_port="clk", header_size=None,
         raise ScpgError("design has no clock port {}".format(clock_port))
     validate_module(top_src).raise_if_errors()
 
-    sta = timing_for(top_src, lib).run()
+    sta = timing_for(top_src, lib).nominal
 
     if energy_per_cycle is None:
         energy_per_cycle = SwitchedCapacitance.compile(

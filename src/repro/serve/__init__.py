@@ -6,7 +6,8 @@ multi-tenant service:
 * :class:`~repro.serve.jobs.JobSpec` -- the JSON wire form of one job
   (sweep / compare / family_sweep) with exact round-trip serialisation;
 * :class:`~repro.serve.service.SweepService` -- FIFO job execution over
-  one :class:`~repro.Session`, per-job JSONL journals, per-job cache
+  one :class:`~repro.Session`, per-job JSONL journals (lifecycle lines
+  plus the job's tracer spans), per-job cache
   hit/miss accounting (the cross-tenant dedupe measurement);
 * :mod:`~repro.serve.http` -- the stdlib-asyncio HTTP front-end:
   job routes, Prometheus ``/metrics``, SSE progress streams;

@@ -146,9 +146,14 @@ class ServeClient:
         return self.result(job_id)
 
     def events(self, job_id, timeout=300.0):
-        """The job's SSE stream as parsed journal events (blocks until
-        the stream ends; the terminal ``event: end`` status is NOT
-        included -- it is the same dict :meth:`status` returns)."""
+        """The job's SSE stream as parsed journal lines (blocks until
+        the stream ends): the job's lifecycle lines (``"event":
+        "job_started"`` ...) and the tracer spans of its grids
+        (``"event": "span"``; a ``grid`` span and an in-process
+        ``point`` span appear twice, opening with ``"elapsed": null``
+        and closing with their full attributes).  The terminal ``event:
+        end`` status is NOT included -- it is the same dict
+        :meth:`status` returns."""
         conn = http.client.HTTPConnection(self.host, self.port,
                                           timeout=timeout)
         events = []

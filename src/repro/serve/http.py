@@ -22,10 +22,12 @@ GET    ``/jobs/<id>/events``        SSE stream tailing the job's journal
 ====== ============================ ==========================================
 
 The event stream is a live tail of the per-job JSONL journal: each line
-the runner appends (``run_start``, ``point_finished``, ``chunk_finished``
-...) becomes one ``data:`` frame, so a client watches its sweep make
-point-by-point progress; the stream ends once the job is terminal and
-the file is drained.
+-- the job's lifecycle lines (``job_submitted``, ``job_started``,
+``job_accounting``, ``job_finished`` ...) and the tracer spans of its
+grids (``"event": "span"`` with ``name`` ``grid``, ``point``, ``batch``,
+``chunk`` ...) -- becomes one ``data:`` frame, so a client watches its
+sweep make progress; the stream ends once the job is terminal and the
+file is drained.
 
 Blocking service calls (``submit`` validates, the rest are dict reads)
 are cheap, so handlers call the :class:`~repro.serve.service.

@@ -5,7 +5,10 @@ usable directly, which is how most of the test suite drives it): clients
 :meth:`~SweepService.submit` :class:`~repro.serve.jobs.JobSpec` objects,
 a single worker thread executes them strictly in submission order
 through one shared :class:`~repro.Session`, and each job's progress
-streams into its own JSONL journal under the service's spool directory.
+streams into its own JSONL journal under the service's spool directory:
+lifecycle lines (``job_submitted``, ``job_started``, ``job_accounting``,
+``job_finished`` / ``job_failed`` / ``job_cancelled``) around the
+tracer spans of the job's grids.
 
 Why one worker thread and not a pool of them: the runner already
 parallelises *inside* a grid (``Session(workers=N)`` forks a warm
@@ -34,12 +37,17 @@ import threading
 import time
 
 from ..errors import ServeError
-from ..runner import RunJournal
+from ..obs.trace import JsonlSink, Tracer
 from .jobs import JobSpec, sweep_to_dict, table_rows_to_dicts
 
 #: Monotone job-id source, process-wide so two services in one process
 #: (a test fixture and the CLI, say) never mint colliding ids.
 _JOB_IDS = itertools.count(1)
+
+
+def _lifecycle(sink, event, **fields):
+    """Append one job lifecycle line to a job journal."""
+    sink.emit(dict(fields, t=time.time(), event=event))
 
 
 class Job:
@@ -193,9 +201,10 @@ class SweepService:
         job_id = "job-{:06d}".format(next(_JOB_IDS))
         path = os.path.join(self.spool, job_id + ".jsonl")
         job = Job(job_id, spec, path)
-        RunJournal(path).record("job_submitted", id=job_id,
-                                kind=spec.kind, tenant=spec.tenant,
-                                spec=spec.to_dict())
+        sink = JsonlSink(path)
+        _lifecycle(sink, "job_submitted", id=job_id, kind=spec.kind,
+                   tenant=spec.tenant, spec=spec.to_dict())
+        sink.close()
         with self._lock:
             self._jobs[job_id] = job
             self._order.append(job_id)
@@ -291,14 +300,16 @@ class SweepService:
             self._run_job(job)
 
     def _run_job(self, job):
-        journal = RunJournal(job.journal_path)
-        runner = self.session.runner
-        previous = runner.journal
-        runner.journal = journal
+        """Run one job with the session's tracer swapped for one writing
+        the job's journal, so its grids' spans land there."""
+        sink = JsonlSink(job.journal_path)
+        runner, artifacts = self.session.runner, self.session.artifacts
+        previous = runner.tracer
+        runner.tracer = artifacts.tracer = Tracer(sink)
         stats = self.session.stats
         hits0, misses0 = stats.cache_hits, stats.cache_misses
-        journal.record("job_started", id=job.id, kind=job.spec.kind,
-                       tenant=job.spec.tenant)
+        _lifecycle(sink, "job_started", id=job.id, kind=job.spec.kind,
+                   tenant=job.spec.tenant)
         try:
             result, error = self._execute(job.spec), None
         except Exception as exc:
@@ -308,31 +319,29 @@ class SweepService:
         # that sees "done" sees this job's final hit/miss numbers.
         job.cache_hits = stats.cache_hits - hits0
         job.cache_misses = stats.cache_misses - misses0
-        runner.journal = previous
-        journal.record(
-            "job_accounting", id=job.id, cache_hits=job.cache_hits,
-            cache_misses=job.cache_misses, dedupe=job.dedupe)
+        runner.tracer = artifacts.tracer = previous
+        _lifecycle(sink, "job_accounting", id=job.id,
+                   cache_hits=job.cache_hits,
+                   cache_misses=job.cache_misses, dedupe=job.dedupe)
+        sink.close()
         with self._lock:
             if error is None:
                 job.result = result
-                self._finish(job, "done", journal=journal)
+                self._finish(job, "done")
             else:
                 job.error = error
-                self._finish(job, "failed", journal=journal)
-        journal.close()
+                self._finish(job, "failed")
 
-    def _finish(self, job, state, journal=None):
-        """Move a job to a terminal state (caller holds the lock)."""
+    def _finish(self, job, state):
+        """Move a job to a terminal state and write its journal's last
+        line (caller holds the lock)."""
         job.state = state
         job.finished = time.time()
         event = {"done": "job_finished", "failed": "job_failed",
                  "cancelled": "job_cancelled"}[state]
-        if journal is None:
-            journal = RunJournal(job.journal_path)
-            journal.record(event, id=job.id, error=job.error)
-            journal.close()
-        else:
-            journal.record(event, id=job.id, error=job.error)
+        sink = JsonlSink(job.journal_path)
+        _lifecycle(sink, event, id=job.id, error=job.error)
+        sink.close()
 
     def _handle(self, design, params):
         """Memoised :class:`~repro.session.DesignHandle` so repeat jobs

@@ -76,16 +76,15 @@ class Session:
         The store also keeps the per-circuit artifact bundles (see
         :meth:`DesignHandle.artifacts`); without one, bundles live in
         memory for the session's lifetime.
-    journal:
-        A :class:`~repro.runner.RunJournal` or a path; every grid the
-        session runs appends its JSONL events there (default: none).
     retry_on / retries / backoff / timeout:
         Fault-tolerance policy forwarded to the session's
         :class:`~repro.runner.Runner` -- exception types retried with
         exponential backoff, and an optional per-point timeout.
     trace:
-        Tracing: ``None``/``False`` (default) leaves the free no-op
-        tracer in place; ``True`` traces into an in-memory sink
+        Tracing, the record of every grid the session runs (points,
+        retries, chunks, crashes) and of the layers below them:
+        ``None``/``False`` (default) leaves the free no-op tracer in
+        place; ``True`` traces into an in-memory sink
         (``session.tracer.sinks[0].lines``); a path traces to that JSONL
         file (closed by :meth:`close`); a :class:`~repro.obs.trace.
         Tracer` is used as-is (caller owns its sinks).
@@ -97,7 +96,7 @@ class Session:
     """
 
     def __init__(self, library=None, liberty=None, workers=None,
-                 store="auto", journal=None, retry_on=(),
+                 store="auto", retry_on=(),
                  retries=DEFAULT_RETRIES, backoff=DEFAULT_BACKOFF,
                  timeout=None, trace=None, metrics=None):
         if library is not None and liberty is not None:
@@ -118,11 +117,11 @@ class Session:
         self.runner = Runner(workers=workers, cache=store,
                              retry_on=retry_on, retries=retries,
                              backoff=backoff, timeout=timeout,
-                             journal=journal, tracer=tracer,
+                             tracer=tracer,
                              metrics=self._registry, pool=self.pool)
         self.artifacts = ArtifactStore(
             cache=self.runner.cache, stats=self.runner.stats,
-            journal=self.runner.journal, tracer=self.runner.tracer)
+            tracer=self.runner.tracer)
 
     @staticmethod
     def _make_tracer(trace):
@@ -167,11 +166,6 @@ class Session:
         return self.runner.stats
 
     @property
-    def journal(self):
-        """The session's :class:`~repro.runner.RunJournal` (or ``None``)."""
-        return self.runner.journal
-
-    @property
     def tracer(self):
         """The session's :class:`~repro.obs.trace.Tracer` (the shared
         no-op tracer unless ``trace=`` was given)."""
@@ -192,12 +186,10 @@ class Session:
                                         cache=self.runner.cache)
 
     def close(self):
-        """Close the journal, any session-owned trace sink and the
-        session's warm pool (idempotent; the session stays usable --
-        recording reopens the journal in append mode, and later parallel
-        grids degrade to ephemeral per-grid pools with identical
-        results)."""
-        self.runner.close()
+        """Close any session-owned trace sink and the session's warm
+        pool (idempotent; the session stays usable -- tracing reopens a
+        trace file in append mode, and later parallel grids degrade to
+        ephemeral per-grid pools with identical results)."""
         if self._owns_tracer:
             self.runner.tracer.close()
         if self.pool is not None:
@@ -247,7 +239,7 @@ class Session:
 
         ``design`` is a registry name, a Verilog path or an existing
         :class:`DesignHandle`; every technique model evaluates through
-        this session's runner (workers, cache, journal) under
+        this session's runner (workers, cache, tracer) under
         ``compare:<design>:<technique>`` labels.
         """
         from .techniques import run_comparison

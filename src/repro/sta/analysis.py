@@ -15,6 +15,7 @@ sub-threshold frequency sweep gets its ``Fmax(VDD)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from weakref import ref
 
 from ..errors import TimingError
@@ -86,8 +87,10 @@ class TimingAnalysis:
     nominal base ``intrinsic + R * C_load`` -- the parenthesised
     subexpression :meth:`repro.tech.library.Cell.delay` evaluates before
     applying the voltage scale.  :meth:`run` then propagates arrivals over
-    that program at any supply.  The object keeps no ``Net`` or
-    ``Instance`` once built, so it pickles as is (the per-circuit
+    that program at any supply; :attr:`nominal` is the run at the
+    library's nominal supply, made once per analysis and shared by
+    every transform that times the module.  The object keeps no ``Net``
+    or ``Instance`` once built, so it pickles as is (the per-circuit
     artifact bundle stores it).
 
     Parameters
@@ -143,6 +146,11 @@ class TimingAnalysis:
         self.net_names = conn.net_names
         #: inst_name -> (in_idx, ...) for critical-path tracing.
         self.trace_inputs = {name: ins for name, ins, _ in self.steps}
+
+    @cached_property
+    def nominal(self):
+        """:meth:`run` at the nominal supply, run on first read only."""
+        return self.run()
 
     @layer("sta.run")
     def run(self, vdd=None):

@@ -238,7 +238,7 @@ class CbtstcTechnique(Technique):
         if cluster_size < 1:
             raise TechniqueError("cluster_size must be >= 1")
 
-        sta = timing_for(top_src, lib).run()
+        sta = timing_for(top_src, lib).nominal
         activity = activity_for(top_src)
         if energy_per_cycle is None:
             energy_per_cycle, _ = vectorless_switching(top_src, lib)

@@ -9,7 +9,7 @@ evaluates all of them -- plus an ungated baseline -- over one frequency
 grid through the session's runner.  Each technique model's
 ``_power_points`` is the grid's batch kernel, so the evaluations ride
 the same chunked dispatch / content-addressed cache as the SCPG sweeps,
-journalled under ``compare:<design>:<technique>`` labels.
+traced under ``compare:<design>:<technique>`` labels.
 
 A session with a store also keeps each technique's *column* -- its
 model and area overhead -- under a key formed before anything is

@@ -182,7 +182,7 @@ class LectorTable:
         lib = transformed.design.library
         top = transformed.design.top
         report = leakage_power(top, lib)
-        sta = timing_for(top, lib).run()
+        sta = timing_for(top, lib).nominal
         e_new, _ = vectorless_switching(top, lib)
         e_base, _ = vectorless_switching(transformed.base.top,
                                          transformed.base.library)

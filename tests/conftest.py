@@ -27,6 +27,49 @@ def pytest_addoption(parser):
         "the current outputs instead of comparing against them")
 
 
+def _closed_spans(source, name):
+    from repro.obs.report import load_events
+
+    if not isinstance(source, list):
+        source = str(source)
+    return [line for line in load_events(source)
+            if line.get("event") == "span" and line.get("name") == name
+            and line.get("elapsed") is not None]
+
+
+class RecordedTrace:
+    """A tracer over a memory sink, with lookups over what it wrote."""
+
+    def __init__(self):
+        from repro.obs.trace import MemorySink, Tracer
+
+        self.sink = MemorySink()
+        self.tracer = Tracer(self.sink)
+
+    @property
+    def lines(self):
+        return self.sink.lines
+
+    def spans(self, name):
+        """The closed span lines named ``name``, in emission order."""
+        return _closed_spans(self.sink.lines, name)
+
+
+@pytest.fixture()
+def trace():
+    """A :class:`RecordedTrace`: pass ``trace.tracer`` to the code under
+    test, then read ``trace.spans("grid")``."""
+    return RecordedTrace()
+
+
+@pytest.fixture()
+def spans_of():
+    """``spans_of(source, name)``: the closed span lines named ``name``
+    of a JSONL trace file or a list of lines (opening lines, with
+    ``elapsed: null``, are left out)."""
+    return _closed_spans
+
+
 @pytest.fixture(scope="session")
 def lib():
     """The scl90 library (read-only)."""

@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis.sweep import sweep
 from repro.analysis.tables import TABLE_I_FREQS, TABLE_II_FREQS
-from repro.runner import Runner, RunJournal, WorkerPool
+from repro.runner import Runner, WorkerPool
 from repro.scpg.power_model import Mode
 
 MODES = (Mode.NO_PG, Mode.SCPG, Mode.SCPG_MAX)
@@ -109,13 +109,12 @@ class TestEquivalenceMatrix:
     def test_journal_and_trace_do_not_perturb(self, model, reference,
                                               tmp_path):
         """Observability on vs off: identical numbers."""
-        from repro.obs import MemorySink, MetricsRegistry, Tracer
+        from repro.obs import JsonlSink, MetricsRegistry, Tracer
 
-        runner = Runner(journal=RunJournal(tmp_path / "run.jsonl"),
-                        tracer=Tracer(MemorySink()),
+        runner = Runner(tracer=Tracer(JsonlSink(tmp_path / "run.jsonl")),
                         metrics=MetricsRegistry())
         data = sweep(model, TABLE_I_FREQS, runner=runner)
-        runner.journal.close()
+        runner.tracer.close()
         _assert_identical(_flatten(data), reference)
         assert runner.tracer.spans > 0
 

@@ -6,13 +6,12 @@ import threading
 
 from repro.obs.trace import (
     NULL_TRACER,
-    JournalSink,
     JsonlSink,
     MemorySink,
     Tracer,
     layer,
 )
-from repro.runner import RunJournal, read_journal
+from repro.obs.report import load_events
 
 
 @layer("sta.run")
@@ -38,6 +37,25 @@ class TestSpans:
         assert line["start"] >= 0.0
         assert "t" in line
         assert tracer.spans == 1
+
+    def test_announced_span_writes_an_opening_line(self):
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        with tracer.span("grid", announce=True, points=3) as span:
+            (opening,) = sink.lines
+            assert opening["elapsed"] is None
+            assert opening["points"] == 3
+            assert "announce" not in opening
+            span.set(status="ok")
+        opening, closing = sink.lines
+        assert closing["id"] == opening["id"]
+        assert closing["status"] == "ok" and "status" not in opening
+        assert tracer.spans == 1            # one span, two lines
+
+    def test_null_tracer_takes_announce(self):
+        with NULL_TRACER.span("point", announce=True, index=0) as span:
+            span.set(status="ok")
+        assert NULL_TRACER.spans == 0
 
     def test_nesting_assigns_parent_ids(self):
         sink = MemorySink()
@@ -169,21 +187,23 @@ class TestSinks:
         assert len(open(path).read().splitlines()) == 2
 
     def test_journal_sink_interleaves_with_events(self, tmp_path):
-        journal = RunJournal(tmp_path / "run.jsonl")
-        tracer = Tracer(JournalSink(journal))
-        journal.record("run_start", label="x")
-        with tracer.span("grid", label="x"):
+        # The serve layer's job journal: lifecycle lines and a tracer's
+        # spans through one sink, in write order.
+        sink = JsonlSink(tmp_path / "run.jsonl")
+        tracer = Tracer(sink)
+        sink.emit({"t": 0.0, "event": "job_started", "id": "j"})
+        with tracer.span("grid", announce=True, label="x"):
             pass
-        journal.record("run_finish", label="x")
-        journal.close()
-        events = read_journal(journal.path)
+        sink.emit({"t": 0.0, "event": "job_finished", "id": "j"})
+        sink.close()
+        events = load_events(sink.path)
         assert [e["event"] for e in events] \
-            == ["run_start", "span", "run_finish"]
-        span = events[1]
-        assert span["name"] == "grid"
-        assert "id" in span and "elapsed" in span
-        # the journal supplies its own t; the sink must not smuggle one in
-        assert events[0]["t"] <= span["t"] <= events[2]["t"]
+            == ["job_started", "span", "span", "job_finished"]
+        opening, closing = events[1:3]
+        assert opening["id"] == closing["id"]
+        assert opening["elapsed"] is None
+        assert closing["elapsed"] >= 0.0
+        assert opening["t"] <= closing["t"]
 
     def test_multiple_sinks_all_receive(self):
         a, b = MemorySink(), MemorySink()
@@ -274,9 +294,13 @@ class TestLayer:
         finally:
             session.close()
         assert got == [2 * x + 1 for x in range(8)]
-        spans = [json.loads(line) for line in path.read_text().splitlines()]
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        # The grid's opening line repeats its id; every closed span's id
+        # is unique.
+        spans = [line for line in lines if line["elapsed"] is not None]
         ids = [span["id"] for span in spans]
         assert len(ids) == len(set(ids))
+        assert len(lines) == len(spans) + 1
         assert all(span["parent"] in set(ids) for span in spans
                    if span["parent"] is not None)
         assert "grid" in {span["name"] for span in spans}

@@ -26,9 +26,7 @@ from repro.runner import (
     ArtifactStore,
     CircuitArtifacts,
     SqliteStore,
-    RunJournal,
     RunStats,
-    read_journal,
     stable_hash,
 )
 from repro.scpg.power_model import ScpgModelTable, ScpgPowerModel
@@ -233,17 +231,16 @@ class TestArtifactStore:
         assert ArtifactStore(cache=cache).get(
             "fp-2", lambda: _bundle("fp-2")).fingerprint == "fp-2"
 
-    def test_journal_events(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = RunJournal(path)
+    def test_journal_events(self, tmp_path, trace):
         store = ArtifactStore(cache=SqliteStore(tmp_path / "art" / "store.sqlite"),
-                              journal=journal)
+                              tracer=trace.tracer)
         store.get("fp-1", _bundle)
         store.get("fp-1", _bundle)
-        journal.close()
-        events = [e["event"] for e in read_journal(path)]
-        assert events == ["artifact_miss", "artifact_built",
-                          "artifact_hit"]
+        assert [line["name"] for line in trace.lines] \
+            == ["artifact_build", "artifact_hit"]
+        (hit,) = trace.spans("artifact_hit")
+        assert (hit["elapsed"], hit["source"]) == (0.0, "memory")
+        assert trace.spans("artifact_build")[0]["fingerprint"] == "fp-1"
 
     def test_no_cache_is_memo_only(self):
         store = ArtifactStore()

@@ -2,7 +2,7 @@
 
 A ``kernel`` evaluates every cache-missed point in one call instead of
 dispatching ``fn`` per point.  The contract under test: identical
-results, identical cache behaviour, per-point journal events preserved,
+results, identical cache behaviour, per-point counts on the batch span,
 and the shipped kernels identical to their point-at-a-time models.
 """
 
@@ -11,8 +11,7 @@ import functools
 import pytest
 
 from repro.errors import RunnerError
-from repro.runner import RunJournal, RunStats, SqliteStore, evaluate_grid
-from repro.runner import read_journal
+from repro.runner import RunStats, SqliteStore, evaluate_grid
 
 
 def _square(point):
@@ -73,16 +72,17 @@ class TestBatchPath:
             evaluate_grid(_square, [1, 2, 3],
                           kernel=lambda pts: [1])
 
-    def test_journal_keeps_per_point_events(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        evaluate_grid(_square, [1, 2, 3], journal=str(path),
-                      label="batch-test", kernel=_square_batch)
-        events = list(read_journal(path))
-        names = [e["event"] for e in events]
-        assert names.count("point_finished") == 3
-        assert "batch_started" in names and "batch_finished" in names
-        finish = [e for e in events if e["event"] == "batch_finished"]
-        assert finish[0]["ok"] == 3 and finish[0]["infeasible"] == 0
+    def test_journal_keeps_per_point_events(self, trace):
+        from repro.errors import ScpgError
+
+        evaluate_grid(_evens_only, list(range(5)), tracer=trace.tracer,
+                      on_error=(ScpgError,), label="batch-test",
+                      kernel=_evens_only_batch)
+        (batch,) = trace.spans("batch")
+        assert (batch["label"], batch["points"], batch["status"]) \
+            == ("batch-test", 5, "ok")
+        assert batch["ok"] == 3 and batch["infeasible"] == 2
+        assert trace.spans("point") == []    # one span for the call
 
     def test_cache_warm_rerun_evaluates_nothing(self, tmp_path):
         cache = SqliteStore(tmp_path / "store.sqlite")

@@ -6,8 +6,8 @@ pool workers; a fn-only grid ships chunks of one point.  The contract
 under test: results identical to the in-process paths, chunk sizing
 worked out from whether a kernel was given, bounded in-flight
 submission, bisect-and-retry isolation of poison points without losing
-their siblings, per-point store writeback and journal events preserved,
-and chunk-level observability (journal events, spans, metrics).
+their siblings, per-point store writeback and point spans preserved,
+and chunk-level observability (grid and chunk spans, metrics).
 """
 
 import functools
@@ -17,7 +17,7 @@ import pytest
 from repro.errors import ScpgError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MemorySink, Tracer
-from repro.runner import RunStats, SqliteStore, evaluate_grid, read_journal
+from repro.runner import RunStats, SqliteStore, evaluate_grid
 from repro.runner import core as runner_core
 from repro.runner.core import (
     CHUNK_CAP,
@@ -66,19 +66,21 @@ def _soft_poison_batch(points):
     return [_soft_poison_point(p) for p in points]
 
 
-def _events(path):
-    return [e["event"] for e in read_journal(path)]
+def _chunk_ranges(trace):
+    """Sorted ``(first, last)`` point indices of each landed chunk."""
+    members = {}
+    for line in trace.spans("point"):
+        members.setdefault(line["parent"], []).append(line["index"])
+    return sorted((min(v), max(v)) for v in members.values())
 
 
 class TestChunkSizing:
-    def test_fn_grids_ship_one_point_per_chunk(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+    def test_fn_grids_ship_one_point_per_chunk(self, trace):
         evaluate_grid(_square, list(range(10)), workers=2,
-                      journal=str(path))
-        planned = [e for e in read_journal(path)
-                   if e["event"] == "chunks_planned"][0]
-        assert planned["per_chunk"] == 1
-        assert planned["chunks"] == 10
+                      tracer=trace.tracer)
+        (grid,) = trace.spans("grid")
+        assert grid["per_chunk"] == 1
+        assert grid["chunks"] == 10
 
     def test_adaptive_targets_four_chunks_per_worker(self):
         # ceil(195 / (4 * 2)) = 25 points per chunk
@@ -106,41 +108,36 @@ class TestChunkedPath:
                             kernel=functools.partial(_ctx_scale_batch, 10))
         assert got == [10 * p for p in range(12)]
 
-    def test_journal_records_chunk_lifecycle(self, tmp_path, chunk_of):
+    def test_journal_records_chunk_lifecycle(self, trace, chunk_of):
         chunk_of(2)
-        path = tmp_path / "journal.jsonl"
         evaluate_grid(_square, list(range(10)), workers=2,
-                      journal=str(path), label="chunky",
+                      tracer=trace.tracer, label="chunky",
                       kernel=_square_batch)
-        events = read_journal(path)
-        names = [e["event"] for e in events]
-        planned = [e for e in events if e["event"] == "chunks_planned"]
-        assert planned[0]["chunks"] == 5
-        assert planned[0]["per_chunk"] == 2
-        assert names.count("chunk_submitted") == 5
-        assert names.count("chunk_finished") == 5
-        assert names.count("point_finished") == 10
-        finish = [e for e in events if e["event"] == "pool_finished"]
-        assert finish[0]["chunks"] == 5
+        (grid,) = trace.spans("grid")
+        assert (grid["label"], grid["status"]) == ("chunky", "ok")
+        assert grid["chunks"] == 5
+        assert grid["per_chunk"] == 2
+        chunks = trace.spans("chunk")
+        assert [c["status"] for c in chunks] == ["ok"] * 5
+        assert sorted(c["chunk"] for c in chunks) == [1, 2, 3, 4, 5]
+        points = trace.spans("point")
+        assert sorted(p["index"] for p in points) == list(range(10))
+        assert {p["parent"] for p in points} \
+            == {c["id"] for c in chunks}
 
-    def test_submitted_chunks_are_contiguous_index_ranges(self, tmp_path,
+    def test_submitted_chunks_are_contiguous_index_ranges(self, trace,
                                                           chunk_of):
         chunk_of(4)
-        path = tmp_path / "journal.jsonl"
         evaluate_grid(_square, list(range(20)), workers=2,
-                      journal=str(path), kernel=_square_batch)
-        submits = [e for e in read_journal(path)
-                   if e["event"] == "chunk_submitted"]
-        spans = sorted((e["first"], e["last"]) for e in submits)
-        assert spans == [(0, 3), (4, 7), (8, 11), (12, 15), (16, 19)]
+                      tracer=trace.tracer, kernel=_square_batch)
+        assert _chunk_ranges(trace) \
+            == [(0, 3), (4, 7), (8, 11), (12, 15), (16, 19)]
 
-    def test_bounded_submission(self, tmp_path, chunk_of):
+    def test_bounded_submission(self, trace, chunk_of):
         chunk_of(1)
-        path = tmp_path / "journal.jsonl"
         evaluate_grid(_square, list(range(48)), workers=2,
-                      journal=str(path), kernel=_square_batch)
-        finish = [e for e in read_journal(path)
-                  if e["event"] == "pool_finished"][0]
+                      tracer=trace.tracer, kernel=_square_batch)
+        (finish,) = trace.spans("grid")
         limit = MAX_INFLIGHT_PER_WORKER * 2
         assert finish["inflight_limit"] == limit
         # 48 one-point chunks >> limit: the first fill loop must stop
@@ -163,18 +160,18 @@ class TestChunkedPath:
         assert warm.evaluated == 0
         assert warm.cache_hits == 16
 
-    def test_partial_cache_chunks_only_the_misses(self, tmp_path):
+    def test_partial_cache_chunks_only_the_misses(self, tmp_path, trace):
         cache = SqliteStore(tmp_path / "store.sqlite")
         evaluate_grid(_square, list(range(8)), cache=cache,
                       cache_key="sq", kernel=_square_batch)
-        path = tmp_path / "journal.jsonl"
         got = evaluate_grid(_square, list(range(12)), workers=2,
                             cache=cache, cache_key="sq",
-                            journal=str(path), kernel=_square_batch)
+                            tracer=trace.tracer, kernel=_square_batch)
         assert got == [p * p for p in range(12)]
-        planned = [e for e in read_journal(path)
-                   if e["event"] == "chunks_planned"][0]
-        assert planned["points"] == 4    # 0..7 came from the cache
+        (grid,) = trace.spans("grid")
+        assert grid["pending"] == 4      # 0..7 came from the cache
+        assert sorted(p["index"] for p in trace.spans("point")) \
+            == [8, 9, 10, 11]
 
     def test_infeasible_nones_counted(self, chunk_of):
         chunk_of(20)
@@ -190,34 +187,36 @@ class TestChunkedPath:
 
 
 class TestBisectAndRetry:
-    def test_hard_poison_isolated_siblings_kept(self, tmp_path):
+    def test_hard_poison_isolated_siblings_kept(self, tmp_path, trace):
         cache = SqliteStore(tmp_path / "store.sqlite")
-        path = tmp_path / "journal.jsonl"
         with pytest.raises(RuntimeError, match="poison 13"):
             evaluate_grid(_poison_point, list(range(32)), workers=2,
                           cache=cache, cache_key="pz", retries=0,
-                          journal=str(path), kernel=_poison_batch)
+                          tracer=trace.tracer, kernel=_poison_batch)
         # Every sibling of the poison point was flushed before the raise.
         assert cache.puts == 31
-        events = read_journal(path)
-        names = [e["event"] for e in events]
-        assert "chunk_bisected" in names
-        failed = [e for e in events if e["event"] == "chunk_failed"]
-        assert failed[0]["index"] == POISON
-        hard = [e for e in events if e["event"] == "point_failed"]
-        assert hard[0]["index"] == POISON
+        statuses = [c["status"] for c in trace.spans("chunk")]
+        assert "bisected" in statuses
+        (poison,) = [c for c in trace.spans("chunk")
+                     if c["status"] == "poison"]
+        assert poison["index"] == POISON
+        assert "poison 13" in poison["error"]
+        hard = [p for p in trace.spans("point")
+                if p["status"] == "failed"]
+        assert [p["index"] for p in hard] == [POISON]
+        assert "poison 13" in hard[0]["error"]
+        (grid,) = trace.spans("grid")
+        assert grid["status"] == "failed"
 
     def test_bisection_halves_trace_back_to_the_parent_chunk(
-            self, tmp_path, chunk_of):
+            self, trace, chunk_of):
         chunk_of(32)
-        path = tmp_path / "journal.jsonl"
         with pytest.raises(RuntimeError):
             evaluate_grid(_poison_point, list(range(32)), workers=2,
-                          retries=0, journal=str(path),
+                          retries=0, tracer=trace.tracer,
                           kernel=_poison_batch)
-        events = read_journal(path)
-        bisected = {e["chunk"]: e["into"] for e in events
-                    if e["event"] == "chunk_bisected"}
+        bisected = {c["chunk"]: c["into"] for c in trace.spans("chunk")
+                    if c["status"] == "bisected"}
         # 32 -> 16 -> 8 -> 4 -> 2 -> 1: five levels to isolate.
         assert len(bisected) == 5
         children = {c for into in bisected.values() for c in into}
@@ -225,23 +224,22 @@ class TestBisectAndRetry:
         roots = set(bisected) - children
         assert roots == {1}
 
-    def test_soft_poison_degrades_to_infeasible(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+    def test_soft_poison_degrades_to_infeasible(self, trace):
         stats = RunStats()
         got = evaluate_grid(_soft_poison_point, list(range(32)),
                             workers=2, on_error=(ScpgError,), retries=0,
-                            stats=stats, journal=str(path),
+                            stats=stats, tracer=trace.tracer,
                             kernel=_soft_poison_batch)
         assert got[POISON] is None
         assert [got[p] for p in range(32) if p != POISON] \
             == [p * p for p in range(32) if p != POISON]
         assert stats.infeasible == 1
-        names = _events(path)
-        assert "chunk_failed" in names
-        assert "requeue_serial" in names
+        assert "poison" in [c["status"] for c in trace.spans("chunk")]
+        (grid,) = trace.spans("grid")
+        assert grid["requeued"] == 1
 
     def test_poison_retried_under_the_per_point_policy(self, tmp_path,
-                                                       chunk_of):
+                                                       chunk_of, trace):
         # The kernel has no retry policy; the isolated point re-runs in
         # the parent where retry_on applies, so a transient poison heals.
         marker = tmp_path / "tries"
@@ -258,14 +256,14 @@ class TestBisectAndRetry:
             return [p * p for p in points]
 
         chunk_of(8)
-        path = tmp_path / "journal.jsonl"
         got = evaluate_grid(flaky, list(range(32)), workers=2,
                             retry_on=(OSError,), retries=2, backoff=0,
-                            journal=str(path), kernel=poison_kernel)
+                            tracer=trace.tracer, kernel=poison_kernel)
         assert got == [p * p for p in range(32)]
-        names = _events(path)
-        assert "chunk_failed" in names
-        assert "point_retried" in names
+        assert "poison" in [c["status"] for c in trace.spans("chunk")]
+        retried = [p for p in trace.spans("point") if p["attempts"]]
+        assert [(p["index"], p["status"]) for p in retried] \
+            == [(POISON, "ok")]
 
 
 class TestChunkObservability:
@@ -298,16 +296,15 @@ class TestChunkObservability:
         assert "repro_chunk_seconds" not in names
         assert "repro_points_per_chunk" not in names
 
-    def test_report_surfaces_chunks_and_bisects(self, tmp_path, chunk_of):
+    def test_report_surfaces_chunks_and_bisects(self, trace, chunk_of):
         from repro.obs.report import JournalReport
 
         chunk_of(8)
-        path = tmp_path / "journal.jsonl"
         with pytest.raises(RuntimeError):
             evaluate_grid(_poison_point, list(range(32)), workers=2,
-                          retries=0, journal=str(path),
+                          retries=0, tracer=trace.tracer,
                           label="poisoned", kernel=_poison_batch)
-        report = JournalReport(read_journal(path))
+        report = JournalReport(trace.lines)
         grid = report.grids[0]
         assert grid.chunks == 4
         assert grid.bisects >= 1
@@ -320,16 +317,14 @@ class TestChunkObservability:
 class TestPerPointBoundedSubmission:
     """Fn-only grids: chunks of one point, bounded like kernel chunks."""
 
-    def test_inflight_never_exceeds_k_times_workers(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+    def test_inflight_never_exceeds_k_times_workers(self, trace):
         evaluate_grid(_square, list(range(48)), workers=2,
-                      journal=str(path))
-        finish = [e for e in read_journal(path)
-                  if e["event"] == "pool_finished"][0]
+                      tracer=trace.tracer)
+        (finish,) = trace.spans("grid")
         limit = MAX_INFLIGHT_PER_WORKER * 2
         assert finish["inflight_limit"] == limit
         assert finish["inflight_peak"] == limit
-        assert finish["points"] == 48
+        assert finish["pending"] == 48
 
     def test_fork_state_cleared_after_chunked_run(self):
         evaluate_grid(_square, list(range(12)), workers=2,

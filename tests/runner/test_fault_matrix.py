@@ -30,7 +30,6 @@ from repro.runner import (
     WorkerPool,
     evaluate_grid,
     fingerprint,
-    read_journal,
 )
 
 POINTS = [0.37 * p for p in range(16)]
@@ -121,10 +120,6 @@ def _key(store, cache_key, point):
     return store.key_for(cache_key, fingerprint(point))
 
 
-def _events(path):
-    return [e["event"] for e in read_journal(path)]
-
-
 def _count_writes(store, monkeypatch):
     """A list that gains one entry per non-empty ``put_many`` call."""
     writes = []
@@ -140,13 +135,12 @@ def _count_writes(store, monkeypatch):
     return writes
 
 
-def _at_most_one_write_per_batch(writes, journal):
+def _at_most_one_write_per_batch(writes, trace):
     """Store writes: at most one per landed chunk or kernel batch, plus
     the grid's closing write (the in-process per-point loop's one)."""
-    events = _events(journal)
-    batches = events.count("chunk_finished") \
-        + events.count("batch_finished")
-    assert len(writes) <= batches + 1
+    batches = [span for name in ("chunk", "batch")
+               for span in trace.spans(name) if span["status"] == "ok"]
+    assert len(writes) <= len(batches) + 1
 
 
 @pytest.mark.parametrize("executor,grid", PATHS)
@@ -162,13 +156,12 @@ class TestRaisingPoint:
         assert stats.evaluated == len(POINTS)
 
     def test_hard_poison_propagates_and_keeps_siblings(
-            self, executor, grid, pool, store, tmp_path, monkeypatch):
-        journal = tmp_path / "journal.jsonl"
+            self, executor, grid, pool, store, trace, monkeypatch):
         writes = _count_writes(store, monkeypatch)
         with pytest.raises(RuntimeError, match="poison"):
             _run(executor, grid, _poisoned, _poisoned_kernel, pool,
                  retries=0, cache=store, cache_key="poison",
-                 journal=str(journal))
+                 tracer=trace.tracer)
         # In-process, the per-point loop stops at the poison; on the
         # pool every healthy chunk lands before the failure is raised.
         siblings = [p for p in POINTS if p != POISON]
@@ -177,10 +170,12 @@ class TestRaisingPoint:
         assert len(store) == len(kept)
         for p in kept:
             assert store.get(_key(store, "poison", p)) == _value(p)
-        failed = [e for e in read_journal(journal)
-                  if e["event"] == "point_failed"]
+        failed = [e for e in trace.spans("point")
+                  if e["status"] == "failed"]
         assert [e["index"] for e in failed] == [POINTS.index(POISON)]
-        _at_most_one_write_per_batch(writes, journal)
+        (grid_span,) = trace.spans("grid")
+        assert grid_span["status"] == "failed"
+        _at_most_one_write_per_batch(writes, trace)
         if executor == "in-process":
             assert writes == [len(kept)]
 
@@ -188,26 +183,24 @@ class TestRaisingPoint:
 @pytest.mark.parametrize("grid", GRIDS)
 class TestKilledWorker:
     def test_salvaged_requeued_and_the_pool_restarts(self, grid, pool,
-                                                     store, tmp_path,
+                                                     store, trace,
                                                      monkeypatch):
-        journal = tmp_path / "journal.jsonl"
         writes = _count_writes(store, monkeypatch)
         stats = RunStats()
         start = time.perf_counter()
         got = _run("pool", grid, _victim, _victim_kernel, pool,
                    cache=store, cache_key="kill", stats=stats,
-                   journal=str(journal))
+                   tracer=trace.tracer)
         assert time.perf_counter() - start < 60, "must not hang"
         assert got == evaluate_grid(_victim, POINTS)
         assert got == [_value(p) for p in POINTS]
         assert stats.crashes == 1
-        events = _events(journal)
-        assert "pool_crashed" in events
-        assert "requeue_serial" in events
+        (grid_span,) = trace.spans("grid")
+        assert grid_span["crashes"] == 1 and grid_span["requeued"] >= 1
         # Every point -- salvaged or requeued -- reached the store.
         assert len(store) == len(POINTS)
         assert sum(writes) == len(POINTS)
-        _at_most_one_write_per_batch(writes, journal)
+        _at_most_one_write_per_batch(writes, trace)
         # The pool shed its broken executor and serves the next grid.
         assert not pool.alive
         again = _run("pool", grid, _value, _healthy_kernel, pool)

@@ -14,7 +14,6 @@ from repro.runner import (
     RunStats,
     SqliteStore,
     evaluate_grid,
-    read_journal,
     stable_hash,
 )
 from repro.runner import core as runner_core
@@ -86,18 +85,20 @@ class TestRetries:
         assert stats.retries == 1
         assert stats.infeasible == 1
 
-    def test_hard_failure_still_counts_retries(self, tmp_path):
+    def test_hard_failure_still_counts_retries(self, tmp_path, trace):
         # The abort must not erase what the run paid: retry counters and
-        # the journal see the failure before the exception propagates.
+        # the trace see the failure before the exception propagates.
         stats = RunStats()
-        journal = tmp_path / "journal.jsonl"
         fn = _Transient(tmp_path, failures=99)
         with pytest.raises(OSError):
             evaluate_grid(fn, [1], retry_on=(OSError,), retries=2,
-                          backoff=0.001, stats=stats, journal=journal)
+                          backoff=0.001, stats=stats, tracer=trace.tracer)
         assert stats.retries == 2
-        events = [e["event"] for e in read_journal(journal)]
-        assert "point_failed" in events
+        (point,) = trace.spans("point")
+        assert (point["status"], point["attempts"]) == ("failed", 2)
+        assert "OSError" in point["error"]
+        (grid,) = trace.spans("grid")
+        assert grid["status"] == "failed"
 
 
 class TestTimeouts:
@@ -148,16 +149,15 @@ class TestWorkerCrash:
             os.kill(os.getpid(), signal.SIGKILL)
         return point * 7
 
-    def test_sigkill_neither_hangs_nor_loses_data(self, tmp_path):
+    def test_sigkill_neither_hangs_nor_loses_data(self, tmp_path, trace):
         cache = SqliteStore(tmp_path / "store.sqlite")
         key = stable_hash("crash-test")
-        journal = tmp_path / "journal.jsonl"
         stats = RunStats()
 
         start = time.perf_counter()
         crashed = evaluate_grid(self._victim, self.POINTS, workers=2,
                                 cache=cache, cache_key=key, stats=stats,
-                                journal=journal)
+                                tracer=trace.tracer)
         elapsed = time.perf_counter() - start
 
         serial = evaluate_grid(self._victim, self.POINTS)
@@ -173,23 +173,20 @@ class TestWorkerCrash:
         assert warm.evaluated == 0
         assert warm.cache_hits == len(self.POINTS)
 
-        # The journal tells the story: crash, requeue, completion.
-        events = [e["event"] for e in read_journal(journal)]
-        assert "pool_crashed" in events
-        assert "requeue_serial" in events
-        assert events[-1] == "run_finish"
-        finished = [e for e in read_journal(journal)
-                    if e["event"] == "point_finished"]
+        # The trace tells the story: crash, requeue, completion.
+        (grid,) = trace.spans("grid")
+        assert grid["crashes"] == 1 and grid["requeued"] >= 1
+        assert grid["status"] == "ok"
+        assert trace.lines[-1] is grid
+        finished = trace.spans("point")
         assert sorted(e["index"] for e in finished) == self.POINTS
 
-    def test_crash_through_runner_policy(self, tmp_path):
+    def test_crash_through_runner_policy(self, tmp_path, trace):
         runner = Runner(workers=2, cache=tmp_path / "store.sqlite",
-                        journal=tmp_path / "journal.jsonl")
-        try:
-            out = runner.run(self._victim, self.POINTS,
-                             cache_key=stable_hash("crash-runner"))
-        finally:
-            runner.close()
+                        tracer=trace.tracer)
+        out = runner.run(self._victim, self.POINTS,
+                         cache_key=stable_hash("crash-runner"))
+        assert trace.spans("grid")[0]["crashes"] == 1
         assert out == [p * 7 for p in self.POINTS]
         assert runner.stats.crashes == 1
 

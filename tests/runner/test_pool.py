@@ -17,7 +17,7 @@ import signal
 import pytest
 
 from repro.errors import RunnerError
-from repro.runner import RunStats, WorkerPool, evaluate_grid, read_journal
+from repro.runner import RunStats, WorkerPool, evaluate_grid
 from repro.runner import core as runner_core
 
 
@@ -53,10 +53,6 @@ def _killer_batch(points):
     return [p * p for p in points]
 
 
-def _events(path):
-    return [e["event"] for e in read_journal(path)]
-
-
 class TestWarmPool:
     def test_workers_survive_across_grids(self, chunk_of):
         chunk_of(2)
@@ -81,32 +77,28 @@ class TestWarmPool:
                                 kernel=_square_batch)
         assert got == evaluate_grid(_square, points)
 
-    def test_journal_marks_warm_dispatch(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+    def test_journal_marks_warm_dispatch(self, trace):
         with WorkerPool(workers=2) as pool:
             evaluate_grid(_square, list(range(8)), workers=2, pool=pool,
-                          journal=str(path), kernel=_square_batch)
-        planned = [e for e in read_journal(path)
-                   if e["event"] == "chunks_planned"][0]
-        assert planned["warm"] is True
+                          tracer=trace.tracer, kernel=_square_batch)
+        (grid,) = trace.spans("grid")
+        assert grid["warm"] is True
 
-    def test_crash_recovered_and_pool_restartable(self, tmp_path,
-                                                  chunk_of):
+    def test_crash_recovered_and_pool_restartable(self, trace, chunk_of):
         chunk_of(4)
-        path = tmp_path / "journal.jsonl"
         stats = RunStats()
         with WorkerPool(workers=2) as pool:
             got = evaluate_grid(_square, list(range(16)), workers=2,
                                 pool=pool, stats=stats,
-                                journal=str(path),
+                                tracer=trace.tracer,
                                 kernel=_killer_batch)
             # The in-process requeue re-ran the lost chunks in the
             # parent, so the grid still completed bit-identically.
             assert got == [p * p for p in range(16)]
             assert stats.crashes == 1
-            names = _events(path)
-            assert "pool_crashed" in names
-            assert "requeue_serial" in names
+            (grid,) = trace.spans("grid")
+            assert grid["crashes"] == 1
+            assert grid["requeued"] >= 1
             # The pool shed its broken executor and serves the next
             # grid on a fresh one.
             assert not pool.alive
@@ -152,45 +144,41 @@ class TestSpawnFallback:
         monkeypatch.setattr(runner_core, "_start_method",
                             lambda: "spawn")
 
-    def test_per_point_parallel_under_spawn(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+    def test_per_point_parallel_under_spawn(self, trace):
         got = evaluate_grid(_square, list(range(12)), workers=2,
-                            journal=str(path))
+                            tracer=trace.tracer)
         assert got == [p * p for p in range(12)]
-        finish = [e for e in read_journal(path)
-                  if e["event"] == "pool_finished"][0]
+        (finish,) = trace.spans("grid")
         assert finish["method"] == "spawn"
 
-    def test_chunked_under_spawn(self, tmp_path, chunk_of):
+    def test_chunked_under_spawn(self, trace, chunk_of):
         chunk_of(3)
-        path = tmp_path / "journal.jsonl"
         got = evaluate_grid(_square, list(range(12)), workers=2,
-                            journal=str(path), kernel=_square_batch)
+                            tracer=trace.tracer, kernel=_square_batch)
         assert got == [p * p for p in range(12)]
-        finish = [e for e in read_journal(path)
-                  if e["event"] == "pool_finished"][0]
+        (finish,) = trace.spans("grid")
         assert finish["method"] == "spawn"
         assert finish["chunks"] == 4
 
-    def test_unpicklable_state_degrades_to_serial(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+    def test_unpicklable_state_degrades_to_serial(self, trace):
         got = evaluate_grid(_ctx_call, list(range(8)), workers=2,
-                            context=lambda p: 3 * p, journal=str(path))
+                            context=lambda p: 3 * p, tracer=trace.tracer)
         assert got == [3 * p for p in range(8)]
-        names = _events(path)
-        assert "chunk_submitted" not in names
-        assert "point_started" in names
+        assert trace.spans("chunk") == []
+        # In-process points announce themselves when they open.
+        assert [e["index"] for e in trace.lines
+                if e["name"] == "point" and e["elapsed"] is None] \
+            == list(range(8))
 
-    def test_unpicklable_state_degrades_to_serial_batch(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+    def test_unpicklable_state_degrades_to_serial_batch(self, trace):
         ctx = lambda p: 3 * p  # noqa: E731 -- deliberately unpicklable
         got = evaluate_grid(_ctx_call, list(range(8)), workers=2,
-                            context=ctx, journal=str(path),
+                            context=ctx, tracer=trace.tracer,
                             kernel=functools.partial(_ctx_call_batch, ctx))
         assert got == [3 * p for p in range(8)]
-        names = _events(path)
-        assert "chunk_submitted" not in names
-        assert "batch_started" in names
+        assert trace.spans("chunk") == []
+        (batch,) = trace.spans("batch")
+        assert (batch["status"], batch["ok"]) == ("ok", 8)
 
     def test_warm_spawn_pool_ships_the_blob(self, chunk_of):
         chunk_of(2)
@@ -241,7 +229,6 @@ class TestSessionPoolWiring:
             runner = Runner(workers=2, pool=pool)
             assert runner.run(_square, list(range(8))) \
                 == [p * p for p in range(8)]
-            runner.close()
             assert not pool.closed    # caller owns it
             assert pool.alive
 

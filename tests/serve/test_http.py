@@ -144,8 +144,9 @@ class TestEvents:
         events = client.events(job_id)
         names = [e["event"] for e in events]
         assert names[0] == "job_submitted"
-        assert "run_start" in names
-        assert names.count("point_finished") >= 6  # 2 freqs x 3 modes
+        grids = [e for e in events if e.get("name") == "grid"]
+        assert [g["elapsed"] is None for g in grids] == [True, False]
+        assert grids[-1]["points"] == 6            # 2 freqs x 3 modes
         assert "job_accounting" in names
         assert names[-1] == "job_finished"
 

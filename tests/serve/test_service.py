@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.errors import ServeError
-from repro.runner import read_journal
+from repro.obs.report import load_events
 from repro.serve import JobSpec, SweepService
 from repro.session import Session
 
@@ -207,18 +207,21 @@ class TestJournals:
         assert a.journal_path != b.journal_path
         for job in (a, b):
             assert os.path.exists(job.journal_path)
-            events = [e["event"] for e in
-                      read_journal(job.journal_path)]
+            lines = load_events(job.journal_path)
+            events = [e["event"] for e in lines]
             assert events[0] == "job_submitted"
             assert "job_started" in events
-            assert "run_start" in events
-            assert "point_finished" in events
             assert events[-1] == "job_finished"
+            # The job's grids are traced into its journal.
+            grids = [e for e in lines if e.get("name") == "grid"
+                     and e["elapsed"] is not None]
+            assert [g["status"] for g in grids] == ["ok"]
+            assert grids[0]["points"] == 3 * len(job.spec.freqs)
 
     def test_accounting_event_carries_the_dedupe(self, service):
         _wait(service.submit(SWEEP))
         job = _wait(service.submit(SWEEP))
-        events = read_journal(job.journal_path)
+        events = load_events(job.journal_path)
         acct = [e for e in events if e["event"] == "job_accounting"]
         assert len(acct) == 1
         assert acct[0]["cache_hits"] == job.cache_hits
@@ -227,21 +230,25 @@ class TestJournals:
     def test_failed_job_journal_records_the_error(self, service):
         job = _wait(service.submit(
             {"kind": "sweep", "design": "nope", "freqs": [1e4]}))
-        events = read_journal(job.journal_path)
+        events = load_events(job.journal_path)
         assert events[-1]["event"] == "job_failed"
         assert "nope" in events[-1]["error"]
 
     def test_session_journal_restored_after_each_job(self, tmp_path):
-        session = Session(store=None,
-                          journal=str(tmp_path / "session.jsonl"))
+        session = Session(store=None, trace=str(tmp_path / "session.jsonl"))
+        tracer = session.tracer
         svc = SweepService(session=session, spool=tmp_path / "spool")
         try:
-            _wait(svc.submit(SWEEP))
-            assert svc.session.runner.journal.path \
-                == str(tmp_path / "session.jsonl")
+            job = _wait(svc.submit(SWEEP))
+            assert svc.session.runner.tracer is tracer
+            assert svc.session.artifacts.tracer is tracer
         finally:
             svc.close()
             session.close()
+        # The job's spans went to its own journal, not the session's.
+        assert any(e.get("name") == "grid"
+                   for e in load_events(job.journal_path))
+        assert not (tmp_path / "session.jsonl").exists()
 
 
 class TestSharedSessionRules:

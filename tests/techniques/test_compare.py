@@ -7,7 +7,7 @@ import pytest
 
 import repro.techniques as techniques_pkg
 from repro.errors import RegistryError, ReproError
-from repro.runner import evaluate_grid, read_journal
+from repro.runner import evaluate_grid
 from repro.scpg.power_model import Mode
 from repro.techniques import (
     DEFAULT_COMPARE_FREQS,
@@ -188,13 +188,14 @@ class TestBatchKernel:
         assert points == [model.breakdown(1e5)]
         assert points != ScpgCompareModel(plain)._power_points([1e5])
 
-    def test_unregistered_model_batch_equals_per_point(self, tmp_path):
+    def test_unregistered_model_batch_equals_per_point(self, tmp_path,
+                                                       spans_of):
         from repro.session import Session
 
         freqs = [1e4, 1e6, 1e12]
-        journal = tmp_path / "journal.jsonl"
+        journal = tmp_path / "trace.jsonl"
         tech = register_technique(_PluginTechnique())
-        s = Session(store=None, journal=str(journal))
+        s = Session(store=None, trace=str(journal))
         try:
             handle = s.design("counter16")
             cmp = run_comparison(handle, freqs=freqs,
@@ -209,9 +210,8 @@ class TestBatchKernel:
                                   on_error=(ReproError,))
         assert per_point[-1] is None
         assert cmp.entry("plugin-xyz").points == per_point
-        batches = [e for e in read_journal(journal)
-                   if e["event"] == "batch_started"
-                   and e["label"] == "compare:counter16:plugin-xyz"]
+        batches = [e for e in spans_of(journal, "batch")
+                   if e["label"] == "compare:counter16:plugin-xyz"]
         assert len(batches) == 1
 
 
@@ -230,8 +230,8 @@ class TestSessionFacade:
     def test_runner_labels_journal_the_comparison(self, tmp_path):
         from repro.session import Session
 
-        journal = tmp_path / "journal.jsonl"
-        s = Session(store=None, journal=str(journal))
+        journal = tmp_path / "trace.jsonl"
+        s = Session(store=None, trace=str(journal))
         try:
             s.compare_techniques("mult16", freqs=[1e4],
                                  techniques=["lector"])

@@ -18,7 +18,11 @@ replaced the hand-bumped ``ARTIFACT_SCHEMA`` and ``COLUMN_SCHEMA``
 tags, the per-technique ``version`` opt-in and the ``salt=`` keyword of
 ``SqliteStore`` / ``open_store``; ``repro.circuits.registry.resolve``
 replaced the CLI's ``_resolve_design`` shim; ``Module.copy`` replaced
-``repro.netlist.transform.clone_flat_module``.
+``repro.netlist.transform.clone_flat_module``.  Tracer spans replaced
+the run journal (``repro.runner.journal``: ``RunJournal``,
+``NULL_JOURNAL``, ``read_journal``; ``repro.obs.trace.JournalSink``;
+the ``journal=`` keyword of ``evaluate_grid`` / ``Runner`` /
+``ArtifactStore`` / ``Session``).
 Their deprecation shims are deleted, so no module may define, re-export
 or call the old names again -- and the package must not expose them.
 """
@@ -63,6 +67,8 @@ DEPRECATED = {
     "COLUMN_SCHEMA": re.compile(r"\bCOLUMN_SCHEMA\b"),
     "repro.cli._resolve_design": re.compile(r"\b_resolve_design\b"),
     "clone_flat_module": re.compile(r"\bclone_flat_module\b"),
+    "RunJournal / JournalSink / NULL_JOURNAL / read_journal": re.compile(
+        r"\b(?:RunJournal|JournalSink|NULL_JOURNAL|read_journal)\b"),
 }
 
 #: Removed keywords, matched across the lines of a whole call: removed
@@ -74,6 +80,9 @@ DEPRECATED_CALLS = {
     "salt= of SqliteStore / open_store": re.compile(
         r"\b(?:SqliteStore|open_store)\s*\("
         r"(?:[^()]|\([^()]*\))*?\bsalt\s*="),
+    "journal= of evaluate_grid / Runner / ArtifactStore / Session":
+        re.compile(r"\b(?:evaluate_grid|Runner|ArtifactStore|Session)\s*\("
+                   r"(?:[^()]|\([^()]*\))*?\bjournal\s*="),
 }
 
 #: The only file allowed to spell the removed names: this lint.
@@ -140,6 +149,7 @@ class TestNoDeprecatedCallers:
         import repro
         import repro.cli
         import repro.flows
+        import repro.obs
         import repro.runner
         import repro.scpg
         import repro.techniques
@@ -163,6 +173,17 @@ class TestNoDeprecatedCallers:
         assert not hasattr(repro.techniques.Technique, "version")
         assert not hasattr(repro.runner.CircuitArtifacts, "schema")
         assert importlib.util.find_spec("repro.runner.kernel") is None
+        assert importlib.util.find_spec("repro.runner.journal") is None
+        for fn in (core.evaluate_grid, core.Runner, repro.runner.ArtifactStore,
+                   repro.Session):
+            assert "journal" not in inspect.signature(fn).parameters
+        assert not hasattr(repro.Session, "journal")
+        for owner, name in ((repro, "RunJournal"),
+                            (repro.runner, "RunJournal"),
+                            (repro.runner, "read_journal"),
+                            (repro.runner, "NULL_JOURNAL"),
+                            (repro.obs, "JournalSink")):
+            assert not hasattr(owner, name), name
         for owner, names in ((repro.runner, (
                 "Kernel", "CompiledKernel", "register_kernel", "kernel_for",
                 "compile_kernel")), (repro.techniques, (

@@ -179,20 +179,24 @@ class TestObservabilityFlags:
         # counters only: the timings travel in the trace
         assert all(isinstance(v, (int, float)) for v in stats.values())
 
-    def test_journal_written(self, tmp_path, capsys):
-        from repro.runner import read_journal
-
+    def test_journal_written(self, tmp_path, capsys, spans_of):
         path = tmp_path / "run.jsonl"
-        assert main(["--journal", str(path), "subvt", "counter16"]) == 0
+        assert main(["--trace", str(path), "subvt", "counter16"]) == 0
         capsys.readouterr()
-        events = [e["event"] for e in read_journal(path)]
-        assert "run_start" in events
-        assert "point_finished" in events
+        grids = spans_of(path, "grid")
+        assert grids and all(g["status"] == "ok" for g in grids)
+        assert sum(g["pending"] for g in grids) > 0
+
+    def test_the_journal_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["info", "--journal", str(tmp_path / "j.jsonl")])
+        assert "unrecognized arguments: --journal" \
+            in capsys.readouterr().err
 
     def test_flags_leave_stdout_untouched(self, tmp_path, capsys):
         assert main(["subvt", "counter16"]) == 0
         plain = capsys.readouterr().out
-        assert main(["--journal", str(tmp_path / "j.jsonl"),
+        assert main(["--trace", str(tmp_path / "t.jsonl"),
                      "--stats-json", str(tmp_path / "s.json"),
                      "subvt", "counter16"]) == 0
         assert capsys.readouterr().out == plain
@@ -280,15 +284,16 @@ class TestStoreFlags:
 class TestReportCommand:
     def test_report_over_real_sweep_journal(self, tmp_path, capsys):
         journal = tmp_path / "run.jsonl"
-        assert main(["--no-cache", "--journal", str(journal),
+        assert main(["--no-cache", "--trace", str(journal),
                      "subvt", "counter16"]) == 0
         capsys.readouterr()
         assert main(["report", str(journal)]) == 0
         out = capsys.readouterr().out
         assert "journal report:" in out
         assert "per-grid breakdown" in out
-        assert "timings" not in out       # a journal carries no spans
+        assert "timings (self-time per span)" in out
         assert "result cache" in out
+        assert "anomalies: none detected" in out
 
     def test_report_over_traced_command_lists_layers(self, tmp_path,
                                                      capsys):
@@ -306,15 +311,17 @@ class TestReportCommand:
     def test_report_straggler_k_and_out(self, tmp_path, capsys):
         import json
 
-        events = [{"t": 0.0, "event": "run_start", "label": "g",
-                   "points": 100, "cached": 0, "pending": 100,
-                   "workers": 1, "cache": False}]
-        events += [{"t": 0.0, "event": "point_finished", "index": i,
+        grid = {"t": 0.0, "event": "span", "name": "grid", "id": 1,
+                "parent": None, "start": 0.0, "elapsed": None,
+                "label": "g", "points": 100}
+        events = [grid]
+        events += [{"t": 0.0, "event": "span", "name": "point",
+                    "id": 2 + i, "parent": 1, "start": 0.0, "index": i,
                     "status": "ok", "attempts": 0, "timeouts": 0,
                     "elapsed": 0.5 if i == 99 else 0.01}
                    for i in range(100)]
-        events.append({"t": 0.0, "event": "run_finish", "label": "g",
-                       "stats": {}})
+        events.append(dict(grid, elapsed=1.5, cached=0, pending=100,
+                           workers=1, cache=False, status="ok"))
         journal = tmp_path / "synthetic.jsonl"
         journal.write_text(
             "".join(json.dumps(e) + "\n" for e in events))

@@ -118,22 +118,22 @@ class TestSession:
         auto = Session(library=lib).runner.cache
         assert auto is None or isinstance(auto, SqliteStore)
 
-    def test_journal_and_policy_reach_the_runner(self, tmp_path, lib):
-        from repro.runner import RunJournal, read_journal
-
-        session = Session(library=lib,
-                          journal=tmp_path / "session.jsonl",
+    def test_journal_and_policy_reach_the_runner(self, tmp_path, lib,
+                                                 spans_of):
+        path = tmp_path / "session.jsonl"
+        session = Session(library=lib, trace=path,
                           retry_on=(OSError,), retries=5, backoff=0.01,
                           timeout=30.0)
-        assert isinstance(session.journal, RunJournal)
+        assert session.runner.tracer is session.tracer
+        assert session.artifacts.tracer is session.tracer
         assert session.runner.retry_on == (OSError,)
         assert session.runner.retries == 5
         assert session.runner.timeout == 30.0
 
         session.design("counter16").sweep([1e5, 1e6])
         session.close()
-        events = [e["event"] for e in read_journal(session.journal.path)]
-        assert "run_start" in events
+        assert [g["label"] for g in spans_of(path, "grid")] \
+            == ["sweep:counter16"]
         assert session.stats.to_dict()["points"] > 0
 
 
